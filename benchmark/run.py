@@ -10,7 +10,7 @@ time from this single driver process):
                       --res 64 --seed S`` through ``mhs.cli.main``; one
                       operation per report.
   clifford-spectrum   clifford(2,1) -> mesh_torus -> assemble ->
-                      morse_index at 44, 64, 128 and 256 squared; one
+                      morse_index at 44, 64, 96 and 128 squared; one
                       operation per rung.
   equator-spectrum    mesh_sphere -> assemble -> morse_index at icosphere
                       subdivisions 3 to 6; one operation per rung.
@@ -20,10 +20,24 @@ Every measured run is a fresh child interpreter (child.py) with BLAS and
 OpenMP pinned to one thread in its environment, so it pays for cold
 imports and the cold rotation-number scan as a command-line user does.
 One warm-up child per workload at toy size is discarded first.  With
-``--trace 0`` the driver alternates set-up probes (import only) with
-workload children for ``--seconds`` per workload, then reports medians of
-the end-to-end metrics.  With ``--trace 1`` it runs untraced and traced
-children in pairs and reports the per-layer metrics of the traced ones.
+``--trace 0`` the driver runs workload children for ``--seconds`` per
+workload, then reports medians over them of the end-to-end metrics:
+
+  wall_ref        timed wall time / the mean time of the speed probe
+                  timed in and around it (child.SpeedProbe), so that
+                  changes in the machine's speed cancel
+  cpu_per_wall    process CPU time / wall time of the timed section; 1
+                  when the single-thread pin holds
+  setup_s         child spawn to ``import mhs`` done, scaled by the speed
+                  probe to seconds at its reference speed, over at least
+                  seven spawns spread over the run
+  peak_rss_mb     peak resident memory of the child
+  oracle_max_err  largest deviation from the exact landmarks
+
+The raw wall and set-up times in seconds, with their quartiles, are in the
+text report above the result line.  With ``--trace 1`` it runs untraced and
+traced children in pairs and reports the per-layer metrics of the traced
+ones.
 
 The last line of standard output is one JSON object with the keys
 correct, attempted, failed and metrics.  The exit code is 0 when every
@@ -46,7 +60,7 @@ sys.path.insert(0, HERE)
 from child import OUTDIR, WORKLOADS  # noqa: E402
 from tracer import METRICS as LAYER_METRICS, layer_metrics  # noqa: E402
 
-END_TO_END = (("wall_s", "s"), ("cpu_s", "s"), ("setup_s", "s"),
+END_TO_END = (("wall_ref", "ref"), ("cpu_per_wall", "1"), ("setup_s", "s"),
               ("peak_rss_mb", "MB"), ("oracle_max_err", "1"))
 SETUP_SAMPLES = 7     # set-up medians use at least this many imports
 DEADLINE_S = 170      # the whole invocation ends before this
@@ -97,22 +111,23 @@ class Driver:
 
     def measure(self, workloads, seconds, trace):
         """Interleaved rounds of children; returns per-workload samples."""
-        samples = {w: {"setup": [], "runs": [], "traced": []}
+        samples = {w: {"setup": [], "setup_raw": [], "runs": [], "traced": []}
                    for w in workloads}
         for w in workloads:
             warm = self.spawn(w, size="toy")
             samples[w]["versions"] = warm["versions"]
         budget = seconds * len(workloads)
         t_start = time.monotonic()
+        # Half the set-up probes go first and the rest last, so that the
+        # set-ups of a run with a single long child still span the run.
+        if not trace:
+            self.probe_setup(samples, SETUP_SAMPLES // 2)
         while True:
             t_round = time.monotonic()
             for w in workloads:
-                if not trace:
-                    samples[w]["setup"].append(
-                        self.spawn(w, probe=True)["setup_s"])
                 run = self.spawn(w)
                 samples[w]["runs"].append(run)
-                samples[w]["setup"].append(run["setup_s"])
+                add_setup(samples[w], run)
                 if trace:
                     path = os.path.join(self.outdir, f"{w}.spans.json")
                     traced = self.spawn(w, spans=path)
@@ -123,11 +138,19 @@ class Driver:
             if now - t_start + (now - t_round) > budget:
                 break
         if not trace:
-            while min(len(s["setup"]) for s in samples.values()) < SETUP_SAMPLES:
-                for w in workloads:
-                    samples[w]["setup"].append(
-                        self.spawn(w, probe=True)["setup_s"])
+            self.probe_setup(samples, SETUP_SAMPLES)
         return samples
+
+    def probe_setup(self, samples, count):
+        """Spawn import-only children until each workload has count set-ups."""
+        while min(len(s["setup"]) for s in samples.values()) < count:
+            for w, s in samples.items():
+                add_setup(s, self.spawn(w, probe=True))
+
+
+def add_setup(sample, child):
+    sample["setup"].append(child["setup_ref_s"])
+    sample["setup_raw"].append(child["setup_s"])
 
 
 def child_ok(run):
@@ -160,8 +183,9 @@ def summarize(sample, trace):
                 values[name] for values in per_child), "unit": unit}
     elif not trace and good:
         values = {name: [run[name] for run in good]
-                  for name in ("wall_s", "cpu_s", "peak_rss_mb",
-                               "oracle_max_err")}
+                  for name in ("wall_ref", "peak_rss_mb", "oracle_max_err")}
+        values["cpu_per_wall"] = [run["cpu_s"] / run["wall_s"]
+                                  for run in good]
         values["setup_s"] = sample["setup"]
         for name, unit in END_TO_END:
             metrics[name] = {"value": statistics.median(values[name]),
@@ -176,6 +200,15 @@ def machine_block(driver, samples):
             "seed": driver.seed, "threads_pinned": EXPECTED_THREADS}
 
 
+def quartiles(values):
+    """Median, quartiles and count of a sample, as one line of text."""
+    med = statistics.median(values)
+    if len(values) < 2:
+        return f"median {med:.4g} (n=1)"
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return f"median {med:.4g}  quartiles {q1:.4g} {q3:.4g}  (n={len(values)})"
+
+
 def print_report(workload, sample, attempted, failed, metrics, trace):
     good = [r for r in sample["runs"] if child_ok(r)]
     print(f"== {workload}: {len(sample['runs'])} measured children, "
@@ -183,9 +216,12 @@ def print_report(workload, sample, attempted, failed, metrics, trace):
     print(f"   attempted {attempted}  failed {failed}  "
           f"fail_frac {failed / attempted:.4g}")
     if good and not trace:
-        ratio = statistics.median(r["cpu_s"] / r["wall_s"] for r in good)
-        print(f"   cpu_s/wall_s {ratio:.4f}  threads "
-              f"{sorted({r['threads'] for r in sample['runs']})}")
+        print(f"   threads {sorted({r['threads'] for r in sample['runs']})}")
+        for name in ("wall_s", "cpu_s", "wall_ref"):
+            print(f"   {name:<14} " + quartiles([r[name] for r in good]))
+        print("   setup raw s    " + quartiles(sample["setup_raw"]))
+        print("   probe_s        " + quartiles(
+            [t for r in good for t in r["probe_s"]]))
     for name, metric in metrics.items():
         print(f"   {name:<36} {metric['value']:<14.6g} {metric['unit']}")
     for run in sample["runs"] + sample["traced"]:

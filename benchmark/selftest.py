@@ -11,6 +11,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -64,6 +65,20 @@ def test_wrong_oracle_counts_failed_operation():
                         "oracle_max_err": err}]}
     attempted, failed, metrics = run.summarize(sample, trace=False)
     assert (attempted, failed, metrics) == (1, 1, {})
+
+
+def test_speed_probe_samples_inside_and_is_taken_out():
+    probe = child.SpeedProbe()
+    probe.arm()
+    t0 = time.perf_counter()
+    while time.perf_counter() - t0 < 4 * child.PROBE_EVERY_S:
+        sum(range(1000))
+    inside_wall, inside_cpu = probe.disarm()
+    samples = len(probe.times)
+    time.sleep(2 * child.PROBE_EVERY_S)
+    assert samples >= 2 and len(probe.times) == samples
+    assert inside_wall == pytest.approx(sum(probe.times))
+    assert 0 < inside_cpu <= inside_wall * 1.05
 
 
 def test_paper_check_gates_reject_bad_report():
