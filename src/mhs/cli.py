@@ -9,7 +9,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 
@@ -20,15 +19,6 @@ from .geometry import clifford, equator
 
 _USAGE_ERRORS = (InvalidParameterError, DomainError, MeshFormatError,
                  NoSolutionError)
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("MHS_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 def _add_family_args(parser, with_res=True):
@@ -148,7 +138,7 @@ def cmd_paper_check(args):
     rank, verdict, gamma_report = paperlab.lemma_check(mesh, ops, rho)
     theorem = paperlab.theorem_check(mesh, args.delta1, ops=ops, rho=rho)
     records, _ = paperlab.chain_sweep(mesh, ops, draws=args.draws,
-                                      seed=args.seed)
+                                      seed=args.seed, lam1=lam1, rho=rho)
     worst_id = max(r.residual_identity / r.scale for r in records)
     conjecture, flag = paperlab.conjecture_probe(mesh, ops)
     identities = paperlab.gauss_identities(mesh)
@@ -266,7 +256,6 @@ def build_parser():
     _add_family_args(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--draws", type=int, default=100)
-    p.add_argument("--delta1", type=float, default=0.5)
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_chain)
 
@@ -293,7 +282,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _apply_thread_cap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -15,6 +15,7 @@ Both act on the same nodal vectors (vertex values).
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -89,6 +90,8 @@ class OperatorSet:
 
     K is the stiffness, Mm the mass, W the (n + |A|^2)-weighted mass;
     the quadratic form of the stability operator is x^T (K - W) x.
+    B = K - W and the |A|^2-weighted mass SA = W - n Mm are built on
+    first use and kept.
     """
 
     K: sp.csr_matrix
@@ -97,9 +100,13 @@ class OperatorSet:
     n: int
     q_max: float   # max of n + |A|^2 over quadrature points
 
-    @property
+    @cached_property
     def B(self):
         return (self.K - self.W).tocsr()
+
+    @cached_property
+    def SA(self):
+        return (self.W - self.n * self.Mm).tocsr()
 
     @property
     def size(self):

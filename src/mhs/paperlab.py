@@ -21,6 +21,8 @@ from .errors import InvalidParameterError
 from .fem import f_vertex, l_vertex
 
 _DEFAULT_RANK_TOL = 1e-8
+# eigenvalues of Q this close (relative) to the smallest span v0's space
+_V0_DEGENERACY_TOL = 1e-6
 
 VERDICT_NEGATIVE = "negative_definite"
 VERDICT_NOT_NEGATIVE = "not_negative_definite"
@@ -258,28 +260,69 @@ def lemma_check(mesh, ops=None, rho=None, rank_tol=_DEFAULT_RANK_TOL):
     return report.rank, verdict, report
 
 
-def choose_v0(mesh, delta2):
-    """Distinguished direction minimizing int (|A|^2 - n delta2) f_v^2.
+def _normal_moments(mesh):
+    """The 4x4 moments Q_A = int |A|^2 nu nu^T and Q_1 = int nu nu^T.
 
-    Assembles the quadratic form Q over the ambient basis and returns
-    the unit eigenvector of its smallest eigenvalue together with that
-    value.  The averaging identity trace Q = int (|A|^2 - n delta2) is
-    enforced to 1e-10 relative.
+    Integrated against quad_measure, the curved area element of a chart
+    (the flat weights on a mesh without one).  The form minimized by
+    v0 is linear in delta2: Q(delta2) = Q_A - n delta2 Q_1.  The
+    products go through BLAS, whose blocked sums are more accurate than
+    one long einsum accumulation.
     """
+    nu = mesh.quad_nu.reshape(-1, mesh.quad_nu.shape[-1])
+    w_nu = mesh.quad_measure.reshape(-1, 1) * nu
+    Q_A = (mesh.quad_asq.reshape(-1, 1) * w_nu).T @ nu
+    Q_1 = w_nu.T @ nu
+    return Q_A, Q_1
+
+
+def _lowest_direction(Q):
+    """A unit vector of the lowest eigenspace of Q, free of rounding.
+
+    Eigenvalues within _V0_DEGENERACY_TOL * max|lambda| of the smallest
+    count as one eigenspace, of dimension k and with projector P; the
+    result is P e_a / |P e_a| for the first axis with |P e_a|^2 >= k/(2d),
+    which exists because trace P = k.  So a degenerate minimum (an
+    isotropic block under a symmetry) yields the same direction whatever
+    the summation order.
+    """
+    vals, vecs = sla.eigh(Q)
+    d = len(vals)
+    tol = _V0_DEGENERACY_TOL * np.abs(vals).max()
+    k = int((vals - vals[0] <= tol).sum())
+    P = vecs[:, :k] @ vecs[:, :k].T
+    a = int(np.argmax(np.diag(P) >= k / (2.0 * d)))
+    return P[:, a] / np.linalg.norm(P[:, a])
+
+
+def _v0_from_moments(mesh, moments, delta2):
+    """choose_v0 on precomputed _normal_moments."""
     if not (0.0 < delta2 < 1.0):
         raise InvalidParameterError("delta2 must lie in (0, 1)")
-    w, _, nu, asq, _ = _quad_fields(mesh)
-    n = mesh.surface_dim
-    weight = w * (asq - n * delta2)
-    Q = np.einsum("tq,tqa,tqb->ab", weight, nu, nu)
+    Q_A, Q_1 = moments
+    c = mesh.surface_dim * delta2
+    Q = Q_A - c * Q_1
     Q = 0.5 * (Q + Q.T)
+    weight = mesh.quad_measure * (mesh.quad_asq - c)
     total = float(weight.sum())
     scale = max(abs(total), float(np.abs(weight).sum()), 1e-30)
     if abs(np.trace(Q) - total) > 1e-10 * scale:
         raise InvalidParameterError(
             "quadrature normals are not unit: trace identity violated")
-    vals, vecs = sla.eigh(Q)
-    return vecs[:, 0], float(vals[0])
+    v0 = _lowest_direction(Q)
+    return v0, float(v0 @ Q @ v0)
+
+
+def choose_v0(mesh, delta2):
+    """Distinguished direction minimizing int (|A|^2 - n delta2) f_v^2.
+
+    Builds the quadratic form Q over the ambient basis from the two
+    normal moments and returns a unit vector of its lowest eigenspace
+    (canonical when that space is degenerate) together with v0^T Q v0.
+    The averaging identity trace Q = int (|A|^2 - n delta2) is enforced
+    to 1e-10 relative.
+    """
+    return _v0_from_moments(mesh, _normal_moments(mesh), delta2)
 
 
 def theorem_check(mesh, delta1, delta2=None, zero_tol=0.05, ops=None,
@@ -384,8 +427,7 @@ def chain_verify(mesh, a, b, w, delta1, delta2=None, ops=None,
     if v0 is None:
         v0, _ = choose_v0(mesh, delta2)
     n = ops.n
-    Mm, B = ops.Mm, ops.B
-    SA = ops.W - n * ops.Mm          # |A|^2-weighted mass
+    Mm, B, SA = ops.Mm, ops.B, ops.SA
     lw = l_vertex(mesh, w_vec)
     f0 = f_vertex(mesh, v0)
     f = a * rho + lw + b * f0
@@ -419,31 +461,32 @@ def chain_verify(mesh, a, b, w, delta1, delta2=None, ops=None,
                        lambda1=float(lam1))
 
 
-def chain_sweep(mesh, ops=None, draws=100, seed=0):
+def chain_sweep(mesh, ops=None, draws=100, seed=0, lam1=None, rho=None):
     """Seeded random draws of (a, b, w, delta1) for the chain estimate.
 
     Returns the list of ChainRecords together with the draw parameters;
     a, b and the entries of w are standard normal, delta1 is uniform on
-    (0.05, 0.95).
+    (0.05, 0.95).  The ground state (lam1, rho) is computed unless both
+    are given; v0 comes from normal moments computed once for all draws.
     """
     if ops is None:
         from .fem import assemble
         ops = assemble(mesh)
-    lam1, rho = spectral.first_eigfunction(ops)
+    if rho is None or lam1 is None:
+        lam1, rho = spectral.first_eigfunction(ops)
+    moments = _normal_moments(mesh)
     rng = np.random.default_rng(seed)
     dim = mesh.vertices.shape[1]
     records, params = [], []
-    v0_cache = {}
     for _ in range(draws):
         a = float(rng.standard_normal())
         b = float(rng.standard_normal())
         w = rng.standard_normal(dim)
         delta1 = float(rng.uniform(0.05, 0.95))
         delta2 = 1.0 - delta1
-        if delta2 not in v0_cache:
-            v0_cache[delta2], _ = choose_v0(mesh, delta2)
+        v0, _ = _v0_from_moments(mesh, moments, delta2)
         rec = chain_verify(mesh, a, b, w, delta1, delta2, ops=ops,
-                           rho=rho, lam1=lam1, v0=v0_cache[delta2])
+                           rho=rho, lam1=lam1, v0=v0)
         records.append(rec)
         params.append({"a": a, "b": b, "w": w.tolist(), "delta1": delta1})
     return records, params

@@ -68,6 +68,13 @@ def test_unknown_flag_is_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_chain_takes_no_delta1(capsys):
+    # each draw picks its own delta1; the subcommand has no such option
+    assert main(["chain", "--family", "equator", "--n", "2", "--res", "2",
+                 "--delta1", "0.5"]) == 1
+    capsys.readouterr()
+
+
 def test_paper_check_report(capsys):
     code, doc = run_json(capsys, [
         "paper-check", "--family", "clifford", "--n", "2", "--k", "1",

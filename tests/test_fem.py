@@ -83,6 +83,13 @@ def test_operator_invariants(clifford_op, clifford_mesh):
     assert sla.eigh(WA, eigvals_only=True)[0] > -1e-10
 
 
+def test_operator_set_caches_pencil_parts(clifford_op):
+    ops = clifford_op
+    assert ops.B is ops.B and ops.SA is ops.SA
+    assert abs(ops.B - (ops.K - ops.W)).max() == 0.0
+    assert abs(ops.SA - (ops.W - ops.n * ops.Mm)).max() == 0.0
+
+
 def test_assembly_deterministic(clifford_family):
     m1 = mesh_torus(clifford_family, 16, 16)
     m2 = mesh_torus(clifford_family, 16, 16)

@@ -1,5 +1,7 @@
 """Trial-space checks: identities, ranks, v0 selection, chain, probe."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,14 @@ def test_choose_v0_trace_identity(clifford_mesh, otsuki_mesh):
         choose_v0(mesh, 0.5)  # raises if the trace identity fails
 
 
+def test_choose_v0_rejects_non_unit_normals(otsuki_mesh):
+    mesh = dataclasses.replace(otsuki_mesh,
+                               quad_nu=1.001 * otsuki_mesh.quad_nu)
+    for delta2 in (0.1, 0.9):
+        with pytest.raises(InvalidParameterError):
+            choose_v0(mesh, delta2)
+
+
 def test_choose_v0_equator(sphere_mesh):
     v0, value = choose_v0(sphere_mesh, 0.5)
     # |A|^2 = 0: the quadratic is -n delta2 int f^2, minimized by the
@@ -99,6 +109,44 @@ def test_choose_v0_clifford_nonnegative(clifford_mesh):
     _, value = choose_v0(clifford_mesh, 0.5)
     # |A|^2 - n delta2 = 1 pointwise: no negative direction exists
     assert value >= 0
+
+
+def _direct_q(mesh, delta2):
+    weight = mesh.quad_measure * (mesh.quad_asq - mesh.surface_dim * delta2)
+    return np.einsum("tq,tqa,tqb->ab", weight, mesh.quad_nu, mesh.quad_nu)
+
+
+def test_choose_v0_value_is_form_at_v0(clifford_mesh, sphere_mesh,
+                                       otsuki_mesh):
+    for mesh in (clifford_mesh, sphere_mesh, otsuki_mesh):
+        for delta2 in (0.1, 0.5, 0.9):
+            v0, value = choose_v0(mesh, delta2)
+            expected = v0 @ _direct_q(mesh, delta2) @ v0
+            assert abs(np.linalg.norm(v0) - 1.0) < 1e-14
+            assert abs(value - expected) <= 1e-12 * abs(expected)
+
+
+def _permute_quadrature(mesh, seed):
+    """The same mesh with its triangles (and their quadrature) reordered."""
+    perm = np.random.default_rng(seed).permutation(mesh.num_triangles)
+    fields = ("triangles", "quad_points", "quad_weights", "quad_measure",
+              "quad_nu", "quad_asq", "quad_params")
+    return dataclasses.replace(mesh, **{
+        f: getattr(mesh, f)[perm] for f in fields
+        if getattr(mesh, f) is not None})
+
+
+def test_choose_v0_independent_of_summation_order(clifford_mesh,
+                                                  sphere_mesh, otsuki_mesh):
+    # Q is a multiple of the identity on the product torus and has a
+    # doubly degenerate minimum on the Otsuki torus (Z_q symmetry), so
+    # only a canonical choice inside the eigenspace is reproducible
+    for mesh in (clifford_mesh, sphere_mesh, otsuki_mesh):
+        v0, value = choose_v0(mesh, 0.5)
+        for seed in (1, 2):
+            w0, other = choose_v0(_permute_quadrature(mesh, seed), 0.5)
+            assert np.abs(w0 - v0).max() <= 1e-12
+            assert abs(other - value) <= 1e-12 * abs(value)
 
 
 def test_choose_v0_validates_delta(clifford_mesh):
@@ -165,6 +213,32 @@ def test_chain_identity_all_geometries(clifford_mesh, clifford_op,
         records, _ = chain_sweep(mesh, ops, draws=25, seed=0)
         worst = max(r.residual_identity / r.scale for r in records)
         assert worst <= 1e-10
+
+
+def test_chain_sweep_never_evaluates_positions(otsuki_mesh, otsuki_op):
+    family = otsuki_mesh.source_family
+    calls = []
+
+    def counted(params):
+        calls.append(params.shape)
+        return family.position(params)
+
+    mesh = dataclasses.replace(
+        otsuki_mesh,
+        source_family=dataclasses.replace(family, position=counted))
+    records, _ = chain_sweep(mesh, otsuki_op, draws=20, seed=0)
+    assert len(records) == 20
+    assert calls == []
+
+
+def test_chain_sweep_uses_given_ground_state(clifford_mesh, clifford_op):
+    lam1, rho = spectral.first_eigfunction(clifford_op)
+    given, _ = chain_sweep(clifford_mesh, clifford_op, draws=5, seed=3,
+                           lam1=lam1, rho=rho)
+    fresh, _ = chain_sweep(clifford_mesh, clifford_op, draws=5, seed=3)
+    for g, f in zip(given, fresh):
+        assert g.lambda1 == lam1
+        assert abs(g.L0 - f.L0) <= 1e-9 * f.scale
 
 
 def test_chain_single_term_case(otsuki_mesh, otsuki_op):
