@@ -7,7 +7,7 @@ from .closedform import (SpectrumTable, clifford_jacobi, equator_jacobi,
 from .errors import MhsError
 from .fem import (OperatorSet, SurfaceMesh, assemble, f_vertex, l_vertex,
                   load_mesh, mesh_from_json, mesh_sphere, mesh_to_json,
-                  mesh_torus, project, save_mesh)
+                  mesh_torus, save_mesh)
 from .geometry import (FramePoint, GeometryFamily, ParamDomain, area,
                        check_minimality, clifford, equator, eval_frame,
                        f_func, gradient_check, l_func)
@@ -28,7 +28,7 @@ __all__ = [
     "ProfileCurve", "rotation_number", "rotation_window", "find_otsuki",
     "build_surface",
     "SurfaceMesh", "OperatorSet", "mesh_torus", "mesh_sphere", "assemble",
-    "project", "l_vertex", "f_vertex", "mesh_to_json", "mesh_from_json",
+    "l_vertex", "f_vertex", "mesh_to_json", "mesh_from_json",
     "save_mesh", "load_mesh",
     "EigenReport", "lowest_eigs", "inertia_below", "first_eigfunction",
     "morse_index",

@@ -363,15 +363,6 @@ def assemble_spectral(mesh):
                        n=n, q_max=float(q.max()))
 
 
-def project(mesh, evaluator):
-    """Nodal coefficients of a scalar field given on vertex positions."""
-    vals = np.asarray(evaluator(mesh.vertices), dtype=float)
-    if vals.shape != (mesh.num_vertices,):
-        raise InvalidParameterError(
-            "field evaluator must return one value per vertex")
-    return vals
-
-
 def l_vertex(mesh, v):
     """Nodal values of <x, v>."""
     return mesh.vertices @ np.asarray(v, dtype=float)
@@ -380,12 +371,6 @@ def l_vertex(mesh, v):
 def f_vertex(mesh, v):
     """Nodal values of <nu, v>."""
     return mesh.vertex_nu @ np.asarray(v, dtype=float)
-
-
-def rayleigh_quotient(ops, x):
-    """Discrete Dirichlet-energy quotient (x'Kx)/(x'Mx)."""
-    x = np.asarray(x, dtype=float)
-    return float((x @ (ops.K @ x)) / (x @ (ops.Mm @ x)))
 
 
 def mesh_to_json(mesh):

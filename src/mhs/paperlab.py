@@ -8,6 +8,10 @@ negative.  This module checks those identities discretely, measures the
 rank of the trial spaces, runs the averaged choice of the distinguished
 direction v0, and verifies the completed-square decomposition of the
 form on the (n+4)-dimensional trial space term by term.
+
+Every trial space lies in the coordinate span {rho or 1, f_e.., l_e..},
+so each check is small dense algebra on that span's Gram matrices for
+the mass, the stability form and the |A|^2-weighted mass.
 """
 
 from dataclasses import dataclass
@@ -18,7 +22,6 @@ import scipy.linalg as sla
 
 from . import spectral
 from .errors import InvalidParameterError
-from .fem import f_vertex, l_vertex
 
 _DEFAULT_RANK_TOL = 1e-8
 # eigenvalues of Q this close (relative) to the smallest span v0's space
@@ -162,99 +165,67 @@ def ratio_report(mesh):
 # trial-space machinery
 # ----------------------------------------------------------------------
 
-def pencil_inertia(B, G, rank_tol=_DEFAULT_RANK_TOL):
-    """(rank, negative inertia) of the form B on the span with Gram G.
+def _pencil_eigs(B, G, rank_tol=_DEFAULT_RANK_TOL):
+    """Ascending eigenvalues of the form B on the span with Gram G.
 
     G may be rank deficient (collapsed bases); the form is reduced to
-    the subspace of G-eigenvectors above rank_tol times the largest.
+    the subspace of G-eigenvectors above rank_tol times the largest, so
+    there are as many eigenvalues as the numerical rank.
     """
-    B = np.asarray(B, dtype=float)
-    G = np.asarray(G, dtype=float)
-    gvals, gvecs = sla.eigh(G)
+    gvals, gvecs = sla.eigh(np.asarray(G, dtype=float))
     keep = gvals > rank_tol * max(gvals.max(), 0.0)
-    rank = int(keep.sum())
-    if rank == 0:
-        return 0, 0
+    if not keep.any():
+        return np.empty(0)
     U = gvecs[:, keep] / np.sqrt(gvals[keep])
-    reduced = U.T @ B @ U
-    rvals = sla.eigh(reduced, eigvals_only=True)
-    neg = int((rvals < 0.0).sum())
-    return rank, neg
+    return sla.eigh(U.T @ np.asarray(B, dtype=float) @ U, eigvals_only=True)
 
 
-def _form_report(ops, vectors, labels, rank_tol=_DEFAULT_RANK_TOL):
-    X = np.stack(vectors, axis=1)
-    G = X.T @ (ops.Mm @ X)
-    Bm = X.T @ (ops.B @ X)
-    G = 0.5 * (G + G.T)
-    Bm = 0.5 * (Bm + Bm.T)
-    rank, neg = pencil_inertia(Bm, G, rank_tol)
-    return FormReport(basis_labels=tuple(labels), G=G, B=Bm,
-                      rank=rank, neg_inertia=neg)
+def pencil_inertia(B, G, rank_tol=_DEFAULT_RANK_TOL):
+    """(rank, negative inertia) of the form B on the span with Gram G."""
+    vals = _pencil_eigs(B, G, rank_tol)
+    return len(vals), int((vals < 0.0).sum())
 
 
-def _ambient_basis(mesh):
-    return np.eye(mesh.vertices.shape[1])
+def _coordinate_span(mesh, rho=None):
+    """Nodal columns and labels of {head, f_e1.., l_e1..}.
 
-
-def gamma_basis(mesh, rho):
-    """Nodal vectors and labels of {rho, f_e1.., l_e1..} in fixed order."""
+    The head is the ground state rho, or the constant 1 when rho is not
+    given.  Every trial space of the paper lies in this span, so each
+    check reduces to its three small Gram matrices.
+    """
     dim = mesh.vertices.shape[1]
-    basis = _ambient_basis(mesh)
-    vectors = [np.asarray(rho, dtype=float)]
-    labels = ["rho"]
-    for a in range(dim):
-        vectors.append(f_vertex(mesh, basis[a]))
-        labels.append(f"f_e{a + 1}")
-    for a in range(dim):
-        vectors.append(l_vertex(mesh, basis[a]))
-        labels.append(f"l_e{a + 1}")
-    return vectors, labels
+    head = np.ones(mesh.num_vertices) if rho is None else rho
+    X = np.column_stack([head, mesh.vertex_nu, mesh.vertices])
+    labels = (("one" if rho is None else "rho",)
+              + tuple(f"f_e{a + 1}" for a in range(dim))
+              + tuple(f"l_e{a + 1}" for a in range(dim)))
+    return X, labels
 
 
-def lambda_basis(mesh):
-    """Nodal vectors and labels of {1, f_e1.., l_e1..}."""
-    dim = mesh.vertices.shape[1]
-    basis = _ambient_basis(mesh)
-    vectors = [np.ones(mesh.num_vertices)]
-    labels = ["one"]
-    for a in range(dim):
-        vectors.append(f_vertex(mesh, basis[a]))
-        labels.append(f"f_e{a + 1}")
-    for a in range(dim):
-        vectors.append(l_vertex(mesh, basis[a]))
-        labels.append(f"l_e{a + 1}")
-    return vectors, labels
+def _span_forms(ops, X):
+    """X^T Mm X, X^T B X and X^T SA X, each symmetrized."""
+    forms = [X.T @ (A @ X) for A in (ops.Mm, ops.B, ops.SA)]
+    return [0.5 * (F + F.T) for F in forms]
 
 
-def gamma0_basis(mesh, rho, v0):
-    """Nodal vectors and labels of {rho, l_e1.., f_v0}."""
-    dim = mesh.vertices.shape[1]
-    basis = _ambient_basis(mesh)
-    vectors = [np.asarray(rho, dtype=float)]
-    labels = ["rho"]
-    for a in range(dim):
-        vectors.append(l_vertex(mesh, basis[a]))
-        labels.append(f"l_e{a + 1}")
-    vectors.append(f_vertex(mesh, v0))
-    labels.append("f_v0")
-    return vectors, labels
+def _check_split(delta1):
+    """delta1 in (0, 1), so that delta2 = 1 - delta1 is positive too."""
+    if not (0.0 < delta1 < 1.0):
+        raise InvalidParameterError("delta1 must lie in (0, 1)")
 
 
-def lemma_check(mesh, ops=None, rho=None, rank_tol=_DEFAULT_RANK_TOL):
+def lemma_check(mesh, ops, rho=None):
     """Gram rank of the (2n+5)-function trial set {rho, f's, l's}.
 
     Full rank certifies the surface is neither totally geodesic nor a
     product torus (those collapse the f's onto constants or the l's).
     Returns (rank, verdict, FormReport).
     """
-    if ops is None:
-        from .fem import assemble
-        ops = assemble(mesh)
     if rho is None:
         _, rho = spectral.first_eigfunction(ops)
-    vectors, labels = gamma_basis(mesh, rho)
-    report = _form_report(ops, vectors, labels, rank_tol)
+    X, labels = _coordinate_span(mesh, rho)
+    G, B, _ = _span_forms(ops, X)
+    report = FormReport(labels, G, B, *pencil_inertia(B, G))
     full = 2 * mesh.surface_dim + 5
     verdict = "full_rank" if report.rank == full else "collapsed"
     return report.rank, verdict, report
@@ -325,38 +296,47 @@ def choose_v0(mesh, delta2):
     return _v0_from_moments(mesh, _normal_moments(mesh), delta2)
 
 
-def theorem_check(mesh, delta1, delta2=None, zero_tol=0.05, ops=None,
-                  rho=None, rank_tol=_DEFAULT_RANK_TOL):
+def _gamma0_form(G, B, v0):
+    """FormReport on {rho, l_e1.., f_v0} and its largest pencil eigenvalue.
+
+    G and B are the span forms with head rho.  Since f_v0 is
+    sum_a v0_a f_ea, the trial space is the image of a coefficient map C
+    and its forms are C^T G C and C^T B C.  The eigenvalue is None when
+    the trial space is numerically null.
+    """
+    d = len(v0)
+    C = np.zeros((2 * d + 1, d + 2))
+    C[0, 0] = 1.0
+    C[1:d + 1, d + 1] = v0
+    C[d + 1:, 1:d + 1] = np.eye(d)
+    G0, B0 = (0.5 * (F + F.T) for F in (C.T @ G @ C, C.T @ B @ C))
+    vals = _pencil_eigs(B0, G0)
+    labels = (("rho",) + tuple(f"l_e{a + 1}" for a in range(d))
+              + ("f_v0",))
+    report = FormReport(labels, G0, B0, len(vals), int((vals < 0.0).sum()))
+    return report, (float(vals[-1]) if len(vals) else None)
+
+
+def theorem_check(mesh, delta1, ops, rho=None):
     """Hypothesis flags and the sign of the form on {rho, l's, f_v0}.
 
-    Verdict precedence: a totally geodesic surface is excluded, failed
-    hypotheses are reported as such, and otherwise the verdict is the
-    sign of the largest pencil eigenvalue of (B, G) on the trial space.
-    The report always carries the Rayleigh-Ritz cross-check
-    neg_inertia <= spectral Morse index.
+    delta2 is 1 - delta1.  Verdict precedence: a totally geodesic
+    surface is excluded, failed hypotheses are reported as such, and
+    otherwise the verdict is the sign of the largest pencil eigenvalue
+    of (B, G) on the trial space.  The report always carries the
+    Rayleigh-Ritz cross-check neg_inertia <= spectral Morse index.
     """
-    if delta2 is None:
-        delta2 = 1.0 - delta1
-    if not (delta1 > 0 and delta2 > 0):
-        raise InvalidParameterError("delta1 and delta2 must be positive")
-    if abs(delta1 + delta2 - 1.0) > 1e-12:
-        raise InvalidParameterError("delta1 + delta2 must equal 1")
-    if ops is None:
-        from .fem import assemble
-        ops = assemble(mesh)
-    n = mesh.surface_dim
-    w = mesh.quad_weights
-    total_asq = float((w * mesh.quad_asq).sum())
-    volume = mesh.area
-    hyp_integral = total_asq <= delta2 * n * volume
-    hyp_pointwise = float(mesh.quad_asq.max()) <= 2.0 * n * delta1
-    geodesic = float(mesh.quad_asq.max()) < 1e-12
+    _check_split(delta1)
+    delta2 = 1.0 - delta1
+    asq_max = float(mesh.quad_asq.max())
+    hyp_integral = ratio_report(mesh) <= delta2
+    hyp_pointwise = asq_max <= 2.0 * mesh.surface_dim * delta1
+    geodesic = asq_max < 1e-12
     if rho is None:
         _, rho = spectral.first_eigfunction(ops)
     v0, _ = choose_v0(mesh, delta2)
-    vectors, labels = gamma0_basis(mesh, rho, v0)
-    report = _form_report(ops, vectors, labels, rank_tol)
-    gamma0_max = _pencil_max_eig(report.B, report.G, rank_tol)
+    G, B, _ = _span_forms(ops, _coordinate_span(mesh, rho)[0])
+    report, gamma0_max = _gamma0_form(G, B, v0)
     if geodesic:
         verdict = VERDICT_GEODESIC
     elif not (hyp_integral and hyp_pointwise):
@@ -365,7 +345,7 @@ def theorem_check(mesh, delta1, delta2=None, zero_tol=0.05, ops=None,
         verdict = VERDICT_NEGATIVE
     else:
         verdict = VERDICT_NOT_NEGATIVE
-    index, _ = spectral.morse_index(ops, zero_tol=zero_tol)
+    index, _ = spectral.morse_index(ops)
     return TheoremReport(
         delta1=float(delta1), delta2=float(delta2),
         hyp_integral=hyp_integral, hyp_pointwise=hyp_pointwise,
@@ -374,17 +354,7 @@ def theorem_check(mesh, delta1, delta2=None, zero_tol=0.05, ops=None,
         spectral_index=index, rr_consistent=report.neg_inertia <= index)
 
 
-def _pencil_max_eig(B, G, rank_tol):
-    gvals, gvecs = sla.eigh(np.asarray(G, float))
-    keep = gvals > rank_tol * max(gvals.max(), 0.0)
-    if not keep.any():
-        return None
-    U = gvecs[:, keep] / np.sqrt(gvals[keep])
-    rvals = sla.eigh(U.T @ np.asarray(B, float) @ U, eigvals_only=True)
-    return float(rvals[-1])
-
-
-def conjecture_probe(mesh, ops=None, rank_tol=_DEFAULT_RANK_TOL):
+def conjecture_probe(mesh, ops, rank_tol=_DEFAULT_RANK_TOL):
     """Form report on {1, f's, l's} plus the (n+4)-dimensional flag.
 
     By Sylvester's law the negative inertia equals the largest dimension
@@ -392,51 +362,32 @@ def conjecture_probe(mesh, ops=None, rank_tol=_DEFAULT_RANK_TOL):
     the flag records whether such a subspace of dimension n+4 exists in
     this discretization.
     """
-    if ops is None:
-        from .fem import assemble
-        ops = assemble(mesh)
-    vectors, labels = lambda_basis(mesh)
-    report = _form_report(ops, vectors, labels, rank_tol)
+    X, labels = _coordinate_span(mesh)
+    G, B, _ = _span_forms(ops, X)
+    report = FormReport(labels, G, B, *pencil_inertia(B, G, rank_tol))
     return report, report.neg_inertia >= mesh.surface_dim + 4
 
 
-def chain_verify(mesh, a, b, w, delta1, delta2=None, ops=None,
-                 rho=None, lam1=None, v0=None):
-    """Evaluate the four lines of the completed-square estimate.
+def _chain_record(forms, n, lam1, a, b, w, delta1, v0):
+    """The chain lines for f = a rho + l_w + b f_v0 on the span forms.
 
-    For f = a rho + l_w + b f_v0 computes the direct value L0, its
-    integral expansion L0e, the version L1 with the ground-state bound
-    lambda1 <= -2n substituted, and the completed-square form L2, whose
-    four signed terms are returned individually.  L1 = L2 is an exact
-    algebraic identity when delta1 + delta2 = 1.
+    forms are the Mm-, B- and SA-Gram matrices of the span with head
+    rho, so every integral is u^T F v on span coefficient vectors.
     """
-    if delta2 is None:
-        delta2 = 1.0 - delta1
-    if not (delta1 > 0 and delta2 > 0):
-        raise InvalidParameterError("delta1 and delta2 must be positive")
-    if abs(delta1 + delta2 - 1.0) > 1e-12:
-        raise InvalidParameterError("delta1 + delta2 must equal 1")
-    w_vec = np.asarray(w, dtype=float)
-    if a == 0 and b == 0 and not w_vec.any():
-        raise InvalidParameterError("(a, b, w) must not all vanish")
-    if ops is None:
-        from .fem import assemble
-        ops = assemble(mesh)
-    if rho is None or lam1 is None:
-        lam1, rho = spectral.first_eigfunction(ops)
-    if v0 is None:
-        v0, _ = choose_v0(mesh, delta2)
-    n = ops.n
-    Mm, B, SA = ops.Mm, ops.B, ops.SA
-    lw = l_vertex(mesh, w_vec)
-    f0 = f_vertex(mesh, v0)
+    G, B, SA = forms
+    delta2 = 1.0 - delta1
+    d = len(v0)
+    rho = np.zeros(2 * d + 1)
+    rho[0] = 1.0
+    lw = np.concatenate([np.zeros(d + 1), w])
+    f0 = np.concatenate([[0.0], v0, np.zeros(d)])
     f = a * rho + lw + b * f0
 
-    def dot(u, A, v):
-        return float(u @ (A @ v))
+    def dot(u, F, v):
+        return float(u @ F @ v)
 
-    rho2 = dot(rho, Mm, rho)
-    f02 = dot(f0, Mm, f0)
+    rho2 = dot(rho, G, rho)
+    f02 = dot(f0, G, f0)
     asq_l2 = dot(lw, SA, lw)
     asq_lf = dot(lw, SA, f0)
     asq_rl = dot(rho, SA, lw)
@@ -461,19 +412,39 @@ def chain_verify(mesh, a, b, w, delta1, delta2=None, ops=None,
                        lambda1=float(lam1))
 
 
-def chain_sweep(mesh, ops=None, draws=100, seed=0, lam1=None, rho=None):
+def chain_verify(mesh, a, b, w, delta1, ops, rho=None, lam1=None, v0=None):
+    """Evaluate the four lines of the completed-square estimate.
+
+    For f = a rho + l_w + b f_v0 computes the direct value L0, its
+    integral expansion L0e, the version L1 with the ground-state bound
+    lambda1 <= -2n substituted, and the completed-square form L2, whose
+    four signed terms are returned individually.  L1 = L2 is an exact
+    algebraic identity, since delta2 = 1 - delta1.
+    """
+    _check_split(delta1)
+    w = np.asarray(w, dtype=float)
+    if a == 0 and b == 0 and not w.any():
+        raise InvalidParameterError("(a, b, w) must not all vanish")
+    if rho is None or lam1 is None:
+        lam1, rho = spectral.first_eigfunction(ops)
+    if v0 is None:
+        v0, _ = choose_v0(mesh, 1.0 - delta1)
+    forms = _span_forms(ops, _coordinate_span(mesh, rho)[0])
+    return _chain_record(forms, ops.n, lam1, a, b, w, delta1, v0)
+
+
+def chain_sweep(mesh, ops, draws=100, seed=0, lam1=None, rho=None):
     """Seeded random draws of (a, b, w, delta1) for the chain estimate.
 
     Returns the list of ChainRecords together with the draw parameters;
     a, b and the entries of w are standard normal, delta1 is uniform on
     (0.05, 0.95).  The ground state (lam1, rho) is computed unless both
-    are given; v0 comes from normal moments computed once for all draws.
+    are given.  The span forms and the normal moments behind v0 are
+    computed once, so no draw touches a nodal vector.
     """
-    if ops is None:
-        from .fem import assemble
-        ops = assemble(mesh)
     if rho is None or lam1 is None:
         lam1, rho = spectral.first_eigfunction(ops)
+    forms = _span_forms(ops, _coordinate_span(mesh, rho)[0])
     moments = _normal_moments(mesh)
     rng = np.random.default_rng(seed)
     dim = mesh.vertices.shape[1]
@@ -483,10 +454,8 @@ def chain_sweep(mesh, ops=None, draws=100, seed=0, lam1=None, rho=None):
         b = float(rng.standard_normal())
         w = rng.standard_normal(dim)
         delta1 = float(rng.uniform(0.05, 0.95))
-        delta2 = 1.0 - delta1
-        v0, _ = _v0_from_moments(mesh, moments, delta2)
-        rec = chain_verify(mesh, a, b, w, delta1, delta2, ops=ops,
-                           rho=rho, lam1=lam1, v0=v0)
-        records.append(rec)
+        v0, _ = _v0_from_moments(mesh, moments, 1.0 - delta1)
+        records.append(_chain_record(forms, ops.n, lam1, a, b, w, delta1,
+                                     v0))
         params.append({"a": a, "b": b, "w": w.tolist(), "delta1": delta1})
     return records, params

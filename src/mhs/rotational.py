@@ -141,13 +141,6 @@ class ProfileCurve:
             ).tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, d):
-        s = np.asarray(d["samples"], dtype=float)
-        return cls(period=float(d["period"]), t=s[:, 0], alpha=s[:, 1],
-                   v=s[:, 2], dalpha=s[:, 3], dv=s[:, 4],
-                   clairaut=float(d["clairaut"]), p=int(d["p"]), q=int(d["q"]))
-
     @property
     def closure_residual(self):
         return abs(self.v[-1] - self.v[0] - 2.0 * np.pi * self.p / self.q)
@@ -259,7 +252,7 @@ def build_surface(profile, nt=256, nphi=64):
         nu = _cross4(X, Xt, Xp)
         nu = nu / np.linalg.norm(nu, axis=-1, keepdims=True)
         if not need_shape:
-            return X, Xt, Xp, nu, None, None
+            return X, Xt, Xp, nu, None
         rad = -sa * d_a ** 2 + ca * dda
         Xtt = np.stack([
             -ca * d_a ** 2 * cv - sa * dda * cv + 2 * sa * d_a * d_v * sv
@@ -269,11 +262,10 @@ def build_surface(profile, nt=256, nphi=64):
             rad * cp, rad * sp], axis=-1)
         Xtp = np.stack([zero, zero, -ca * d_a * sp, ca * d_a * cp], axis=-1)
         Xpp = np.stack([zero, zero, -sa * cp, -sa * sp], axis=-1)
-        return X, Xt, Xp, nu, (Xtt, Xtp, Xpp), None
+        return X, Xt, Xp, nu, (Xtt, Xtp, Xpp)
 
     def shape_data(u):
-        X, Xt, Xp, nu, second, _ = geom(u, need_shape=True)
-        Xtt, Xtp, Xpp = second
+        Xt, Xp, nu, (Xtt, Xtp, Xpp) = geom(u, need_shape=True)[1:]
         g11 = np.einsum("...i,...i", Xt, Xt)
         g22 = np.einsum("...i,...i", Xp, Xp)
         h11 = np.einsum("...i,...i", nu, Xtt)
@@ -287,8 +279,7 @@ def build_surface(profile, nt=256, nphi=64):
         return geom(u, need_shape=False)[0]
 
     def tangents(u):
-        X, Xt, Xp, nu, _, _ = geom(u, need_shape=False)
-        return np.stack([Xt, Xp], axis=-2)
+        return np.stack(geom(u, need_shape=False)[1:3], axis=-2)
 
     def normal(u):
         return geom(u, need_shape=False)[3]

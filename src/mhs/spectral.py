@@ -30,12 +30,16 @@ class EigenReport:
     nullity: int         # |eigenvalue| <= zero_tol
     zero_tol: float
     lambda1: float
+    # the window ends at or below zero_tol, so index and nullity are
+    # only lower bounds
+    window_saturated: bool
     vectors: Optional[np.ndarray] = None   # columns, Mm-orthonormal
 
     def to_dict(self):
         return {"eigenvalues": self.eigenvalues.tolist(),
                 "index": self.index, "nullity": self.nullity,
-                "zero_tol": self.zero_tol, "lambda1": self.lambda1}
+                "zero_tol": self.zero_tol, "lambda1": self.lambda1,
+                "window_saturated": self.window_saturated}
 
 
 def _residual_check(B, Mm, vals, vecs):
@@ -78,8 +82,10 @@ def lowest_eigs(ops, count, zero_tol=0.05, vectors=False):
     _residual_check(B, ops.Mm, vals, vecs)
     index = int((vals < -zero_tol).sum())
     nullity = int((np.abs(vals) <= zero_tol).sum())
+    saturated = bool(count < size and vals[-1] <= zero_tol)
     return EigenReport(eigenvalues=vals, index=index, nullity=nullity,
                        zero_tol=float(zero_tol), lambda1=float(vals[0]),
+                       window_saturated=saturated,
                        vectors=vecs if vectors else None)
 
 
@@ -186,7 +192,7 @@ def morse_index(ops, zero_tol=0.05, start=16):
     count = min(start, ops.size)
     while True:
         report = lowest_eigs(ops, count=count, zero_tol=zero_tol)
-        if report.eigenvalues[-1] > zero_tol or count == ops.size:
+        if not report.window_saturated:
             break
         count = min(2 * count, ops.size)
     inertia = inertia_below(ops, -zero_tol)

@@ -148,17 +148,13 @@ def test_criterion_8_rayleigh_ritz_consistency(
     for mesh, ops in ((clifford_mesh, clifford_op),
                       (sphere_mesh, sphere_op),
                       (otsuki_mesh, otsuki_op)):
-        index = morse_index(ops)[0]
-        lam1, rho = spectral.first_eigfunction(ops)
-        negs = []
-        for vectors, labels in (
-                paperlab.gamma_basis(mesh, rho),
-                paperlab.gamma0_basis(
-                    mesh, rho, paperlab.choose_v0(mesh, 0.5)[0]),
-                paperlab.lambda_basis(mesh)):
-            report = paperlab._form_report(ops, vectors, labels)
-            negs.append(report.neg_inertia)
-            ok &= report.neg_inertia <= index
+        _, rho = spectral.first_eigfunction(ops)
+        theorem = theorem_check(mesh, 0.5, ops=ops, rho=rho)
+        index = theorem.spectral_index
+        negs = [lemma_check(mesh, ops, rho)[2].neg_inertia,
+                theorem.neg_inertia_gamma0,
+                conjecture_probe(mesh, ops)[0].neg_inertia]
+        ok &= all(neg <= index for neg in negs)
         details.append(f"{mesh.name}: inertia {negs} <= index {index}")
     _verdict(8, ok, "; ".join(details))
 

@@ -13,6 +13,11 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+def test_package_exports_resolve():
+    import mhs
+    assert [name for name in mhs.__all__ if not hasattr(mhs, name)] == []
+
+
 def test_oracle_clifford(capsys):
     code, doc = run_json(capsys, ["oracle", "clifford", "--n", "2", "--k", "1"])
     assert code == 0
@@ -45,6 +50,7 @@ def test_spectrum_clifford_index(capsys):
                                   "--count", "10"])
     assert code == 0
     assert doc["report"]["index"] == 5
+    assert doc["report"]["window_saturated"] is False
 
 
 def test_family_profile(capsys):
@@ -108,6 +114,7 @@ def test_mesh_export_import_round_trip(tmp_path, capsys):
     assert rep["mesh"]["degraded_normals"] is True
     assert rep["mesh"]["euler_characteristic"] == 0
     assert rep["spectrum"]["index"] == 5
+    assert rep["spectrum"]["window_saturated"] is False
 
 
 def test_mesh_import_bad_file(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from mhs import paperlab, spectral
 from mhs.errors import InvalidParameterError
+from mhs.fem import f_vertex, l_vertex
 from mhs.paperlab import (VERDICT_GEODESIC, VERDICT_HYP_FAIL,
                           VERDICT_NEGATIVE, chain_sweep, chain_verify,
                           choose_v0, conjecture_probe, gauss_identities,
@@ -64,12 +65,10 @@ def test_lemma_ranks(clifford_mesh, clifford_op, sphere_mesh, sphere_op,
 
 
 def test_gamma_basis_labels(clifford_mesh, clifford_op):
-    _, rho = spectral.first_eigfunction(clifford_op)
-    vectors, labels = paperlab.gamma_basis(clifford_mesh, rho)
-    assert labels == ["rho", "f_e1", "f_e2", "f_e3", "f_e4",
-                      "l_e1", "l_e2", "l_e3", "l_e4"]
-    assert len(vectors) == 9
-    assert all(np.linalg.norm(v) > 0 for v in vectors)
+    report = lemma_check(clifford_mesh, clifford_op)[2]
+    assert report.basis_labels == ("rho", "f_e1", "f_e2", "f_e3", "f_e4",
+                                   "l_e1", "l_e2", "l_e3", "l_e4")
+    assert np.all(np.diag(report.G) > 0)
 
 
 def test_pencil_inertia_toy():
@@ -199,7 +198,31 @@ def test_theorem_validates_delta(clifford_mesh, clifford_op):
     with pytest.raises(InvalidParameterError):
         theorem_check(clifford_mesh, 0.0, ops=clifford_op)
     with pytest.raises(InvalidParameterError):
-        theorem_check(clifford_mesh, 0.5, 0.6, ops=clifford_op)
+        theorem_check(clifford_mesh, 1.0, ops=clifford_op)
+
+
+def test_gamma0_forms_match_stacked_vectors(clifford_mesh, clifford_op,
+                                            otsuki_mesh, otsuki_op,
+                                            synthetic_mesh, synthetic_op):
+    # the Gamma_0 forms come from the coordinate-span Grams through the
+    # coefficient map of f_v0; the reference stacks the nodal vectors
+    for mesh, ops in ((clifford_mesh, clifford_op), (otsuki_mesh, otsuki_op),
+                      (synthetic_mesh, synthetic_op)):
+        _, rho = spectral.first_eigfunction(ops)
+        v0, _ = choose_v0(mesh, 0.5)
+        X, _ = paperlab._coordinate_span(mesh, rho)
+        G, B, _ = paperlab._span_forms(ops, X)
+        report, top = paperlab._gamma0_form(G, B, v0)
+        Y = np.stack([rho] + [l_vertex(mesh, e) for e in np.eye(4)]
+                     + [f_vertex(mesh, v0)], axis=1)
+        G_ref, B_ref = Y.T @ (ops.Mm @ Y), Y.T @ (ops.B @ Y)
+        assert report.basis_labels == ("rho", "l_e1", "l_e2", "l_e3",
+                                       "l_e4", "f_v0")
+        assert np.abs(report.G - G_ref).max() <= 1e-12 * np.abs(G_ref).max()
+        assert np.abs(report.B - B_ref).max() <= 1e-12 * np.abs(B_ref).max()
+        theorem = theorem_check(mesh, 0.5, ops=ops, rho=rho)
+        assert theorem.neg_inertia_gamma0 == report.neg_inertia
+        assert theorem.gamma0_max_eig == top
 
 
 # ----------------------------------------------------------------- chain
@@ -213,6 +236,59 @@ def test_chain_identity_all_geometries(clifford_mesh, clifford_op,
         records, _ = chain_sweep(mesh, ops, draws=25, seed=0)
         worst = max(r.residual_identity / r.scale for r in records)
         assert worst <= 1e-10
+
+
+def _direct_chain(mesh, ops, rho, lam1, a, b, w, delta1):
+    """The chain lines from sparse products on nodal vectors."""
+    delta2 = 1.0 - delta1
+    n = ops.n
+    lw = l_vertex(mesh, w)
+    f0 = f_vertex(mesh, choose_v0(mesh, delta2)[0])
+    f = a * rho + lw + b * f0
+
+    def dot(u, A, v):
+        return float(u @ (A @ v))
+
+    rho2 = dot(rho, ops.Mm, rho)
+    f02 = dot(f0, ops.Mm, f0)
+    asq_l2 = dot(lw, ops.SA, lw)
+    asq_lf = dot(lw, ops.SA, f0)
+    asq_rl = dot(rho, ops.SA, lw)
+    g2 = (a / np.sqrt(delta1)) * rho + np.sqrt(delta1) * lw
+    g3 = (b / np.sqrt(delta2)) * f0 + np.sqrt(delta2) * lw
+    terms = (a * a * (dot(rho, ops.SA, rho) / delta1 - 2.0 * n * rho2),
+             -dot(g2, ops.SA, g2), -dot(g3, ops.SA, g3),
+             b * b * (dot(f0, ops.SA, f0) / delta2 - n * f02))
+    return {"L0": dot(f, ops.B, f),
+            "L0e": (a * a * lam1 * rho2 - asq_l2 - n * b * b * f02
+                    - 2.0 * b * asq_lf - 2.0 * a * asq_rl),
+            "L1": (-2.0 * a * a * n * rho2 - asq_l2 - n * b * b * f02
+                   - 2.0 * b * asq_lf - 2.0 * a * asq_rl),
+            "L2": sum(terms), "terms": terms,
+            "scale": (abs(a * a * lam1 * rho2) + 2.0 * a * a * n * rho2
+                      + abs(asq_l2) + n * b * b * f02
+                      + 2.0 * abs(b * asq_lf) + 2.0 * abs(a * asq_rl)
+                      + sum(abs(t) for t in terms))}
+
+
+def test_chain_sweep_matches_direct_sparse_forms(
+        otsuki_mesh, otsuki_op, sphere_mesh, sphere_op,
+        clifford_mesh_odd, clifford_op_spectral):
+    for mesh, ops in ((otsuki_mesh, otsuki_op), (sphere_mesh, sphere_op),
+                      (clifford_mesh_odd, clifford_op_spectral)):
+        lam1, rho = spectral.first_eigfunction(ops)
+        records, params = chain_sweep(mesh, ops, draws=20, seed=0,
+                                      lam1=lam1, rho=rho)
+        for rec, p in zip(records, params):
+            ref = _direct_chain(mesh, ops, rho, lam1, p["a"], p["b"],
+                                np.array(p["w"]), p["delta1"])
+            tol = 1e-12 * ref["scale"]
+            assert abs(rec.scale - ref["scale"]) <= tol
+            for name in ("L0", "L0e", "L1", "L2"):
+                assert abs(getattr(rec, name) - ref[name]) <= tol, name
+            for got, want in zip(rec.terms, ref["terms"]):
+                assert abs(got - want) <= tol
+            assert rec.lambda1 == lam1
 
 
 def test_chain_sweep_never_evaluates_positions(otsuki_mesh, otsuki_op):

@@ -6,8 +6,8 @@ import pytest
 from mhs.errors import (GenerationFailedError, InvalidParameterError,
                         NoSolutionError, OutOfWindowError)
 from mhs.geometry import check_minimality
-from mhs.rotational import (ProfileCurve, build_surface, find_otsuki,
-                            rotation_number, rotation_window)
+from mhs.rotational import (build_surface, find_otsuki, rotation_number,
+                            rotation_window)
 
 
 def test_rotation_number_limits():
@@ -50,13 +50,6 @@ def test_find_otsuki_outside_window():
         find_otsuki(1, 1)
     with pytest.raises(NoSolutionError):
         find_otsuki(1, 3)
-
-
-def test_profile_round_trip(otsuki_profile):
-    clone = ProfileCurve.from_dict(otsuki_profile.to_dict())
-    assert clone.period == otsuki_profile.period
-    assert clone.clairaut == otsuki_profile.clairaut
-    assert np.array_equal(clone.alpha, otsuki_profile.alpha)
 
 
 def test_build_surface_resolution_guard(otsuki_profile):

@@ -26,6 +26,19 @@ def test_sphere_index_and_lambda1(sphere_op):
     assert report.nullity == 3
 
 
+def test_window_saturation_flag(otsuki_op_coarse, clifford_op):
+    # on the Otsuki torus all twelve lowest eigenvalues are negative, so
+    # the window index is only a lower bound on the Morse index
+    report = lowest_eigs(otsuki_op_coarse, count=12)
+    assert report.eigenvalues[-1] < -report.zero_tol
+    assert report.window_saturated
+    assert report.to_dict()["window_saturated"] is True
+    # the twelfth Clifford eigenvalue is 4: the window clears zero
+    report = lowest_eigs(clifford_op, count=12)
+    assert report.eigenvalues[-1] > 3.5
+    assert not report.window_saturated
+
+
 def test_counts_validated(clifford_op):
     with pytest.raises(InvalidParameterError):
         lowest_eigs(clifford_op, count=0)
