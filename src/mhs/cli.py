@@ -41,16 +41,13 @@ def _add_family_args(parser, with_res=True):
 
 def _build_mesh(args):
     """Mesh for the requested family at the requested resolution."""
+    if args.n != 2:
+        raise InvalidParameterError(
+            "meshes are only available for surfaces in S^3 (n = 2)")
     if args.family == "clifford":
-        if args.n != 2:
-            raise InvalidParameterError(
-                "meshes are only available for surfaces in S^3 (n = 2)")
         fam = clifford(2, args.k)
         return fem.mesh_torus(fam, args.res, args.res)
     if args.family == "equator":
-        if args.n != 2:
-            raise InvalidParameterError(
-                "meshes are only available for surfaces in S^3 (n = 2)")
         return fem.mesh_sphere(args.res)
     profile = rotational.find_otsuki(args.p, args.q, args.tol)
     nt = args.nt if args.nt else 4 * args.res

@@ -24,6 +24,7 @@ import scipy.sparse as sp
 from .errors import (DegenerateElementError, InvalidParameterError,
                      MeshFormatError)
 from .geometry import GeometryFamily
+from .spectral import PhiModes
 
 # barycentric coordinates of the three edge midpoints
 _PHI = np.array([[0.5, 0.5, 0.0],
@@ -90,8 +91,8 @@ class OperatorSet:
 
     K is the stiffness, Mm the mass, W the (n + |A|^2)-weighted mass;
     the quadratic form of the stability operator is x^T (K - W) x.
-    B = K - W and the |A|^2-weighted mass SA = W - n Mm are built on
-    first use and kept.
+    B = K - W, the |A|^2-weighted mass SA = W - n Mm and the phi-mode
+    split of the pencil are built on first use and kept.
     """
 
     K: sp.csr_matrix
@@ -99,6 +100,7 @@ class OperatorSet:
     W: sp.csr_matrix
     n: int
     q_max: float   # max of n + |A|^2 over quadrature points
+    grid_shape: Optional[tuple] = None   # (nt, nphi) of a structured chart
 
     @cached_property
     def B(self):
@@ -107,6 +109,13 @@ class OperatorSet:
     @cached_property
     def SA(self):
         return (self.W - self.n * self.Mm).tocsr()
+
+    @cached_property
+    def phi_modes(self):
+        """The pencil split over phi-Fourier modes (``spectral.PhiModes``),
+        or None off a chart grid or where B or Mm is not invariant under
+        the one-step shift in phi."""
+        return PhiModes.build(self.B, self.Mm, self.grid_shape)
 
     @property
     def size(self):
@@ -290,7 +299,8 @@ def assemble(mesh):
         return ((A + A.T) * 0.5).tocsr()
 
     return OperatorSet(K=scatter(Kloc), Mm=scatter(Mloc), W=scatter(Wloc),
-                       n=n, q_max=float((n + mesh.quad_asq).max()))
+                       n=n, q_max=float((n + mesh.quad_asq).max()),
+                       grid_shape=mesh.grid_shape)
 
 
 def _fourier_diff(N, length):
@@ -360,7 +370,7 @@ def assemble_spectral(mesh):
     q = n + mesh.vertex_asq
     return OperatorSet(K=((K + K.T) * 0.5).tocsr(),
                        Mm=sp.diags(w).tocsr(), W=sp.diags(w * q).tocsr(),
-                       n=n, q_max=float(q.max()))
+                       n=n, q_max=float(q.max()), grid_shape=mesh.grid_shape)
 
 
 def l_vertex(mesh, v):

@@ -156,9 +156,13 @@ def gauss_identities(mesh):
 
 
 def ratio_report(mesh):
-    """int |A|^2 divided by n |M| (equals 1 exactly on the product tori)."""
-    total = float((mesh.quad_weights * mesh.quad_asq).sum())
-    return total / (mesh.surface_dim * mesh.area)
+    """int |A|^2 divided by n |M| in the curved measure.
+
+    For n = 2 it equals 1 - 2 pi chi / |M| (Gauss equation and
+    Gauss-Bonnet): 1 on every minimal torus, 0 on the equator.
+    """
+    w = mesh.quad_measure
+    return float((w * mesh.quad_asq).sum() / (mesh.surface_dim * w.sum()))
 
 
 # ----------------------------------------------------------------------

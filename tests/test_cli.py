@@ -42,6 +42,8 @@ def test_spectrum_equator(capsys):
     assert code == 0
     assert doc["report"]["index"] == 1
     assert abs(doc["report"]["lambda1"] + 2.0) < 5e-2
+    assert doc["report"]["path"] == "dense"
+    assert doc["report"]["modes"] is None
 
 
 def test_spectrum_clifford_index(capsys):
@@ -51,6 +53,8 @@ def test_spectrum_clifford_index(capsys):
     assert code == 0
     assert doc["report"]["index"] == 5
     assert doc["report"]["window_saturated"] is False
+    assert doc["report"]["path"] == "phi-modes"
+    assert len(doc["report"]["modes"]) == 10
 
 
 def test_family_profile(capsys):
@@ -67,6 +71,13 @@ def test_exit_code_validation_errors(capsys):
     assert main(["spectrum", "--family", "clifford", "--n", "3",
                  "--res", "16"]) == 1
     capsys.readouterr()
+
+
+def test_otsuki_rejects_other_dimensions(capsys):
+    # only the n = 2 torus in S^3 is built; --n 3 must not be reported
+    # as if it had been
+    assert main(["paper-check", "--family", "otsuki", "--n", "3"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -115,6 +126,7 @@ def test_mesh_export_import_round_trip(tmp_path, capsys):
     assert rep["mesh"]["euler_characteristic"] == 0
     assert rep["spectrum"]["index"] == 5
     assert rep["spectrum"]["window_saturated"] is False
+    assert rep["spectrum"]["path"] == "dense"
 
 
 def test_mesh_import_bad_file(tmp_path, capsys):

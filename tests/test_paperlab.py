@@ -52,6 +52,19 @@ def test_ratio_values(clifford_mesh, sphere_mesh, otsuki_mesh):
     assert abs(ratio_report(otsuki_mesh) - 1.0) < 1e-2
 
 
+def test_ratio_is_gauss_bonnet(clifford_mesh, otsuki_mesh_coarse,
+                               otsuki_mesh, sphere_mesh):
+    # n = 2: Gauss gives |A|^2 = 2 - 2K, so int |A|^2 / (2|M|) is
+    # 1 - 2 pi chi / |M| in the curved measure
+    for mesh in (clifford_mesh, otsuki_mesh_coarse, otsuki_mesh):
+        area = mesh.quad_measure.sum()
+        exact = 1.0 - 2 * np.pi * mesh.euler_characteristic / area
+        assert exact == 1.0
+        assert abs(ratio_report(mesh) - exact) < 1e-8
+    assert sphere_mesh.euler_characteristic == 2
+    assert ratio_report(sphere_mesh) == 0.0
+
+
 # ----------------------------------------------------------------- ranks
 
 def test_lemma_ranks(clifford_mesh, clifford_op, sphere_mesh, sphere_op,

@@ -1,7 +1,10 @@
 """Eigenvalue solves and inertia counting for the stability pencil."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from mhs import fem, spectral
 from mhs.closedform import clifford_jacobi, equator_jacobi
@@ -53,9 +56,10 @@ def test_inertia_matches_eigensolver(clifford_op):
 
 
 def test_inertia_dense_and_sparse_agree(clifford_ops):
-    # 32x32 -> 1024 unknowns exercises the dense path; force the sparse
-    # path on the same matrices and compare
-    ops = clifford_ops[32]
+    # 32x32 -> 1024 unknowns exercises the dense path once the phi-mode
+    # split is withheld; force the sparse path on the same matrices and
+    # compare
+    ops = dataclasses.replace(clifford_ops[32], grid_shape=None)
     dense = inertia_below(ops, -0.05)
     import mhs.spectral as sp
     A = (ops.B + 0.05 * ops.Mm).tocsc()
@@ -134,3 +138,96 @@ def test_lambda1_ordering_across_families(clifford_op, sphere_op, otsuki_op):
     assert abs(lowest_eigs(clifford_op, 1).lambda1 + 4.0) < 5e-2
     assert lowest_eigs(otsuki_op, 1).lambda1 < -4.0 - 0.05
     assert lowest_eigs(sphere_op, 1).lambda1 > -4.0 + 0.05
+
+
+# --------------------------------------------------- phi-Fourier modes
+
+def _unreduced(ops):
+    """The same pencil without its chart grid: no phi-mode split."""
+    return dataclasses.replace(ops, grid_shape=None)
+
+
+def _sign_fixed(ops, x):
+    x = x / np.sqrt(x @ (ops.Mm @ x))
+    return x if np.ones(ops.size) @ (ops.Mm @ x) > 0 else -x
+
+
+@pytest.mark.parametrize("name", ["otsuki_op_coarse", "otsuki_op",
+                                  "otsuki_op_spectral", "clifford_op"])
+def test_phi_modes_agree_with_unreduced_path(name, request):
+    ops = request.getfixturevalue(name)
+    full = _unreduced(ops)
+    plain = lowest_eigs(full, 24, vectors=True)
+    assert plain.path == "shift-invert" and not plain.window_saturated
+    reduced = lowest_eigs(ops, 24)
+    assert reduced.path == "phi-modes"
+    assert np.abs(reduced.eigenvalues - plain.eigenvalues).max() < 1e-10
+    index, report = morse_index(ops)
+    assert (index, report.nullity) == (plain.index, plain.nullity)
+    for sigma in (-3.0, -0.05, 0.05):
+        assert inertia_below(ops, sigma) == inertia_below(full, sigma)
+    lam1, rho = first_eigfunction(ops)
+    assert abs(lam1 - plain.lambda1) < 1e-10
+    assert np.abs(rho - _sign_fixed(full, plain.vectors[:, 0])).max() < 1e-10
+
+
+def test_phi_mode_vectors_are_mm_orthonormal_eigenvectors(otsuki_op):
+    report = lowest_eigs(otsuki_op, 24, vectors=True)
+    X = report.vectors
+    assert set(report.modes) == {0, 1, 2}
+    assert np.abs(X.T @ (otsuki_op.Mm @ X) - np.eye(24)).max() < 1e-10
+    R = otsuki_op.B @ X - (otsuki_op.Mm @ X) * report.eigenvalues
+    assert np.abs(R).max() < 1e-10
+
+
+def test_phi_mode_path_taken_on_chart_sets(clifford_op, clifford_op_spectral,
+                                           otsuki_op, otsuki_op_spectral):
+    for ops in (clifford_op, clifford_op_spectral, otsuki_op,
+                otsuki_op_spectral):
+        report = lowest_eigs(ops, 12)
+        assert report.path == "phi-modes"
+        assert len(report.modes) == 12
+        assert report.to_dict()["modes"] == report.modes.tolist()
+
+
+def test_phi_mode_path_refused_off_chart(sphere_op, clifford_meshes,
+                                         clifford_ops):
+    assert sphere_op.phi_modes is None
+    assert lowest_eigs(sphere_op, 4).path == "shift-invert"
+    imported = fem.assemble(fem.mesh_from_json(
+        fem.mesh_to_json(clifford_meshes[16])))
+    report = lowest_eigs(imported, 4)
+    assert report.path == "dense" and report.modes is None
+    assert report.to_dict()["modes"] is None
+    # one potential entry off by 1e-6 breaks the phi-shift invariance:
+    # the split must be refused, and the answer must not change
+    ops = clifford_ops[32]
+    W = ops.W.tolil()
+    W[37, 37] += 1e-6
+    bent = dataclasses.replace(ops, W=W.tocsr())
+    assert bent.phi_modes is None
+    index, report = morse_index(bent)
+    assert report.path == "dense"
+    assert index == morse_index(_unreduced(ops))[0] == 5
+
+
+def test_signature_counts_complex_hermitian():
+    # zero diagonal forces 2x2 pivots with complex off-diagonal entries
+    rng = np.random.default_rng(5)
+    n = 30
+    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    H = X + X.conj().T
+    np.fill_diagonal(H, 0.0)
+    expected = int((np.linalg.eigvalsh(H) < 0).sum())
+    _, D, _ = sla.ldl(H)
+    assert np.iscomplexobj(D)
+    assert np.abs(np.diag(D, -1)).max() > 0   # a 2x2 block is present
+    assert spectral._signature_negatives(D, np.abs(H).max()) == (expected,
+                                                                 True)
+    # a known inertia: 7 negative and 13 positive eigenvalues
+    Q, _ = np.linalg.qr(rng.standard_normal((20, 20))
+                        + 1j * rng.standard_normal((20, 20)))
+    d = np.concatenate([-np.arange(1.0, 8.0), np.arange(1.0, 14.0)])
+    H = (Q * d) @ Q.conj().T
+    _, D, _ = sla.ldl((H + H.conj().T) / 2)
+    assert spectral._signature_negatives(D, 13.0) == (7, True)
