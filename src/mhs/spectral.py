@@ -71,14 +71,6 @@ def _shift_invariant(A, perm):
     return abs(A[perm][:, perm] - A).max() <= _SHIFT_TOL * scale
 
 
-def _reflection_even(offsets, C, nphi):
-    mirror = (-offsets) % nphi
-    if not np.array_equal(np.sort(mirror), offsets):
-        return False
-    diff = np.abs(C - C[np.searchsorted(offsets, mirror)]).max()
-    return diff <= _SHIFT_TOL * np.abs(C).max()
-
-
 def _offset_blocks(A, nt, nphi):
     """(offsets s, blocks C_s) with C_s[i, l] = A[(i, 0), (l, s)]."""
     R = A[np.arange(nt) * nphi].tocoo()
@@ -114,10 +106,6 @@ class PhiModes:
         self.nt, self.nphi = nt, nphi
         self._B = _offset_blocks(B, nt, nphi)
         self._Mm = _offset_blocks(Mm, nt, nphi)
-        # blocks with C_s = C_-s (a phi-reflection symmetric set, such as
-        # the spectral one) give real mode pencils: cosine sums
-        self._real = all(_reflection_even(*blocks, nphi)
-                         for blocks in (self._B, self._Mm))
         self._checked = np.zeros(self.count, dtype=int)
 
     @classmethod
@@ -149,7 +137,7 @@ class PhiModes:
         offsets, C = blocks
         theta = 2 * np.pi * (offsets * k % self.nphi) / self.nphi
         A = np.tensordot(np.cos(theta), C, 1)
-        if self.multiplicity(k) == 2 and not self._real:
+        if self.multiplicity(k) == 2:
             S = np.tensordot(np.sin(theta), C, 1)
             A = A + 0.5j * (S - S.T)
         return A
@@ -167,7 +155,7 @@ class PhiModes:
         j = np.arange(self.nphi)
         if self.multiplicity(k) == 1:
             phase = (-1.0) ** (j * (2 * k // self.nphi)) / np.sqrt(self.nphi)
-            X = U.real[:, None, :] * phase[None, :, None]
+            X = U[:, None, :] * phase[None, :, None]
         else:
             phase = (np.exp(2j * np.pi * (j * k % self.nphi) / self.nphi)
                      * np.sqrt(2.0 / self.nphi))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from mhs import fem, spectral
+from mhs import fem, rotational, spectral
 from mhs.closedform import clifford_jacobi, equator_jacobi
 from mhs.errors import InvalidParameterError, MultiplicityWarningError
 from mhs.geometry import clifford
@@ -169,6 +169,22 @@ def test_phi_modes_agree_with_unreduced_path(name, request):
     lam1, rho = first_eigfunction(ops)
     assert abs(lam1 - plain.lambda1) < 1e-10
     assert np.abs(rho - _sign_fixed(full, plain.vectors[:, 0])).max() < 1e-10
+
+
+def test_phi_modes_carry_the_whole_spectrum(clifford_ops, otsuki_profile,
+                                           clifford_op_spectral):
+    # every mode, the Nyquist one of an even side included, against a
+    # dense solve of the whole pencil
+    family = rotational.build_surface(otsuki_profile, 40, 16)
+    small_otsuki = fem.assemble(fem.mesh_torus(family, 40, 16))
+    for ops in (clifford_ops[16], small_otsuki, clifford_op_spectral):
+        reduced = lowest_eigs(ops, ops.size)
+        plain = lowest_eigs(_unreduced(ops), ops.size)
+        assert (reduced.path, plain.path) == ("phi-modes", "dense")
+        nphi = ops.grid_shape[1]
+        assert set(reduced.modes) == set(range(nphi // 2 + 1))
+        err = np.abs(reduced.eigenvalues - plain.eigenvalues)
+        assert np.all(err <= 1e-10 * np.maximum(np.abs(plain.eigenvalues), 1))
 
 
 def test_phi_mode_vectors_are_mm_orthonormal_eigenvectors(otsuki_op):
