@@ -8,9 +8,8 @@ from .errors import MhsError
 from .fem import (OperatorSet, SurfaceMesh, assemble, f_vertex, l_vertex,
                   load_mesh, mesh_from_json, mesh_sphere, mesh_to_json,
                   mesh_torus, save_mesh)
-from .geometry import (FramePoint, GeometryFamily, ParamDomain, area,
-                       check_minimality, clifford, equator, eval_frame,
-                       f_func, gradient_check, l_func)
+from .geometry import (GeometryFamily, ParamDomain, check_minimality,
+                       clifford, equator)
 from .paperlab import (ChainRecord, FormReport, IdentityReport,
                        TheoremReport, chain_sweep, chain_verify, choose_v0,
                        conjecture_probe, gauss_identities, lemma_check,
@@ -22,9 +21,8 @@ from .spectral import (EigenReport, first_eigfunction, inertia_below,
 
 __all__ = [
     "__version__", "MhsError",
-    "GeometryFamily", "FramePoint", "ParamDomain",
-    "equator", "clifford", "eval_frame", "l_func", "f_func",
-    "gradient_check", "check_minimality", "area",
+    "GeometryFamily", "ParamDomain", "equator", "clifford",
+    "check_minimality",
     "ProfileCurve", "rotation_number", "rotation_window", "find_otsuki",
     "build_surface",
     "SurfaceMesh", "OperatorSet", "mesh_torus", "mesh_sphere", "assemble",

@@ -13,12 +13,11 @@ import sys
 import time
 
 from . import __version__, closedform, fem, paperlab, rotational, spectral
-from .errors import (DomainError, InvalidParameterError, MeshFormatError,
-                     MhsError, NoSolutionError)
-from .geometry import clifford, equator
+from .errors import (InvalidParameterError, MeshFormatError, MhsError,
+                     NoSolutionError)
+from .geometry import clifford
 
-_USAGE_ERRORS = (InvalidParameterError, DomainError, MeshFormatError,
-                 NoSolutionError)
+_USAGE_ERRORS = (InvalidParameterError, MeshFormatError, NoSolutionError)
 
 
 def _add_family_args(parser, with_res=True):
@@ -44,15 +43,16 @@ def _build_mesh(args):
     if args.n != 2:
         raise InvalidParameterError(
             "meshes are only available for surfaces in S^3 (n = 2)")
-    if args.family == "clifford":
-        fam = clifford(2, args.k)
-        return fem.mesh_torus(fam, args.res, args.res)
     if args.family == "equator":
         return fem.mesh_sphere(args.res)
-    profile = rotational.find_otsuki(args.p, args.q, args.tol)
-    nt = args.nt if args.nt else 4 * args.res
-    nphi = args.nphi if args.nphi else args.res
-    fam = rotational.build_surface(profile, nt, nphi)
+    nphi = args.nphi or args.res
+    if args.family == "clifford":
+        nt = args.nt or args.res
+        fam = clifford(2, args.k)
+    else:
+        nt = args.nt or 4 * args.res
+        profile = rotational.find_otsuki(args.p, args.q, args.tol)
+        fam = rotational.build_surface(profile, nt, nphi)
     return fem.mesh_torus(fam, nt, nphi)
 
 

@@ -9,14 +9,6 @@ class InvalidParameterError(MhsError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class DomainError(MhsError, ValueError):
-    """A parameter point lies outside the family's chart domain."""
-
-
-class SingularPointError(MhsError):
-    """The parametrization is degenerate at the requested point."""
-
-
 class OutOfWindowError(MhsError):
     """Energy outside the oscillatory window of the profile ODE."""
 

@@ -33,15 +33,19 @@ _PHI = np.array([[0.5, 0.5, 0.0],
 # reference gradients of the hat functions
 _DREF = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 _AREA_TOL = 1e-14
+# ico7 has 163,842 vertices; each further level quadruples the mesh
+_MAX_SUBDIVISIONS = 7
 
 
 @dataclass(frozen=True)
 class SurfaceMesh:
     """Triangulated surface in S^3 with quadrature-point geometry.
 
-    quad_weights are the flat-triangle weights (sum = triangle area);
-    quad_measure carries the curved area element when the mesh comes
-    from an analytic chart, and equals quad_weights otherwise.
+    quad_weights are the flat-triangle weights (sum = triangle area).
+    On a mesh from an analytic chart (source_family set) quad_points are
+    the exact surface positions and quad_measure the curved area element;
+    otherwise quad_points are flat-interpolated and quad_measure equals
+    quad_weights.
     """
 
     name: str
@@ -49,12 +53,11 @@ class SurfaceMesh:
     triangles: np.ndarray       # (T, 3) int, consistently oriented
     vertex_nu: np.ndarray       # (V, 4)
     vertex_asq: np.ndarray      # (V,)
-    quad_points: np.ndarray     # (T, 3, 4) flat-interpolated positions
+    quad_points: np.ndarray     # (T, 3, 4)
     quad_weights: np.ndarray    # (T, 3)
     quad_measure: np.ndarray    # (T, 3)
     quad_nu: np.ndarray         # (T, 3, 4)
     quad_asq: np.ndarray        # (T, 3)
-    quad_params: Optional[np.ndarray] = None   # (T, 3, 2) chart coords
     vertex_params: Optional[np.ndarray] = None  # (V, 2)
     source_family: Optional[GeometryFamily] = None
     degraded_normals: bool = False
@@ -172,7 +175,7 @@ def mesh_torus(family, nt, nphi):
                    corner(ii, jj + 1)], axis=1)
     tri_params = np.concatenate([p1, p2])
     quad_params = np.einsum("qc,tcd->tqd", _PHI, tri_params)
-    quad_points = np.einsum("qc,tcd->tqd", _PHI, vertices[triangles])
+    quad_points = family.position(quad_params)
     quad_nu = family.normal(quad_params)
     quad_asq = family.asq(quad_params)
     area = _triangle_areas(vertices, triangles)
@@ -186,7 +189,7 @@ def mesh_torus(family, nt, nphi):
         quad_points=quad_points, quad_weights=quad_weights,
         quad_measure=quad_measure, quad_nu=quad_nu,
         quad_asq=np.asarray(quad_asq, float),
-        quad_params=quad_params, vertex_params=vparams,
+        vertex_params=vparams,
         source_family=family, grid_shape=(nt, nphi))
 
 
@@ -211,8 +214,10 @@ def mesh_sphere(subdivisions):
     All vertices lie in the hyperplane w = 0; the unit normal of the
     totally geodesic equator is the constant fourth axis and |A|^2 = 0.
     """
-    if subdivisions < 1:
-        raise InvalidParameterError("subdivisions must be >= 1")
+    if not 1 <= subdivisions <= _MAX_SUBDIVISIONS:
+        raise InvalidParameterError(
+            f"subdivisions must lie in [1, {_MAX_SUBDIVISIONS}], "
+            f"got {subdivisions}")
     verts = _ICO_V / np.linalg.norm(_ICO_V, axis=1, keepdims=True)
     faces = _ICO_F.copy()
     for _ in range(subdivisions):

@@ -11,9 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError, SingularPointError
-
-_SINGULAR_TOL = 1e-12
+from .errors import InvalidParameterError
 
 
 @dataclass(frozen=True)
@@ -27,15 +25,6 @@ class ParamDomain:
     @property
     def dim(self):
         return len(self.lows)
-
-    def contains(self, u):
-        u = np.asarray(u, dtype=float)
-        for i in range(self.dim):
-            if self.periodic[i]:
-                continue  # periodic coordinates accept any real value
-            if not (self.lows[i] <= u[..., i]) or not (u[..., i] <= self.highs[i]):
-                return False
-        return True
 
     def spans(self):
         return tuple(h - l for l, h in zip(self.lows, self.highs))
@@ -65,18 +54,6 @@ class GeometryFamily:
     @property
     def doubly_periodic(self):
         return self.surface_dim == 2 and all(self.param_domain.periodic)
-
-
-@dataclass(frozen=True)
-class FramePoint:
-    """Adapted orthonormal frame {x, nu, tangent_basis} at one point."""
-
-    u: np.ndarray
-    x: np.ndarray
-    nu: np.ndarray
-    tangent_basis: np.ndarray  # (n, n+2), rows orthonormal
-    A: np.ndarray              # (n, n) shape operator in tangent_basis
-    Asq: float
 
 
 # ----------------------------------------------------------------------
@@ -250,93 +227,6 @@ def clifford(n, k):
     )
 
 
-# ----------------------------------------------------------------------
-# pointwise operations
-# ----------------------------------------------------------------------
-
-def eval_frame(family, u):
-    """Adapted orthonormal frame at one parameter point."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (family.surface_dim,):
-        raise InvalidParameterError(
-            f"expected parameter point of length {family.surface_dim}")
-    if not family.param_domain.contains(u):
-        raise DomainError(f"parameter {u} outside chart domain")
-    if family.sqrt_det_g(u) < _SINGULAR_TOL:
-        raise SingularPointError(f"chart degenerate at {u}")
-    x = family.position(u)
-    nu = family.normal(u)
-    T = family.tangents(u)
-    # Gram-Schmidt in fixed row order (deterministic)
-    E = np.array(T, dtype=float, copy=True)
-    for i in range(E.shape[0]):
-        for j in range(i):
-            E[i] -= (E[i] @ E[j]) * E[j]
-        norm = np.linalg.norm(E[i])
-        if norm < _SINGULAR_TOL:
-            raise SingularPointError(f"degenerate tangent frame at {u}")
-        E[i] /= norm
-    A = family.shape_frame(u)
-    return FramePoint(u=u, x=x, nu=nu, tangent_basis=E, A=A,
-                      Asq=float(family.asq(u)))
-
-
-def l_func(family, v):
-    """Ambient coordinate field u -> <x(u), v>."""
-    v = np.asarray(v, dtype=float)
-
-    def field(u):
-        return family.position(u) @ v
-
-    return field
-
-
-def f_func(family, v):
-    """Gauss-map coordinate field u -> <nu(u), v>."""
-    v = np.asarray(v, dtype=float)
-
-    def field(u):
-        return family.normal(u) @ v
-
-    return field
-
-
-def gradient_check(family, v, u, h=1e-3):
-    """Residuals of the gradient identities for l_v and f_v at u.
-
-    Returns (|grad l_v - vT|, |grad f_v + A(vT)|) with the gradients
-    computed by centered differences of step h in the chart, where
-    vT = v - f_v nu - l_v x is the tangential part of v.
-    """
-    if h <= 0:
-        raise InvalidParameterError("step h must be positive")
-    v = np.asarray(v, dtype=float)
-    fp = eval_frame(family, u)
-    n = family.surface_dim
-    lf = l_func(family, v)
-    ff = f_func(family, v)
-
-    def chart_gradient(field):
-        parts = np.empty(n)
-        for j in range(n):
-            up = np.array(u, dtype=float)
-            um = np.array(u, dtype=float)
-            up[j] += h
-            um[j] -= h
-            parts[j] = (field(up) - field(um)) / (2.0 * h)
-        T = family.tangents(np.asarray(u, dtype=float))
-        g = T @ T.T
-        coeff = np.linalg.solve(g, parts)
-        return coeff @ T
-
-    vT = v - ff(np.asarray(u, float)) * fp.nu - lf(np.asarray(u, float)) * fp.x
-    grad_l = chart_gradient(lf)
-    grad_f = chart_gradient(ff)
-    AvT = fp.tangent_basis.T @ (fp.A @ (fp.tangent_basis @ vT))
-    return (float(np.linalg.norm(grad_l - vT)),
-            float(np.linalg.norm(grad_f + AvT)))
-
-
 def sample_grid(family, per_dim):
     """Interior parameter sample grid, shape (prod(per_dim), n).
 
@@ -362,29 +252,3 @@ def check_minimality(family, per_dim=32):
     u = sample_grid(family, per_dim)
     A = family.shape_frame(u)
     return float(np.abs(np.trace(A, axis1=-2, axis2=-1)).max())
-
-
-def area(family, resolution=64):
-    """Chart integral of the area element.
-
-    Gauss-Legendre in bounded directions, uniform (trapezoidal) sums in
-    periodic directions; spectrally accurate for the analytic families.
-    """
-    dom = family.param_domain
-    nodes, weights = [], []
-    for i in range(dom.dim):
-        lo, hi = dom.lows[i], dom.highs[i]
-        if dom.periodic[i]:
-            nodes.append(lo + (hi - lo) * np.arange(resolution) / resolution)
-            weights.append(np.full(resolution, (hi - lo) / resolution))
-        else:
-            x, w = np.polynomial.legendre.leggauss(resolution)
-            nodes.append(0.5 * (hi - lo) * x + 0.5 * (hi + lo))
-            weights.append(0.5 * (hi - lo) * w)
-    mesh = np.meshgrid(*nodes, indexing="ij")
-    u = np.stack([g.ravel() for g in mesh], axis=-1)
-    wmesh = np.meshgrid(*weights, indexing="ij")
-    wtot = np.ones(u.shape[0])
-    for g in wmesh:
-        wtot = wtot * g.ravel()
-    return float(wtot @ family.sqrt_det_g(u))

@@ -125,25 +125,16 @@ class ChainRecord:
 # quadrature helpers
 # ----------------------------------------------------------------------
 
-def _quad_fields(mesh):
-    """(weights, positions, normals, |A|^2) at quadrature points.
-
-    When the mesh carries chart coordinates and an analytic source the
-    curved area element and exact positions are used; otherwise the
-    flat-triangle data is the best available.
-    """
-    if mesh.quad_params is not None and mesh.source_family is not None:
-        fam = mesh.source_family
-        x = fam.position(mesh.quad_params)
-        return mesh.quad_measure, x, mesh.quad_nu, mesh.quad_asq, "analytic"
-    return (mesh.quad_weights, mesh.quad_points, mesh.quad_nu,
-            mesh.quad_asq, "discrete")
-
-
 def gauss_identities(mesh):
     """Residuals of int l_v = 0, int |A|^2 f_v = 0 and the pair identity
-    int (|A|^2 - n) l_w f_v = 0 over all ambient basis directions."""
-    w, x, nu, asq, mode = _quad_fields(mesh)
+    int (|A|^2 - n) l_w f_v = 0 over all ambient basis directions.
+
+    Sums quad_measure against the quadrature-point fields: exact chart
+    samples on a mesh with a source family ("analytic"), flat data
+    otherwise ("discrete").
+    """
+    w, x, nu, asq = (mesh.quad_measure, mesh.quad_points, mesh.quad_nu,
+                     mesh.quad_asq)
     n = mesh.surface_dim
     int_l = np.einsum("tq,tqa->a", w, x)
     int_sf = np.einsum("tq,tq,tqa->a", w, asq, nu)
@@ -152,7 +143,8 @@ def gauss_identities(mesh):
         int_l=float(np.abs(int_l).max()),
         int_asq_f=float(np.abs(int_sf).max()),
         pair=float(np.abs(pair).max()),
-        area=float(w.sum()), mode=mode)
+        area=float(w.sum()),
+        mode="discrete" if mesh.source_family is None else "analytic")
 
 
 def ratio_report(mesh):

@@ -20,7 +20,7 @@ from scipy.optimize import brentq
 from .errors import (ConvergenceError, GenerationFailedError,
                      IntegrationFailureError, InvalidParameterError,
                      NoSolutionError, OutOfWindowError)
-from .geometry import GeometryFamily, ParamDomain
+from .geometry import GeometryFamily, ParamDomain, check_minimality
 
 CIRCULAR_ENERGY = 0.5          # Clairaut constant of the Clifford torus
 _ENERGY_FLOOR = 1e-4
@@ -186,16 +186,6 @@ def find_otsuki(p, q, tol=1e-10):
     return profile
 
 
-def _cross4(a, b, c):
-    """Generalized cross product of three row-stacked R^4 vector arrays."""
-    M = np.stack([a, b, c], axis=-2)
-    out = np.empty(a.shape)
-    cols = np.arange(4)
-    for i in range(4):
-        out[..., i] = ((-1.0) ** i) * np.linalg.det(M[..., cols != i])
-    return out
-
-
 def build_surface(profile, nt=256, nphi=64):
     """Immersed torus X(t, phi) in S^3 from a closed profile.
 
@@ -224,102 +214,69 @@ def build_surface(profile, nt=256, nphi=64):
     spl_dv = CubicSpline(tf, dvf, bc_type="periodic")
     spl_dev = CubicSpline(tf, dev, bc_type="periodic")
 
-    def profile_state(t):
+    def _fields(u):
+        """X, (X_t, X_phi), nu, A, |A|^2 and sqrt(g) in one pass.
+
+        With the unit vectors e_a = dX/d(alpha) and e_v = dX/(cos(alpha) dv),
+        X_t = alpha' e_a + v' cos(alpha) e_v and the unit normal is
+        nu = (v' cos(alpha) e_a - alpha' e_v) / |X_t|, oriented so that
+        det[X, X_t, X_phi, nu] < 0.  h_ij = <nu, X_ij> is expanded in the
+        same frame: X_tt = alpha'' e_a - alpha'^2 X
+        + (v'' cos(alpha) - 2 alpha' v' sin(alpha)) e_v - v'^2 cos(alpha) e_r
+        with e_r = (cos v, sin v, 0, 0), X_t,phi is along e_phi, normal
+        to nu, and X_phi,phi = -sin(alpha) (0, 0, cos phi, sin phi).
+        """
+        u = np.asarray(u, dtype=float)
+        t, phi = u[..., 0], u[..., 1]
         tm = np.mod(t, L)
         al = spl_a(tm)
         vv = omega * t + spl_dev(tm)
-        d_a = spl_da(tm)
-        d_v = spl_dv(tm)
+        d_a, d_v = spl_da(tm), spl_dv(tm)
         # second derivatives from the splines, independent of the ODE,
         # so the minimality self-check is a genuine consistency test
-        dda = spl_da(tm, 1)
-        ddv = spl_dv(tm, 1)
-        return al, vv, d_a, d_v, dda, ddv
-
-    def geom(u, need_shape=True):
-        u = np.asarray(u, dtype=float)
-        t, phi = u[..., 0], u[..., 1]
-        al, vv, d_a, d_v, dda, ddv = profile_state(t)
+        dda, ddv = spl_da(tm, 1), spl_dv(tm, 1)
         ca, sa = np.cos(al), np.sin(al)
         cv, sv = np.cos(vv), np.sin(vv)
         cp, sp = np.cos(phi), np.sin(phi)
         zero = np.zeros_like(ca)
         X = np.stack([ca * cv, ca * sv, sa * cp, sa * sp], axis=-1)
-        Xt = np.stack([-sa * d_a * cv - ca * d_v * sv,
-                       -sa * d_a * sv + ca * d_v * cv,
-                       ca * d_a * cp, ca * d_a * sp], axis=-1)
-        Xp = np.stack([zero, zero, -sa * sp, sa * cp], axis=-1)
-        nu = _cross4(X, Xt, Xp)
-        nu = nu / np.linalg.norm(nu, axis=-1, keepdims=True)
-        if not need_shape:
-            return X, Xt, Xp, nu, None
-        rad = -sa * d_a ** 2 + ca * dda
-        Xtt = np.stack([
-            -ca * d_a ** 2 * cv - sa * dda * cv + 2 * sa * d_a * d_v * sv
-            - ca * ddv * sv - ca * d_v ** 2 * cv,
-            -ca * d_a ** 2 * sv - sa * dda * sv - 2 * sa * d_a * d_v * cv
-            + ca * ddv * cv - ca * d_v ** 2 * sv,
-            rad * cp, rad * sp], axis=-1)
-        Xtp = np.stack([zero, zero, -ca * d_a * sp, ca * d_a * cp], axis=-1)
-        Xpp = np.stack([zero, zero, -sa * cp, -sa * sp], axis=-1)
-        return X, Xt, Xp, nu, (Xtt, Xtp, Xpp)
+        e_a = np.stack([-sa * cv, -sa * sv, ca * cp, ca * sp], axis=-1)
+        e_v = np.stack([-sv, cv, zero, zero], axis=-1)
+        w_v = d_v * ca
+        speed = np.sqrt(d_a ** 2 + w_v ** 2)
+        dX = np.stack([d_a[..., None] * e_a + w_v[..., None] * e_v,
+                       np.stack([zero, zero, -sa * sp, sa * cp], axis=-1)],
+                      axis=-2)
+        nu = (w_v[..., None] * e_a - d_a[..., None] * e_v) / speed[..., None]
+        # <nu, e_a> = w_v / speed, <nu, e_v> = -d_a / speed, <nu, X> = 0,
+        # <nu, e_r> = -sa w_v / speed and <nu, (0, 0, cp, sp)> = ca w_v / speed
+        h11 = (dda * w_v - d_a * (ddv * ca - 2.0 * d_a * d_v * sa)
+               + d_v * w_v ** 2 * sa) / speed
+        h22 = -sa * ca * w_v / speed
+        A = np.zeros(t.shape + (2, 2))
+        A[..., 0, 0] = h11 / speed ** 2
+        A[..., 1, 1] = h22 / sa ** 2
+        asq = A[..., 0, 0] ** 2 + A[..., 1, 1] ** 2
+        return X, dX, nu, A, asq, speed * sa
 
-    def shape_data(u):
-        Xt, Xp, nu, (Xtt, Xtp, Xpp) = geom(u, need_shape=True)[1:]
-        g11 = np.einsum("...i,...i", Xt, Xt)
-        g22 = np.einsum("...i,...i", Xp, Xp)
-        h11 = np.einsum("...i,...i", nu, Xtt)
-        h12 = np.einsum("...i,...i", nu, Xtp)
-        h22 = np.einsum("...i,...i", nu, Xpp)
-        root = np.sqrt(g11 * g22)
-        A11, A12, A22 = h11 / g11, h12 / root, h22 / g22
-        return A11, A12, A22, g11, g22
-
-    def position(u):
-        return geom(u, need_shape=False)[0]
-
-    def tangents(u):
-        return np.stack(geom(u, need_shape=False)[1:3], axis=-2)
-
-    def normal(u):
-        return geom(u, need_shape=False)[3]
-
-    def shape_frame(u):
-        A11, A12, A22, _, _ = shape_data(u)
-        A = np.empty(A11.shape + (2, 2))
-        A[..., 0, 0] = A11
-        A[..., 0, 1] = A[..., 1, 0] = A12
-        A[..., 1, 1] = A22
-        return A
-
-    def asq(u):
-        A11, A12, A22, _, _ = shape_data(u)
-        return A11 ** 2 + 2.0 * A12 ** 2 + A22 ** 2
-
-    def sqrt_det_g(u):
-        _, _, _, g11, g22 = shape_data(u)
-        return np.sqrt(g11 * g22)  # cross term vanishes for this chart
+    def field(i):
+        return lambda u: _fields(u)[i]
 
     family = GeometryFamily(
         name=f"otsuki({profile.p},{profile.q})",
         ambient_dim=4,
         surface_dim=2,
         param_domain=ParamDomain((0.0, 0.0), (L, 2.0 * np.pi), (True, True)),
-        position=position,
-        tangents=tangents,
-        normal=normal,
-        shape_frame=shape_frame,
-        asq=asq,
-        sqrt_det_g=sqrt_det_g,
+        position=field(0),
+        tangents=field(1),
+        normal=field(2),
+        shape_frame=field(3),
+        asq=field(4),
+        sqrt_det_g=field(5),
         extra={"profile": profile, "length": L},
     )
     # self-check on the requested mesh resolution, never skipped
-    grid_t = np.linspace(0.0, L, nt, endpoint=False)
-    grid_p = np.linspace(0.0, 2.0 * np.pi, nphi, endpoint=False)
-    tt, pp = np.meshgrid(grid_t, grid_p, indexing="ij")
-    u = np.stack([tt.ravel(), pp.ravel()], axis=-1)
-    A11, A12, A22, _, _ = shape_data(u)
-    trace = float(np.abs(A11 + A22).max())
+    trace = check_minimality(family, (nt, nphi))
     if trace > 1e-6:
         raise GenerationFailedError(
             f"minimality self-check failed: max |trace A| = {trace:.3e}")

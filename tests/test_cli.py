@@ -57,6 +57,14 @@ def test_spectrum_clifford_index(capsys):
     assert len(doc["report"]["modes"]) == 10
 
 
+def test_spectrum_clifford_honours_grid_overrides(capsys):
+    code, doc = run_json(capsys, ["spectrum", "--family", "clifford",
+                                  "--res", "16", "--nt", "24"])
+    assert code == 0
+    assert doc["report"]["mesh"]["vertices"] == 24 * 16
+    assert doc["report"]["mesh"]["name"] == "clifford(2,1)@24x16"
+
+
 def test_family_profile(capsys):
     code, doc = run_json(capsys, ["family", "otsuki", "--p", "2", "--q", "3"])
     assert code == 0
@@ -70,6 +78,8 @@ def test_exit_code_validation_errors(capsys):
     assert main(["oracle", "clifford", "--n", "1"]) == 1
     assert main(["spectrum", "--family", "clifford", "--n", "3",
                  "--res", "16"]) == 1
+    # the default --res 64 is far beyond the icosphere subdivision cap
+    assert main(["spectrum", "--family", "equator"]) == 1
     capsys.readouterr()
 
 

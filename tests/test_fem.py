@@ -19,6 +19,8 @@ from mhs.spectral import lowest_eigs, morse_index
 def test_torus_mesh_invariants(clifford_mesh):
     m = clifford_mesh
     assert np.abs(np.linalg.norm(m.vertices, axis=1) - 1.0).max() < 1e-12
+    # chart quadrature points are exact surface points, not flat midpoints
+    assert np.abs(np.linalg.norm(m.quad_points, axis=2) - 1.0).max() < 1e-12
     assert m.euler_characteristic == 0
     assert np.all(m.quad_weights > 0)
     # per-triangle weights sum to the flat area
@@ -57,6 +59,9 @@ def test_sphere_mesh_invariants(sphere_mesh):
 def test_sphere_subdivision_guard():
     with pytest.raises(InvalidParameterError):
         mesh_sphere(0)
+    # ico8 would hold 655,362 vertices; refused before any refinement
+    with pytest.raises(InvalidParameterError):
+        mesh_sphere(8)
 
 
 def test_orientation_consistency(clifford_mesh, sphere_mesh):
@@ -76,10 +81,11 @@ def test_operator_invariants(clifford_op, clifford_mesh):
     assert abs(ones @ (ops.Mm @ ones) - clifford_mesh.area) < 1e-12
     # constant potential: W is an exact multiple of the mass matrix
     assert abs(ops.W - 4.0 * ops.Mm).max() < 1e-12
-    # |A|^2-weighted mass is positive semidefinite
+    # |A|^2-weighted mass is positive semidefinite: its lowest eigenvalue
+    # exceeds -1e-10 exactly when a shift by 1e-10 makes it definite
     import scipy.linalg as sla
     WA = (ops.W - 2 * ops.Mm).toarray()
-    assert sla.eigh(WA, eigvals_only=True)[0] > -1e-10
+    sla.cholesky(WA + 1e-10 * np.eye(ops.size))
 
 
 def test_operator_set_caches_pencil_parts(clifford_op):

@@ -1,0 +1,32 @@
+"""Static hygiene of the package sources: no unused imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted(p for p in (Path(__file__).parents[1] / "src" / "mhs")
+                 .glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    """Names a module imports but never reads, in import order."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.append(alias.asname or alias.name.split(".")[0])
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_detector_flags_only_unread_names():
+    source = ("import os\nimport numpy as np\nfrom a.b import c, d\n"
+              "np.zeros(c)\n")
+    assert unused_imports(source) == ["os", "d"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

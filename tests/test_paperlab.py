@@ -40,6 +40,7 @@ def test_identities_otsuki(otsuki_mesh, otsuki_mesh_coarse):
 
 def test_identities_sphere(sphere_mesh):
     r = gauss_identities(sphere_mesh)
+    assert r.mode == "discrete"
     assert r.int_l < 1e-6 * r.area
     assert r.int_asq_f == 0.0
 
@@ -142,10 +143,9 @@ def _permute_quadrature(mesh, seed):
     """The same mesh with its triangles (and their quadrature) reordered."""
     perm = np.random.default_rng(seed).permutation(mesh.num_triangles)
     fields = ("triangles", "quad_points", "quad_weights", "quad_measure",
-              "quad_nu", "quad_asq", "quad_params")
-    return dataclasses.replace(mesh, **{
-        f: getattr(mesh, f)[perm] for f in fields
-        if getattr(mesh, f) is not None})
+              "quad_nu", "quad_asq")
+    return dataclasses.replace(mesh, **{f: getattr(mesh, f)[perm]
+                                        for f in fields})
 
 
 def test_choose_v0_independent_of_summation_order(clifford_mesh,
@@ -304,19 +304,41 @@ def test_chain_sweep_matches_direct_sparse_forms(
             assert rec.lambda1 == lam1
 
 
-def test_chain_sweep_never_evaluates_positions(otsuki_mesh, otsuki_op):
-    family = otsuki_mesh.source_family
+def _counting_source(mesh):
+    """The mesh with a source family whose six fields log their calls."""
+    family = mesh.source_family
     calls = []
 
-    def counted(params):
-        calls.append(params.shape)
-        return family.position(params)
+    def counted(name):
+        def field(params):
+            calls.append(name)
+            return getattr(family, name)(params)
+        return field
 
-    mesh = dataclasses.replace(
-        otsuki_mesh,
-        source_family=dataclasses.replace(family, position=counted))
+    fields = ("position", "tangents", "normal", "shape_frame", "asq",
+              "sqrt_det_g")
+    counting = dataclasses.replace(
+        family, **{name: counted(name) for name in fields})
+    return dataclasses.replace(mesh, source_family=counting), calls
+
+
+def test_chain_sweep_never_evaluates_positions(otsuki_mesh, otsuki_op):
+    mesh, calls = _counting_source(otsuki_mesh)
     records, _ = chain_sweep(mesh, otsuki_op, draws=20, seed=0)
     assert len(records) == 20
+    assert calls == []
+
+
+def test_no_chart_evaluation_after_meshing(otsuki_mesh, otsuki_op):
+    # mesh_torus samples every field the checks integrate
+    mesh, calls = _counting_source(otsuki_mesh)
+    assert gauss_identities(mesh).mode == "analytic"
+    ratio_report(mesh)
+    choose_v0(mesh, 0.5)
+    _, rho = spectral.first_eigfunction(otsuki_op)
+    lemma_check(mesh, otsuki_op, rho)
+    theorem_check(mesh, 0.5, otsuki_op, rho)
+    conjecture_probe(mesh, otsuki_op)
     assert calls == []
 
 

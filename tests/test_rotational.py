@@ -5,7 +5,7 @@ import pytest
 
 from mhs.errors import (GenerationFailedError, InvalidParameterError,
                         NoSolutionError, OutOfWindowError)
-from mhs.geometry import check_minimality
+from mhs.geometry import check_minimality, sample_grid
 from mhs.rotational import (build_surface, find_otsuki, rotation_number,
                             rotation_window)
 
@@ -65,6 +65,18 @@ def test_build_surface_self_check(otsuki_profile):
         otsuki_profile.q * otsuki_profile.period)
 
 
+def test_normal_is_unit_orthogonal_and_oriented(otsuki_profile):
+    fam = build_surface(otsuki_profile, 64, 16)
+    u = sample_grid(fam, (64, 16))
+    X, T, nu = fam.position(u), fam.tangents(u), fam.normal(u)
+    assert np.abs(np.linalg.norm(nu, axis=-1) - 1.0).max() < 1e-12
+    for w in (X, T[:, 0], T[:, 1]):
+        assert np.abs(np.einsum("pi,pi->p", nu, w)).max() < 1e-12
+    # t is arc length of the orbit metric, so |X_t| |X_phi| = 1
+    det = np.linalg.det(np.stack([X, T[:, 0], T[:, 1], nu], axis=1))
+    assert np.abs(det + 1.0).max() < 1e-8
+
+
 def test_build_surface_rejects_corrupt_profile(otsuki_profile):
     import dataclasses
     broken = dataclasses.replace(
@@ -76,7 +88,6 @@ def test_build_surface_rejects_corrupt_profile(otsuki_profile):
 def test_area_stable_under_refinement(otsuki_profile):
     # the chart area element is identically 1, so |M| = 2 pi q T; the
     # quadrature value must be resolution independent to 1e-4 relative
-    from mhs.geometry import sample_grid
     fam = build_surface(otsuki_profile, 64, 32)
     L = fam.param_domain.highs[0]
     coarse = fam.sqrt_det_g(sample_grid(fam, (64, 32))).mean() * L * 2 * np.pi
@@ -102,7 +113,6 @@ def test_near_circular_profile_approaches_constant_curvature():
     # close to the circular solution |A|^2 should flatten toward n = 2
     profile = find_otsuki(408, 577)  # rotation number 0.7071057
     fam = build_surface(profile, 32, 16)
-    from mhs.geometry import sample_grid
     asq = fam.asq(sample_grid(fam, (256, 8)))
     assert abs(asq.max() - 2.0) < 0.05 * 2.0
     assert abs(asq.min() - 2.0) < 0.05 * 2.0
