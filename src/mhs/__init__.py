@@ -5,15 +5,16 @@ __version__ = "0.1.0"
 from .closedform import (SpectrumTable, clifford_jacobi, equator_jacobi,
                          harmonic_dim, sphere_spectrum)
 from .errors import MhsError
-from .fem import (OperatorSet, SurfaceMesh, assemble, f_vertex, l_vertex,
-                  load_mesh, mesh_from_json, mesh_sphere, mesh_to_json,
-                  mesh_torus, save_mesh)
+from .fem import (OperatorSet, SurfaceMesh, assemble, load_mesh,
+                  mesh_from_json, mesh_sphere, mesh_to_json, mesh_torus,
+                  save_mesh)
 from .geometry import (GeometryFamily, ParamDomain, check_minimality,
                        clifford, equator)
 from .paperlab import (ChainRecord, FormReport, IdentityReport,
-                       TheoremReport, chain_sweep, chain_verify, choose_v0,
+                       TheoremReport, TrialSpan, chain_sweep, choose_v0,
                        conjecture_probe, gauss_identities, lemma_check,
-                       pencil_inertia, ratio_report, theorem_check)
+                       pencil_inertia, ratio_report, theorem_check,
+                       trial_span)
 from .rotational import (ProfileCurve, build_surface, find_otsuki,
                          rotation_number, rotation_window)
 from .spectral import (EigenReport, first_eigfunction, inertia_below,
@@ -26,14 +27,14 @@ __all__ = [
     "ProfileCurve", "rotation_number", "rotation_window", "find_otsuki",
     "build_surface",
     "SurfaceMesh", "OperatorSet", "mesh_torus", "mesh_sphere", "assemble",
-    "l_vertex", "f_vertex", "mesh_to_json", "mesh_from_json",
+    "mesh_to_json", "mesh_from_json",
     "save_mesh", "load_mesh",
     "EigenReport", "lowest_eigs", "inertia_below", "first_eigfunction",
     "morse_index",
     "SpectrumTable", "sphere_spectrum", "clifford_jacobi", "equator_jacobi",
     "harmonic_dim",
     "FormReport", "IdentityReport", "TheoremReport", "ChainRecord",
-    "gauss_identities", "ratio_report", "pencil_inertia", "lemma_check",
-    "choose_v0", "theorem_check", "conjecture_probe", "chain_verify",
-    "chain_sweep",
+    "TrialSpan", "gauss_identities", "ratio_report", "pencil_inertia",
+    "trial_span", "lemma_check", "choose_v0", "theorem_check",
+    "conjecture_probe", "chain_sweep",
 ]

@@ -20,7 +20,7 @@ from .geometry import clifford
 _USAGE_ERRORS = (InvalidParameterError, MeshFormatError, NoSolutionError)
 
 
-def _add_family_args(parser, with_res=True):
+def _add_family_args(parser):
     parser.add_argument("--family", required=True,
                         choices=["clifford", "equator", "otsuki"])
     parser.add_argument("--n", type=int, default=2)
@@ -28,14 +28,13 @@ def _add_family_args(parser, with_res=True):
     parser.add_argument("--p", type=int, default=2)
     parser.add_argument("--q", type=int, default=3)
     parser.add_argument("--tol", type=float, default=1e-10)
-    if with_res:
-        parser.add_argument("--res", type=int, default=64,
-                            help="grid resolution (torus side / icosphere "
-                                 "subdivisions)")
-        parser.add_argument("--nt", type=int, default=None,
-                            help="override profile-direction resolution")
-        parser.add_argument("--nphi", type=int, default=None,
-                            help="override rotation-direction resolution")
+    parser.add_argument("--res", type=int, default=64,
+                        help="grid resolution (torus side / icosphere "
+                             "subdivisions)")
+    parser.add_argument("--nt", type=int, default=None,
+                        help="override profile-direction resolution")
+    parser.add_argument("--nphi", type=int, default=None,
+                        help="override rotation-direction resolution")
 
 
 def _build_mesh(args):
@@ -131,11 +130,10 @@ def cmd_spectrum(args):
 def cmd_paper_check(args):
     mesh = _build_mesh(args)
     ops = fem.assemble(mesh)
-    lam1, rho = spectral.first_eigfunction(ops)
-    rank, verdict, gamma_report = paperlab.lemma_check(mesh, ops, rho)
-    theorem = paperlab.theorem_check(mesh, args.delta1, ops=ops, rho=rho)
-    records, _ = paperlab.chain_sweep(mesh, ops, draws=args.draws,
-                                      seed=args.seed, lam1=lam1, rho=rho)
+    span = paperlab.trial_span(mesh, ops)
+    rank, verdict, _ = paperlab.lemma_check(span)
+    theorem = paperlab.theorem_check(span, args.delta1)
+    records, _ = paperlab.chain_sweep(span, draws=args.draws, seed=args.seed)
     worst_id = max(r.residual_identity / r.scale for r in records)
     conjecture, flag = paperlab.conjecture_probe(mesh, ops)
     identities = paperlab.gauss_identities(mesh)
@@ -144,7 +142,7 @@ def cmd_paper_check(args):
                   "expected_full_rank": 2 * mesh.surface_dim + 5},
         "theorem": theorem.to_dict(),
         "chain": {"draws": args.draws, "seed": args.seed,
-                  "lambda1": lam1,
+                  "lambda1": span.lam1,
                   "max_identity_residual": worst_id,
                   "records": [r.to_dict() for r in records[:5]]},
         "conjecture": {**conjecture.to_dict(),
@@ -161,8 +159,8 @@ def cmd_paper_check(args):
 def cmd_chain(args):
     mesh = _build_mesh(args)
     ops = fem.assemble(mesh)
-    records, params = paperlab.chain_sweep(mesh, ops, draws=args.draws,
-                                           seed=args.seed)
+    records, params = paperlab.chain_sweep(paperlab.trial_span(mesh, ops),
+                                           draws=args.draws, seed=args.seed)
     report = {"draws": [dict(p, **r.to_dict())
                         for p, r in zip(params, records)],
               "max_identity_residual": max(
@@ -183,9 +181,7 @@ def cmd_conjecture(args):
 
 def cmd_mesh_export(args):
     mesh = _build_mesh(args)
-    doc = fem.mesh_to_json(mesh)
-    with open(args.output, "w") as fh:
-        json.dump(doc, fh)
+    fem.save_mesh(mesh, args.output)
     summary = {"written": args.output, "vertices": mesh.num_vertices,
                "triangles": mesh.num_triangles, "area": mesh.area}
     sys.stdout.write(json.dumps(summary, indent=2) + "\n")

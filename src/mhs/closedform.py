@@ -26,12 +26,6 @@ class SpectrumTable:
         if any(m < 1 for _, m in self.entries):
             raise InvalidParameterError("multiplicities must be positive")
 
-    def count_below(self, threshold):
-        return sum(m for e, m in self.entries if e < threshold)
-
-    def multiplicity_at(self, value):
-        return sum(m for e, m in self.entries if e == value)
-
     def to_dict(self):
         return {"entries": [[float(e), int(m)] for e, m in self.entries],
                 "cutoff": float(self.cutoff)}

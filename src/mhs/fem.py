@@ -378,16 +378,6 @@ def assemble_spectral(mesh):
                        n=n, q_max=float(q.max()), grid_shape=mesh.grid_shape)
 
 
-def l_vertex(mesh, v):
-    """Nodal values of <x, v>."""
-    return mesh.vertices @ np.asarray(v, dtype=float)
-
-
-def f_vertex(mesh, v):
-    """Nodal values of <nu, v>."""
-    return mesh.vertex_nu @ np.asarray(v, dtype=float)
-
-
 def mesh_to_json(mesh):
     """Interchange dictionary: vertices, triangles and per-vertex |A|^2."""
     return {

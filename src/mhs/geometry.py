@@ -7,7 +7,7 @@ nothing is reconstructed from meshes.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class GeometryFamily:
     shape_frame: Callable
     asq: Callable
     sqrt_det_g: Callable
-    extra: Optional[dict] = None
 
     @property
     def doubly_periodic(self):

@@ -9,9 +9,11 @@ rank of the trial spaces, runs the averaged choice of the distinguished
 direction v0, and verifies the completed-square decomposition of the
 form on the (n+4)-dimensional trial space term by term.
 
-Every trial space lies in the coordinate span {rho or 1, f_e.., l_e..},
-so each check is small dense algebra on that span's Gram matrices for
-the mass, the stability form and the |A|^2-weighted mass.
+Every trial space of the paper lies in the coordinate span
+{rho, f_e.., l_e..}.  ``trial_span`` solves for the ground state rho and
+forms the span's Gram matrices for the mass, the stability form and the
+|A|^2-weighted mass once; each check is small dense algebra on them.
+Only the conjecture probe has another head, the constant 1.
 """
 
 from dataclasses import dataclass
@@ -91,6 +93,19 @@ class TheoremReport:
                 "neg_inertia_gamma0": self.neg_inertia_gamma0,
                 "spectral_index": self.spectral_index,
                 "rr_consistent": self.rr_consistent}
+
+
+@dataclass(frozen=True)
+class TrialSpan:
+    """Ground state (lam1, rho) and the Mm-, B- and SA-Gram forms of the
+    coordinate span {rho, f_e.., l_e..} of one mesh and operator set."""
+
+    mesh: object
+    ops: object
+    lam1: float
+    rho: np.ndarray
+    labels: tuple
+    forms: tuple
 
 
 @dataclass(frozen=True)
@@ -182,17 +197,11 @@ def pencil_inertia(B, G, rank_tol=_DEFAULT_RANK_TOL):
     return len(vals), int((vals < 0.0).sum())
 
 
-def _coordinate_span(mesh, rho=None):
-    """Nodal columns and labels of {head, f_e1.., l_e1..}.
-
-    The head is the ground state rho, or the constant 1 when rho is not
-    given.  Every trial space of the paper lies in this span, so each
-    check reduces to its three small Gram matrices.
-    """
+def _coordinate_span(mesh, head, head_label):
+    """Nodal columns and labels of {head, f_e1.., l_e1..}."""
     dim = mesh.vertices.shape[1]
-    head = np.ones(mesh.num_vertices) if rho is None else rho
     X = np.column_stack([head, mesh.vertex_nu, mesh.vertices])
-    labels = (("one" if rho is None else "rho",)
+    labels = ((head_label,)
               + tuple(f"f_e{a + 1}" for a in range(dim))
               + tuple(f"l_e{a + 1}" for a in range(dim)))
     return X, labels
@@ -204,25 +213,24 @@ def _span_forms(ops, X):
     return [0.5 * (F + F.T) for F in forms]
 
 
-def _check_split(delta1):
-    """delta1 in (0, 1), so that delta2 = 1 - delta1 is positive too."""
-    if not (0.0 < delta1 < 1.0):
-        raise InvalidParameterError("delta1 must lie in (0, 1)")
+def trial_span(mesh, ops):
+    """The TrialSpan every check reads: one eigensolve, one set of forms."""
+    lam1, rho = spectral.first_eigfunction(ops)
+    X, labels = _coordinate_span(mesh, rho, "rho")
+    return TrialSpan(mesh=mesh, ops=ops, lam1=lam1, rho=rho, labels=labels,
+                     forms=tuple(_span_forms(ops, X)))
 
 
-def lemma_check(mesh, ops, rho=None):
+def lemma_check(span):
     """Gram rank of the (2n+5)-function trial set {rho, f's, l's}.
 
     Full rank certifies the surface is neither totally geodesic nor a
     product torus (those collapse the f's onto constants or the l's).
     Returns (rank, verdict, FormReport).
     """
-    if rho is None:
-        _, rho = spectral.first_eigfunction(ops)
-    X, labels = _coordinate_span(mesh, rho)
-    G, B, _ = _span_forms(ops, X)
-    report = FormReport(labels, G, B, *pencil_inertia(B, G))
-    full = 2 * mesh.surface_dim + 5
+    G, B, _ = span.forms
+    report = FormReport(span.labels, G, B, *pencil_inertia(B, G))
+    full = 2 * span.mesh.surface_dim + 5
     verdict = "full_rank" if report.rank == full else "collapsed"
     return report.rank, verdict, report
 
@@ -313,25 +321,26 @@ def _gamma0_form(G, B, v0):
     return report, (float(vals[-1]) if len(vals) else None)
 
 
-def theorem_check(mesh, delta1, ops, rho=None):
+def theorem_check(span, delta1):
     """Hypothesis flags and the sign of the form on {rho, l's, f_v0}.
 
-    delta2 is 1 - delta1.  Verdict precedence: a totally geodesic
-    surface is excluded, failed hypotheses are reported as such, and
-    otherwise the verdict is the sign of the largest pencil eigenvalue
-    of (B, G) on the trial space.  The report always carries the
-    Rayleigh-Ritz cross-check neg_inertia <= spectral Morse index.
+    delta1 lies in (0, 1) and delta2 is 1 - delta1.  Verdict precedence:
+    a totally geodesic surface is excluded, failed hypotheses are
+    reported as such, and otherwise the verdict is the sign of the
+    largest pencil eigenvalue of (B, G) on the trial space.  The report
+    always carries the Rayleigh-Ritz cross-check neg_inertia <= spectral
+    Morse index.
     """
-    _check_split(delta1)
+    if not (0.0 < delta1 < 1.0):
+        raise InvalidParameterError("delta1 must lie in (0, 1)")
+    mesh = span.mesh
     delta2 = 1.0 - delta1
     asq_max = float(mesh.quad_asq.max())
     hyp_integral = ratio_report(mesh) <= delta2
     hyp_pointwise = asq_max <= 2.0 * mesh.surface_dim * delta1
     geodesic = asq_max < 1e-12
-    if rho is None:
-        _, rho = spectral.first_eigfunction(ops)
     v0, _ = choose_v0(mesh, delta2)
-    G, B, _ = _span_forms(ops, _coordinate_span(mesh, rho)[0])
+    G, B, _ = span.forms
     report, gamma0_max = _gamma0_form(G, B, v0)
     if geodesic:
         verdict = VERDICT_GEODESIC
@@ -341,7 +350,7 @@ def theorem_check(mesh, delta1, ops, rho=None):
         verdict = VERDICT_NEGATIVE
     else:
         verdict = VERDICT_NOT_NEGATIVE
-    index, _ = spectral.morse_index(ops)
+    index, _ = spectral.morse_index(span.ops)
     return TheoremReport(
         delta1=float(delta1), delta2=float(delta2),
         hyp_integral=hyp_integral, hyp_pointwise=hyp_pointwise,
@@ -358,7 +367,7 @@ def conjecture_probe(mesh, ops, rank_tol=_DEFAULT_RANK_TOL):
     the flag records whether such a subspace of dimension n+4 exists in
     this discretization.
     """
-    X, labels = _coordinate_span(mesh)
+    X, labels = _coordinate_span(mesh, np.ones(mesh.num_vertices), "one")
     G, B, _ = _span_forms(ops, X)
     report = FormReport(labels, G, B, *pencil_inertia(B, G, rank_tol))
     return report, report.neg_inertia >= mesh.surface_dim + 4
@@ -367,8 +376,9 @@ def conjecture_probe(mesh, ops, rank_tol=_DEFAULT_RANK_TOL):
 def _chain_record(forms, n, lam1, a, b, w, delta1, v0):
     """The chain lines for f = a rho + l_w + b f_v0 on the span forms.
 
-    forms are the Mm-, B- and SA-Gram matrices of the span with head
-    rho, so every integral is u^T F v on span coefficient vectors.
+    L0 is the direct value, L0e its integral expansion, L1 substitutes
+    lambda1 <= -2n, and the completed square L2 equals L1 exactly.
+    Every integral is u^T F v on span coefficient vectors.
     """
     G, B, SA = forms
     delta2 = 1.0 - delta1
@@ -408,39 +418,15 @@ def _chain_record(forms, n, lam1, a, b, w, delta1, v0):
                        lambda1=float(lam1))
 
 
-def chain_verify(mesh, a, b, w, delta1, ops, rho=None, lam1=None, v0=None):
-    """Evaluate the four lines of the completed-square estimate.
-
-    For f = a rho + l_w + b f_v0 computes the direct value L0, its
-    integral expansion L0e, the version L1 with the ground-state bound
-    lambda1 <= -2n substituted, and the completed-square form L2, whose
-    four signed terms are returned individually.  L1 = L2 is an exact
-    algebraic identity, since delta2 = 1 - delta1.
-    """
-    _check_split(delta1)
-    w = np.asarray(w, dtype=float)
-    if a == 0 and b == 0 and not w.any():
-        raise InvalidParameterError("(a, b, w) must not all vanish")
-    if rho is None or lam1 is None:
-        lam1, rho = spectral.first_eigfunction(ops)
-    if v0 is None:
-        v0, _ = choose_v0(mesh, 1.0 - delta1)
-    forms = _span_forms(ops, _coordinate_span(mesh, rho)[0])
-    return _chain_record(forms, ops.n, lam1, a, b, w, delta1, v0)
-
-
-def chain_sweep(mesh, ops, draws=100, seed=0, lam1=None, rho=None):
+def chain_sweep(span, draws=100, seed=0):
     """Seeded random draws of (a, b, w, delta1) for the chain estimate.
 
     Returns the list of ChainRecords together with the draw parameters;
     a, b and the entries of w are standard normal, delta1 is uniform on
-    (0.05, 0.95).  The ground state (lam1, rho) is computed unless both
-    are given.  The span forms and the normal moments behind v0 are
-    computed once, so no draw touches a nodal vector.
+    (0.05, 0.95).  The normal moments behind v0 are formed once, and
+    every draw reads the span forms, so no draw touches a nodal vector.
     """
-    if rho is None or lam1 is None:
-        lam1, rho = spectral.first_eigfunction(ops)
-    forms = _span_forms(ops, _coordinate_span(mesh, rho)[0])
+    mesh, ops = span.mesh, span.ops
     moments = _normal_moments(mesh)
     rng = np.random.default_rng(seed)
     dim = mesh.vertices.shape[1]
@@ -451,7 +437,7 @@ def chain_sweep(mesh, ops, draws=100, seed=0, lam1=None, rho=None):
         w = rng.standard_normal(dim)
         delta1 = float(rng.uniform(0.05, 0.95))
         v0, _ = _v0_from_moments(mesh, moments, 1.0 - delta1)
-        records.append(_chain_record(forms, ops.n, lam1, a, b, w, delta1,
-                                     v0))
+        records.append(_chain_record(span.forms, ops.n, span.lam1, a, b, w,
+                                     delta1, v0))
         params.append({"a": a, "b": b, "w": w.tolist(), "delta1": delta1})
     return records, params

@@ -42,7 +42,7 @@ def _accel(a, da, dv):
 
 
 def _rhs(t, y):
-    a, v, da, dv = y
+    a, _, da, dv = y
     dda, ddv = _accel(a, da, dv)
     return [da, dv, dda, ddv]
 
@@ -98,7 +98,10 @@ def rotation_number(energy):
     Monotone increasing on the window, with limits 1/2 (energy -> 0) and
     sqrt(2)/2 (energy -> the circular value 1/2).
     """
-    T, evaluate = _integrate_period(energy)
+    return _advance(*_integrate_period(energy))
+
+
+def _advance(T, evaluate):
     return float(evaluate(T)[1, 0] / (2.0 * np.pi))
 
 
@@ -168,10 +171,10 @@ def find_otsuki(p, q, tol=1e-10):
     lo, hi = energies[i - 1], energies[i]
     energy = brentq(lambda c: rotation_number(c) - target, lo, hi,
                     xtol=1e-14, rtol=8.9e-16)
-    if abs(rotation_number(energy) - target) > max(tol, 1e-12):
+    T, evaluate = _integrate_period(energy)
+    if abs(_advance(T, evaluate) - target) > max(tol, 1e-12):
         raise ConvergenceError(
             f"root finder stagnated for rotation number {p}/{q}")
-    T, evaluate = _integrate_period(energy)
     ts = np.linspace(0.0, T, _N_SAMPLES)
     a, v, da, dv = evaluate(ts)
     profile = ProfileCurve(period=T, t=ts, alpha=a, v=v, dalpha=da, dv=dv,
@@ -273,7 +276,6 @@ def build_surface(profile, nt=256, nphi=64):
         shape_frame=field(3),
         asq=field(4),
         sqrt_det_g=field(5),
-        extra={"profile": profile, "length": L},
     )
     # self-check on the requested mesh resolution, never skipped
     trace = check_minimality(family, (nt, nphi))

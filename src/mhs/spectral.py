@@ -26,6 +26,7 @@ _DENSE_LIMIT = 2000
 _RESIDUAL_TOL = 1e-8
 _SHIFT_RETRIES = 6
 _SHIFT_TOL = 1e-12   # phi-shift invariance, relative to max |entry|
+_MORSE_WINDOW = 16   # first eigenvalue window of morse_index
 
 
 @dataclass(frozen=True)
@@ -212,7 +213,7 @@ def lowest_eigs(ops, count, zero_tol=0.05, vectors=False):
     pencils (``PhiModes``).  Otherwise a dense solver runs below
     _DENSE_LIMIT unknowns and shift-invert Lanczos above it, with the
     shift placed below the spectrum (the pencil is bounded below by
-    -q_max).
+    -q_max) and a seeded start vector, so repeated runs agree bitwise.
     """
     size = ops.size
     if count < 1:
@@ -232,9 +233,12 @@ def lowest_eigs(ops, count, zero_tol=0.05, vectors=False):
     else:
         path = "shift-invert"
         sigma = -ops.q_max - 1.0
+        # random, not ones or the Mm diagonal: a start vector invariant
+        # under the mesh's symmetries misses the other modes
+        start = np.random.default_rng(0).standard_normal(size)
         try:
             vals, vecs = spla.eigsh(B, k=count, M=ops.Mm, sigma=sigma,
-                                    which="LM")
+                                    which="LM", v0=start)
         except Exception as exc:   # ARPACK breakdowns vary in type
             raise NumericalFailureError(
                 f"shift-invert eigensolve failed: {exc}") from exc
@@ -373,10 +377,10 @@ def first_eigfunction(ops):
     return report.lambda1, rho
 
 
-def morse_index(ops, zero_tol=0.05, start=16):
+def morse_index(ops, zero_tol=0.05):
     """Morse index via lowest_eigs, growing the window until it clears
     the negative part of the spectrum, cross-checked against inertia."""
-    count = min(start, ops.size)
+    count = min(_MORSE_WINDOW, ops.size)
     while True:
         report = lowest_eigs(ops, count=count, zero_tol=zero_tol)
         if not report.window_saturated:

@@ -8,11 +8,11 @@ import time
 
 import numpy as np
 
-from mhs import paperlab, spectral
+from mhs import paperlab
 from mhs.closedform import clifford_jacobi, equator_jacobi
 from mhs.geometry import check_minimality
 from mhs.paperlab import (chain_sweep, conjecture_probe, gauss_identities,
-                          lemma_check, theorem_check)
+                          lemma_check, theorem_check, trial_span)
 from mhs.rotational import build_surface
 from mhs.spectral import lowest_eigs, morse_index
 
@@ -99,9 +99,9 @@ def test_criterion_5_identity_suite(clifford_mesh, otsuki_mesh,
 
 def test_criterion_6_lemma_ranks(otsuki_mesh, otsuki_op, clifford_mesh,
                                  clifford_op, sphere_mesh, sphere_op):
-    r_o = lemma_check(otsuki_mesh, otsuki_op)[0]
-    r_c = lemma_check(clifford_mesh, clifford_op)[0]
-    r_s = lemma_check(sphere_mesh, sphere_op)[0]
+    r_o = lemma_check(trial_span(otsuki_mesh, otsuki_op))[0]
+    r_c = lemma_check(trial_span(clifford_mesh, clifford_op))[0]
+    r_s = lemma_check(trial_span(sphere_mesh, sphere_op))[0]
     ok = (r_o, r_c, r_s) == (9, 5, 4)
     _verdict(6, ok, f"trial-space ranks: rotational={r_o} (expect 9), "
                     f"product={r_c} (expect 5), geodesic={r_s} (expect 4)")
@@ -123,7 +123,7 @@ def test_criterion_7_chain_identity_and_ordering(
             ("P1", otsuki_mesh, otsuki_op, False),
             ("spectral", clifford_mesh_odd, clifford_op_spectral, True),
             ("spectral", otsuki_mesh_odd, otsuki_op_spectral, True)):
-        records, _ = chain_sweep(mesh, ops, draws=100, seed=0)
+        records, _ = chain_sweep(trial_span(mesh, ops), draws=100, seed=0)
         worst_id = max(r.residual_identity / r.scale for r in records)
         ok &= worst_id <= 1e-10
         lam1 = records[0].lambda1
@@ -148,10 +148,10 @@ def test_criterion_8_rayleigh_ritz_consistency(
     for mesh, ops in ((clifford_mesh, clifford_op),
                       (sphere_mesh, sphere_op),
                       (otsuki_mesh, otsuki_op)):
-        _, rho = spectral.first_eigfunction(ops)
-        theorem = theorem_check(mesh, 0.5, ops=ops, rho=rho)
+        span = trial_span(mesh, ops)
+        theorem = theorem_check(span, 0.5)
         index = theorem.spectral_index
-        negs = [lemma_check(mesh, ops, rho)[2].neg_inertia,
+        negs = [lemma_check(span)[2].neg_inertia,
                 theorem.neg_inertia_gamma0,
                 conjecture_probe(mesh, ops)[0].neg_inertia]
         ok &= all(neg <= index for neg in negs)
@@ -165,7 +165,7 @@ def test_criterion_9_otsuki_generation(otsuki_profile, otsuki_mesh,
     family = otsuki_mesh.source_family
     trace = check_minimality(family, per_dim=(128, 32))
     index = morse_index(otsuki_op)[0]
-    rank = lemma_check(otsuki_mesh, otsuki_op)[0]
+    rank = lemma_check(trial_span(otsuki_mesh, otsuki_op))[0]
     ok = (closure <= 1e-8 and trace <= 1e-6 and index >= 6 and rank == 9)
     _verdict(9, ok, f"rotational (2,3): closure={closure:.1e}, "
                     f"max|trace A|={trace:.1e}, index={index}, rank={rank}")
@@ -175,12 +175,13 @@ def test_criterion_10_theorem_behavior(clifford_mesh, clifford_op,
                                        sphere_mesh, sphere_op,
                                        synthetic_mesh, synthetic_op):
     ok = True
+    clifford_span = trial_span(clifford_mesh, clifford_op)
     for delta1 in (0.3, 0.5, 0.9):
-        rep = theorem_check(clifford_mesh, delta1, ops=clifford_op)
+        rep = theorem_check(clifford_span, delta1)
         ok &= rep.verdict == paperlab.VERDICT_HYP_FAIL
-    rep_s = theorem_check(sphere_mesh, 0.5, ops=sphere_op)
+    rep_s = theorem_check(trial_span(sphere_mesh, sphere_op), 0.5)
     ok &= rep_s.verdict == paperlab.VERDICT_GEODESIC
-    rep_y = theorem_check(synthetic_mesh, 0.5, ops=synthetic_op)
+    rep_y = theorem_check(trial_span(synthetic_mesh, synthetic_op), 0.5)
     ok &= rep_y.verdict == paperlab.VERDICT_NEGATIVE
     ok &= rep_y.rr_consistent
     ok &= rep_y.neg_inertia_gamma0 <= rep_y.spectral_index

@@ -1,9 +1,11 @@
 """Command-line interface: reports, formats and exit codes."""
 
 import json
+from unittest import mock
 
 import pytest
 
+from mhs import paperlab, spectral
 from mhs.cli import main
 
 
@@ -153,6 +155,21 @@ def test_reports_reproducible(tmp_path, capsys):
     _, doc2 = run_json(capsys, argv)
     assert doc1["report"] == doc2["report"]
     assert doc1["config"] == doc2["config"]
+
+
+def test_paper_check_one_span_reproducible(capsys):
+    # ico4's ground state comes from Lanczos.  Each run solves for it once
+    # and forms two span Grams: the trial span and the probe's head-1 span
+    argv = ["paper-check", "--family", "equator", "--res", "4"]
+    with mock.patch.object(paperlab, "_span_forms",
+                           wraps=paperlab._span_forms) as forms, \
+            mock.patch.object(spectral, "first_eigfunction",
+                              wraps=spectral.first_eigfunction) as ground:
+        (_, doc1), (_, doc2) = run_json(capsys, argv), run_json(capsys, argv)
+    assert (forms.call_count, ground.call_count) == (4, 2)
+    assert doc1["report"]["mesh"]["vertices"] > spectral._DENSE_LIMIT
+    del doc1["timestamp"], doc2["timestamp"]
+    assert doc1 == doc2
 
 
 def test_output_file_written(tmp_path, capsys):

@@ -9,8 +9,8 @@ import pytest
 from mhs import fem
 from mhs.errors import (DegenerateElementError, InvalidParameterError,
                         MeshFormatError)
-from mhs.fem import (assemble, f_vertex, l_vertex, mesh_from_json,
-                     mesh_sphere, mesh_to_json, mesh_torus)
+from mhs.fem import (assemble, mesh_from_json, mesh_sphere, mesh_to_json,
+                     mesh_torus)
 from mhs.closedform import clifford_jacobi
 from mhs.geometry import ParamDomain, clifford, equator
 from mhs.spectral import lowest_eigs, morse_index
@@ -117,8 +117,8 @@ def test_project_and_rayleigh(clifford_mesh, clifford_op):
         return (x @ (clifford_op.K @ x)) / (x @ (clifford_op.Mm @ x))
 
     v = np.array([1.0, 0.0, 0.0, 0.0])
-    assert abs(quotient(l_vertex(clifford_mesh, v)) - 2.0) < 2e-2
-    assert abs(quotient(f_vertex(clifford_mesh, v)) - 2.0) < 2e-2
+    assert abs(quotient(clifford_mesh.vertices @ v) - 2.0) < 2e-2
+    assert abs(quotient(clifford_mesh.vertex_nu @ v) - 2.0) < 2e-2
     assert abs(quotient(np.ones(clifford_mesh.num_vertices))) < 1e-12
 
 
@@ -229,8 +229,8 @@ def test_spectral_clifford_landmarks(clifford_mesh_odd,
     # where SA = W - n Mm is the |A|^2-weighted mass
     SA = ops.W - ops.n * ops.Mm
     for v in np.eye(4):
-        lv = l_vertex(clifford_mesh_odd, v)
-        fv = f_vertex(clifford_mesh_odd, v)
+        lv = clifford_mesh_odd.vertices @ v
+        fv = clifford_mesh_odd.vertex_nu @ v
         for x, rhs in ((lv, ops.n * (ops.Mm @ lv)), (fv, SA @ fv)):
             res = np.abs(ops.K @ x - rhs).max() / np.abs(rhs).max()
             assert res <= 1e-10

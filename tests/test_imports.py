@@ -1,4 +1,4 @@
-"""Static hygiene of the package sources: no unused imports."""
+"""Static hygiene of the package sources: no unused imports or locals."""
 
 import ast
 from pathlib import Path
@@ -27,6 +27,29 @@ def test_detector_flags_only_unread_names():
     assert unused_imports(source) == ["os", "d"]
 
 
+def unused_locals(source):
+    """Names a function assigns and never reads, except _-prefixed ones."""
+    unused = set()
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [n for n in ast.walk(func) if isinstance(n, ast.Name)]
+            read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+            unused.update(n.id for n in names if isinstance(n.ctx, ast.Store)
+                          and n.id not in read and not n.id.startswith("_"))
+    return sorted(unused)
+
+
+def test_detector_flags_only_unread_locals():
+    source = ("def f(x, unread_arg):\n    a, b, _c = x\n    d = 1\n\n"
+              "    def g():\n        e = d\n    return [a for y in x if y]\n")
+    assert unused_locals(source) == ["b", "e"]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_locals(path):
+    assert unused_locals(path.read_text()) == []

@@ -1,18 +1,18 @@
 """Trial-space checks: identities, ranks, v0 selection, chain, probe."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
 from mhs import paperlab, spectral
 from mhs.errors import InvalidParameterError
-from mhs.fem import f_vertex, l_vertex
 from mhs.paperlab import (VERDICT_GEODESIC, VERDICT_HYP_FAIL,
-                          VERDICT_NEGATIVE, chain_sweep, chain_verify,
-                          choose_v0, conjecture_probe, gauss_identities,
-                          lemma_check, pencil_inertia, ratio_report,
-                          theorem_check)
+                          VERDICT_NEGATIVE, chain_sweep, choose_v0,
+                          conjecture_probe, gauss_identities, lemma_check,
+                          pencil_inertia, ratio_report, theorem_check,
+                          trial_span)
 
 
 # ----------------------------------------------------------------- identities
@@ -70,16 +70,16 @@ def test_ratio_is_gauss_bonnet(clifford_mesh, otsuki_mesh_coarse,
 
 def test_lemma_ranks(clifford_mesh, clifford_op, sphere_mesh, sphere_op,
                      otsuki_mesh, otsuki_op):
-    rank, verdict, _ = lemma_check(otsuki_mesh, otsuki_op)
+    rank, verdict, _ = lemma_check(trial_span(otsuki_mesh, otsuki_op))
     assert (rank, verdict) == (9, "full_rank")
-    rank, verdict, _ = lemma_check(clifford_mesh, clifford_op)
+    rank, verdict, _ = lemma_check(trial_span(clifford_mesh, clifford_op))
     assert (rank, verdict) == (5, "collapsed")
-    rank, verdict, _ = lemma_check(sphere_mesh, sphere_op)
+    rank, verdict, _ = lemma_check(trial_span(sphere_mesh, sphere_op))
     assert (rank, verdict) == (4, "collapsed")
 
 
 def test_gamma_basis_labels(clifford_mesh, clifford_op):
-    report = lemma_check(clifford_mesh, clifford_op)[2]
+    report = lemma_check(trial_span(clifford_mesh, clifford_op))[2]
     assert report.basis_labels == ("rho", "f_e1", "f_e2", "f_e3", "f_e4",
                                    "l_e1", "l_e2", "l_e3", "l_e4")
     assert np.all(np.diag(report.G) > 0)
@@ -93,6 +93,14 @@ def test_pencil_inertia_toy():
     B = np.array([[-1.0, -1.0], [-1.0, -1.0]])
     rank, neg = pencil_inertia(B, G)
     assert (rank, neg) == (1, 1)
+
+
+def test_no_optional_ground_state_or_v0():
+    # the span owns rho and lam1, and v0 always comes from the moments
+    for name, func in inspect.getmembers(paperlab, inspect.isfunction):
+        for p in inspect.signature(func).parameters.values():
+            assert not (p.name in ("rho", "lam1", "v0")
+                        and p.default is not p.empty), (name, p.name)
 
 
 # ----------------------------------------------------------------- v0 choice
@@ -171,7 +179,7 @@ def test_choose_v0_validates_delta(clifford_mesh):
 # ----------------------------------------------------------------- theorem
 
 def test_theorem_clifford_hypotheses(clifford_mesh, clifford_op):
-    report = theorem_check(clifford_mesh, 0.5, ops=clifford_op)
+    report = theorem_check(trial_span(clifford_mesh, clifford_op), 0.5)
     assert report.hyp_pointwise          # 2 <= 2n delta1 = 2
     assert not report.hyp_integral       # int = 2|M| > delta2 n |M| = |M|
     assert report.verdict == VERDICT_HYP_FAIL
@@ -180,7 +188,7 @@ def test_theorem_clifford_hypotheses(clifford_mesh, clifford_op):
 
 
 def test_theorem_equator_excluded(sphere_mesh, sphere_op):
-    report = theorem_check(sphere_mesh, 0.5, ops=sphere_op)
+    report = theorem_check(trial_span(sphere_mesh, sphere_op), 0.5)
     assert report.hyp_integral and report.hyp_pointwise
     assert report.geodesic_flag
     assert report.verdict == VERDICT_GEODESIC
@@ -188,14 +196,14 @@ def test_theorem_equator_excluded(sphere_mesh, sphere_op):
 
 
 def test_theorem_otsuki_rr_bound(otsuki_mesh, otsuki_op):
-    report = theorem_check(otsuki_mesh, 0.5, ops=otsuki_op)
+    report = theorem_check(trial_span(otsuki_mesh, otsuki_op), 0.5)
     assert report.verdict == VERDICT_HYP_FAIL
     assert report.neg_inertia_gamma0 <= report.spectral_index
     assert report.rr_consistent
 
 
 def test_theorem_synthetic_negative_definite(synthetic_mesh, synthetic_op):
-    report = theorem_check(synthetic_mesh, 0.5, ops=synthetic_op)
+    report = theorem_check(trial_span(synthetic_mesh, synthetic_op), 0.5)
     assert report.hyp_integral and report.hyp_pointwise
     assert not report.geodesic_flag
     assert report.verdict == VERDICT_NEGATIVE
@@ -208,10 +216,11 @@ def test_theorem_synthetic_negative_definite(synthetic_mesh, synthetic_op):
 
 
 def test_theorem_validates_delta(clifford_mesh, clifford_op):
+    span = trial_span(clifford_mesh, clifford_op)
     with pytest.raises(InvalidParameterError):
-        theorem_check(clifford_mesh, 0.0, ops=clifford_op)
+        theorem_check(span, 0.0)
     with pytest.raises(InvalidParameterError):
-        theorem_check(clifford_mesh, 1.0, ops=clifford_op)
+        theorem_check(span, 1.0)
 
 
 def test_gamma0_forms_match_stacked_vectors(clifford_mesh, clifford_op,
@@ -221,19 +230,18 @@ def test_gamma0_forms_match_stacked_vectors(clifford_mesh, clifford_op,
     # coefficient map of f_v0; the reference stacks the nodal vectors
     for mesh, ops in ((clifford_mesh, clifford_op), (otsuki_mesh, otsuki_op),
                       (synthetic_mesh, synthetic_op)):
-        _, rho = spectral.first_eigfunction(ops)
+        span = trial_span(mesh, ops)
         v0, _ = choose_v0(mesh, 0.5)
-        X, _ = paperlab._coordinate_span(mesh, rho)
-        G, B, _ = paperlab._span_forms(ops, X)
+        G, B, _ = span.forms
         report, top = paperlab._gamma0_form(G, B, v0)
-        Y = np.stack([rho] + [l_vertex(mesh, e) for e in np.eye(4)]
-                     + [f_vertex(mesh, v0)], axis=1)
+        Y = np.stack([span.rho] + [mesh.vertices @ e for e in np.eye(4)]
+                     + [mesh.vertex_nu @ v0], axis=1)
         G_ref, B_ref = Y.T @ (ops.Mm @ Y), Y.T @ (ops.B @ Y)
         assert report.basis_labels == ("rho", "l_e1", "l_e2", "l_e3",
                                        "l_e4", "f_v0")
         assert np.abs(report.G - G_ref).max() <= 1e-12 * np.abs(G_ref).max()
         assert np.abs(report.B - B_ref).max() <= 1e-12 * np.abs(B_ref).max()
-        theorem = theorem_check(mesh, 0.5, ops=ops, rho=rho)
+        theorem = theorem_check(span, 0.5)
         assert theorem.neg_inertia_gamma0 == report.neg_inertia
         assert theorem.gamma0_max_eig == top
 
@@ -246,7 +254,7 @@ def test_chain_identity_all_geometries(clifford_mesh, clifford_op,
     for mesh, ops in ((clifford_mesh, clifford_op),
                       (sphere_mesh, sphere_op),
                       (otsuki_mesh, otsuki_op)):
-        records, _ = chain_sweep(mesh, ops, draws=25, seed=0)
+        records, _ = chain_sweep(trial_span(mesh, ops), draws=25, seed=0)
         worst = max(r.residual_identity / r.scale for r in records)
         assert worst <= 1e-10
 
@@ -255,8 +263,8 @@ def _direct_chain(mesh, ops, rho, lam1, a, b, w, delta1):
     """The chain lines from sparse products on nodal vectors."""
     delta2 = 1.0 - delta1
     n = ops.n
-    lw = l_vertex(mesh, w)
-    f0 = f_vertex(mesh, choose_v0(mesh, delta2)[0])
+    lw = mesh.vertices @ w
+    f0 = mesh.vertex_nu @ choose_v0(mesh, delta2)[0]
     f = a * rho + lw + b * f0
 
     def dot(u, A, v):
@@ -289,19 +297,18 @@ def test_chain_sweep_matches_direct_sparse_forms(
         clifford_mesh_odd, clifford_op_spectral):
     for mesh, ops in ((otsuki_mesh, otsuki_op), (sphere_mesh, sphere_op),
                       (clifford_mesh_odd, clifford_op_spectral)):
-        lam1, rho = spectral.first_eigfunction(ops)
-        records, params = chain_sweep(mesh, ops, draws=20, seed=0,
-                                      lam1=lam1, rho=rho)
+        span = trial_span(mesh, ops)
+        records, params = chain_sweep(span, draws=20, seed=0)
         for rec, p in zip(records, params):
-            ref = _direct_chain(mesh, ops, rho, lam1, p["a"], p["b"],
-                                np.array(p["w"]), p["delta1"])
+            ref = _direct_chain(mesh, ops, span.rho, span.lam1, p["a"],
+                                p["b"], np.array(p["w"]), p["delta1"])
             tol = 1e-12 * ref["scale"]
             assert abs(rec.scale - ref["scale"]) <= tol
             for name in ("L0", "L0e", "L1", "L2"):
                 assert abs(getattr(rec, name) - ref[name]) <= tol, name
             for got, want in zip(rec.terms, ref["terms"]):
                 assert abs(got - want) <= tol
-            assert rec.lambda1 == lam1
+            assert rec.lambda1 == span.lam1
 
 
 def _counting_source(mesh):
@@ -324,7 +331,7 @@ def _counting_source(mesh):
 
 def test_chain_sweep_never_evaluates_positions(otsuki_mesh, otsuki_op):
     mesh, calls = _counting_source(otsuki_mesh)
-    records, _ = chain_sweep(mesh, otsuki_op, draws=20, seed=0)
+    records, _ = chain_sweep(trial_span(mesh, otsuki_op), draws=20, seed=0)
     assert len(records) == 20
     assert calls == []
 
@@ -335,26 +342,18 @@ def test_no_chart_evaluation_after_meshing(otsuki_mesh, otsuki_op):
     assert gauss_identities(mesh).mode == "analytic"
     ratio_report(mesh)
     choose_v0(mesh, 0.5)
-    _, rho = spectral.first_eigfunction(otsuki_op)
-    lemma_check(mesh, otsuki_op, rho)
-    theorem_check(mesh, 0.5, otsuki_op, rho)
+    span = trial_span(mesh, otsuki_op)
+    lemma_check(span)
+    theorem_check(span, 0.5)
     conjecture_probe(mesh, otsuki_op)
     assert calls == []
 
 
-def test_chain_sweep_uses_given_ground_state(clifford_mesh, clifford_op):
-    lam1, rho = spectral.first_eigfunction(clifford_op)
-    given, _ = chain_sweep(clifford_mesh, clifford_op, draws=5, seed=3,
-                           lam1=lam1, rho=rho)
-    fresh, _ = chain_sweep(clifford_mesh, clifford_op, draws=5, seed=3)
-    for g, f in zip(given, fresh):
-        assert g.lambda1 == lam1
-        assert abs(g.L0 - f.L0) <= 1e-9 * f.scale
-
-
 def test_chain_single_term_case(otsuki_mesh, otsuki_op):
-    rec = chain_verify(otsuki_mesh, 0.0, 0.0, np.array([1.0, 0, 0, 0]),
-                       0.5, ops=otsuki_op)
+    span = trial_span(otsuki_mesh, otsuki_op)
+    v0, _ = choose_v0(otsuki_mesh, 0.5)
+    rec = paperlab._chain_record(span.forms, otsuki_op.n, span.lam1, 0.0,
+                                 0.0, np.array([1.0, 0, 0, 0]), 0.5, v0)
     # f = l_w alone: the direct value reduces to -int |A|^2 l_w^2 up to
     # the discrete residual of the coordinate eigenvalue identity
     assert rec.L0 < 0
@@ -362,7 +361,8 @@ def test_chain_single_term_case(otsuki_mesh, otsuki_op):
 
 
 def test_chain_ordering_vacuous_on_sphere(sphere_mesh, sphere_op):
-    records, _ = chain_sweep(sphere_mesh, sphere_op, draws=10, seed=0)
+    records, _ = chain_sweep(trial_span(sphere_mesh, sphere_op), draws=10,
+                             seed=0)
     # lambda1 = -2 > -2n + tol: the ground-level substitution step does
     # not apply, and indeed L1 can fall below L0 here
     assert records[0].lambda1 > -4 + 0.05
@@ -373,14 +373,10 @@ def test_chain_ordering_gap_is_discretization_limited(otsuki_mesh,
     # the substitution L0 -> L1 uses lambda1 <= -2n; discretely the
     # expansion L0 = L0e holds only up to an O(h^2) residual, so the
     # ordering margin is bounded by that residual rather than by zero
-    records, _ = chain_sweep(otsuki_mesh, otsuki_op, draws=50, seed=0)
+    records, _ = chain_sweep(trial_span(otsuki_mesh, otsuki_op), draws=50,
+                             seed=0)
     worst = min((r.L1 - r.L0) / r.scale for r in records)
     assert worst > -5e-3   # small, resolution-limited violation band
-
-
-def test_chain_rejects_zero_draw(otsuki_mesh, otsuki_op):
-    with pytest.raises(InvalidParameterError):
-        chain_verify(otsuki_mesh, 0.0, 0.0, np.zeros(4), 0.5, ops=otsuki_op)
 
 
 # ----------------------------------------------------------------- probe
