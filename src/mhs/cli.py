@@ -110,6 +110,7 @@ def cmd_family(args):
     report = profile.to_dict()
     report["closure_residual"] = profile.closure_residual
     report["clairaut_drift"] = profile.clairaut_drift
+    report["ode_advance_residual"] = profile.ode_advance_residual
     _emit(args, _config_dict(args), report)
     return 0
 

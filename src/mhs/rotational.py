@@ -1,4 +1,4 @@
-"""Rotationally invariant minimal tori in S^3 via rotation-number shooting.
+"""Rotationally invariant minimal tori in S^3 from Clairaut's integral.
 
 S^1-invariant minimal surfaces in S^3 reduce to geodesics of the orbit
 metric sin^2(a) (da^2 + cos^2(a) dv^2) on the quotient strip.  The
@@ -6,6 +6,11 @@ conserved Clairaut constant c = sin^2(a) cos^2(a) v' parametrizes the
 radial oscillations and plays the role of the energy; c -> 1/2 is the
 circular (Clifford) solution.  A profile closes up into a torus when the
 angular advance over one radial period is 2*pi*p/q.
+
+The advance is Clairaut's integral between the turning points, evaluated
+by quadrature; the root-find for p/q needs no ODE.  The profile at the
+root is then sampled from one ODE period, which also certifies the root:
+its advance, closure and Clairaut drift are checked against the ODE.
 """
 
 import math
@@ -28,6 +33,9 @@ _LEAD_TIME = 1e-3              # event-free lead-in past the turning point
 _ODE_TOL = 1e-12
 _T_MAX = 100.0
 _N_SAMPLES = 2001
+_QUAD_NODES = 64               # first midpoint rule of the doubling
+_QUAD_MAX_NODES = 1 << 16
+_QUAD_RTOL = 1e-14             # two successive sums agree to rounding
 
 
 def _accel(a, da, dv):
@@ -47,16 +55,20 @@ def _rhs(t, y):
     return [da, dv, dda, ddv]
 
 
+def _check_window(c):
+    if not (_ENERGY_FLOOR <= c < CIRCULAR_ENERGY):
+        raise OutOfWindowError(
+            f"energy {c} outside the oscillatory window "
+            f"[{_ENERGY_FLOOR}, {CIRCULAR_ENERGY})")
+
+
 def _integrate_period(energy):
     """Integrate one radial oscillation starting at the inner turning point.
 
     Returns (T, dense evaluator over [0, T]).
     """
     c = float(energy)
-    if not (_ENERGY_FLOOR <= c < CIRCULAR_ENERGY):
-        raise OutOfWindowError(
-            f"energy {c} outside the oscillatory window "
-            f"[{_ENERGY_FLOOR}, {CIRCULAR_ENERGY})")
+    _check_window(c)
     a_min = 0.5 * np.arcsin(2.0 * c)
     y0 = [a_min, 0.0, 0.0, 1.0 / c]
     lead = solve_ivp(_rhs, (0.0, _LEAD_TIME), y0, method="DOP853",
@@ -92,13 +104,53 @@ def _integrate_period(energy):
     return T, evaluate
 
 
+def _clairaut_sum(c, nodes):
+    """Midpoint rule with `nodes` nodes for the rotation number at c.
+
+    Over one radial period dv/da = c / (cos a sqrt(sin^2 a cos^2 a - c^2))
+    between the turning points a0 = arcsin(2c)/2 and a1 = pi/2 - a0.  With
+    a = pi/4 - h cos(theta), h = arccos(2c)/2, the endpoint singularities
+    cancel against da = h sin(theta) dtheta, and the integrand is smooth
+    and even in theta, so the midpoint rule converges spectrally.  The
+    cancelling factor sin a cos a - c = cos(a + a0) sin(a - a0)
+    = sin(a1 - a) sin(a - a0) is formed from the offsets
+    a - a0 = 2h sin^2(theta/2) and a1 - a = 2h cos^2(theta/2), and so are
+    sin a and cos a, so no node loses digits to cancellation.
+    """
+    a0 = 0.5 * np.arcsin(2.0 * c)
+    h = 0.5 * np.arccos(2.0 * c)
+    half_theta = (np.arange(nodes) + 0.5) * (0.5 * np.pi / nodes)
+    s, co = np.sin(half_theta), np.cos(half_theta)
+    lo, hi = 2.0 * h * s * s, 2.0 * h * co * co       # a - a0, a1 - a
+    sin_a, cos_a = np.sin(a0 + lo), np.sin(a0 + hi)
+    f = (2.0 * c * h * s * co
+         / (cos_a * np.sqrt(np.sin(lo) * np.sin(hi)
+                            * (sin_a * cos_a + c))))
+    # f = dv/dtheta; Delta v = 2 (pi / nodes) sum f, divided by 2 pi
+    return float(f.sum() / nodes)
+
+
 def rotation_number(energy):
     """Angular advance over one radial oscillation, divided by 2*pi.
 
     Monotone increasing on the window, with limits 1/2 (energy -> 0) and
-    sqrt(2)/2 (energy -> the circular value 1/2).
+    sqrt(2)/2 (energy -> the circular value 1/2).  Clairaut's integral by
+    a midpoint rule whose node count doubles until two successive sums
+    agree to rounding level.
     """
-    return _advance(*_integrate_period(energy))
+    c = float(energy)
+    _check_window(c)
+    nodes = _QUAD_NODES
+    prev = _clairaut_sum(c, nodes)
+    while nodes < _QUAD_MAX_NODES:
+        nodes *= 2
+        rot = _clairaut_sum(c, nodes)
+        if abs(rot - prev) <= _QUAD_RTOL * rot:
+            return rot
+        prev = rot
+    raise ConvergenceError(
+        f"Clairaut quadrature for energy {c} did not converge in "
+        f"{_QUAD_MAX_NODES} nodes")
 
 
 def _advance(T, evaluate):
@@ -121,7 +173,11 @@ def rotation_window(num=41):
 
 @dataclass(frozen=True)
 class ProfileCurve:
-    """One radial period of a closed (p, q) profile."""
+    """One radial period of a closed (p, q) profile.
+
+    `ode_advance_residual` is the ODE's rotation number at the quadrature
+    root minus p/q: how well the two computations of the advance agree.
+    """
 
     period: float
     t: np.ndarray
@@ -132,6 +188,7 @@ class ProfileCurve:
     clairaut: float
     p: int
     q: int
+    ode_advance_residual: float
 
     def to_dict(self):
         return {
@@ -155,7 +212,13 @@ class ProfileCurve:
 
 
 def find_otsuki(p, q, tol=1e-10):
-    """Root-find the energy whose rotation number is p/q and sample it."""
+    """Root-find the energy whose rotation number is p/q and sample it.
+
+    The root-find runs on the quadrature `rotation_number`; one ODE period
+    at the root then gives the samples.  It fails loudly if the ODE's
+    advance there misses p/q, if the samples do not close up, or if the
+    Clairaut constant drifts along them.
+    """
     p, q = int(p), int(q)
     if p < 1 or q < 1:
         raise InvalidParameterError("p and q must be positive integers")
@@ -171,14 +234,17 @@ def find_otsuki(p, q, tol=1e-10):
     lo, hi = energies[i - 1], energies[i]
     energy = brentq(lambda c: rotation_number(c) - target, lo, hi,
                     xtol=1e-14, rtol=8.9e-16)
+    # the only ODE solve: it samples the profile and certifies the root
     T, evaluate = _integrate_period(energy)
-    if abs(_advance(T, evaluate) - target) > max(tol, 1e-12):
+    residual = _advance(T, evaluate) - target
+    if abs(residual) > max(tol, 1e-12):
         raise ConvergenceError(
             f"root finder stagnated for rotation number {p}/{q}")
     ts = np.linspace(0.0, T, _N_SAMPLES)
     a, v, da, dv = evaluate(ts)
     profile = ProfileCurve(period=T, t=ts, alpha=a, v=v, dalpha=da, dv=dv,
-                           clairaut=float(energy), p=p, q=q)
+                           clairaut=float(energy), p=p, q=q,
+                           ode_advance_residual=residual)
     if profile.closure_residual > max(10.0 * tol, 1e-8):
         raise ConvergenceError(
             f"profile closure residual {profile.closure_residual:.3e} "

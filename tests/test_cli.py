@@ -71,6 +71,7 @@ def test_family_profile(capsys):
     code, doc = run_json(capsys, ["family", "otsuki", "--p", "2", "--q", "3"])
     assert code == 0
     assert doc["report"]["closure_residual"] <= 1e-8
+    assert abs(doc["report"]["ode_advance_residual"]) <= 1e-12
     assert doc["report"]["p"] == 2 and doc["report"]["q"] == 3
 
 

@@ -1,13 +1,20 @@
-"""Profile-curve shooting and the rotational surface builder."""
+"""Rotation numbers, profile generation and the rotational surface builder."""
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from mhs import rotational
 from mhs.errors import (GenerationFailedError, InvalidParameterError,
                         NoSolutionError, OutOfWindowError)
 from mhs.geometry import check_minimality, sample_grid
 from mhs.rotational import (build_surface, find_otsuki, rotation_number,
                             rotation_window)
+
+
+def _ode_rotation_number(energy):
+    """Oracle: the advance over one radial period of the geodesic ODE."""
+    return rotational._advance(*rotational._integrate_period(energy))
 
 
 def test_rotation_number_limits():
@@ -21,6 +28,47 @@ def test_rotation_number_monotone_scan():
     energies, rots = rotation_window()
     assert np.all(np.diff(rots) > 0)
     assert rots[0] > 0.5 and rots[-1] < np.sqrt(2) / 2
+
+
+def test_quadrature_matches_ode_oracle():
+    energies = np.concatenate([rotation_window()[0], [1e-4, 1e-3, 5e-3]])
+    for c in energies:
+        oracle = _ode_rotation_number(c)
+        bound = 1e-12 if 0.02 <= c <= 0.45 else 1e-10
+        assert abs(rotation_number(c) - oracle) <= bound, c
+        if c == 1e-4:
+            # a fixed 64-node rule is far off near the energy floor, so
+            # the node doubling is what carries this case
+            assert abs(rotational._clairaut_sum(c, 64) - oracle) > 1e-10
+
+
+def test_find_otsuki_solves_one_ode_period(monkeypatch):
+    calls = []
+    integrate = rotational._integrate_period
+
+    def counting(energy):
+        calls.append(energy)
+        return integrate(energy)
+
+    monkeypatch.setattr(rotational, "_integrate_period", counting)
+    rotation_window.cache_clear()
+    profile = find_otsuki(2, 3)
+    assert len(calls) == 1 and calls[0] == profile.clairaut
+    assert abs(profile.ode_advance_residual) <= 1e-12
+
+
+def test_profile_agrees_with_ode_root(otsuki_profile):
+    # the root of the ODE rotation number over the same scan bracket
+    energies, rots = rotation_window()
+    i = int(np.searchsorted(rots, 2 / 3))
+    energy = brentq(lambda c: _ode_rotation_number(c) - 2 / 3,
+                    energies[i - 1], energies[i], xtol=1e-14, rtol=8.9e-16)
+    assert otsuki_profile.clairaut == pytest.approx(energy, rel=1e-12)
+    T, evaluate = rotational._integrate_period(energy)
+    samples = evaluate(np.linspace(0.0, T, otsuki_profile.t.size))
+    for name, ref in zip(("alpha", "v", "dalpha", "dv"), samples):
+        assert np.abs(getattr(otsuki_profile, name) - ref).max() <= 1e-10, \
+            name
 
 
 @pytest.mark.parametrize("energy", [-0.1, 0.0, 0.5, 0.7])
