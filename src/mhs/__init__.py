@@ -8,8 +8,7 @@ from .errors import MhsError
 from .fem import (OperatorSet, SurfaceMesh, assemble, load_mesh,
                   mesh_from_json, mesh_sphere, mesh_to_json, mesh_torus,
                   save_mesh)
-from .geometry import (GeometryFamily, ParamDomain, check_minimality,
-                       clifford, equator)
+from .geometry import GeometryFamily, check_minimality, clifford
 from .paperlab import (ChainRecord, FormReport, IdentityReport,
                        TheoremReport, TrialSpan, chain_sweep, choose_v0,
                        conjecture_probe, gauss_identities, lemma_check,
@@ -22,7 +21,7 @@ from .spectral import (EigenReport, first_eigfunction, inertia_below,
 
 __all__ = [
     "__version__", "MhsError",
-    "GeometryFamily", "ParamDomain", "equator", "clifford",
+    "GeometryFamily", "clifford",
     "check_minimality",
     "ProfileCurve", "rotation_number", "rotation_window", "find_otsuki",
     "build_surface",

@@ -139,7 +139,7 @@ def _check_orientation(triangles, num_vertices):
 
 
 def mesh_torus(family, nt, nphi):
-    """Structured periodic mesh of a doubly periodic chart.
+    """Structured periodic mesh of a torus chart.
 
     Each grid cell is split into two triangles; per-triangle parameter
     coordinates are kept unwrapped so quadrature midpoints never jump
@@ -147,10 +147,7 @@ def mesh_torus(family, nt, nphi):
     """
     if nt < 8 or nphi < 8:
         raise InvalidParameterError("torus mesh resolutions must be >= 8")
-    if not family.doubly_periodic:
-        raise InvalidParameterError(
-            f"{family.name} is not a doubly periodic surface chart")
-    lt, lp = family.param_domain.spans()
+    lt, lp = family.periods
     dt, dp = lt / nt, lp / nphi
     I, J = np.meshgrid(np.arange(nt), np.arange(nphi), indexing="ij")
     ii, jj = I.ravel(), J.ravel()
@@ -346,7 +343,7 @@ def assemble_spectral(mesh):
         raise InvalidParameterError(
             f"spectral assembly needs odd grid sides, got {nt}x{nphi}")
     family = mesh.source_family
-    lt, lp = family.param_domain.spans()
+    lt, lp = family.periods
     T = family.tangents(mesh.vertex_params)
     g = np.einsum("vai,vbi->vab", T, T)
     g11, g22, g12 = g[:, 0, 0], g[:, 1, 1], g[:, 0, 1]
@@ -392,6 +389,20 @@ def save_mesh(mesh, path):
         json.dump(mesh_to_json(mesh), fh)
 
 
+def _finite_array(value, what):
+    """value as a float array of finite numbers, or MeshFormatError."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:   # ragged nesting
+        raise MeshFormatError(f"{what} must be a rectangular array") from exc
+    if arr.dtype.kind not in "iuf":
+        raise MeshFormatError(f"{what} must hold numbers only")
+    arr = arr.astype(float)
+    if not np.isfinite(arr).all():
+        raise MeshFormatError(f"{what} must be finite")
+    return arr
+
+
 def mesh_from_json(doc, name="imported"):
     """Rebuild a SurfaceMesh from the interchange dictionary.
 
@@ -404,26 +415,29 @@ def mesh_from_json(doc, name="imported"):
     for key in ("vertices", "triangles"):
         if key not in doc:
             raise MeshFormatError(f"mesh document missing '{key}'")
-    vertices = np.asarray(doc["vertices"], dtype=float)
-    triangles = np.asarray(doc["triangles"], dtype=int)
+    vertices = _finite_array(doc["vertices"], "vertices")
+    triangles = _finite_array(doc["triangles"], "triangles")
     if vertices.ndim != 2 or vertices.shape[1] != 4:
         raise MeshFormatError("vertices must be an array of R^4 points")
     if triangles.ndim != 2 or triangles.shape[1] != 3:
         raise MeshFormatError("triangles must be an array of index triples")
+    if (triangles != np.round(triangles)).any():
+        raise MeshFormatError("triangle indices must be integers")
     norms = np.linalg.norm(vertices, axis=1)
     if np.abs(norms - 1.0).max() > 1e-6:
         raise MeshFormatError("vertices must lie on the unit sphere")
     vertices = vertices / norms[:, None]
     fields = doc.get("fields", {})
-    if "Asq" not in fields:
+    if not isinstance(fields, dict) or "Asq" not in fields:
         raise MeshFormatError(
             "imported meshes must carry a per-vertex 'Asq' field")
-    vertex_asq = np.asarray(fields["Asq"], dtype=float)
+    vertex_asq = _finite_array(fields["Asq"], "'Asq'")
     if vertex_asq.shape != (len(vertices),):
         raise MeshFormatError("'Asq' must hold one value per vertex")
     if vertex_asq.min() < 0:
         raise MeshFormatError("'Asq' values must be nonnegative")
     _check_orientation(triangles, len(vertices))
+    triangles = triangles.astype(int)
     P = vertices[triangles]
     e1 = P[:, 1] - P[:, 0]
     e2 = P[:, 2] - P[:, 0]
@@ -460,5 +474,9 @@ def mesh_from_json(doc, name="imported"):
 
 def load_mesh(path, name=None):
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:   # invalid JSON or text encoding
+            raise MeshFormatError(
+                f"{path} is not a JSON document: {exc}") from exc
     return mesh_from_json(doc, name=name or str(path))

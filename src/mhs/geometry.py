@@ -1,9 +1,12 @@
-"""Analytic families of minimal hypersurfaces of round spheres.
+"""Doubly periodic charts of minimal tori in S^3.
 
 A family bundles vectorized evaluators for the immersion x(u), the unit
 normal nu(u), the shape operator expressed in a Gram-Schmidt tangent
-frame, |A|^2 and the chart area element.  Everything is closed-form;
-nothing is reconstructed from meshes.
+frame, |A|^2 and the chart area element on the periodic rectangle
+[0, L_t) x [0, L_phi).  Everything is closed-form; nothing is
+reconstructed from meshes.  The Clifford torus lives here; rotational
+tori come from ``mhs.rotational``.  Spectra in any dimension are in
+``mhs.closedform``.
 """
 
 from dataclasses import dataclass
@@ -15,34 +18,17 @@ from .errors import InvalidParameterError
 
 
 @dataclass(frozen=True)
-class ParamDomain:
-    """Rectangular chart domain with per-dimension periodicity flags."""
-
-    lows: tuple
-    highs: tuple
-    periodic: tuple
-
-    @property
-    def dim(self):
-        return len(self.lows)
-
-    def spans(self):
-        return tuple(h - l for l, h in zip(self.lows, self.highs))
-
-
-@dataclass(frozen=True)
 class GeometryFamily:
-    """Immersed minimal hypersurface M^n of S^{n+1} given in one chart.
+    """Immersed minimal torus in S^3 on a doubly periodic chart.
 
-    Evaluators accept parameter arrays of shape (..., n) and broadcast.
-    ``shape_frame`` returns the shape operator in the orthonormal frame
-    obtained by Gram-Schmidt of the coordinate tangents, in order.
+    ``periods`` = (L_t, L_phi) are the chart periods.  Evaluators accept
+    parameter arrays of shape (..., 2) and broadcast.  ``shape_frame``
+    returns the shape operator in the orthonormal frame obtained by
+    Gram-Schmidt of the coordinate tangents, in order.
     """
 
     name: str
-    ambient_dim: int
-    surface_dim: int
-    param_domain: ParamDomain
+    periods: tuple
     position: Callable
     tangents: Callable
     normal: Callable
@@ -50,173 +36,57 @@ class GeometryFamily:
     asq: Callable
     sqrt_det_g: Callable
 
-    @property
-    def doubly_periodic(self):
-        return self.surface_dim == 2 and all(self.param_domain.periodic)
-
-
-# ----------------------------------------------------------------------
-# hyperspherical chart of the unit sphere S^m in R^{m+1}
-# ----------------------------------------------------------------------
-
-def _sphere_point(theta):
-    theta = np.asarray(theta, dtype=float)
-    m = theta.shape[-1]
-    sin = np.sin(theta)
-    cos = np.cos(theta)
-    x = np.empty(theta.shape[:-1] + (m + 1,))
-    prod = np.ones(theta.shape[:-1])
-    for i in range(m):
-        x[..., i] = prod * cos[..., i]
-        prod = prod * sin[..., i]
-    x[..., m] = prod
-    return x
-
-
-def _sphere_jacobian(theta):
-    """d x / d theta_j, shape (..., m, m+1)."""
-    theta = np.asarray(theta, dtype=float)
-    m = theta.shape[-1]
-    sin = np.sin(theta)
-    cos = np.cos(theta)
-    J = np.zeros(theta.shape[:-1] + (m, m + 1))
-    for i in range(m + 1):
-        # coordinate i is cos(theta_i) * prod_{l<i} sin(theta_l)
-        # (with cos factor absent for i == m)
-        for j in range(min(i + 1, m)):
-            term = np.ones(theta.shape[:-1])
-            for l in range(i):
-                if l == j:
-                    term = term * cos[..., l]
-                else:
-                    term = term * sin[..., l]
-            if i < m:
-                if j == i:
-                    term = term * (-sin[..., i])
-                else:
-                    term = term * cos[..., i]
-            J[..., j, i] = term
-    return J
-
-
-def _sphere_sqrt_det_g(theta):
-    theta = np.asarray(theta, dtype=float)
-    m = theta.shape[-1]
-    out = np.ones(theta.shape[:-1])
-    for i in range(m - 1):
-        out = out * np.sin(theta[..., i]) ** (m - 1 - i)
-    return out
-
-
-def _sphere_domain(m):
-    lows = [0.0] * m
-    highs = [np.pi] * (m - 1) + [2.0 * np.pi]
-    periodic = [False] * (m - 1) + [True]
-    return tuple(lows), tuple(highs), tuple(periodic)
-
-
-# ----------------------------------------------------------------------
-# families
-# ----------------------------------------------------------------------
-
-def equator(n):
-    """Totally geodesic S^n inside S^{n+1}; |A|^2 = 0 everywhere."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise InvalidParameterError(f"equator requires integer n >= 2, got {n!r}")
-    n = int(n)
-    lows, highs, periodic = _sphere_domain(n)
-    axis = np.zeros(n + 2)
-    axis[n + 1] = 1.0
-
-    def position(u):
-        x = _sphere_point(u)
-        return np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1)
-
-    def tangents(u):
-        J = _sphere_jacobian(u)
-        return np.concatenate([J, np.zeros(J.shape[:-1] + (1,))], axis=-1)
-
-    def normal(u):
-        u = np.asarray(u, dtype=float)
-        return np.broadcast_to(axis, u.shape[:-1] + (n + 2,)).copy()
-
-    def shape(u):
-        u = np.asarray(u, dtype=float)
-        return np.zeros(u.shape[:-1] + (n, n))
-
-    def asq(u):
-        u = np.asarray(u, dtype=float)
-        return np.zeros(u.shape[:-1])
-
-    return GeometryFamily(
-        name=f"equator({n})",
-        ambient_dim=n + 2,
-        surface_dim=n,
-        param_domain=ParamDomain(lows, highs, periodic),
-        position=position,
-        tangents=tangents,
-        normal=normal,
-        shape_frame=shape,
-        asq=asq,
-        sqrt_det_g=_sphere_sqrt_det_g,
-    )
-
 
 def clifford(n, k):
-    """Minimal product S^k(r) x S^{n-k}(s) with r = sqrt(k/n), s = sqrt((n-k)/n)."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise InvalidParameterError(f"clifford requires integer n >= 2, got {n!r}")
-    if not isinstance(k, (int, np.integer)) or not (1 <= k <= n - 1):
-        raise InvalidParameterError(f"clifford requires 1 <= k <= n-1, got k={k!r}")
-    n, k = int(n), int(k)
-    m1, m2 = k, n - k
-    r = np.sqrt(k / n)
-    s = np.sqrt((n - k) / n)
-    l1, h1, p1 = _sphere_domain(m1)
-    l2, h2, p2 = _sphere_domain(m2)
-    # constant principal curvatures in the Gram-Schmidt frame
-    A_const = np.diag([-s / r] * m1 + [r / s] * m2)
-    asq_const = m1 * (s / r) ** 2 + m2 * (r / s) ** 2
+    """Minimal Clifford torus S^1(1/sqrt 2) x S^1(1/sqrt 2) in S^3.
 
-    def split(u):
+    Only (n, k) = (2, 1) has a chart here; the product spectra
+    S^k x S^{n-k} for every n are ``closedform.clifford_jacobi``.
+    """
+    if not (isinstance(n, (int, np.integer))
+            and isinstance(k, (int, np.integer)) and (n, k) == (2, 1)):
+        raise InvalidParameterError(
+            f"clifford charts exist only for (n, k) = (2, 1), "
+            f"got ({n!r}, {k!r})")
+    r = np.sqrt(0.5)
+    # principal curvatures -1, 1 in the Gram-Schmidt frame
+    A_const = np.diag([-1.0, 1.0])
+
+    def circles(u):
         u = np.asarray(u, dtype=float)
-        return u[..., :m1], u[..., m1:]
+        t, p = u[..., 0], u[..., 1]
+        return np.cos(t), np.sin(t), np.cos(p), np.sin(p)
 
     def position(u):
-        t, p = split(u)
-        return np.concatenate([r * _sphere_point(t), s * _sphere_point(p)], axis=-1)
+        ct, st, cp, sp = circles(u)
+        return r * np.stack([ct, st, cp, sp], axis=-1)
 
     def tangents(u):
-        t, p = split(u)
-        Jt = r * _sphere_jacobian(t)
-        Jp = s * _sphere_jacobian(p)
-        shp = np.broadcast_shapes(Jt.shape[:-2], Jp.shape[:-2])
-        out = np.zeros(shp + (n, n + 2))
-        out[..., :m1, : m1 + 1] = Jt
-        out[..., m1:, m1 + 1:] = Jp
-        return out
+        ct, st, cp, sp = circles(u)
+        zero = np.zeros_like(ct)
+        return r * np.stack([np.stack([-st, ct, zero, zero], axis=-1),
+                             np.stack([zero, zero, -sp, cp], axis=-1)],
+                            axis=-2)
 
     def normal(u):
-        t, p = split(u)
-        return np.concatenate([s * _sphere_point(t), -r * _sphere_point(p)], axis=-1)
+        ct, st, cp, sp = circles(u)
+        return r * np.stack([ct, st, -cp, -sp], axis=-1)
 
     def shape(u):
         u = np.asarray(u, dtype=float)
-        return np.broadcast_to(A_const, u.shape[:-1] + (n, n)).copy()
+        return np.broadcast_to(A_const, u.shape[:-1] + (2, 2)).copy()
 
     def asq(u):
         u = np.asarray(u, dtype=float)
-        return np.full(u.shape[:-1], asq_const)
+        return np.full(u.shape[:-1], 2.0)
 
     def sqrtg(u):
-        t, p = split(u)
-        return (r ** m1) * (s ** m2) * _sphere_sqrt_det_g(t) * _sphere_sqrt_det_g(p)
+        u = np.asarray(u, dtype=float)
+        return np.full(u.shape[:-1], r * r)
 
     return GeometryFamily(
-        name=f"clifford({n},{k})",
-        ambient_dim=n + 2,
-        surface_dim=n,
-        param_domain=ParamDomain(l1 + l2, h1 + h2, p1 + p2),
+        name="clifford(2,1)",
+        periods=(2.0 * np.pi, 2.0 * np.pi),
         position=position,
         tangents=tangents,
         normal=normal,
@@ -227,21 +97,13 @@ def clifford(n, k):
 
 
 def sample_grid(family, per_dim):
-    """Interior parameter sample grid, shape (prod(per_dim), n).
+    """Periodic lattice of chart points, shape (nt * nphi, 2).
 
-    Periodic directions use the uniform lattice; bounded directions use
-    midpoints, which keeps hyperspherical charts away from their poles.
+    ``per_dim`` is (nt, nphi) or one side for both.
     """
-    dom = family.param_domain
     if np.isscalar(per_dim):
-        per_dim = (int(per_dim),) * dom.dim
-    axes = []
-    for i, m in enumerate(per_dim):
-        lo, hi = dom.lows[i], dom.highs[i]
-        if dom.periodic[i]:
-            axes.append(lo + (hi - lo) * np.arange(m) / m)
-        else:
-            axes.append(lo + (hi - lo) * (np.arange(m) + 0.5) / m)
+        per_dim = (int(per_dim),) * 2
+    axes = [L * np.arange(m) / m for L, m in zip(family.periods, per_dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in mesh], axis=-1)
 

@@ -25,7 +25,7 @@ from scipy.optimize import brentq
 from .errors import (ConvergenceError, GenerationFailedError,
                      IntegrationFailureError, InvalidParameterError,
                      NoSolutionError, OutOfWindowError)
-from .geometry import GeometryFamily, ParamDomain, check_minimality
+from .geometry import GeometryFamily, check_minimality
 
 CIRCULAR_ENERGY = 0.5          # Clairaut constant of the Clifford torus
 _ENERGY_FLOOR = 1e-4
@@ -36,6 +36,7 @@ _N_SAMPLES = 2001
 _QUAD_NODES = 64               # first midpoint rule of the doubling
 _QUAD_MAX_NODES = 1 << 16
 _QUAD_RTOL = 1e-14             # two successive sums agree to rounding
+_WINDOW_SCAN = 41              # energies in the rotation-window scan
 
 
 def _accel(a, da, dv):
@@ -158,13 +159,13 @@ def _advance(T, evaluate):
 
 
 @lru_cache(maxsize=None)
-def rotation_window(num=41):
+def rotation_window():
     """Scan the energy window; returns (energies, rotation numbers).
 
     The usable window is determined at runtime from this scan, never
     hardcoded.  Raises if the scan is not strictly monotone.
     """
-    energies = np.linspace(0.02, CIRCULAR_ENERGY - 2e-6, num)
+    energies = np.linspace(0.02, CIRCULAR_ENERGY - 2e-6, _WINDOW_SCAN)
     rots = np.array([rotation_number(c) for c in energies])
     if not np.all(np.diff(rots) > 0):
         raise IntegrationFailureError("rotation number scan is not monotone")
@@ -264,24 +265,20 @@ def build_surface(profile, nt=256, nphi=64):
     """
     if nt < 16 or nphi < 16:
         raise InvalidParameterError("resolutions below 16 are not supported")
-    q = profile.q
     T = profile.period
-    L = q * T
-    ts, a, v, da, dv = profile.t, profile.alpha, profile.v, profile.dalpha, profile.dv
-    dv_period = v[-1] - v[0]
-    tf = np.concatenate([ts[:-1] + j * T for j in range(q)] + [[L]])
-    af = np.concatenate([a[:-1]] * q + [[a[0]]])
-    daf = np.concatenate([da[:-1]] * q + [[da[0]]])
-    dvf = np.concatenate([dv[:-1]] * q + [[dv[0]]])
-    vf = np.concatenate([v[:-1] + j * dv_period for j in range(q)]
-                        + [[q * dv_period]])
-    omega = vf[-1] / L
-    dev = vf - omega * tf
-    dev[-1] = dev[0]
-    spl_a = CubicSpline(tf, af, bc_type="periodic")
-    spl_da = CubicSpline(tf, daf, bc_type="periodic")
-    spl_dv = CubicSpline(tf, dvf, bc_type="periodic")
-    spl_dev = CubicSpline(tf, dev, bc_type="periodic")
+    ts, v = profile.t, profile.v
+    # alpha, alpha', v' and v - omega t are T-periodic; the periodic
+    # spline on one radial period is the interpolant over all q of them
+    omega = (v[-1] - v[0]) / T
+
+    def periodic(y):
+        y = np.array(y)
+        y[-1] = y[0]
+        return CubicSpline(ts, y, bc_type="periodic")
+
+    spl_a, spl_da, spl_dv = (periodic(y) for y in
+                             (profile.alpha, profile.dalpha, profile.dv))
+    spl_dev = periodic(v - omega * ts)
 
     def _fields(u):
         """X, (X_t, X_phi), nu, A, |A|^2 and sqrt(g) in one pass.
@@ -297,7 +294,7 @@ def build_surface(profile, nt=256, nphi=64):
         """
         u = np.asarray(u, dtype=float)
         t, phi = u[..., 0], u[..., 1]
-        tm = np.mod(t, L)
+        tm = np.mod(t, T)
         al = spl_a(tm)
         vv = omega * t + spl_dev(tm)
         d_a, d_v = spl_da(tm), spl_dv(tm)
@@ -333,9 +330,7 @@ def build_surface(profile, nt=256, nphi=64):
 
     family = GeometryFamily(
         name=f"otsuki({profile.p},{profile.q})",
-        ambient_dim=4,
-        surface_dim=2,
-        param_domain=ParamDomain((0.0, 0.0), (L, 2.0 * np.pi), (True, True)),
+        periods=(profile.q * T, 2.0 * np.pi),
         position=field(0),
         tangents=field(1),
         normal=field(2),

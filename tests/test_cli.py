@@ -7,6 +7,8 @@ import pytest
 
 from mhs import paperlab, spectral
 from mhs.cli import main
+from mhs.errors import MeshFormatError
+from mhs.fem import load_mesh, mesh_sphere, mesh_to_json
 
 
 def run_json(capsys, argv):
@@ -147,6 +149,37 @@ def test_mesh_import_bad_file(tmp_path, capsys):
     path.write_text(json.dumps({"vertices": [[1, 0, 0, 0]]}))
     assert main(["mesh-import", "-i", str(path)]) == 1
     capsys.readouterr()
+
+
+def _corrupt(edit):
+    """Text of an ico1 mesh document after edit(doc) changed it in place."""
+    doc = mesh_to_json(mesh_sphere(1))
+    edit(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text", [
+    _corrupt(lambda d: d["vertices"][0].__setitem__(0, float("nan"))),
+    _corrupt(lambda d: d["fields"]["Asq"].__setitem__(3, float("nan"))),
+    _corrupt(lambda d: d["fields"]["Asq"].__setitem__(3, float("inf"))),
+    _corrupt(lambda d: d["vertices"][0].__setitem__(1, "zero")),
+    _corrupt(lambda d: d["triangles"][0].__setitem__(0, "2")),
+    _corrupt(lambda d: d["vertices"][0].append(0.0)),
+    # ico1's first triangle is (0, 16, 13); 16.3 must not be read as 16
+    _corrupt(lambda d: d["triangles"][0].__setitem__(1, 16.3)),
+    _corrupt(lambda d: d.__setitem__("fields", 3)),
+    '{"vertices": [[1, 0, 0, 0]], "triangles": ',
+], ids=["nan-vertex", "nan-asq", "inf-asq", "string-coordinate",
+        "string-index", "ragged-vertices", "fractional-index",
+        "fields-not-object", "invalid-json"])
+def test_mesh_import_rejects_malformed(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(MeshFormatError):
+        load_mesh(path)
+    assert main(["mesh-import", "-i", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_reports_reproducible(tmp_path, capsys):

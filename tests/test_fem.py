@@ -12,7 +12,7 @@ from mhs.errors import (DegenerateElementError, InvalidParameterError,
 from mhs.fem import (assemble, mesh_from_json, mesh_sphere, mesh_to_json,
                      mesh_torus)
 from mhs.closedform import clifford_jacobi
-from mhs.geometry import ParamDomain, clifford, equator
+from mhs.geometry import clifford
 from mhs.spectral import lowest_eigs, morse_index
 
 
@@ -40,11 +40,6 @@ def test_torus_mesh_constant_asq(clifford_mesh):
 def test_torus_resolution_guard(clifford_family=None):
     with pytest.raises(InvalidParameterError):
         mesh_torus(clifford(2, 1), 4, 64)
-
-
-def test_torus_requires_periodic_chart():
-    with pytest.raises(InvalidParameterError):
-        mesh_torus(equator(2), 16, 16)
 
 
 def test_sphere_mesh_invariants(sphere_mesh):
@@ -246,8 +241,7 @@ def test_spectral_independent_of_chart_scale(clifford_family):
         return lambda u: field(np.asarray(u) * half)
 
     stretched = dataclasses.replace(
-        fam, param_domain=ParamDomain((0.0, 0.0), (4 * np.pi, 2 * np.pi),
-                                      (True, True)),
+        fam, periods=(4 * np.pi, 2 * np.pi),
         position=at(fam.position), normal=at(fam.normal), asq=at(fam.asq),
         tangents=lambda u: at(fam.tangents)(u) * half[:, None],
         sqrt_det_g=lambda u: 0.5 * at(fam.sqrt_det_g)(u))

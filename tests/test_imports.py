@@ -1,4 +1,5 @@
-"""Static hygiene of the package sources: no unused imports or locals."""
+"""Static hygiene of the package sources: no unused imports, locals or
+private module-level names."""
 
 import ast
 from pathlib import Path
@@ -43,6 +44,51 @@ def test_detector_flags_only_unread_locals():
     source = ("def f(x, unread_arg):\n    a, b, _c = x\n    d = 1\n\n"
               "    def g():\n        e = d\n    return [a for y in x if y]\n")
     assert unused_locals(source) == ["b", "e"]
+
+
+def unread_private_names(sources):
+    """Module-level _names (functions, classes, constants) that no module
+    in ``sources`` (a {module: source text} dict) reads, as module:name."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(module, n) for n in names
+                        if n.startswith("_") and not n.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(f"{m}:{n}" for m, n in defined if n not in read)
+
+
+def test_detector_flags_only_unread_private_names():
+    sources = {
+        "a": ("_A, _B = 1, 2\n__all__ = []\ndef _f():\n    return _A\n"
+              "class _C:\n    pass\ndef g(_unused_arg):\n    _x = 1\n"),
+        "b": "from .a import _f\nimport a\na._C\n",
+    }
+    assert unread_private_names(sources) == ["a:_B"]
+
+
+def test_no_unread_private_names():
+    sources = {p.name: p.read_text() for p in SOURCES}
+    init = SOURCES[0].parent / "__init__.py"
+    sources[init.name] = init.read_text()
+    assert unread_private_names(sources) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

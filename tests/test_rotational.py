@@ -109,7 +109,7 @@ def test_build_surface_self_check(otsuki_profile):
     fam = build_surface(otsuki_profile, 64, 32)
     assert check_minimality(fam, per_dim=(64, 32)) <= 1e-6
     # chart closes over q radial periods
-    assert fam.param_domain.highs[0] == pytest.approx(
+    assert fam.periods[0] == pytest.approx(
         otsuki_profile.q * otsuki_profile.period)
 
 
@@ -137,7 +137,7 @@ def test_area_stable_under_refinement(otsuki_profile):
     # the chart area element is identically 1, so |M| = 2 pi q T; the
     # quadrature value must be resolution independent to 1e-4 relative
     fam = build_surface(otsuki_profile, 64, 32)
-    L = fam.param_domain.highs[0]
+    L = fam.periods[0]
     coarse = fam.sqrt_det_g(sample_grid(fam, (64, 32))).mean() * L * 2 * np.pi
     fine = fam.sqrt_det_g(sample_grid(fam, (128, 64))).mean() * L * 2 * np.pi
     assert abs(fine - coarse) <= 1e-4 * abs(fine)
