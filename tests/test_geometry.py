@@ -10,7 +10,7 @@ from mhs.rotational import build_surface, find_otsuki
 # the closed-form Otsuki (2, 3) fields; unlike the Clifford torus, A varies
 OTSUKI = build_surface(find_otsuki(2, 3), 64, 32)
 # the minimality bound build_surface enforces on its spline-built fields
-TRACE_TOL = {"clifford(2,1)": 1e-8, "otsuki(2,3)": 1e-6}
+TRACE_TOL = {"clifford(2,1)": 1e-8, "otsuki(2,3)": 1e-6, "otsuki(7,10)": 1e-6}
 
 
 def gram_schmidt(T):
@@ -55,7 +55,8 @@ def gradient_residuals(family, v, u, h):
     return np.linalg.norm(grad_l - vT), np.linalg.norm(grad_f + AvT)
 
 
-@pytest.mark.parametrize("family", [clifford(2, 1), OTSUKI])
+@pytest.mark.parametrize("family", [
+    OTSUKI, build_surface(find_otsuki(7, 10), 64, 32), clifford(2, 1)])
 def test_frame_invariants_sampled(family):
     rng = np.random.default_rng(7)
     for _ in range(10):
