@@ -17,7 +17,10 @@ from .errors import (InvalidParameterError, MeshFormatError, MhsError,
                      NoSolutionError)
 from .geometry import clifford
 
-_USAGE_ERRORS = (InvalidParameterError, MeshFormatError, NoSolutionError)
+# reported as "error:" lines with exit code 1; OSError covers a missing
+# input file or an output path in a missing directory
+_USAGE_ERRORS = (InvalidParameterError, MeshFormatError, NoSolutionError,
+                 OSError)
 
 
 def _add_family_args(parser):

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from .errors import (DegenerateElementError, InvalidParameterError,
                      MeshFormatError)
 from .geometry import GeometryFamily
-from .spectral import PhiModes
+from .spectral import PhiModes, dissection_order
 
 # barycentric coordinates of the three edge midpoints
 _PHI = np.array([[0.5, 0.5, 0.0],
@@ -94,8 +94,9 @@ class OperatorSet:
 
     K is the stiffness, Mm the mass, W the (n + |A|^2)-weighted mass;
     the quadratic form of the stability operator is x^T (K - W) x.
-    B = K - W, the |A|^2-weighted mass SA = W - n Mm and the phi-mode
-    split of the pencil are built on first use and kept.
+    B = K - W, the |A|^2-weighted mass SA = W - n Mm, the phi-mode
+    split of the pencil and the elimination order of its sparse
+    factorizations are built on first use and kept.
     """
 
     K: sp.csr_matrix
@@ -119,6 +120,13 @@ class OperatorSet:
         or None off a chart grid or where B or Mm is not invariant under
         the one-step shift in phi."""
         return PhiModes.build(self.B, self.Mm, self.grid_shape)
+
+    @cached_property
+    def elimination_order(self):
+        """Nested-dissection order of the pattern of B
+        (``spectral.dissection_order``), shared by every sparse
+        factorization of the unreduced pencil."""
+        return dissection_order(self.B)
 
     @property
     def size(self):

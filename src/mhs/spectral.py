@@ -3,7 +3,9 @@
 Two independent counting paths are provided: eigensolves (dense, or
 shift-invert Lanczos on large systems) for the lowest eigenpairs, and
 the signature of a symmetric indefinite factorization for inertia
-counts.  Every reported index is expected to agree across both.
+counts.  Every reported index is expected to agree across both.  On
+large systems both factor the shifted pencil without pivoting in one
+nested-dissection order of its graph (``dissection_order``).
 
 On a chart grid whose pencil is invariant under the one-step shift in
 the rotation angle phi (every torus the package builds), the pencil is
@@ -17,6 +19,8 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .errors import (InvalidParameterError, MultiplicityWarningError,
@@ -27,6 +31,7 @@ _RESIDUAL_TOL = 1e-8
 _SHIFT_RETRIES = 6
 _SHIFT_TOL = 1e-12   # phi-shift invariance, relative to max |entry|
 _MORSE_WINDOW = 16   # first eigenvalue window of morse_index
+_DISSECTION_LEAF = 64   # largest part that dissection_order leaves whole
 
 
 @dataclass(frozen=True)
@@ -206,6 +211,140 @@ class PhiModes:
         return vals, modes, X
 
 
+def _runs(keys):
+    """Start of each run of equal entries in keys, and the rank of every
+    entry within its run."""
+    heads = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    rank = np.arange(len(keys)) - np.repeat(heads,
+                                            np.diff(np.r_[heads, len(keys)]))
+    return heads, rank
+
+
+def _bfs_levels(indptr, indices, roots):
+    """Breadth-first level of every vertex of a CSR graph from the nearest
+    of roots (the roots are level 1; unreached vertices read -1)."""
+    n = len(indptr) - 1
+    # one sweep from an extra vertex n joined to every root
+    graph = sp.csr_matrix((np.ones(len(indices) + len(roots)),
+                           np.r_[indices, roots],
+                           np.r_[indptr, indptr[-1] + len(roots)]),
+                          shape=(n + 1, n + 1))
+    seq, pred = csgraph.breadth_first_order(graph, n,
+                                            return_predecessors=True)
+    # along seq the position of the predecessor never decreases, so
+    # level k + 1 starts at the first vertex whose predecessor is at or
+    # past the start of level k
+    pos = np.empty(n + 1, dtype=np.intp)
+    pos[seq] = np.arange(len(seq))
+    pred_pos = pos[pred[seq[1:]]]
+    bounds = [0, 1]
+    while bounds[-1] < len(seq):
+        bounds.append(1 + int(np.searchsorted(pred_pos, bounds[-1])))
+    level = np.full(n + 1, -1, dtype=np.intp)
+    level[seq] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    return level[:n]
+
+
+def dissection_order(A):
+    """Nested-dissection elimination order of the pattern of symmetric A.
+
+    Returns a permutation p of range(n) such that A[p][:, p] eliminates
+    every part before the separator that split it off (George, SIAM J.
+    Numer. Anal. 10, 1973).  Each part is a connected component of the
+    graph of A; one of at most _DISSECTION_LEAF vertices stays whole, in
+    vertex order.  A larger one is cut at the median breadth-first level
+    from a pseudo-peripheral vertex (the farthest vertex of a first
+    sweep), and that level is its separator.  Every part owns a block of
+    positions; its separator takes the last ones and the two sides the
+    rest.  All parts of one dissection depth are split together.
+    """
+    n = A.shape[0]
+    R = sp.coo_matrix(A)
+    rows, cols = np.r_[R.row, R.col], np.r_[R.col, R.row]
+    G = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    rows = np.repeat(np.arange(n), np.diff(G.indptr))
+    rows, cols = rows[rows != G.indices], G.indices[rows != G.indices]
+    order = np.empty(n, dtype=np.intp)
+    start = np.zeros(n, dtype=np.intp)   # first position of the part
+    active = np.ones(n, dtype=bool)      # not yet placed in order
+    while True:
+        keep = active[rows] & active[cols]
+        rows, cols = rows[keep], cols[keep]
+        indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))]
+        count, label = csgraph.connected_components(
+            sp.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(n, n)),
+            directed=False)
+        # active vertices grouped by component, each in vertex order
+        v = np.flatnonzero(active)
+        v = v[np.argsort(label[v], kind="stable")]
+        comp = label[v]
+        heads, rank = _runs(comp)
+        first, size = v[heads], np.diff(np.r_[heads, len(v)])
+        # the components of one part split its block in the order of
+        # their first vertices
+        part = start[first]
+        o = np.lexsort((first, part))
+        before = np.cumsum(size[o]) - size[o]
+        new_part = np.r_[True, part[o][1:] != part[o][:-1]]
+        offset = np.zeros(count, dtype=np.intp)
+        offset[comp[heads][o]] = (part[o] + before
+                                  - before[new_part][np.cumsum(new_part) - 1])
+        csize = np.zeros(count, dtype=np.intp)
+        csize[comp[heads]] = size
+        leaf = csize[comp] <= _DISSECTION_LEAF
+        order[offset[comp[leaf]] + rank[leaf]] = v[leaf]
+        active[v[leaf]] = False
+        big = size > _DISSECTION_LEAF
+        if not big.any():
+            return order
+        v, comp = v[~leaf], comp[~leaf]
+        heads, _ = _runs(comp)
+        run = np.repeat(np.arange(len(heads)), np.diff(np.r_[heads, len(v)]))
+        level = _bfs_levels(indptr, cols, first[big])[v]
+        far = np.where(level == np.maximum.reduceat(level, heads)[run],
+                       np.arange(len(v)), len(v))
+        level = _bfs_levels(indptr, cols,
+                            v[np.minimum.reduceat(far, heads)])[v]
+        # median level of each component: the first whose cumulative
+        # count passes half the component
+        width = level.max() + 1
+        hist = np.bincount(run * width + level, minlength=len(heads) * width)
+        median = np.argmax(np.cumsum(hist.reshape(-1, width), axis=1)
+                           > (size[big] // 2)[:, None], axis=1)[run]
+        left, cut = level < median, level == median
+        right = level > median
+        n_left = np.bincount(comp[left], minlength=count)
+        n_cut = np.bincount(comp[cut], minlength=count)
+        start[v[left]] = offset[comp[left]]
+        start[v[right]] = offset[comp[right]] + n_left[comp[right]]
+        c = comp[cut]
+        order[offset[c] + csize[c] - n_cut[c] + _runs(c)[1]] = v[cut]
+        active[v[cut]] = False
+
+
+def _ordered_factor(A, order):
+    """Unpivoted sparse LU of A[order][:, order]: (pivots, solve).
+
+    Every pivot is taken on the diagonal, so for symmetric A this is an
+    LDL^T in disguise and the pivots are D.  solve(b) solves A x = b in
+    the numbering of A.  None when a zero pivot stops the elimination.
+    """
+    try:
+        lu = spla.splu(A[order][:, order].tocsc(), permc_spec="NATURAL",
+                       diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError:   # exactly singular
+        return None
+    if not np.array_equal(lu.perm_r, lu.perm_c):   # off-diagonal pivot
+        return None
+
+    def solve(b):
+        x = np.empty_like(b)
+        x[order] = lu.solve(b[order])
+        return x
+    return lu.U.diagonal(), solve
+
+
 def lowest_eigs(ops, count, zero_tol=0.05, vectors=False):
     """The `count` algebraically smallest eigenpairs of (K-W, Mm).
 
@@ -213,7 +352,9 @@ def lowest_eigs(ops, count, zero_tol=0.05, vectors=False):
     pencils (``PhiModes``).  Otherwise a dense solver runs below
     _DENSE_LIMIT unknowns and shift-invert Lanczos above it, with the
     shift placed below the spectrum (the pencil is bounded below by
-    -q_max) and a seeded start vector, so repeated runs agree bitwise.
+    -q_max, so the shifted matrix is positive definite and is factored
+    without pivoting) and a seeded start vector, so repeated runs agree
+    bitwise.
     """
     size = ops.size
     if count < 1:
@@ -233,12 +374,20 @@ def lowest_eigs(ops, count, zero_tol=0.05, vectors=False):
     else:
         path = "shift-invert"
         sigma = -ops.q_max - 1.0
+        factor = _ordered_factor(B - sigma * ops.Mm,
+                                 ops.elimination_order)
+        if factor is None or factor[0].min() <= 0.0:
+            raise NumericalFailureError(
+                f"shift-invert matrix at sigma = {sigma:.6g} is not "
+                "positive definite; q_max understates the potential")
+        solve = spla.LinearOperator((size, size), matvec=factor[1],
+                                    dtype=float)
         # random, not ones or the Mm diagonal: a start vector invariant
         # under the mesh's symmetries misses the other modes
         start = np.random.default_rng(0).standard_normal(size)
         try:
             vals, vecs = spla.eigsh(B, k=count, M=ops.Mm, sigma=sigma,
-                                    which="LM", v0=start)
+                                    which="LM", v0=start, OPinv=solve)
         except Exception as exc:   # ARPACK breakdowns vary in type
             raise NumericalFailureError(
                 f"shift-invert eigensolve failed: {exc}") from exc
@@ -264,7 +413,8 @@ def inertia_below(ops, sigma):
     phi-shift-invariant chart grid it sums the dense LDL^T signatures of
     the mode pencils, each with its multiplicity.  Otherwise small
     systems use a dense LDL^T and large ones a sparse elimination
-    without pivoting, whose diagonal signs carry the same signature.
+    without pivoting in ``ops.elimination_order``, whose diagonal signs
+    carry the same signature.
     """
     modes = ops.phi_modes
     jitter = 0.0
@@ -288,7 +438,7 @@ def _nodal_signature(ops, sigma, jitter):
     if ops.size <= _DENSE_LIMIT:
         _, D, _ = sla.ldl(A.toarray())
         return _signature_negatives(D, scale)
-    return _sparse_signature(A, scale)
+    return _sparse_signature(A, scale, ops.elimination_order)
 
 
 def _mode_signature(modes, shift):
@@ -304,23 +454,19 @@ def _mode_signature(modes, shift):
     return total, True
 
 
-def _sparse_signature(A, scale):
+def _sparse_signature(A, scale, order):
     """Negative-pivot count of an unpivoted sparse LDU factorization.
 
-    With diagonal pivoting disabled the elimination of the symmetric
-    matrix is an LDL^T in disguise, so the signs of the U diagonal give
-    the inertia.  Tiny pivots mark the shift as unusable.
+    With every pivot on the diagonal of the symmetrically permuted
+    matrix the elimination is an LDL^T in disguise, so the signs of the
+    pivots give the inertia.  Tiny pivots mark the shift as unusable.
     """
-    try:
-        lu = spla.splu(A, diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-    except RuntimeError:
+    factor = _ordered_factor(A, order)
+    if factor is None:
         return 0, False
-    d = lu.U.diagonal()
+    d = factor[0]
     if np.abs(d).min() <= 1e-12 * scale:
         return 0, False
-    # row scalings of the equilibrated system are positive and the
-    # permutation is symmetric, so signs transfer directly
     return int((d < 0).sum()), True
 
 

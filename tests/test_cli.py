@@ -151,6 +151,24 @@ def test_mesh_import_bad_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["mesh-import", "-i", "{missing}/mesh.json"],
+    ["spectrum", "--family", "equator", "--res", "1",
+     "-o", "{missing}/spectrum.json"],
+    ["paper-check", "--family", "equator", "--res", "1",
+     "-o", "{missing}/report.json"],
+    ["mesh-export", "--family", "equator", "--res", "1",
+     "-o", "{missing}/mesh.json"],
+], ids=["mesh-import", "spectrum", "paper-check", "mesh-export"])
+def test_missing_path_is_an_error_line(tmp_path, capsys, argv):
+    missing = tmp_path / "no-such-directory"
+    argv = [a.format(missing=missing) for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+    assert not missing.exists()
+
+
 def _corrupt(edit):
     """Text of an ico1 mesh document after edit(doc) changed it in place."""
     doc = mesh_to_json(mesh_sphere(1))

@@ -6,10 +6,14 @@ from functools import partial
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sps
+import scipy.sparse.csgraph as csgraph
+import scipy.sparse.linalg as spla
 
 from mhs import fem, rotational, spectral
 from mhs.closedform import clifford_jacobi, equator_jacobi
-from mhs.errors import InvalidParameterError, MultiplicityWarningError
+from mhs.errors import (InvalidParameterError, MultiplicityWarningError,
+                        NumericalFailureError)
 from mhs.geometry import clifford
 from mhs.spectral import (first_eigfunction, inertia_below, lowest_eigs,
                           morse_index)
@@ -62,10 +66,61 @@ def test_inertia_dense_and_sparse_agree(clifford_ops):
     # compare
     ops = dataclasses.replace(clifford_ops[32], grid_shape=None)
     dense = inertia_below(ops, -0.05)
-    import mhs.spectral as sp
     A = (ops.B + 0.05 * ops.Mm).tocsc()
-    sparse, ok = sp._sparse_signature(A, max(np.abs(A.data).max(), 1.0))
+    sparse, ok = spectral._sparse_signature(
+        A, max(np.abs(A.data).max(), 1.0), ops.elimination_order)
     assert ok and sparse == dense == 5
+
+
+def test_dissection_order_is_a_permutation(sphere_op):
+    order = spectral.dissection_order(sphere_op.B)
+    assert np.array_equal(np.sort(order), np.arange(sphere_op.size))
+    assert np.array_equal(spectral.dissection_order(sphere_op.B), order)
+    # more than one dissection depth, so separators were placed
+    assert sphere_op.size > 16 * spectral._DISSECTION_LEAF
+    # two disconnected copies of one pattern
+    B2 = fem.assemble(fem.mesh_sphere(2)).B
+    order = spectral.dissection_order(sps.block_diag([B2, B2]))
+    assert np.array_equal(np.sort(order), np.arange(2 * B2.shape[0]))
+
+
+def test_dissection_order_keeps_the_factor_sparse(sphere_op):
+    # eliminating parts before their separators fills far less than the
+    # banded reverse Cuthill-McKee order (194,702 against 350,652 on
+    # ico4); a separator placed first or a lopsided cut exceeds the bound
+    B = sphere_op.B.tocsc()
+    order = sphere_op.elimination_order
+
+    def fill(p):
+        A = (B - (-sphere_op.q_max - 1.0) * sphere_op.Mm)[p][:, p].tocsc()
+        lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+        return lu.L.nnz + lu.U.nnz
+
+    rcm = csgraph.reverse_cuthill_mckee(sphere_op.B.tocsr(),
+                                        symmetric_mode=True)
+    assert fill(order) < 0.7 * fill(rcm)
+
+
+def test_nodal_path_matches_independent_references(sphere_op, clifford_op):
+    sigma = -sphere_op.q_max - 1.0
+    ref = np.sort(spla.eigsh(sphere_op.B, 16, M=sphere_op.Mm, sigma=sigma,
+                             which="LM", return_eigenvectors=False))
+    report = lowest_eigs(sphere_op, 16)
+    assert report.path == "shift-invert"
+    assert np.abs(report.eigenvalues - ref).max() < 1e-10
+    for s in (-3.0, -0.05, 0.05, 4.5):
+        assert inertia_below(sphere_op, s) == int((ref < s).sum())
+    # chart sets take the phi-mode path and never order the nodal pencil
+    morse_index(clifford_op)
+    assert "elimination_order" not in clifford_op.__dict__
+
+
+def test_shift_invert_refuses_indefinite_factor(sphere_op):
+    # q_max below the potential puts the shift inside the spectrum
+    bad = dataclasses.replace(sphere_op, q_max=-10.0)
+    with pytest.raises(NumericalFailureError, match="positive definite"):
+        lowest_eigs(bad, 4)
 
 
 def test_first_eigfunction_clifford(clifford_op):
