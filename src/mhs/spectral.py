@@ -10,17 +10,18 @@ nested-dissection order of its graph (``dissection_order``).
 On a chart grid whose pencil is invariant under the one-step shift in
 the rotation angle phi (every torus the package builds), the pencil is
 block-circulant and both paths run on one small dense pencil per
-phi-Fourier mode instead (``PhiModes``).
+phi-Fourier mode instead (``PhiModes``).  There a mode is solved only
+when a Cholesky factorization cannot exclude it from the answer, and
+the inertia count takes a mode that factors by Cholesky as having no
+eigenvalue below the shift.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .errors import (InvalidParameterError, MultiplicityWarningError,
@@ -32,6 +33,7 @@ _SHIFT_RETRIES = 6
 _SHIFT_TOL = 1e-12   # phi-shift invariance, relative to max |entry|
 _MORSE_WINDOW = 16   # first eigenvalue window of morse_index
 _DISSECTION_LEAF = 64   # largest part that dissection_order leaves whole
+_CERTIFY_GAP = 1e-9     # relative margin of a mode certificate above tau
 
 
 @dataclass(frozen=True)
@@ -87,14 +89,6 @@ def _offset_blocks(A, nt, nphi):
     return offsets, C
 
 
-@dataclass(frozen=True)
-class _ModeSpectrum:
-    values: list          # per mode k: ascending eigenvalues
-    eigenvalues: np.ndarray   # all of them, ascending, complex modes twice
-    modes: np.ndarray     # mode k of each entry
-    columns: np.ndarray   # column of each entry in lift(k, U)
-
-
 class PhiModes:
     """The pencil of an (nt, nphi) chart grid split over phi-Fourier modes.
 
@@ -106,12 +100,22 @@ class PhiModes:
     Modes k and -k are complex conjugate, so the real pencil has each
     eigenvalue of a mode 0 < k < nphi/2 twice (the real and imaginary
     parts of x); modes 0 and nphi/2 are real and count once.
+
+    Modes are solved lazily (``lowest``): a mode is either solved, by one
+    dense eigensolve whose eigenpairs are kept, or certified, by a
+    Cholesky factorization proving it has nothing below a threshold.
     """
 
     def __init__(self, nt, nphi, B, Mm):
         self.nt, self.nphi = nt, nphi
         self._B = _offset_blocks(B, nt, nphi)
         self._Mm = _offset_blocks(Mm, nt, nphi)
+        # mode k -> (ascending eigenvalues, Mm_k-orthonormal vectors)
+        self.solved = {}
+        # largest tau at which B_k - (tau + gap) Mm_k factored by Cholesky
+        self.certified = np.full(self.count, -np.inf)
+        # leading eigenpairs of each solved mode that passed the residual
+        # check
         self._checked = np.zeros(self.count, dtype=int)
 
     @classmethod
@@ -169,45 +173,61 @@ class PhiModes:
             X = np.stack([Z.real, Z.imag], axis=-1)
         return X.reshape(self.nt * self.nphi, -1)
 
-    @cached_property
-    def spectrum(self):
-        """Every eigenvalue of every mode, from one dense solve each."""
-        values, vals, modes, cols = [], [], [], []
-        for k in range(self.count):
-            lam = sla.eigh(*self.pencil(k), eigvals_only=True)
+    def _merged(self):
+        """(eigenvalues, modes, columns in lift(k, U)) of the solved modes,
+        ascending, complex modes twice; ties keep mode order."""
+        if not self.solved:
+            return np.empty(0), np.empty(0, int), np.empty(0, int)
+        vals, modes, cols = [], [], []
+        for k in sorted(self.solved):
+            lam = self.solved[k][0]
             m = self.multiplicity(k)
-            values.append(lam)
             vals.append(np.repeat(lam, m))
             modes.append(np.full(m * len(lam), k))
             cols.append(np.arange(m * len(lam)))
         vals = np.concatenate(vals)
         order = np.argsort(vals, kind="stable")
-        return _ModeSpectrum(values, vals[order],
-                             np.concatenate(modes)[order],
-                             np.concatenate(cols)[order])
+        return (vals[order], np.concatenate(modes)[order],
+                np.concatenate(cols)[order])
 
     def lowest(self, count, vectors=False):
         """(eigenvalues, modes, nodal vectors or None) of the lowest count.
 
-        The eigenpairs of each mode pencil behind them pass the residual
-        check (each mode's lowest ones once per operator set).
+        tau is the count-th smallest eigenvalue of the modes solved so
+        far (infinite while they have fewer).  The modes are swept in
+        order of k, with no monotonicity in k assumed: an unsolved mode
+        is passed over when it is certified at tau or above, else it is
+        certified now if B_k - (tau + gap) Mm_k factors by Cholesky
+        (Sylvester's law: then every eigenvalue of the mode exceeds
+        tau + gap), else it is solved and tau recomputed.  The gap, a
+        relative _CERTIFY_GAP, keeps a mode whose eigenvalue ties tau
+        from being left out on rounding.  The eigenpairs of each mode
+        behind the answer pass the residual check.
         """
-        spec = self.spectrum
-        vals = spec.eigenvalues[:count]
-        modes = spec.modes[:count]
-        cols = spec.columns[:count]
+        vals = self._merged()[0]
+        for k in range(self.count):
+            # solving a mode can only lower tau, so one pass suffices
+            tau = vals[count - 1] if len(vals) >= count else np.inf
+            if k in self.solved or self.certified[k] >= tau:
+                continue
+            Bk, Mk = self.pencil(k)
+            if tau < np.inf and _positive_definite(
+                    Bk - (tau + _CERTIFY_GAP * max(abs(tau), 1.0)) * Mk):
+                self.certified[k] = tau
+                continue
+            self.solved[k] = sla.eigh(Bk, Mk)
+            vals = self._merged()[0]
+        vals, modes, cols = (a[:count] for a in self._merged())
         X = np.empty((self.nt * self.nphi, count)) if vectors else None
         for k in np.unique(modes):
             sel = np.flatnonzero(modes == k)
             r = int(cols[sel].max()) // self.multiplicity(k) + 1
-            if r <= self._checked[k] and not vectors:
-                continue
-            Bk, Mk = self.pencil(k)
-            _, U = sla.eigh(Bk, Mk, subset_by_index=[0, r - 1])
-            _residual_check(Bk, Mk, spec.values[k][:r], U)
-            self._checked[k] = max(self._checked[k], r)
+            lam, U = self.solved[k]
+            if r > self._checked[k]:
+                _residual_check(*self.pencil(k), lam[:r], U[:, :r])
+                self._checked[k] = r
             if vectors:
-                X[:, sel] = self.lift(k, U)[:, cols[sel]]
+                X[:, sel] = self.lift(k, U[:, :r])[:, cols[sel]]
         return vals, modes, X
 
 
@@ -223,6 +243,7 @@ def _runs(keys):
 def _bfs_levels(indptr, indices, roots):
     """Breadth-first level of every vertex of a CSR graph from the nearest
     of roots (the roots are level 1; unreached vertices read -1)."""
+    import scipy.sparse.csgraph as csgraph
     n = len(indptr) - 1
     # one sweep from an extra vertex n joined to every root
     graph = sp.csr_matrix((np.ones(len(indices) + len(roots)),
@@ -258,6 +279,7 @@ def dissection_order(A):
     positions; its separator takes the last ones and the two sides the
     rest.  All parts of one dissection depth are split together.
     """
+    import scipy.sparse.csgraph as csgraph
     n = A.shape[0]
     R = sp.coo_matrix(A)
     rows, cols = np.r_[R.row, R.col], np.r_[R.col, R.row]
@@ -349,12 +371,12 @@ def lowest_eigs(ops, count, zero_tol=0.05, vectors=False):
     """The `count` algebraically smallest eigenpairs of (K-W, Mm).
 
     On a phi-shift-invariant chart grid the values come from the mode
-    pencils (``PhiModes``).  Otherwise a dense solver runs below
-    _DENSE_LIMIT unknowns and shift-invert Lanczos above it, with the
-    shift placed below the spectrum (the pencil is bounded below by
-    -q_max, so the shifted matrix is positive definite and is factored
-    without pivoting) and a seeded start vector, so repeated runs agree
-    bitwise.
+    pencils that Cholesky certificates cannot exclude (``PhiModes``).
+    Otherwise a dense solver runs below _DENSE_LIMIT unknowns and
+    shift-invert Lanczos above it, with the shift placed below the
+    spectrum (the pencil is bounded below by -q_max, so the shifted
+    matrix is positive definite and is factored without pivoting) and a
+    seeded start vector, so repeated runs agree bitwise.
     """
     size = ops.size
     if count < 1:
@@ -410,8 +432,9 @@ def inertia_below(ops, sigma):
     Computed from the signature of a symmetric factorization of
     K - W - sigma*Mm (Sylvester's law); if the shifted matrix is
     numerically singular the shift is jittered and retried.  On a
-    phi-shift-invariant chart grid it sums the dense LDL^T signatures of
-    the mode pencils, each with its multiplicity.  Otherwise small
+    phi-shift-invariant chart grid it sums the signatures of the mode
+    pencils, each with its multiplicity: none negative where a Cholesky
+    factorization succeeds, else from a dense LDL^H.  Otherwise small
     systems use a dense LDL^T and large ones a sparse elimination
     without pivoting in ``ops.elimination_order``, whose diagonal signs
     carry the same signature.
@@ -442,16 +465,34 @@ def _nodal_signature(ops, sigma, jitter):
 
 
 def _mode_signature(modes, shift):
+    """Sum of the mode pencils' signatures at shift, with multiplicity.
+
+    A mode whose shifted pencil factors by Cholesky with no pivot at
+    roundoff level adds no negatives; any other takes the LDL^H
+    signature.
+    """
     total = 0
     for k in range(modes.count):
         Bk, Mk = modes.pencil(k)
         A = Bk - shift * Mk
+        scale = max(np.abs(A).max(), 1.0)
+        if _positive_definite(A.copy(), 1e-12 * scale):
+            continue
         _, D, _ = sla.ldl(A)
-        neg, ok = _signature_negatives(D, max(np.abs(A).max(), 1.0))
+        neg, ok = _signature_negatives(D, scale)
         if not ok:
             return 0, False
         total += modes.multiplicity(k) * neg
     return total, True
+
+
+def _positive_definite(A, floor=0.0):
+    """Whether the Cholesky factorization (?potrf) of Hermitian A, read
+    from its lower triangle, succeeds with every pivot L_ii^2 above
+    floor.  Overwrites A."""
+    potrf, = sla.get_lapack_funcs(("potrf",), (A,))
+    L, info = potrf(A, lower=True, overwrite_a=True, clean=False)
+    return info == 0 and float(np.min(L.diagonal().real ** 2)) > floor
 
 
 def _sparse_signature(A, scale, order):

@@ -2,6 +2,7 @@
 
 import dataclasses
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -292,6 +293,116 @@ def test_phi_mode_path_refused_off_chart(sphere_op, clifford_meshes,
     index, report = morse_index(bent)
     assert report.path == "dense"
     assert index == morse_index(_unreduced(ops))[0] == 5
+
+
+def _periodic(n, diag, offsets):
+    """Symmetric n x n circulant with diag on the diagonal and c at the
+    offsets +-s of each (s, c) in offsets."""
+    A = diag * sps.eye(n)
+    for s, c in offsets:
+        A = A + c * (sps.eye(n, k=s) + sps.eye(n, k=s - n)
+                     + sps.eye(n, k=-s) + sps.eye(n, k=n - s))
+    return A
+
+
+def test_phi_mode_sweep_finds_a_lowest_mode_past_certified_ones():
+    # B = T (x) I + I (x) P on a 6 x 8 grid, where the phi circulant P has
+    # symbol 0.7 + cos(theta) / 2 - 2 cos(2 theta) over modes k = 0..4:
+    # -0.8, 1.05, 2.7, 0.35 and -1.8, so the lowest eigenvalue lies in
+    # the Nyquist mode k = 4, past modes that Cholesky certifies
+    nt, nphi = 6, 8
+    T = _periodic(nt, 0.6, [(1, -0.3)])
+    P = _periodic(nphi, 0.7, [(1, 0.25), (2, -1.0)])
+    Mt = _periodic(nt, 4 / 6, [(1, 1 / 6)])
+    Mphi = _periodic(nphi, 4 / 6, [(1, 1 / 6)])
+    B = (sps.kron(T, sps.eye(nphi)) + sps.kron(sps.eye(nt), P)).tocsr()
+    Mm = sps.kron(Mt, Mphi).tocsr()
+    ops = fem.OperatorSet(K=B, Mm=Mm, W=sps.csr_matrix(B.shape), n=2,
+                          q_max=10.0, grid_shape=(nt, nphi))
+    exact = sla.eigh(B.toarray(), Mm.toarray(), eigvals_only=True)
+    assert np.abs(exact).min() > 0.1   # no count sits on a tolerance
+    for count in (1, 3, 12):
+        fresh = dataclasses.replace(ops)   # empty mode caches
+        report = lowest_eigs(fresh, count)
+        assert report.path == "phi-modes" and report.modes[0] == nphi // 2
+        assert np.abs(report.eigenvalues - exact[:count]).max() < 1e-12
+        if count == 1:   # modes 1 to 3 certified, not solved
+            assert sorted(fresh.phi_modes.solved) == [0, 4]
+    for sigma in (-3.0, -0.05, 0.05, 1.0, 4.5):
+        assert inertia_below(ops, sigma) == int((exact < sigma).sum())
+    index, report = morse_index(ops)
+    plain_index, plain = morse_index(_unreduced(ops))
+    assert plain.path == "dense"
+    assert (index, report.nullity) == (plain_index, plain.nullity) == (
+        (exact < -0.05).sum(), (np.abs(exact) <= 0.05).sum())
+
+
+@pytest.mark.parametrize("name", ["otsuki_op_coarse", "clifford_op",
+                                  "otsuki_op_spectral"])
+def test_phi_mode_cutoff_agrees_with_every_mode_solved(name, request):
+    ops = request.getfixturevalue(name)
+    # fresh copies: the mode caches of the session fixture stay out
+    every = dataclasses.replace(ops)
+    full = lowest_eigs(every, ops.size)
+    assert len(every.phi_modes.solved) == every.phi_modes.count
+    # on Clifford 64^2 the tenth value, 4.032, is shared by modes 0 and 2
+    # (the square grid is symmetric under t <-> phi): a certificate taken
+    # exactly at tau would pass or fail on rounding
+    for count in (10, 32):
+        cut = dataclasses.replace(ops)
+        with mock.patch.object(spectral.sla, "eigh", wraps=sla.eigh) as eigh:
+            report = lowest_eigs(cut, count)
+            index, window = morse_index(cut)
+        modes = cut.phi_modes
+        assert eigh.call_count == len(modes.solved) < modes.count
+        for rep in (report, window):
+            size = len(rep.eigenvalues)
+            assert np.abs(rep.eigenvalues
+                          - full.eigenvalues[:size]).max() <= 1e-12
+            assert np.array_equal(rep.modes, full.modes[:size])
+        assert (index, window.nullity) == (
+            (full.eigenvalues < -0.05).sum(),
+            (np.abs(full.eigenvalues) <= 0.05).sum())
+        # every mode left unsolved carries a Cholesky certificate at or
+        # above the largest value returned
+        unsolved = sorted(set(range(modes.count)) - set(modes.solved))
+        assert unsolved
+        assert np.all(modes.certified[unsolved]
+                      >= max(report.eigenvalues[-1], window.eigenvalues[-1]))
+
+
+def test_mode_signature_cholesky_fast_path(otsuki_op_coarse):
+    modes = otsuki_op_coarse.phi_modes
+
+    def ldl_signature(shift):
+        total = 0
+        for k in range(modes.count):
+            Bk, Mk = modes.pencil(k)
+            A = Bk - shift * Mk
+            _, D, _ = sla.ldl(A)
+            neg, ok = spectral._signature_negatives(
+                D, max(np.abs(A).max(), 1.0))
+            assert ok
+            total += modes.multiplicity(k) * neg
+        return total
+
+    for sigma in (-3.0, -0.05, 0.05, 4.5):
+        with mock.patch.object(spectral.sla, "ldl", wraps=sla.ldl) as ldl:
+            fast = spectral._mode_signature(modes, sigma)
+        assert fast == (ldl_signature(sigma), True)
+        assert ldl.call_count < modes.count   # the others factored by Cholesky
+    # on the ground state, and just below it where the shifted mode-0
+    # pencil still factors by Cholesky but with a pivot at roundoff
+    # level: no count, the jitter retry takes over
+    B0, M0 = modes.pencil(0)
+    lam = sla.eigh(B0, M0, eigvals_only=True)[0]
+    assert spectral._positive_definite(B0 - (lam - 1e-12) * M0)
+    for shift in (lam, lam - 1e-12):
+        assert spectral._mode_signature(modes, shift) == (0, False)
+        with mock.patch.object(spectral, "_mode_signature",
+                               wraps=spectral._mode_signature) as sig:
+            count = inertia_below(otsuki_op_coarse, shift)
+        assert sig.call_count > 1 and count == 1
 
 
 def test_signature_counts_complex_hermitian():
