@@ -1,11 +1,11 @@
 """Generalized eigenvalue solves for the stability pencil (K - W, Mm).
 
-Two independent counting paths are provided: eigensolves (dense, or
-shift-invert Lanczos on large systems) for the lowest eigenpairs, and
-the signature of a symmetric indefinite factorization for inertia
-counts.  Every reported index is expected to agree across both.  On
-large systems both factor the shifted pencil without pivoting in one
-nested-dissection order of its graph (``dissection_order``).
+Two independent counting paths are provided: shift-invert Lanczos for
+the lowest eigenpairs, and the signature of a symmetric factorization
+for inertia counts; every reported index is expected to agree across
+both.  At every size both factor the shifted pencil without pivoting in
+one nested-dissection order of its graph (``dissection_order``).  Only
+a request for over a quarter of the spectrum takes a dense solve.
 
 On a chart grid whose pencil is invariant under the one-step shift in
 the rotation angle phi (every torus the package builds), the pencil is
@@ -27,7 +27,6 @@ import scipy.sparse.linalg as spla
 from .errors import (InvalidParameterError, MultiplicityWarningError,
                      NumericalFailureError, ShiftRetryExhaustedError)
 
-_DENSE_LIMIT = 2000
 _RESIDUAL_TOL = 1e-8
 _SHIFT_RETRIES = 6
 _SHIFT_TOL = 1e-12   # phi-shift invariance, relative to max |entry|
@@ -175,7 +174,10 @@ class PhiModes:
 
     def _merged(self):
         """(eigenvalues, modes, columns in lift(k, U)) of the solved modes,
-        ascending, complex modes twice; ties keep mode order."""
+        ascending, complex modes twice.  Values within a relative
+        _CERTIFY_GAP are ties, listed by mode rather than by rounding; no
+        certificate excludes a mode that close to tau, so a tie at the
+        end of a window is solved whole."""
         if not self.solved:
             return np.empty(0), np.empty(0, int), np.empty(0, int)
         vals, modes, cols = [], [], []
@@ -185,10 +187,13 @@ class PhiModes:
             vals.append(np.repeat(lam, m))
             modes.append(np.full(m * len(lam), k))
             cols.append(np.arange(m * len(lam)))
-        vals = np.concatenate(vals)
+        vals, modes, cols = map(np.concatenate, (vals, modes, cols))
         order = np.argsort(vals, kind="stable")
-        return (vals[order], np.concatenate(modes)[order],
-                np.concatenate(cols)[order])
+        vals = vals[order]
+        tie = np.diff(vals) <= _CERTIFY_GAP * np.maximum(abs(vals[1:]), 1)
+        order = order[np.lexsort((cols[order], modes[order],
+                                  np.cumsum(np.r_[True, ~tie])))]
+        return vals, modes[order], cols[order]
 
     def lowest(self, count, vectors=False):
         """(eigenvalues, modes, nodal vectors or None) of the lowest count.
@@ -240,32 +245,6 @@ def _runs(keys):
     return heads, rank
 
 
-def _bfs_levels(indptr, indices, roots):
-    """Breadth-first level of every vertex of a CSR graph from the nearest
-    of roots (the roots are level 1; unreached vertices read -1)."""
-    import scipy.sparse.csgraph as csgraph
-    n = len(indptr) - 1
-    # one sweep from an extra vertex n joined to every root
-    graph = sp.csr_matrix((np.ones(len(indices) + len(roots)),
-                           np.r_[indices, roots],
-                           np.r_[indptr, indptr[-1] + len(roots)]),
-                          shape=(n + 1, n + 1))
-    seq, pred = csgraph.breadth_first_order(graph, n,
-                                            return_predecessors=True)
-    # along seq the position of the predecessor never decreases, so
-    # level k + 1 starts at the first vertex whose predecessor is at or
-    # past the start of level k
-    pos = np.empty(n + 1, dtype=np.intp)
-    pos[seq] = np.arange(len(seq))
-    pred_pos = pos[pred[seq[1:]]]
-    bounds = [0, 1]
-    while bounds[-1] < len(seq):
-        bounds.append(1 + int(np.searchsorted(pred_pos, bounds[-1])))
-    level = np.full(n + 1, -1, dtype=np.intp)
-    level[seq] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-    return level[:n]
-
-
 def dissection_order(A):
     """Nested-dissection elimination order of the pattern of symmetric A.
 
@@ -293,9 +272,9 @@ def dissection_order(A):
         keep = active[rows] & active[cols]
         rows, cols = rows[keep], cols[keep]
         indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))]
-        count, label = csgraph.connected_components(
-            sp.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(n, n)),
-            directed=False)
+        graph = sp.csr_matrix((np.ones(len(cols)), cols, indptr),
+                              shape=(n, n))
+        count, label = csgraph.connected_components(graph, directed=False)
         # active vertices grouped by component, each in vertex order
         v = np.flatnonzero(active)
         v = v[np.argsort(label[v], kind="stable")]
@@ -322,11 +301,13 @@ def dissection_order(A):
         v, comp = v[~leaf], comp[~leaf]
         heads, _ = _runs(comp)
         run = np.repeat(np.arange(len(heads)), np.diff(np.r_[heads, len(v)]))
-        level = _bfs_levels(indptr, cols, first[big])[v]
+        level = csgraph.dijkstra(graph, unweighted=True, indices=first[big],
+                                 min_only=True)[v].astype(np.intp)
         far = np.where(level == np.maximum.reduceat(level, heads)[run],
                        np.arange(len(v)), len(v))
-        level = _bfs_levels(indptr, cols,
-                            v[np.minimum.reduceat(far, heads)])[v]
+        level = csgraph.dijkstra(graph, unweighted=True,
+                                 indices=v[np.minimum.reduceat(far, heads)],
+                                 min_only=True)[v].astype(np.intp)
         # median level of each component: the first whose cumulative
         # count passes half the component
         width = level.max() + 1
@@ -372,8 +353,8 @@ def lowest_eigs(ops, count, zero_tol=0.05, vectors=False):
 
     On a phi-shift-invariant chart grid the values come from the mode
     pencils that Cholesky certificates cannot exclude (``PhiModes``).
-    Otherwise a dense solver runs below _DENSE_LIMIT unknowns and
-    shift-invert Lanczos above it, with the shift placed below the
+    Otherwise a request for over a quarter of the spectrum takes a dense
+    solve, and any other shift-invert Lanczos with the shift below the
     spectrum (the pencil is bounded below by -q_max, so the shifted
     matrix is positive definite and is factored without pivoting) and a
     seeded start vector, so repeated runs agree bitwise.
@@ -389,7 +370,7 @@ def lowest_eigs(ops, count, zero_tol=0.05, vectors=False):
     if ops.phi_modes is not None:
         path = "phi-modes"
         vals, modes, vecs = ops.phi_modes.lowest(count, vectors)
-    elif size <= _DENSE_LIMIT or count > size // 4:
+    elif count > size // 4:
         path = "dense"
         vals, vecs = sla.eigh(B.toarray(), ops.Mm.toarray())
         vals, vecs = vals[:count], vecs[:, :count]
@@ -434,34 +415,21 @@ def inertia_below(ops, sigma):
     numerically singular the shift is jittered and retried.  On a
     phi-shift-invariant chart grid it sums the signatures of the mode
     pencils, each with its multiplicity: none negative where a Cholesky
-    factorization succeeds, else from a dense LDL^H.  Otherwise small
-    systems use a dense LDL^T and large ones a sparse elimination
-    without pivoting in ``ops.elimination_order``, whose diagonal signs
-    carry the same signature.
+    factorization succeeds, else from a dense LDL^H.  Otherwise, at every
+    size, it takes the signs of the pivots of a sparse elimination
+    without pivoting in ``ops.elimination_order``.
     """
-    modes = ops.phi_modes
     jitter = 0.0
     for attempt in range(_SHIFT_RETRIES):
-        if modes is not None:
-            neg, ok = _mode_signature(modes, sigma + jitter)
+        if ops.phi_modes is not None:
+            neg, ok = _mode_signature(ops.phi_modes, sigma + jitter)
         else:
-            neg, ok = _nodal_signature(ops, sigma, jitter)
+            neg, ok = _sparse_signature(ops, sigma + jitter)
         if ok:
             return neg
         jitter = (10.0 ** attempt) * 1e-10
     raise ShiftRetryExhaustedError(
         f"shifted matrix stayed singular near sigma = {sigma}")
-
-
-def _nodal_signature(ops, sigma, jitter):
-    A = (ops.B - sigma * ops.Mm).tocsc()
-    scale = max(np.abs(A.data).max(), 1.0)
-    if jitter:
-        A = (A - jitter * ops.Mm).tocsc()
-    if ops.size <= _DENSE_LIMIT:
-        _, D, _ = sla.ldl(A.toarray())
-        return _signature_negatives(D, scale)
-    return _sparse_signature(A, scale, ops.elimination_order)
 
 
 def _mode_signature(modes, shift):
@@ -495,18 +463,20 @@ def _positive_definite(A, floor=0.0):
     return info == 0 and float(np.min(L.diagonal().real ** 2)) > floor
 
 
-def _sparse_signature(A, scale, order):
-    """Negative-pivot count of an unpivoted sparse LDU factorization.
+def _sparse_signature(ops, shift):
+    """Negative-pivot count of an unpivoted sparse LDU factorization of
+    K - W - shift*Mm in ``ops.elimination_order``.
 
     With every pivot on the diagonal of the symmetrically permuted
     matrix the elimination is an LDL^T in disguise, so the signs of the
     pivots give the inertia.  Tiny pivots mark the shift as unusable.
     """
-    factor = _ordered_factor(A, order)
+    A = (ops.B - shift * ops.Mm).tocsc()
+    factor = _ordered_factor(A, ops.elimination_order)
     if factor is None:
         return 0, False
     d = factor[0]
-    if np.abs(d).min() <= 1e-12 * scale:
+    if np.abs(d).min() <= 1e-12 * max(np.abs(A.data).max(), 1.0):
         return 0, False
     return int((d < 0).sum()), True
 

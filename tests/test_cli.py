@@ -46,7 +46,7 @@ def test_spectrum_equator(capsys):
     assert code == 0
     assert doc["report"]["index"] == 1
     assert abs(doc["report"]["lambda1"] + 2.0) < 5e-2
-    assert doc["report"]["path"] == "dense"
+    assert doc["report"]["path"] == "shift-invert"
     assert doc["report"]["modes"] is None
 
 
@@ -141,7 +141,7 @@ def test_mesh_export_import_round_trip(tmp_path, capsys):
     assert rep["mesh"]["euler_characteristic"] == 0
     assert rep["spectrum"]["index"] == 5
     assert rep["spectrum"]["window_saturated"] is False
-    assert rep["spectrum"]["path"] == "dense"
+    assert rep["spectrum"]["path"] == "shift-invert"
 
 
 def test_mesh_import_bad_file(tmp_path, capsys):
@@ -216,10 +216,13 @@ def test_paper_check_one_span_reproducible(capsys):
     with mock.patch.object(paperlab, "_span_forms",
                            wraps=paperlab._span_forms) as forms, \
             mock.patch.object(spectral, "first_eigfunction",
-                              wraps=spectral.first_eigfunction) as ground:
+                              wraps=spectral.first_eigfunction) as ground, \
+            mock.patch.object(spectral.spla, "eigsh",
+                              wraps=spectral.spla.eigsh) as lanczos:
         (_, doc1), (_, doc2) = run_json(capsys, argv), run_json(capsys, argv)
     assert (forms.call_count, ground.call_count) == (4, 2)
-    assert doc1["report"]["mesh"]["vertices"] > spectral._DENSE_LIMIT
+    # per run: the ground state and the probe's Morse index window
+    assert lanczos.call_count == 4
     del doc1["timestamp"], doc2["timestamp"]
     assert doc1 == doc2
 

@@ -62,15 +62,13 @@ def test_inertia_matches_eigensolver(clifford_op):
 
 
 def test_inertia_dense_and_sparse_agree(clifford_ops):
-    # 32x32 -> 1024 unknowns exercises the dense path once the phi-mode
-    # split is withheld; force the sparse path on the same matrices and
-    # compare
+    # with the phi-mode split withheld, the sparse signature of the 1024
+    # unknowns of Clifford 32^2 against a dense solve of the whole pencil
     ops = dataclasses.replace(clifford_ops[32], grid_shape=None)
-    dense = inertia_below(ops, -0.05)
-    A = (ops.B + 0.05 * ops.Mm).tocsc()
-    sparse, ok = spectral._sparse_signature(
-        A, max(np.abs(A.data).max(), 1.0), ops.elimination_order)
-    assert ok and sparse == dense == 5
+    exact = sla.eigh(ops.B.toarray(), ops.Mm.toarray(), eigvals_only=True)
+    assert (exact < -0.05).sum() == 5   # the Clifford index
+    for sigma in (-3.0, -0.05, 0.05, 4.5):
+        assert inertia_below(ops, sigma) == int((exact < sigma).sum())
 
 
 def test_dissection_order_is_a_permutation(sphere_op):
@@ -115,6 +113,25 @@ def test_nodal_path_matches_independent_references(sphere_op, clifford_op):
     # chart sets take the phi-mode path and never order the nodal pencil
     morse_index(clifford_op)
     assert "elimination_order" not in clifford_op.__dict__
+
+
+def test_imported_otsuki_mesh_takes_the_nodal_path(otsuki_profile):
+    # an exported-then-imported mesh has no chart grid, so even 1,024
+    # unknowns of an indefinite pencil take shift-invert Lanczos and the
+    # sparse signature
+    family = rotational.build_surface(otsuki_profile, 64, 16)
+    torus = fem.mesh_torus(family, 64, 16)
+    mesh = fem.mesh_from_json(fem.mesh_to_json(torus))
+    ops = fem.assemble(mesh)
+    assert (ops.size, ops.phi_modes) == (1024, None) and mesh.degraded_normals
+    exact = sla.eigh(ops.B.toarray(), ops.Mm.toarray(), eigvals_only=True)
+    index, report = morse_index(ops)
+    assert (index, report.path) == (12, "shift-invert")
+    size = len(report.eigenvalues)
+    assert np.all(np.abs(report.eigenvalues - exact[:size])
+                  <= 1e-11 * np.maximum(np.abs(exact[:size]), 1))
+    for sigma in (-3.0, -0.05, 0.05, 4.5):
+        assert inertia_below(ops, sigma) == int((exact < sigma).sum())
 
 
 def test_shift_invert_refuses_indefinite_factor(sphere_op):
@@ -281,7 +298,7 @@ def test_phi_mode_path_refused_off_chart(sphere_op, clifford_meshes,
     imported = fem.assemble(fem.mesh_from_json(
         fem.mesh_to_json(clifford_meshes[16])))
     report = lowest_eigs(imported, 4)
-    assert report.path == "dense" and report.modes is None
+    assert report.path == "shift-invert" and report.modes is None
     assert report.to_dict()["modes"] is None
     # one potential entry off by 1e-6 breaks the phi-shift invariance:
     # the split must be refused, and the answer must not change
@@ -291,7 +308,7 @@ def test_phi_mode_path_refused_off_chart(sphere_op, clifford_meshes,
     bent = dataclasses.replace(ops, W=W.tocsr())
     assert bent.phi_modes is None
     index, report = morse_index(bent)
-    assert report.path == "dense"
+    assert report.path == "shift-invert"
     assert index == morse_index(_unreduced(ops))[0] == 5
 
 
@@ -335,6 +352,26 @@ def test_phi_mode_sweep_finds_a_lowest_mode_past_certified_ones():
     assert plain.path == "dense"
     assert (index, report.nullity) == (plain_index, plain.nullity) == (
         (exact < -0.05).sum(), (np.abs(exact) <= 0.05).sum())
+
+
+def test_phi_mode_ties_are_listed_by_mode():
+    # the lowest values of modes 0 and 2 one ulp apart, once in each
+    # order: a tie, so the list of modes must not depend on the rounding
+    eye = sps.identity(16, format="csr")
+    lo, hi = -4.0, np.nextafter(-4.0, 0.0)
+    lists = []
+    for a, b in ((lo, hi), (hi, lo)):
+        modes = spectral.PhiModes(2, 8, eye, eye)
+        modes.solved = {0: (np.array([a, 1.0]), None),
+                        2: (np.array([b, 0.5]), None)}
+        vals, labels, cols = modes._merged()
+        assert np.all(np.diff(vals) >= 0)
+        # each column keeps the value of its own mode
+        own = [modes.solved[k][0][c // modes.multiplicity(k)]
+               for k, c in zip(labels, cols)]
+        assert np.abs(np.array(own) - vals).max() <= 1e-15
+        lists.append(labels.tolist())
+    assert lists[0] == lists[1] == [0, 2, 2, 2, 2, 0]
 
 
 @pytest.mark.parametrize("name", ["otsuki_op_coarse", "clifford_op",
