@@ -81,6 +81,8 @@ class TheoremReport:
     neg_inertia_gamma0: int
     spectral_index: int
     rr_consistent: bool
+    # [lo, hi] of the delta1 at which both hypotheses hold, or None
+    delta1_interval: Optional[tuple]
 
     def to_dict(self):
         return {"delta1": self.delta1, "delta2": self.delta2,
@@ -92,7 +94,9 @@ class TheoremReport:
                 "verdict": self.verdict,
                 "neg_inertia_gamma0": self.neg_inertia_gamma0,
                 "spectral_index": self.spectral_index,
-                "rr_consistent": self.rr_consistent}
+                "rr_consistent": self.rr_consistent,
+                "delta1_interval": (None if self.delta1_interval is None
+                                    else list(self.delta1_interval))}
 
 
 @dataclass(frozen=True)
@@ -329,15 +333,20 @@ def theorem_check(span, delta1):
     reported as such, and otherwise the verdict is the sign of the
     largest pencil eigenvalue of (B, G) on the trial space.  The report
     always carries the Rayleigh-Ritz cross-check neg_inertia <= spectral
-    Morse index.
+    Morse index, and the interval of delta1 at which both hypotheses
+    hold, [sup |A|^2 / (2n), 1 - ratio] clipped to [0, 1] (None when
+    empty, that is when no split of the form works).
     """
     if not (0.0 < delta1 < 1.0):
         raise InvalidParameterError("delta1 must lie in (0, 1)")
     mesh = span.mesh
     delta2 = 1.0 - delta1
     asq_max = float(mesh.quad_asq.max())
-    hyp_integral = ratio_report(mesh) <= delta2
+    ratio = ratio_report(mesh)
+    hyp_integral = ratio <= delta2
     hyp_pointwise = asq_max <= 2.0 * mesh.surface_dim * delta1
+    lo = max(asq_max / (2.0 * mesh.surface_dim), 0.0)
+    hi = min(1.0 - ratio, 1.0)
     geodesic = asq_max < 1e-12
     v0, _ = choose_v0(mesh, delta2)
     G, B, _ = span.forms
@@ -356,7 +365,8 @@ def theorem_check(span, delta1):
         hyp_integral=hyp_integral, hyp_pointwise=hyp_pointwise,
         geodesic_flag=geodesic, v0=v0, gamma0_max_eig=gamma0_max,
         verdict=verdict, neg_inertia_gamma0=report.neg_inertia,
-        spectral_index=index, rr_consistent=report.neg_inertia <= index)
+        spectral_index=index, rr_consistent=report.neg_inertia <= index,
+        delta1_interval=(lo, hi) if lo <= hi else None)
 
 
 def conjecture_probe(mesh, ops, rank_tol=_DEFAULT_RANK_TOL):

@@ -9,11 +9,14 @@ a request for over a quarter of the spectrum takes a dense solve.
 
 On a chart grid whose pencil is invariant under the one-step shift in
 the rotation angle phi (every torus the package builds), the pencil is
-block-circulant and both paths run on one small dense pencil per
-phi-Fourier mode instead (``PhiModes``).  There a mode is solved only
-when a Cholesky factorization cannot exclude it from the answer, and
-the inertia count takes a mode that factors by Cholesky as having no
-eigenvalue below the shift.
+block-circulant and both paths run on one small pencil per
+phi-Fourier mode instead (``PhiModes``).  There a mode is solved, by a
+dense eigensolve, only when a Cholesky factorization cannot exclude it
+from the answer, and the inertia count takes a mode that factors by
+Cholesky as having no eigenvalue below the shift.  That certificate is
+a banded Cholesky factorization of the mode pencil in the interleaved
+order 0, nt-1, 1, nt-2, ..., where a P1 pencil has bandwidth 2: it costs
+O(nt kd^2) for bandwidth kd, not the O(nt^3) of a dense one.
 """
 
 from dataclasses import dataclass
@@ -50,6 +53,9 @@ class EigenReport:
     path: str            # "dense", "shift-invert" or "phi-modes"
     modes: Optional[np.ndarray] = None     # phi-Fourier mode of each value
     vectors: Optional[np.ndarray] = None   # columns, Mm-orthonormal
+    # phi-modes the operator set has solved by a dense eigensolve, sorted;
+    # every other mode was excluded by a Cholesky certificate
+    solved_modes: Optional[tuple] = None
 
     def to_dict(self):
         return {"eigenvalues": self.eigenvalues.tolist(),
@@ -57,7 +63,9 @@ class EigenReport:
                 "zero_tol": self.zero_tol, "lambda1": self.lambda1,
                 "window_saturated": self.window_saturated,
                 "path": self.path,
-                "modes": None if self.modes is None else self.modes.tolist()}
+                "modes": None if self.modes is None else self.modes.tolist(),
+                "solved_modes": (None if self.solved_modes is None
+                                 else list(self.solved_modes))}
 
 
 def _residual_check(B, Mm, vals, vecs):
@@ -88,6 +96,15 @@ def _offset_blocks(A, nt, nphi):
     return offsets, C
 
 
+def _interleaved(n):
+    """The order 0, n-1, 1, n-2, ...: indices a cyclic distance w apart
+    land at most 2w positions apart."""
+    order = np.empty(n, dtype=np.intp)
+    order[0::2] = np.arange((n + 1) // 2)
+    order[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
+    return order
+
+
 class PhiModes:
     """The pencil of an (nt, nphi) chart grid split over phi-Fourier modes.
 
@@ -103,12 +120,24 @@ class PhiModes:
     Modes are solved lazily (``lowest``): a mode is either solved, by one
     dense eigensolve whose eigenpairs are kept, or certified, by a
     Cholesky factorization proving it has nothing below a threshold.
+    The certificate (``positive``) factors the mode pencil in LAPACK
+    band storage in the interleaved order 0, nt-1, 1, nt-2, ...
+    (``band``), with the bandwidth kd read from the pattern: a P1 block
+    is cyclic tridiagonal, so kd = 2, and a Fourier spectral block is
+    dense, so kd = nt - 1.  A certificate costs O(nt kd^2); only a
+    solved mode, or one that fails it in an inertia count, builds its
+    dense pencil (``pencil``).
     """
 
     def __init__(self, nt, nphi, B, Mm):
         self.nt, self.nphi = nt, nphi
-        self._B = _offset_blocks(B, nt, nphi)
-        self._Mm = _offset_blocks(Mm, nt, nphi)
+        position = np.argsort(_interleaved(nt))
+        blocks = _offset_blocks(B, nt, nphi), _offset_blocks(Mm, nt, nphi)
+        i, l = np.nonzero(blocks[0][1].any(0) | blocks[1][1].any(0))
+        self.kd = int(np.abs(position[i] - position[l]).max(initial=0))
+        # (offsets, blocks, even and odd band columns) of B and of Mm
+        self._B, self._Mm = ((offsets, C, *self._band_columns(C, position))
+                             for offsets, C in blocks)
         # mode k -> (ascending eigenvalues, Mm_k-orthonormal vectors)
         self.solved = {}
         # largest tau at which B_k - (tau + gap) Mm_k factored by Cholesky
@@ -116,6 +145,24 @@ class PhiModes:
         # leading eigenpairs of each solved mode that passed the residual
         # check
         self._checked = np.zeros(self.count, dtype=int)
+
+    def _band_columns(self, C, position):
+        """Per-offset lower bands of the mode sum, one column per offset
+        s, row d*nt + Q for interleaved positions (P, Q) = (Q + d, Q):
+        C_s read from the lower triangle in node order, as the dense
+        solvers read it, and the antisymmetric part
+        (C_s[P, Q] - C_s[Q, P]) / 2."""
+        o, i, l = np.nonzero(C)
+        P, Q = position[i], position[l]
+        rows = np.abs(P - Q) * self.nt + np.minimum(P, Q)
+        shape = ((self.kd + 1) * self.nt, C.shape[0])
+        low = i >= l
+        even = sp.csr_matrix((C[o, i, l][low], (rows[low], o[low])),
+                             shape=shape)
+        # the entries (i, l) and (l, i) share a row and are summed
+        odd = sp.csr_matrix((0.5 * np.sign(P - Q) * C[o, i, l], (rows, o)),
+                            shape=shape)
+        return even, odd
 
     @classmethod
     def build(cls, B, Mm, grid_shape):
@@ -139,21 +186,51 @@ class PhiModes:
     def multiplicity(self, k):
         return 1 if (2 * k) % self.nphi == 0 else 2
 
-    def _mode_sum(self, blocks, k):
+    def _phases(self, offsets, k):
+        return 2 * np.pi * (offsets * k % self.nphi) / self.nphi
+
+    def _mode_sum(self, operator, k):
         # The LAPACK solvers read one triangle, so the real part is left
         # symmetric up to rounding; the imaginary part is made exactly
         # antisymmetric, which keeps the diagonal real.
-        offsets, C = blocks
-        theta = 2 * np.pi * (offsets * k % self.nphi) / self.nphi
+        offsets, C, _, _ = operator
+        theta = self._phases(offsets, k)
         A = np.tensordot(np.cos(theta), C, 1)
         if self.multiplicity(k) == 2:
             S = np.tensordot(np.sin(theta), C, 1)
             A = A + 0.5j * (S - S.T)
         return A
 
+    def _band_sum(self, operator, k):
+        # the lower band of the Hermitian matrix that _mode_sum leaves to
+        # the LAPACK solvers
+        offsets, _, even, odd = operator
+        theta = self._phases(offsets, k)
+        ab = even @ np.cos(theta)
+        if self.multiplicity(k) == 2:
+            ab = ab + 1j * (odd @ np.sin(theta))
+        return ab.reshape(self.kd + 1, self.nt)
+
     def pencil(self, k):
         """Dense Hermitian (B_k, Mm_k) of mode k."""
         return self._mode_sum(self._B, k), self._mode_sum(self._Mm, k)
+
+    def band(self, k, shift):
+        """B_k - shift Mm_k in LAPACK lower band storage in the
+        interleaved order: entry (d, Q) is the matrix entry at positions
+        (Q + d, Q)."""
+        return (self._band_sum(self._B, k)
+                - shift * self._band_sum(self._Mm, k))
+
+    def positive(self, k, shift, floor=0.0):
+        """Whether the banded Cholesky factorization (?pbtrf) of
+        B_k - shift Mm_k succeeds with every pivot L_ii^2 above floor
+        times max(|entry|, 1)."""
+        ab = self.band(k, shift)
+        scale = max(np.abs(ab).max(), 1.0)
+        pbtrf, = sla.get_lapack_funcs(("pbtrf",), (ab,))
+        L, info = pbtrf(ab, lower=1, overwrite_ab=1)
+        return info == 0 and float(np.min(L[0].real ** 2)) > floor * scale
 
     def lift(self, k, U):
         """Real nodal vectors of mode-k eigenvectors U (Mm_k-orthonormal).
@@ -202,9 +279,10 @@ class PhiModes:
         far (infinite while they have fewer).  The modes are swept in
         order of k, with no monotonicity in k assumed: an unsolved mode
         is passed over when it is certified at tau or above, else it is
-        certified now if B_k - (tau + gap) Mm_k factors by Cholesky
-        (Sylvester's law: then every eigenvalue of the mode exceeds
-        tau + gap), else it is solved and tau recomputed.  The gap, a
+        certified now if B_k - (tau + gap) Mm_k factors by the banded
+        Cholesky of ``positive`` (Sylvester's law: then every eigenvalue
+        of the mode exceeds tau + gap), else it is solved by a dense
+        eigensolve and tau recomputed.  The gap, a
         relative _CERTIFY_GAP, keeps a mode whose eigenvalue ties tau
         from being left out on rounding.  The eigenpairs of each mode
         behind the answer pass the residual check.
@@ -215,12 +293,11 @@ class PhiModes:
             tau = vals[count - 1] if len(vals) >= count else np.inf
             if k in self.solved or self.certified[k] >= tau:
                 continue
-            Bk, Mk = self.pencil(k)
-            if tau < np.inf and _positive_definite(
-                    Bk - (tau + _CERTIFY_GAP * max(abs(tau), 1.0)) * Mk):
+            if tau < np.inf and self.positive(
+                    k, tau + _CERTIFY_GAP * max(abs(tau), 1.0)):
                 self.certified[k] = tau
                 continue
-            self.solved[k] = sla.eigh(Bk, Mk)
+            self.solved[k] = sla.eigh(*self.pencil(k))
             vals = self._merged()[0]
         vals, modes, cols = (a[:count] for a in self._merged())
         X = np.empty((self.nt * self.nphi, count)) if vectors else None
@@ -366,10 +443,11 @@ def lowest_eigs(ops, count, zero_tol=0.05, vectors=False):
         raise InvalidParameterError(
             f"count {count} exceeds system size {size}")
     B = ops.B
-    modes = None
+    modes = solved = None
     if ops.phi_modes is not None:
         path = "phi-modes"
         vals, modes, vecs = ops.phi_modes.lowest(count, vectors)
+        solved = tuple(sorted(ops.phi_modes.solved))
     elif count > size // 4:
         path = "dense"
         vals, vecs = sla.eigh(B.toarray(), ops.Mm.toarray())
@@ -404,7 +482,7 @@ def lowest_eigs(ops, count, zero_tol=0.05, vectors=False):
     return EigenReport(eigenvalues=vals, index=index, nullity=nullity,
                        zero_tol=float(zero_tol), lambda1=float(vals[0]),
                        window_saturated=saturated, path=path, modes=modes,
-                       vectors=vecs if vectors else None)
+                       vectors=vecs if vectors else None, solved_modes=solved)
 
 
 def inertia_below(ops, sigma):
@@ -414,10 +492,10 @@ def inertia_below(ops, sigma):
     K - W - sigma*Mm (Sylvester's law); if the shifted matrix is
     numerically singular the shift is jittered and retried.  On a
     phi-shift-invariant chart grid it sums the signatures of the mode
-    pencils, each with its multiplicity: none negative where a Cholesky
-    factorization succeeds, else from a dense LDL^H.  Otherwise, at every
-    size, it takes the signs of the pivots of a sparse elimination
-    without pivoting in ``ops.elimination_order``.
+    pencils, each with its multiplicity: none negative where a banded
+    Cholesky factorization succeeds, else from a dense LDL^H.  Otherwise,
+    at every size, it takes the signs of the pivots of a sparse
+    elimination without pivoting in ``ops.elimination_order``.
     """
     jitter = 0.0
     for attempt in range(_SHIFT_RETRIES):
@@ -435,32 +513,22 @@ def inertia_below(ops, sigma):
 def _mode_signature(modes, shift):
     """Sum of the mode pencils' signatures at shift, with multiplicity.
 
-    A mode whose shifted pencil factors by Cholesky with no pivot at
-    roundoff level adds no negatives; any other takes the LDL^H
-    signature.
+    A mode whose shifted pencil factors by a banded Cholesky
+    (``PhiModes.positive``) with no pivot at roundoff level adds no
+    negatives; any other takes the LDL^H signature of its dense pencil.
     """
     total = 0
     for k in range(modes.count):
+        if modes.positive(k, shift, 1e-12):
+            continue
         Bk, Mk = modes.pencil(k)
         A = Bk - shift * Mk
-        scale = max(np.abs(A).max(), 1.0)
-        if _positive_definite(A.copy(), 1e-12 * scale):
-            continue
         _, D, _ = sla.ldl(A)
-        neg, ok = _signature_negatives(D, scale)
+        neg, ok = _signature_negatives(D, max(np.abs(A).max(), 1.0))
         if not ok:
             return 0, False
         total += modes.multiplicity(k) * neg
     return total, True
-
-
-def _positive_definite(A, floor=0.0):
-    """Whether the Cholesky factorization (?potrf) of Hermitian A, read
-    from its lower triangle, succeeds with every pivot L_ii^2 above
-    floor.  Overwrites A."""
-    potrf, = sla.get_lapack_funcs(("potrf",), (A,))
-    L, info = potrf(A, lower=True, overwrite_a=True, clean=False)
-    return info == 0 and float(np.min(L.diagonal().real ** 2)) > floor
 
 
 def _sparse_signature(ops, shift):

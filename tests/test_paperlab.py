@@ -215,6 +215,32 @@ def test_theorem_synthetic_negative_definite(synthetic_mesh, synthetic_op):
     assert report.rr_consistent
 
 
+@pytest.mark.parametrize("name, interval", [
+    ("otsuki", None),            # sup |A|^2 / 4 + ratio = 5.05 > 1
+    ("clifford", None),          # 2 / 4 + 1 > 1
+    ("sphere", (0.0, 1.0)),      # totally geodesic: every split works
+    ("synthetic", (0.125, 0.75)),   # |A|^2 = 0.5, ratio 0.25
+], ids=["otsuki", "clifford", "sphere", "synthetic"])
+def test_theorem_delta1_interval(name, interval, request):
+    span = trial_span(request.getfixturevalue(f"{name}_mesh"),
+                      request.getfixturevalue(f"{name}_op"))
+    report = theorem_check(span, 0.5)
+    if interval is None:
+        assert report.delta1_interval is None
+        assert report.to_dict()["delta1_interval"] is None
+    else:
+        assert np.allclose(report.delta1_interval, interval, atol=1e-12)
+        assert report.to_dict()["delta1_interval"] == list(
+            report.delta1_interval)
+        inside = theorem_check(span, 0.5 * sum(report.delta1_interval))
+        assert inside.hyp_integral and inside.hyp_pointwise
+    lo, hi = report.delta1_interval or (1.0, 0.0)
+    for delta1 in (0.05, 0.1, 0.5, 0.9, 0.95):
+        if not lo <= delta1 <= hi:
+            outside = theorem_check(span, delta1)
+            assert not (outside.hyp_integral and outside.hyp_pointwise)
+
+
 def test_theorem_validates_delta(clifford_mesh, clifford_op):
     span = trial_span(clifford_mesh, clifford_op)
     with pytest.raises(InvalidParameterError):

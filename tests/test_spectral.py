@@ -299,7 +299,9 @@ def test_phi_mode_path_refused_off_chart(sphere_op, clifford_meshes,
         fem.mesh_to_json(clifford_meshes[16])))
     report = lowest_eigs(imported, 4)
     assert report.path == "shift-invert" and report.modes is None
-    assert report.to_dict()["modes"] is None
+    assert report.solved_modes is None
+    doc = report.to_dict()
+    assert doc["modes"] is None and doc["solved_modes"] is None
     # one potential entry off by 1e-6 breaks the phi-shift invariance:
     # the split must be refused, and the answer must not change
     ops = clifford_ops[32]
@@ -322,11 +324,8 @@ def _periodic(n, diag, offsets):
     return A
 
 
-def test_phi_mode_sweep_finds_a_lowest_mode_past_certified_ones():
-    # B = T (x) I + I (x) P on a 6 x 8 grid, where the phi circulant P has
-    # symbol 0.7 + cos(theta) / 2 - 2 cos(2 theta) over modes k = 0..4:
-    # -0.8, 1.05, 2.7, 0.35 and -1.8, so the lowest eigenvalue lies in
-    # the Nyquist mode k = 4, past modes that Cholesky certifies
+def _synthetic_ops():
+    """B = T (x) I + I (x) P and Mm = Mt (x) Mphi on a 6 x 8 grid."""
     nt, nphi = 6, 8
     T = _periodic(nt, 0.6, [(1, -0.3)])
     P = _periodic(nphi, 0.7, [(1, 0.25), (2, -1.0)])
@@ -334,8 +333,18 @@ def test_phi_mode_sweep_finds_a_lowest_mode_past_certified_ones():
     Mphi = _periodic(nphi, 4 / 6, [(1, 1 / 6)])
     B = (sps.kron(T, sps.eye(nphi)) + sps.kron(sps.eye(nt), P)).tocsr()
     Mm = sps.kron(Mt, Mphi).tocsr()
-    ops = fem.OperatorSet(K=B, Mm=Mm, W=sps.csr_matrix(B.shape), n=2,
-                          q_max=10.0, grid_shape=(nt, nphi))
+    return fem.OperatorSet(K=B, Mm=Mm, W=sps.csr_matrix(B.shape), n=2,
+                           q_max=10.0, grid_shape=(nt, nphi))
+
+
+def test_phi_mode_sweep_finds_a_lowest_mode_past_certified_ones():
+    # B = T (x) I + I (x) P on a 6 x 8 grid, where the phi circulant P has
+    # symbol 0.7 + cos(theta) / 2 - 2 cos(2 theta) over modes k = 0..4:
+    # -0.8, 1.05, 2.7, 0.35 and -1.8, so the lowest eigenvalue lies in
+    # the Nyquist mode k = 4, past modes that Cholesky certifies
+    ops = _synthetic_ops()
+    nphi = ops.grid_shape[1]
+    B, Mm = ops.B, ops.Mm
     exact = sla.eigh(B.toarray(), Mm.toarray(), eigvals_only=True)
     assert np.abs(exact).min() > 0.1   # no count sits on a tolerance
     for count in (1, 3, 12):
@@ -428,18 +437,77 @@ def test_mode_signature_cholesky_fast_path(otsuki_op_coarse):
             fast = spectral._mode_signature(modes, sigma)
         assert fast == (ldl_signature(sigma), True)
         assert ldl.call_count < modes.count   # the others factored by Cholesky
-    # on the ground state, and just below it where the shifted mode-0
-    # pencil still factors by Cholesky but with a pivot at roundoff
-    # level: no count, the jitter retry takes over
+    # on the ground state, and at the edge of where the banded Cholesky
+    # factorization of the shifted mode-0 pencil succeeds, found by
+    # bisection: there the factor exists but its last pivot sits at
+    # roundoff level, so the mode must defer to the LDL^H signature; no
+    # count, the jitter retry takes over
     B0, M0 = modes.pencil(0)
     lam = sla.eigh(B0, M0, eigvals_only=True)[0]
-    assert spectral._positive_definite(B0 - (lam - 1e-12) * M0)
-    for shift in (lam, lam - 1e-12):
-        assert spectral._mode_signature(modes, shift) == (0, False)
+    lo, hi = lam - 1e-6, lam
+    assert modes.positive(0, lo) and not modes.positive(0, hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if modes.positive(0, mid) else (lo, mid)
+    assert modes.positive(0, lo) and not modes.positive(0, lo, 1e-12)
+    for shift in (lam, lo):
+        with mock.patch.object(spectral.sla, "ldl", wraps=sla.ldl) as ldl:
+            assert spectral._mode_signature(modes, shift) == (0, False)
+        assert ldl.call_count == 1   # mode 0, the first, stopped the sum
         with mock.patch.object(spectral, "_mode_signature",
                                wraps=spectral._mode_signature) as sig:
             count = inertia_below(otsuki_op_coarse, shift)
         assert sig.call_count > 1 and count == 1
+
+
+def _mode_reference(ops, k):
+    """Dense (B_k, Mm_k) of mode k projected from the whole pencil:
+    U^H A U with U = I (x) e^(2 pi i j k / nphi) / sqrt(nphi)."""
+    nt, nphi = ops.grid_shape
+    f = np.exp(2j * np.pi * np.arange(nphi) * k / nphi) / np.sqrt(nphi)
+    if (2 * k) % nphi == 0:
+        f = f.real
+    U = sps.kron(sps.identity(nt), f[:, None]).tocsc()
+    return [(U.conj().T @ (A @ U)).toarray() for A in (ops.B, ops.Mm)]
+
+
+@pytest.mark.parametrize("name", ["otsuki_op_coarse", "clifford_op",
+                                  "otsuki_op_spectral", "synthetic"])
+def test_banded_certificate_brackets_every_mode(name, request):
+    ops = _synthetic_ops() if name == "synthetic" else (
+        request.getfixturevalue(name))
+    modes = ops.phi_modes
+    nt = ops.grid_shape[0]
+    assert modes.kd == (nt - 1 if name.endswith("_spectral") else 2)
+    # the interleaved order 0, nt-1, 1, nt-2, ...
+    i = np.arange(nt)
+    order = np.argsort(np.minimum(2 * i, 2 * (nt - 1 - i) + 1))
+    for k in range(modes.count):
+        Bk, Mk = _mode_reference(ops, k)
+        mu = sla.eigh(Bk, Mk, eigvals_only=True, subset_by_index=[0, 0])[0]
+        gap = 1e-6 * max(abs(mu), 1.0)
+        assert modes.positive(k, mu - gap)
+        assert not modes.positive(k, mu + gap)
+        # the band holds the lower diagonals of the interleaved pencil
+        A = (Bk - mu * Mk)[np.ix_(order, order)]
+        ab = modes.band(k, mu)
+        tol = 1e-12 * (np.abs(Bk).max() + abs(mu) * np.abs(Mk).max())
+        for d in range(modes.kd + 1):
+            assert np.abs(ab[d, :nt - d] - np.diagonal(A, -d)).max() <= tol
+            assert not ab[d, nt - d:].any()
+
+
+@pytest.mark.parametrize("size", [None, 128], ids=["otsuki", "clifford"])
+def test_morse_index_reports_its_solved_modes(size, otsuki_op,
+                                              clifford_family):
+    # P1 Otsuki 256x64 and Clifford 128^2 each solve modes 0, 1 and 2 by
+    # a dense eigensolve; the other 30 and 62 are certified
+    if size is None:
+        ops = dataclasses.replace(otsuki_op)   # empty mode caches
+    else:
+        ops = fem.assemble(fem.mesh_torus(clifford_family, size, size))
+    _, report = morse_index(ops)
+    assert report.solved_modes == tuple(sorted(ops.phi_modes.solved))
+    assert report.to_dict()["solved_modes"] == [0, 1, 2]
 
 
 def test_signature_counts_complex_hermitian():
