@@ -10,15 +10,17 @@ a request for over a quarter of the spectrum takes a dense solve.
 On a chart grid whose pencil is invariant under the one-step shift in
 the rotation angle phi (every torus the package builds), the pencil is
 block-circulant and both paths run on one small pencil per
-phi-Fourier mode instead (``PhiModes``).  There a mode is solved, by a
-dense eigensolve, only when a Cholesky factorization cannot exclude it
-from the answer, and the inertia count takes a mode that factors by
-Cholesky as having no eigenvalue below the shift.  That certificate is
-a banded Cholesky factorization of the mode pencil in the interleaved
-order 0, nt-1, 1, nt-2, ..., where a P1 pencil has bandwidth 2: it costs
-O(nt kd^2) for bandwidth kd, not the O(nt^3) of a dense one.
+phi-Fourier mode instead (``PhiModes``).  A mode pencil is stored only
+as a band, in the interleaved order 0, nt-1, 1, nt-2, ..., where a P1
+pencil has bandwidth 2.  A mode is solved, by a dense eigensolve of its
+unpacked band, only when a banded Cholesky factorization cannot exclude
+it from the answer; that certificate costs O(nt kd^2) for bandwidth kd,
+not the O(nt^3) of a dense one.  Every inertia count, of the unreduced
+pencil or of a mode that fails the certificate, reads the pivot signs
+of one unpivoted sparse factorization (``_signature``).
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -86,14 +88,26 @@ def _shift_invariant(A, perm):
     return abs(A[perm][:, perm] - A).max() <= _SHIFT_TOL * scale
 
 
-def _offset_blocks(A, nt, nphi):
-    """(offsets s, blocks C_s) with C_s[i, l] = A[(i, 0), (l, s)]."""
+def _offset_entries(A, nt, nphi):
+    """(offsets s, and for every stored A[(i, 0), (l, s)] its offset
+    index, i, l and value): the blocks C_s[i, l] of block row 0."""
     R = A[np.arange(nt) * nphi].tocoo()
     l, s = np.divmod(R.col, nphi)
     offsets = np.unique(s)
-    C = np.zeros((len(offsets), nt, nt))
-    C[np.searchsorted(offsets, s), R.row, l] = R.data
-    return offsets, C
+    return offsets, np.searchsorted(offsets, s), R.row, l, R.data
+
+
+def _unband(ab):
+    """The Hermitian matrix of lower band storage ab as (values, (rows,
+    columns)): entry (d, Q) at (Q + d, Q) and, off the diagonal, its
+    conjugate at (Q, Q + d)."""
+    n = ab.shape[1]
+    d, Q = np.indices(ab.shape).reshape(2, -1)
+    inside = Q + d < n
+    d, Q = d[inside], Q[inside]
+    v, off = ab[d, Q], d > 0
+    return np.r_[v, v[off].conj()], (np.r_[Q + d, Q[off]],
+                                     np.r_[Q, (Q + d)[off]])
 
 
 def _interleaved(n):
@@ -117,28 +131,31 @@ class PhiModes:
     eigenvalue of a mode 0 < k < nphi/2 twice (the real and imaginary
     parts of x); modes 0 and nphi/2 are real and count once.
 
+    The band is the only stored form of a mode pencil: per-offset lower
+    band columns in the interleaved order 0, nt-1, 1, nt-2, ..., read
+    once from the entries of block row 0, with the bandwidth kd read from
+    the pattern (a P1 block is cyclic tridiagonal, so kd = 2; a Fourier
+    spectral block is dense, so kd = nt - 1).  ``band`` sums them for a
+    mode and shift, ``pencil`` unpacks them into a dense pencil in the
+    same interleaved order, and ``lift`` maps vectors back to node order.
+
     Modes are solved lazily (``lowest``): a mode is either solved, by one
-    dense eigensolve whose eigenpairs are kept, or certified, by a
-    Cholesky factorization proving it has nothing below a threshold.
-    The certificate (``positive``) factors the mode pencil in LAPACK
-    band storage in the interleaved order 0, nt-1, 1, nt-2, ...
-    (``band``), with the bandwidth kd read from the pattern: a P1 block
-    is cyclic tridiagonal, so kd = 2, and a Fourier spectral block is
-    dense, so kd = nt - 1.  A certificate costs O(nt kd^2); only a
-    solved mode, or one that fails it in an inertia count, builds its
-    dense pencil (``pencil``).
+    dense eigensolve whose eigenpairs are kept, or certified, by a banded
+    Cholesky factorization (``positive``, O(nt kd^2)) proving it has
+    nothing below a threshold.
     """
 
     def __init__(self, nt, nphi, B, Mm):
         self.nt, self.nphi = nt, nphi
-        position = np.argsort(_interleaved(nt))
-        blocks = _offset_blocks(B, nt, nphi), _offset_blocks(Mm, nt, nphi)
-        i, l = np.nonzero(blocks[0][1].any(0) | blocks[1][1].any(0))
-        self.kd = int(np.abs(position[i] - position[l]).max(initial=0))
-        # (offsets, blocks, even and odd band columns) of B and of Mm
-        self._B, self._Mm = ((offsets, C, *self._band_columns(C, position))
-                             for offsets, C in blocks)
-        # mode k -> (ascending eigenvalues, Mm_k-orthonormal vectors)
+        # interleaved position of each node row i
+        self._position = np.argsort(_interleaved(nt))
+        entries = _offset_entries(B, nt, nphi), _offset_entries(Mm, nt, nphi)
+        self.kd = int(max(np.abs(self._position[i] - self._position[l])
+                          .max(initial=0) for _, _, i, l, _ in entries))
+        # (offsets, even and odd band columns) of B and of Mm
+        self._B, self._Mm = (self._band_columns(*e) for e in entries)
+        # mode k -> (ascending eigenvalues, Mm_k-orthonormal vectors in
+        # the interleaved order)
         self.solved = {}
         # largest tau at which B_k - (tau + gap) Mm_k factored by Cholesky
         self.certified = np.full(self.count, -np.inf)
@@ -146,23 +163,22 @@ class PhiModes:
         # check
         self._checked = np.zeros(self.count, dtype=int)
 
-    def _band_columns(self, C, position):
-        """Per-offset lower bands of the mode sum, one column per offset
-        s, row d*nt + Q for interleaved positions (P, Q) = (Q + d, Q):
-        C_s read from the lower triangle in node order, as the dense
-        solvers read it, and the antisymmetric part
-        (C_s[P, Q] - C_s[Q, P]) / 2."""
-        o, i, l = np.nonzero(C)
-        P, Q = position[i], position[l]
+    def _band_columns(self, offsets, o, i, l, c):
+        """(offsets, even, odd): per-offset lower bands of the mode sum,
+        one column per offset s, row d*nt + Q for the interleaved
+        positions (P, Q) = (Q + d, Q) of an entry c = C_s[i, l].  The
+        symmetric part is C_s read from the lower triangle in node order,
+        and the antisymmetric part is (C_s[P, Q] - C_s[Q, P]) / 2, which
+        leaves the diagonal real."""
+        P, Q = self._position[i], self._position[l]
         rows = np.abs(P - Q) * self.nt + np.minimum(P, Q)
-        shape = ((self.kd + 1) * self.nt, C.shape[0])
+        shape = ((self.kd + 1) * self.nt, len(offsets))
         low = i >= l
-        even = sp.csr_matrix((C[o, i, l][low], (rows[low], o[low])),
-                             shape=shape)
+        even = sp.csr_matrix((c[low], (rows[low], o[low])), shape=shape)
         # the entries (i, l) and (l, i) share a row and are summed
-        odd = sp.csr_matrix((0.5 * np.sign(P - Q) * C[o, i, l], (rows, o)),
+        odd = sp.csr_matrix((0.5 * np.sign(P - Q) * c, (rows, o)),
                             shape=shape)
-        return even, odd
+        return offsets, even, odd
 
     @classmethod
     def build(cls, B, Mm, grid_shape):
@@ -186,34 +202,22 @@ class PhiModes:
     def multiplicity(self, k):
         return 1 if (2 * k) % self.nphi == 0 else 2
 
-    def _phases(self, offsets, k):
-        return 2 * np.pi * (offsets * k % self.nphi) / self.nphi
-
-    def _mode_sum(self, operator, k):
-        # The LAPACK solvers read one triangle, so the real part is left
-        # symmetric up to rounding; the imaginary part is made exactly
-        # antisymmetric, which keeps the diagonal real.
-        offsets, C, _, _ = operator
-        theta = self._phases(offsets, k)
-        A = np.tensordot(np.cos(theta), C, 1)
-        if self.multiplicity(k) == 2:
-            S = np.tensordot(np.sin(theta), C, 1)
-            A = A + 0.5j * (S - S.T)
-        return A
-
     def _band_sum(self, operator, k):
-        # the lower band of the Hermitian matrix that _mode_sum leaves to
-        # the LAPACK solvers
-        offsets, _, even, odd = operator
-        theta = self._phases(offsets, k)
+        offsets, even, odd = operator
+        theta = 2 * np.pi * (offsets * k % self.nphi) / self.nphi
         ab = even @ np.cos(theta)
         if self.multiplicity(k) == 2:
             ab = ab + 1j * (odd @ np.sin(theta))
         return ab.reshape(self.kd + 1, self.nt)
 
     def pencil(self, k):
-        """Dense Hermitian (B_k, Mm_k) of mode k."""
-        return self._mode_sum(self._B, k), self._mode_sum(self._Mm, k)
+        """Dense Hermitian (B_k, Mm_k) of mode k in the interleaved order."""
+        pencil = []
+        for operator in (self._B, self._Mm):
+            values, index = _unband(self._band_sum(operator, k))
+            pencil.append(np.zeros((self.nt, self.nt), dtype=values.dtype))
+            pencil[-1][index] = values
+        return tuple(pencil)
 
     def band(self, k, shift):
         """B_k - shift Mm_k in LAPACK lower band storage in the
@@ -224,20 +228,23 @@ class PhiModes:
 
     def positive(self, k, shift, floor=0.0):
         """Whether the banded Cholesky factorization (?pbtrf) of
-        B_k - shift Mm_k succeeds with every pivot L_ii^2 above floor
-        times max(|entry|, 1)."""
+        B_k - shift Mm_k succeeds clear of roundoff
+        (``_clear_of_roundoff``) at floor times max(|entry|, 1)."""
         ab = self.band(k, shift)
-        scale = max(np.abs(ab).max(), 1.0)
-        pbtrf, = sla.get_lapack_funcs(("pbtrf",), (ab,))
+        level = floor * max(np.abs(ab).max(), 1.0)
+        pbtrf, pbtrs = sla.get_lapack_funcs(("pbtrf", "pbtrs"), (ab,))
         L, info = pbtrf(ab, lower=1, overwrite_ab=1)
-        return info == 0 and float(np.min(L[0].real ** 2)) > floor * scale
+        return info == 0 and _clear_of_roundoff(
+            L[0].real ** 2, level, lambda b: pbtrs(L, b, lower=1)[0])
 
     def lift(self, k, U):
-        """Real nodal vectors of mode-k eigenvectors U (Mm_k-orthonormal).
+        """Real nodal vectors of mode-k eigenvectors U (Mm_k-orthonormal,
+        rows in the interleaved order).
 
         Returns Mm-orthonormal columns: one per column of U for a real
         mode, the real and imaginary parts in turn for a complex one.
         """
+        U = U[self._position]
         j = np.arange(self.nphi)
         if self.multiplicity(k) == 1:
             phase = (-1.0) ** (j * (2 * k // self.nphi)) / np.sqrt(self.nphi)
@@ -405,9 +412,10 @@ def dissection_order(A):
 def _ordered_factor(A, order):
     """Unpivoted sparse LU of A[order][:, order]: (pivots, solve).
 
-    Every pivot is taken on the diagonal, so for symmetric A this is an
-    LDL^T in disguise and the pivots are D.  solve(b) solves A x = b in
-    the numbering of A.  None when a zero pivot stops the elimination.
+    Every pivot is taken on the diagonal, so for symmetric or Hermitian
+    A this is an LDL^H in disguise and the pivots are D.  solve(b) solves
+    A x = b in the numbering of A.  None when a zero pivot stops the
+    elimination.
     """
     try:
         lu = spla.splu(A[order][:, order].tocsc(), permc_spec="NATURAL",
@@ -419,7 +427,7 @@ def _ordered_factor(A, order):
         return None
 
     def solve(b):
-        x = np.empty_like(b)
+        x = np.empty(len(b), dtype=np.result_type(b, A.dtype))
         x[order] = lu.solve(b[order])
         return x
     return lu.U.diagonal(), solve
@@ -488,21 +496,23 @@ def lowest_eigs(ops, count, zero_tol=0.05, vectors=False):
 def inertia_below(ops, sigma):
     """Number of pencil eigenvalues strictly below the shift sigma.
 
-    Computed from the signature of a symmetric factorization of
-    K - W - sigma*Mm (Sylvester's law); if the shifted matrix is
-    numerically singular the shift is jittered and retried.  On a
-    phi-shift-invariant chart grid it sums the signatures of the mode
-    pencils, each with its multiplicity: none negative where a banded
-    Cholesky factorization succeeds, else from a dense LDL^H.  Otherwise,
-    at every size, it takes the signs of the pivots of a sparse
-    elimination without pivoting in ``ops.elimination_order``.
+    Computed from the pivot signs of an unpivoted factorization of
+    K - W - sigma*Mm (Sylvester's law, ``_signature``); if the shifted
+    matrix is numerically singular the shift is jittered and retried.
+    On a phi-shift-invariant chart grid it sums the signatures of the
+    mode pencils, each with its multiplicity: none negative where a
+    banded Cholesky factorization succeeds, else from the pivots of the
+    mode's band.  Otherwise, at every size, it factors the unreduced
+    pencil in ``ops.elimination_order``.
     """
     jitter = 0.0
     for attempt in range(_SHIFT_RETRIES):
+        shift = sigma + jitter
         if ops.phi_modes is not None:
-            neg, ok = _mode_signature(ops.phi_modes, sigma + jitter)
+            neg, ok = _mode_signature(ops.phi_modes, shift)
         else:
-            neg, ok = _sparse_signature(ops, sigma + jitter)
+            neg, ok = _signature((ops.B - shift * ops.Mm).tocsc(),
+                                 ops.elimination_order)
         if ok:
             return neg
         jitter = (10.0 ** attempt) * 1e-10
@@ -514,71 +524,59 @@ def _mode_signature(modes, shift):
     """Sum of the mode pencils' signatures at shift, with multiplicity.
 
     A mode whose shifted pencil factors by a banded Cholesky
-    (``PhiModes.positive``) with no pivot at roundoff level adds no
-    negatives; any other takes the LDL^H signature of its dense pencil.
+    (``PhiModes.positive``) clear of roundoff adds no negatives; any
+    other takes the signature of its unpacked band, in the band's own
+    order.
     """
     total = 0
     for k in range(modes.count):
         if modes.positive(k, shift, 1e-12):
             continue
-        Bk, Mk = modes.pencil(k)
-        A = Bk - shift * Mk
-        _, D, _ = sla.ldl(A)
-        neg, ok = _signature_negatives(D, max(np.abs(A).max(), 1.0))
+        A = sp.csc_matrix(_unband(modes.band(k, shift)))
+        neg, ok = _signature(A, np.arange(modes.nt))
         if not ok:
             return 0, False
         total += modes.multiplicity(k) * neg
     return total, True
 
 
-def _sparse_signature(ops, shift):
-    """Negative-pivot count of an unpivoted sparse LDU factorization of
-    K - W - shift*Mm in ``ops.elimination_order``.
-
-    With every pivot on the diagonal of the symmetrically permuted
-    matrix the elimination is an LDL^T in disguise, so the signs of the
-    pivots give the inertia.  Tiny pivots mark the shift as unusable.
+def _signature(A, order):
+    """(negative pivots, reliable) of an unpivoted sparse factorization
+    of real symmetric or complex Hermitian A in ``order``: an LDL^H in
+    disguise, so the signs of the real parts of the pivots give the
+    inertia.  Reliable when clear of roundoff (``_clear_of_roundoff``)
+    at 1e-12 of max(|entry|, 1), raised for each pivot to 1e-12 of the
+    largest pivot up to it: without pivoting an indefinite matrix can
+    grow its entries, an LDL^H update puts that growth on the diagonal,
+    and it scales the rounding error of every later pivot.
     """
-    A = (ops.B - shift * ops.Mm).tocsc()
-    factor = _ordered_factor(A, ops.elimination_order)
+    factor = _ordered_factor(A, order)
     if factor is None:
         return 0, False
-    d = factor[0]
-    if np.abs(d).min() <= 1e-12 * max(np.abs(A.data).max(), 1.0):
+    d, solve = factor[0].real, factor[1]
+    level = 1e-12 * np.maximum.accumulate(
+        np.maximum(np.abs(d), max(np.abs(A.data).max(), 1.0)))
+    if not _clear_of_roundoff(d, level, solve):
         return 0, False
     return int((d < 0).sum()), True
 
 
-def _signature_negatives(D, scale):
-    """Count negative eigenvalues of the block-diagonal LDL^T factor.
+def _clear_of_roundoff(pivots, level, solve):
+    """Whether a factorization of a shifted matrix is clear of roundoff:
+    every pivot above its level, and the smallest eigenvalue in modulus,
+    as one solve with a seeded random vector estimates it, above the
+    largest.  Pivots alone can miss a shift on an eigenvalue: the
+    eigenvalue eps of the shifted matrix enters the last pivot as about
+    eps / |v_n|^2 for its unit eigenvector v, and v_n can be small."""
+    top, b = np.max(level), _probe(len(pivots))
+    # a level of 0 asks only that the factor exists
+    return bool(np.all(np.abs(pivots) > level) and (
+        top == 0.0 or np.linalg.norm(b) > top * np.linalg.norm(solve(b))))
 
-    D is real symmetric or complex Hermitian.  Returns (count, reliable);
-    reliable is False when a 1x1 pivot sits at roundoff level,
-    signalling that sigma hit an eigenvalue.
-    """
-    n = D.shape[0]
-    neg = 0
-    i = 0
-    tol = 1e-12 * scale
-    while i < n:
-        if i + 1 < n and abs(D[i + 1, i]) > tol:
-            # 2x2 block: one positive and one negative eigenvalue when
-            # the determinant is negative
-            d1, d2 = D[i, i].real, D[i + 1, i + 1].real
-            det = d1 * d2 - abs(D[i + 1, i]) ** 2
-            if det < 0:
-                neg += 1
-            elif d1 + d2 < 0:
-                neg += 2
-            i += 2
-        else:
-            d = D[i, i].real
-            if abs(d) <= tol:
-                return 0, False
-            if d < 0:
-                neg += 1
-            i += 1
-    return neg, True
+
+@functools.lru_cache
+def _probe(n):   # shared between calls: read it, never write it
+    return np.random.default_rng(0).standard_normal(n)
 
 
 def first_eigfunction(ops):

@@ -417,48 +417,6 @@ def test_phi_mode_cutoff_agrees_with_every_mode_solved(name, request):
                       >= max(report.eigenvalues[-1], window.eigenvalues[-1]))
 
 
-def test_mode_signature_cholesky_fast_path(otsuki_op_coarse):
-    modes = otsuki_op_coarse.phi_modes
-
-    def ldl_signature(shift):
-        total = 0
-        for k in range(modes.count):
-            Bk, Mk = modes.pencil(k)
-            A = Bk - shift * Mk
-            _, D, _ = sla.ldl(A)
-            neg, ok = spectral._signature_negatives(
-                D, max(np.abs(A).max(), 1.0))
-            assert ok
-            total += modes.multiplicity(k) * neg
-        return total
-
-    for sigma in (-3.0, -0.05, 0.05, 4.5):
-        with mock.patch.object(spectral.sla, "ldl", wraps=sla.ldl) as ldl:
-            fast = spectral._mode_signature(modes, sigma)
-        assert fast == (ldl_signature(sigma), True)
-        assert ldl.call_count < modes.count   # the others factored by Cholesky
-    # on the ground state, and at the edge of where the banded Cholesky
-    # factorization of the shifted mode-0 pencil succeeds, found by
-    # bisection: there the factor exists but its last pivot sits at
-    # roundoff level, so the mode must defer to the LDL^H signature; no
-    # count, the jitter retry takes over
-    B0, M0 = modes.pencil(0)
-    lam = sla.eigh(B0, M0, eigvals_only=True)[0]
-    lo, hi = lam - 1e-6, lam
-    assert modes.positive(0, lo) and not modes.positive(0, hi)
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        lo, hi = (mid, hi) if modes.positive(0, mid) else (lo, mid)
-    assert modes.positive(0, lo) and not modes.positive(0, lo, 1e-12)
-    for shift in (lam, lo):
-        with mock.patch.object(spectral.sla, "ldl", wraps=sla.ldl) as ldl:
-            assert spectral._mode_signature(modes, shift) == (0, False)
-        assert ldl.call_count == 1   # mode 0, the first, stopped the sum
-        with mock.patch.object(spectral, "_mode_signature",
-                               wraps=spectral._mode_signature) as sig:
-            count = inertia_below(otsuki_op_coarse, shift)
-        assert sig.call_count > 1 and count == 1
-
-
 def _mode_reference(ops, k):
     """Dense (B_k, Mm_k) of mode k projected from the whole pencil:
     U^H A U with U = I (x) e^(2 pi i j k / nphi) / sqrt(nphi)."""
@@ -468,6 +426,91 @@ def _mode_reference(ops, k):
         f = f.real
     U = sps.kron(sps.identity(nt), f[:, None]).tocsc()
     return [(U.conj().T @ (A @ U)).toarray() for A in (ops.B, ops.Mm)]
+
+
+def _mode_spectra(ops):
+    """Dense eigh spectrum of every mode pencil, projected from the whole
+    pencil (``_mode_reference``)."""
+    return [sla.eigh(*_mode_reference(ops, k), eigvals_only=True)
+            for k in range(ops.phi_modes.count)]
+
+
+def _count_below(modes, spectra, shift):
+    return sum(modes.multiplicity(k) * int((lam < shift).sum())
+               for k, lam in enumerate(spectra))
+
+
+def test_mode_signature_cholesky_fast_path(request):
+    shifts = np.r_[-3.0, -0.05, 0.05, 4.5,
+                   np.random.default_rng(11).uniform(-8.0, 6.0, 10)]
+    for name in ("otsuki_op_coarse", "clifford_op", "otsuki_op_spectral",
+                 "clifford_op_spectral"):
+        ops = request.getfixturevalue(name)
+        modes = ops.phi_modes
+        spectra = _mode_spectra(ops)
+        fallbacks = 0
+        for sigma in shifts:
+            with mock.patch.object(spectral, "_signature",
+                                   wraps=spectral._signature) as sig:
+                fast = spectral._mode_signature(modes, sigma)
+            assert fast == (_count_below(modes, spectra, sigma), True), (
+                name, sigma)
+            # the others factored by Cholesky
+            assert sig.call_count < modes.count
+            fallbacks += sig.call_count
+        assert fallbacks >= 1, name   # some mode took the pivots of its band
+        # on the ground state of mode 0, where the shifted band is
+        # singular to rounding and the eigenvalue estimate shows it
+        # whichever side of the band's edge lam rounds to, and at the
+        # edge of where its banded Cholesky factorization succeeds, found
+        # by bisection, where the factor exists but its last pivot sits
+        # at roundoff level: the mode must defer to the pivots of its
+        # band, which give no count; the jitter retry takes over
+        lam = sla.eigh(*modes.pencil(0), eigvals_only=True)[0]
+        lo, hi = lam - 1e-6, lam + 1e-6
+        assert modes.positive(0, lo) and not modes.positive(0, hi)
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (mid, hi) if modes.positive(0, mid) else (lo, mid)
+        assert modes.positive(0, lo) and not modes.positive(0, lo, 1e-12)
+        for shift in (lam, lo):
+            with mock.patch.object(spectral, "_signature",
+                                   wraps=spectral._signature) as sig:
+                assert spectral._mode_signature(modes, shift) == (0, False)
+            assert sig.call_count == 1   # mode 0, the first, stopped the sum
+            with mock.patch.object(spectral, "_mode_signature",
+                                   wraps=spectral._mode_signature) as retry:
+                count = inertia_below(ops, shift)
+            assert retry.call_count > 1 and count == 1, name
+
+
+def test_signature_flags_pivot_growth(otsuki_op_coarse):
+    # near an eigenvalue mu of the leading half block of the mode-1 band,
+    # 0.03 from every eigenvalue of the mode, the unpivoted elimination
+    # in band order meets a pivot near zero and the later pivots grow by
+    # its inverse: every pivot clears the plain 1e-12 floor there, but
+    # the growth marks the count unreliable and the jitter retry takes
+    # over
+    ops, k = otsuki_op_coarse, 1
+    modes = ops.phi_modes
+    m = modes.nt // 2
+    Bk, Mk = modes.pencil(k)
+    spectra = _mode_spectra(ops)
+    lead = sla.eigh(Bk[:m, :m], Mk[:m, :m], eigvals_only=True)
+    mu = lead[lead > spectra[k][0]][0]
+    assert np.abs(spectra[k] - mu).min() > 0.03
+    order = np.arange(modes.nt)
+    flagged = 0
+    for sigma in mu + np.logspace(-14, -3, 12):
+        A = sps.csc_matrix(spectral._unband(modes.band(k, sigma)))
+        d = spectral._ordered_factor(A, order)[0].real
+        neg, ok = spectral._signature(A, order)
+        if ok:
+            assert neg == (spectra[k] < sigma).sum()
+        elif np.abs(d).min() > 1e-12 * np.abs(A.data).max():
+            flagged += 1
+        assert inertia_below(ops, sigma) == _count_below(modes, spectra,
+                                                         sigma)
+    assert flagged >= 1
 
 
 @pytest.mark.parametrize("name", ["otsuki_op_coarse", "clifford_op",
@@ -510,23 +553,38 @@ def test_morse_index_reports_its_solved_modes(size, otsuki_op,
     assert report.to_dict()["solved_modes"] == [0, 1, 2]
 
 
-def test_signature_counts_complex_hermitian():
-    # zero diagonal forces 2x2 pivots with complex off-diagonal entries
+def test_signature_counts_complex_hermitian(otsuki_op_coarse):
+    # a known inertia, 7 negative and 13 positive eigenvalues, in a
+    # random elimination order
     rng = np.random.default_rng(5)
-    n = 30
-    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    H = X + X.conj().T
-    np.fill_diagonal(H, 0.0)
-    expected = int((np.linalg.eigvalsh(H) < 0).sum())
-    _, D, _ = sla.ldl(H)
-    assert np.iscomplexobj(D)
-    assert np.abs(np.diag(D, -1)).max() > 0   # a 2x2 block is present
-    assert spectral._signature_negatives(D, np.abs(H).max()) == (expected,
-                                                                 True)
-    # a known inertia: 7 negative and 13 positive eigenvalues
     Q, _ = np.linalg.qr(rng.standard_normal((20, 20))
                         + 1j * rng.standard_normal((20, 20)))
     d = np.concatenate([-np.arange(1.0, 8.0), np.arange(1.0, 14.0)])
     H = (Q * d) @ Q.conj().T
-    _, D, _ = sla.ldl((H + H.conj().T) / 2)
-    assert spectral._signature_negatives(D, 13.0) == (7, True)
+    H = sps.csc_matrix((H + H.conj().T) / 2)
+    assert spectral._signature(H, rng.permutation(20)) == (7, True)
+    # exactly singular: the second pivot of [[1, i], [-i, 1]] is 1 - 1
+    S = sps.block_diag([sps.csc_matrix([[1.0, 1j], [-1j, 1.0]]), H],
+                       format="csc")
+    assert spectral._signature(S, np.arange(22)) == (0, False)
+    # the band of a complex mode, unpacked, against its dense eigh count
+    modes = otsuki_op_coarse.phi_modes
+    k, sigma = 1, -1.0
+    A = sps.csc_matrix(spectral._unband(modes.band(k, sigma)))
+    assert np.abs(A.data.imag).max() > 0
+    expected = int((sla.eigh(*_mode_reference(otsuki_op_coarse, k),
+                             eigvals_only=True) < sigma).sum())
+    assert expected > 0
+    assert spectral._signature(A, np.arange(modes.nt)) == (expected, True)
+
+
+def test_spectral_otsuki_exact_landmarks(otsuki_op_spectral):
+    # Otsuki (2, 3) on the spectral set 255 x 17: -n = -2 has
+    # multiplicity 4, the rank of span{f_v}, and 0 has multiplicity 5,
+    # 6 - 1 for the Killing fields; index 12
+    index, report = morse_index(otsuki_op_spectral)
+    assert (index, report.nullity) == (12, 5)
+    vals, modes = report.eigenvalues, report.modes
+    for value, expected in ((-2.0, [0, 0, 1, 1]), (0.0, [0, 1, 1, 1, 1])):
+        near = np.abs(vals - value) < 5e-8
+        assert sorted(modes[near]) == expected
