@@ -30,7 +30,6 @@ def _add_family_args(parser):
     parser.add_argument("--k", type=int, default=1)
     parser.add_argument("--p", type=int, default=2)
     parser.add_argument("--q", type=int, default=3)
-    parser.add_argument("--tol", type=float, default=1e-10)
     parser.add_argument("--res", type=int, default=64,
                         help="grid resolution (torus side / icosphere "
                              "subdivisions)")
@@ -53,7 +52,7 @@ def _build_mesh(args):
         fam = clifford(2, args.k)
     else:
         nt = args.nt or 4 * args.res
-        profile = rotational.find_otsuki(args.p, args.q, args.tol)
+        profile = rotational.find_otsuki(args.p, args.q)
         fam = rotational.build_surface(profile, nt, nphi)
     return fem.mesh_torus(fam, nt, nphi)
 
@@ -103,12 +102,8 @@ def cmd_oracle(args):
 
 
 def cmd_family(args):
-    profile = rotational.find_otsuki(args.p, args.q, args.tol)
-    report = profile.to_dict()
-    report["closure_residual"] = profile.closure_residual
-    report["clairaut_drift"] = profile.clairaut_drift
-    report["ode_advance_residual"] = profile.ode_advance_residual
-    _emit(args, _config_dict(args), report)
+    profile = rotational.find_otsuki(args.p, args.q)
+    _emit(args, _config_dict(args), profile.to_dict())
     return 0
 
 
@@ -222,7 +217,6 @@ def build_parser():
     p.add_argument("kind", choices=["otsuki"])
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_family)
 

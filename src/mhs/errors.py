@@ -10,11 +10,11 @@ class InvalidParameterError(MhsError, ValueError):
 
 
 class OutOfWindowError(MhsError):
-    """Energy outside the oscillatory window of the profile ODE."""
+    """Energy outside the oscillatory window of the rotational profile."""
 
 
 class IntegrationFailureError(MhsError):
-    """The ODE integrator failed to reach the requested state."""
+    """An integral along the profile failed its consistency check."""
 
 
 class NoSolutionError(MhsError):

@@ -7,10 +7,14 @@ radial oscillations and plays the role of the energy; c -> 1/2 is the
 circular (Clifford) solution.  A profile closes up into a torus when the
 angular advance over one radial period is 2*pi*p/q.
 
-The advance is Clairaut's integral between the turning points, evaluated
-by quadrature; the root-find for p/q needs no ODE.  The profile at the
-root is then sampled from one ODE period, which also certifies the root:
-its advance, closure and Clairaut drift are checked against the ODE.
+The profile is parametrized by the angle theta of the substitution
+a = pi/4 - h cos(theta), h = arccos(2c)/2, which runs once around the
+radial period as theta runs over [0, 2*pi).  In it the profile is in
+closed form: a(theta) exactly, and dv/dtheta a smooth even 2*pi-periodic
+function, held as its cosine series.  The mean of that series is the
+rotation number, the root-find for p/q runs on it, and v, v' and v'' of
+the torus chart are the series' integral, value and derivative.  No ODE
+is integrated and nothing is interpolated.
 """
 
 import math
@@ -18,8 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
+from scipy.fft import dct
 from scipy.optimize import brentq
 
 from .errors import (ConvergenceError, GenerationFailedError,
@@ -29,31 +32,14 @@ from .geometry import GeometryFamily, check_minimality
 
 CIRCULAR_ENERGY = 0.5          # Clairaut constant of the Clifford torus
 _ENERGY_FLOOR = 1e-4
-_LEAD_TIME = 1e-3              # event-free lead-in past the turning point
-_ODE_TOL = 1e-12
-_T_MAX = 100.0
-_N_SAMPLES = 2001
-_QUAD_NODES = 64               # first midpoint rule of the doubling
+_QUAD_NODES = 64               # first node count of the doubling
 _QUAD_MAX_NODES = 1 << 16
-_QUAD_RTOL = 1e-14             # two successive sums agree to rounding
+_QUAD_RTOL = 1e-14             # series tail below rounding, relative to
+                               # the mean (the noise floor is 5e-15 at
+                               # the energy floor, 4e-16 from c = 0.02)
+_CLOSURE_TOL = 1e-12           # |mean dv/dtheta - p/q| at the root
+_MINIMALITY_TOL = 1e-10        # build_surface's max |trace A|
 _WINDOW_SCAN = 41              # energies in the rotation-window scan
-
-
-def _accel(a, da, dv):
-    """Geodesic accelerations of the orbit metric."""
-    s2 = np.sin(2.0 * a)
-    s4 = np.sin(4.0 * a)
-    sa2 = np.sin(a) ** 2
-    ca2 = np.cos(a) ** 2
-    dda = -(s2 / (2.0 * sa2)) * da * da + (s4 / (4.0 * sa2)) * dv * dv
-    ddv = -(s4 / (2.0 * sa2 * ca2)) * da * dv
-    return dda, ddv
-
-
-def _rhs(t, y):
-    a, _, da, dv = y
-    dda, ddv = _accel(a, da, dv)
-    return [da, dv, dda, ddv]
 
 
 def _check_window(c):
@@ -63,99 +49,60 @@ def _check_window(c):
             f"[{_ENERGY_FLOOR}, {CIRCULAR_ENERGY})")
 
 
-def _integrate_period(energy):
-    """Integrate one radial oscillation starting at the inner turning point.
-
-    Returns (T, dense evaluator over [0, T]).
-    """
-    c = float(energy)
-    _check_window(c)
-    a_min = 0.5 * np.arcsin(2.0 * c)
-    y0 = [a_min, 0.0, 0.0, 1.0 / c]
-    lead = solve_ivp(_rhs, (0.0, _LEAD_TIME), y0, method="DOP853",
-                     rtol=_ODE_TOL, atol=_ODE_TOL, dense_output=True)
-    if not lead.success:
-        raise IntegrationFailureError(lead.message)
-
-    def turning(t, y):
-        return y[2]
-
-    turning.direction = 1.0
-    turning.terminal = True
-    sol = solve_ivp(_rhs, (_LEAD_TIME, _T_MAX), lead.y[:, -1], method="DOP853",
-                    rtol=_ODE_TOL, atol=_ODE_TOL, events=turning,
-                    dense_output=True)
-    if not sol.success:
-        raise IntegrationFailureError(sol.message)
-    if len(sol.t_events[0]) == 0:
-        raise OutOfWindowError(
-            f"no radial oscillation detected for energy {c}")
-    T = float(sol.t_events[0][0])
-
-    def evaluate(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.empty((4, ts.size))
-        early = ts <= _LEAD_TIME
-        if early.any():
-            out[:, early] = lead.sol(ts[early])
-        if (~early).any():
-            out[:, ~early] = sol.sol(ts[~early])
-        return out
-
-    return T, evaluate
-
-
-def _clairaut_sum(c, nodes):
-    """Midpoint rule with `nodes` nodes for the rotation number at c.
+def _dv_dtheta(c, theta):
+    """dv/dtheta along the profile of energy c, at the angles theta.
 
     Over one radial period dv/da = c / (cos a sqrt(sin^2 a cos^2 a - c^2))
-    between the turning points a0 = arcsin(2c)/2 and a1 = pi/2 - a0.  With
-    a = pi/4 - h cos(theta), h = arccos(2c)/2, the endpoint singularities
-    cancel against da = h sin(theta) dtheta, and the integrand is smooth
-    and even in theta, so the midpoint rule converges spectrally.  The
-    cancelling factor sin a cos a - c = cos(a + a0) sin(a - a0)
-    = sin(a1 - a) sin(a - a0) is formed from the offsets
-    a - a0 = 2h sin^2(theta/2) and a1 - a = 2h cos^2(theta/2), and so are
-    sin a and cos a, so no node loses digits to cancellation.
+    between the turning points a0 = arcsin(2c)/2 and a1 = pi/2 - a0.
+    With a = pi/4 - h cos(theta) the endpoint singularities cancel
+    against da = h sin(theta) dtheta: the factor
+    sin a cos a - c = sin(a1 - a) sin(a - a0) is written with
+    sinc x = sin(x)/x, which leaves
+    f = c / (cos a sqrt(sinc(a - a0) sinc(a1 - a) (sin a cos a + c))),
+    smooth, even and 2*pi-periodic.  The offsets a - a0 = 2h sin^2(theta/2)
+    and a1 - a = 2h cos^2(theta/2) give sin a and cos a too, so no angle
+    loses digits to cancellation.
     """
     a0 = 0.5 * np.arcsin(2.0 * c)
     h = 0.5 * np.arccos(2.0 * c)
-    half_theta = (np.arange(nodes) + 0.5) * (0.5 * np.pi / nodes)
-    s, co = np.sin(half_theta), np.cos(half_theta)
+    s, co = np.sin(0.5 * theta), np.cos(0.5 * theta)
     lo, hi = 2.0 * h * s * s, 2.0 * h * co * co       # a - a0, a1 - a
     sin_a, cos_a = np.sin(a0 + lo), np.sin(a0 + hi)
-    f = (2.0 * c * h * s * co
-         / (cos_a * np.sqrt(np.sin(lo) * np.sin(hi)
-                            * (sin_a * cos_a + c))))
-    # f = dv/dtheta; Delta v = 2 (pi / nodes) sum f, divided by 2 pi
-    return float(f.sum() / nodes)
+    return c / (cos_a * np.sqrt(np.sinc(lo / np.pi) * np.sinc(hi / np.pi)
+                                * (sin_a * cos_a + c)))
+
+
+def _cosine_series(c):
+    """Coefficients b_k of dv/dtheta = sum_k b_k cos(k theta) at energy c.
+
+    f is sampled at the midpoints theta_j = (j + 1/2) pi / nodes of
+    [0, pi]; its DCT-II there gives the coefficients, and b_0 is the
+    periodic midpoint mean.  The node count doubles until the upper half
+    of the coefficients lies below rounding.
+    """
+    nodes = _QUAD_NODES
+    while nodes <= _QUAD_MAX_NODES:
+        theta = (np.arange(nodes) + 0.5) * (np.pi / nodes)
+        b = dct(_dv_dtheta(c, theta), type=2) / nodes
+        b[0] *= 0.5
+        if np.abs(b[nodes // 2:]).max() <= _QUAD_RTOL * b[0]:
+            return b
+        nodes *= 2
+    raise ConvergenceError(
+        f"cosine series of dv/dtheta for energy {c} did not converge in "
+        f"{_QUAD_MAX_NODES} nodes")
 
 
 def rotation_number(energy):
     """Angular advance over one radial oscillation, divided by 2*pi.
 
     Monotone increasing on the window, with limits 1/2 (energy -> 0) and
-    sqrt(2)/2 (energy -> the circular value 1/2).  Clairaut's integral by
-    a midpoint rule whose node count doubles until two successive sums
-    agree to rounding level.
+    sqrt(2)/2 (energy -> the circular value 1/2).  It is the mean of
+    dv/dtheta over one period of theta.
     """
     c = float(energy)
     _check_window(c)
-    nodes = _QUAD_NODES
-    prev = _clairaut_sum(c, nodes)
-    while nodes < _QUAD_MAX_NODES:
-        nodes *= 2
-        rot = _clairaut_sum(c, nodes)
-        if abs(rot - prev) <= _QUAD_RTOL * rot:
-            return rot
-        prev = rot
-    raise ConvergenceError(
-        f"Clairaut quadrature for energy {c} did not converge in "
-        f"{_QUAD_MAX_NODES} nodes")
-
-
-def _advance(T, evaluate):
-    return float(evaluate(T)[1, 0] / (2.0 * np.pi))
+    return float(_cosine_series(c)[0])
 
 
 @lru_cache(maxsize=None)
@@ -174,51 +121,65 @@ def rotation_window():
 
 @dataclass(frozen=True)
 class ProfileCurve:
-    """One radial period of a closed (p, q) profile.
+    """The closed (p, q) profile of Clairaut constant `clairaut`.
 
-    `ode_advance_residual` is the ODE's rotation number at the quadrature
-    root minus p/q: how well the two computations of the advance agree.
+    `series` holds the cosine coefficients of dv/dtheta; the profile
+    closes after q radial periods, theta in [0, 2*pi*q).
     """
 
-    period: float
-    t: np.ndarray
-    alpha: np.ndarray
-    v: np.ndarray
-    dalpha: np.ndarray
-    dv: np.ndarray
     clairaut: float
     p: int
     q: int
-    ode_advance_residual: float
-
-    def to_dict(self):
-        return {
-            "period": self.period,
-            "clairaut": self.clairaut,
-            "p": self.p,
-            "q": self.q,
-            "samples": np.stack(
-                [self.t, self.alpha, self.v, self.dalpha, self.dv], axis=1
-            ).tolist(),
-        }
+    series: np.ndarray
 
     @property
     def closure_residual(self):
-        return abs(self.v[-1] - self.v[0] - 2.0 * np.pi * self.p / self.q)
+        """|advance over one radial period - 2*pi*p/q|."""
+        return float(2.0 * np.pi * abs(self.series[0] - self.p / self.q))
 
-    @property
-    def clairaut_drift(self):
-        c = np.sin(self.alpha) ** 2 * np.cos(self.alpha) ** 2 * self.dv
-        return float((c.max() - c.min()) / abs(self.clairaut))
+    def chart(self, theta):
+        """(a, v, a', v', a'', v'') at the angles theta, d/dtheta.
+
+        a = pi/4 - h cos(theta) is exact; v = (p/q) theta plus the
+        integral of the series without its mean, so v advances by exactly
+        2*pi*p over theta in [0, 2*pi*q).  The series is summed once per
+        distinct theta mod 2*pi.
+        """
+        theta = np.asarray(theta, dtype=float)
+        base, inverse = np.unique(np.mod(theta, 2.0 * np.pi).ravel(),
+                                  return_inverse=True)
+        k = np.arange(1, self.series.size)
+        b = self.series[1:]
+        kt = np.multiply.outer(base, k)
+        cos_kt, sin_kt = np.cos(kt), np.sin(kt)
+        h = 0.5 * np.arccos(2.0 * self.clairaut)
+        hc, hs = h * np.cos(base), h * np.sin(base)
+        a, da, dda, wave, dv, ddv = (
+            x[inverse].reshape(theta.shape)
+            for x in (0.25 * np.pi - hc, hs, hc, sin_kt @ (b / k),
+                      self.series[0] + cos_kt @ b, -(sin_kt @ (k * b))))
+        return a, self.p / self.q * theta + wave, da, dv, dda, ddv
+
+    def to_dict(self):
+        """c, p, q, the closure residual and (theta, a, v, a', v') on one
+        radial period's nodes."""
+        nodes = self.series.size
+        theta = (np.arange(2 * nodes) + 0.5) * (np.pi / nodes)
+        a, v, da, dv = self.chart(theta)[:4]
+        return {
+            "clairaut": self.clairaut,
+            "p": self.p,
+            "q": self.q,
+            "closure_residual": self.closure_residual,
+            "samples": np.stack([theta, a, v, da, dv], axis=1).tolist(),
+        }
 
 
-def find_otsuki(p, q, tol=1e-10):
-    """Root-find the energy whose rotation number is p/q and sample it.
+def find_otsuki(p, q):
+    """Root-find the energy whose rotation number is p/q.
 
-    The root-find runs on the quadrature `rotation_number`; one ODE period
-    at the root then gives the samples.  It fails loudly if the ODE's
-    advance there misses p/q, if the samples do not close up, or if the
-    Clairaut constant drifts along them.
+    The profile keeps the cosine series of dv/dtheta at the root; it
+    fails loudly if the series' mean misses p/q by more than rounding.
     """
     p, q = int(p), int(q)
     if p < 1 or q < 1:
@@ -235,50 +196,24 @@ def find_otsuki(p, q, tol=1e-10):
     lo, hi = energies[i - 1], energies[i]
     energy = brentq(lambda c: rotation_number(c) - target, lo, hi,
                     xtol=1e-14, rtol=8.9e-16)
-    # the only ODE solve: it samples the profile and certifies the root
-    T, evaluate = _integrate_period(energy)
-    residual = _advance(T, evaluate) - target
-    if abs(residual) > max(tol, 1e-12):
-        raise ConvergenceError(
-            f"root finder stagnated for rotation number {p}/{q}")
-    ts = np.linspace(0.0, T, _N_SAMPLES)
-    a, v, da, dv = evaluate(ts)
-    profile = ProfileCurve(period=T, t=ts, alpha=a, v=v, dalpha=da, dv=dv,
-                           clairaut=float(energy), p=p, q=q,
-                           ode_advance_residual=residual)
-    if profile.closure_residual > max(10.0 * tol, 1e-8):
+    profile = ProfileCurve(clairaut=float(energy), p=p, q=q,
+                           series=_cosine_series(energy))
+    if profile.closure_residual > 2.0 * np.pi * _CLOSURE_TOL:
         raise ConvergenceError(
             f"profile closure residual {profile.closure_residual:.3e} "
             f"exceeds tolerance")
-    if profile.clairaut_drift > 1e-9:
-        raise IntegrationFailureError(
-            f"Clairaut drift {profile.clairaut_drift:.3e} over one period")
     return profile
 
 
 def build_surface(profile, nt=256, nphi=64):
-    """Immersed torus X(t, phi) in S^3 from a closed profile.
+    """Immersed torus X(theta, phi) in S^3 from a closed profile.
 
-    t runs over the full closed curve [0, q*T) (arc length of the orbit
-    metric), phi over the rotation circle [0, 2*pi).  Fails loudly if the
-    assembled surface is not minimal to 1e-6.
+    theta runs over the q radial periods [0, 2*pi*q), phi over the
+    rotation circle [0, 2*pi).  Fails loudly if the assembled surface is
+    not minimal to 1e-10.
     """
     if nt < 16 or nphi < 16:
         raise InvalidParameterError("resolutions below 16 are not supported")
-    T = profile.period
-    ts, v = profile.t, profile.v
-    # alpha, alpha', v' and v - omega t are T-periodic; the periodic
-    # spline on one radial period is the interpolant over all q of them
-    omega = (v[-1] - v[0]) / T
-
-    def periodic(y):
-        y = np.array(y)
-        y[-1] = y[0]
-        return CubicSpline(ts, y, bc_type="periodic")
-
-    spl_a, spl_da, spl_dv = (periodic(y) for y in
-                             (profile.alpha, profile.dalpha, profile.dv))
-    spl_dev = periodic(v - omega * ts)
 
     def _fields(u):
         """X, (X_t, X_phi), nu, A, |A|^2 and sqrt(g) in one pass.
@@ -294,13 +229,9 @@ def build_surface(profile, nt=256, nphi=64):
         """
         u = np.asarray(u, dtype=float)
         t, phi = u[..., 0], u[..., 1]
-        tm = np.mod(t, T)
-        al = spl_a(tm)
-        vv = omega * t + spl_dev(tm)
-        d_a, d_v = spl_da(tm), spl_dv(tm)
-        # second derivatives from the splines, independent of the ODE,
+        # v'' is the derivative of the series, not the profile equation,
         # so the minimality self-check is a genuine consistency test
-        dda, ddv = spl_da(tm, 1), spl_dv(tm, 1)
+        al, vv, d_a, d_v, dda, ddv = profile.chart(t)
         ca, sa = np.cos(al), np.sin(al)
         cv, sv = np.cos(vv), np.sin(vv)
         cp, sp = np.cos(phi), np.sin(phi)
@@ -330,7 +261,7 @@ def build_surface(profile, nt=256, nphi=64):
 
     family = GeometryFamily(
         name=f"otsuki({profile.p},{profile.q})",
-        periods=(profile.q * T, 2.0 * np.pi),
+        periods=(2.0 * np.pi * profile.q, 2.0 * np.pi),
         position=field(0),
         tangents=field(1),
         normal=field(2),
@@ -340,7 +271,7 @@ def build_surface(profile, nt=256, nphi=64):
     )
     # self-check on the requested mesh resolution, never skipped
     trace = check_minimality(family, (nt, nphi))
-    if trace > 1e-6:
+    if trace > _MINIMALITY_TOL:
         raise GenerationFailedError(
             f"minimality self-check failed: max |trace A| = {trace:.3e}")
     return family

@@ -63,7 +63,7 @@ def sphere_op(sphere_mesh):
 
 @pytest.fixture(scope="session")
 def otsuki_profile():
-    return rotational.find_otsuki(2, 3, 1e-10)
+    return rotational.find_otsuki(2, 3)
 
 
 @pytest.fixture(scope="session")

@@ -166,7 +166,7 @@ def test_criterion_9_otsuki_generation(otsuki_profile, otsuki_mesh,
     trace = check_minimality(family, per_dim=(128, 32))
     index = morse_index(otsuki_op)[0]
     rank = lemma_check(trial_span(otsuki_mesh, otsuki_op))[0]
-    ok = (closure <= 1e-8 and trace <= 1e-6 and index >= 6 and rank == 9)
+    ok = (closure <= 1e-12 and trace <= 1e-10 and index >= 6 and rank == 9)
     _verdict(9, ok, f"rotational (2,3): closure={closure:.1e}, "
                     f"max|trace A|={trace:.1e}, index={index}, rank={rank}")
 

@@ -3,6 +3,7 @@
 import json
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from mhs import paperlab, spectral
@@ -72,9 +73,16 @@ def test_spectrum_clifford_honours_grid_overrides(capsys):
 def test_family_profile(capsys):
     code, doc = run_json(capsys, ["family", "otsuki", "--p", "2", "--q", "3"])
     assert code == 0
-    assert doc["report"]["closure_residual"] <= 1e-8
-    assert abs(doc["report"]["ode_advance_residual"]) <= 1e-12
-    assert doc["report"]["p"] == 2 and doc["report"]["q"] == 3
+    report = doc["report"]
+    assert report["closure_residual"] <= 1e-12
+    assert report["p"] == 2 and report["q"] == 3
+    assert 0.0 < report["clairaut"] < 0.5
+    assert "tol" not in doc["config"]
+    # (theta, alpha, v, alpha', v') over one radial period, theta in (0, 2 pi)
+    samples = np.array(report["samples"])
+    assert samples.shape[1] == 5
+    assert 0.0 < samples[0, 0] and samples[-1, 0] < 2.0 * np.pi
+    assert np.all(np.diff(samples[:, 2]) > 0.0)
 
 
 def test_exit_code_validation_errors(capsys):

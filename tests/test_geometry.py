@@ -9,8 +9,9 @@ from mhs.rotational import build_surface, find_otsuki
 
 # the closed-form Otsuki (2, 3) fields; unlike the Clifford torus, A varies
 OTSUKI = build_surface(find_otsuki(2, 3), 64, 32)
-# the minimality bound build_surface enforces on its spline-built fields
-TRACE_TOL = {"clifford(2,1)": 1e-8, "otsuki(2,3)": 1e-6, "otsuki(7,10)": 1e-6}
+# the minimality bound build_surface enforces on its closed-form fields
+TRACE_TOL = {"clifford(2,1)": 1e-8, "otsuki(2,3)": 1e-10,
+             "otsuki(7,10)": 1e-10}
 
 
 def gram_schmidt(T):
@@ -130,4 +131,4 @@ def test_gradient_identities_otsuki():
 def test_rotational_surface_minimality(otsuki_profile):
     from mhs.rotational import build_surface
     fam = build_surface(otsuki_profile, 32, 16)
-    assert check_minimality(fam, per_dim=(32, 16)) <= 1e-6
+    assert check_minimality(fam, per_dim=(32, 16)) <= 1e-10

@@ -174,15 +174,38 @@ def test_first_eigfunction_multiplicity_guard(clifford_op):
         pass  # acceptable: the contrived pencil has a degenerate bottom
 
 
+# Urbano (Proc. AMS 108, 1990): a minimal surface in S^3 other than the
+# equator has index >= 5, with equality only for the Clifford torus
+URBANO_MIN_INDEX = 5
+
+
 def test_morse_index_cross_validates(clifford_op, sphere_op):
-    assert morse_index(clifford_op)[0] == 5
+    assert morse_index(clifford_op)[0] == URBANO_MIN_INDEX
     assert morse_index(sphere_op)[0] == 1
 
 
 def test_otsuki_index(otsuki_op):
     idx, report = morse_index(otsuki_op)
-    assert idx >= 6
+    assert idx > URBANO_MIN_INDEX
     assert inertia_below(otsuki_op, -0.05) == idx
+
+
+@pytest.mark.parametrize("p, q, nt, nphi, assembler, index", [
+    (3, 5, 425, 17, fem.assemble_spectral, 20),
+    (3, 5, 425, 25, fem.assemble_spectral, 20),
+    (7, 10, 255, 17, fem.assemble_spectral, 46),
+    (7, 10, 425, 17, fem.assemble_spectral, 46),
+    (5, 9, 576, 64, fem.assemble, 36),
+], ids=["3-5-spectral-425x17", "3-5-spectral-425x25",
+        "7-10-spectral-255x17", "7-10-spectral-425x17", "5-9-p1-576x64"])
+def test_otsuki_index_census(p, q, nt, nphi, assembler, index):
+    # index and nullity of further Otsuki tori, each at two resolutions
+    # or on the independent P1 discretization; the nullity is 5 for the
+    # Killing fields, 6 - 1, and every index exceeds Urbano's bound
+    family = rotational.build_surface(rotational.find_otsuki(p, q), nt, nphi)
+    got, report = morse_index(assembler(fem.mesh_torus(family, nt, nphi)))
+    assert (got, report.nullity) == (index, 5)
+    assert got > URBANO_MIN_INDEX
 
 
 def test_discrete_spectra_converge_from_above(clifford_ops):
@@ -586,5 +609,5 @@ def test_spectral_otsuki_exact_landmarks(otsuki_op_spectral):
     assert (index, report.nullity) == (12, 5)
     vals, modes = report.eigenvalues, report.modes
     for value, expected in ((-2.0, [0, 0, 1, 1]), (0.0, [0, 1, 1, 1, 1])):
-        near = np.abs(vals - value) < 5e-8
+        near = np.abs(vals - value) < 1e-11
         assert sorted(modes[near]) == expected
