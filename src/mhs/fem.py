@@ -9,8 +9,10 @@ W integrates (n + |A|^2) against the nodal basis.
 
 ``assemble`` builds piecewise-linear (P1) elements on any mesh;
 ``assemble_spectral`` builds a Fourier pseudo-spectral operator set on
-the node grid of a structured torus mesh with an orthogonal chart.
-Both act on the same nodal vectors (vertex values).
+the node grid of a structured torus mesh with an orthogonal chart whose
+coefficients do not depend on phi, as Kronecker products of the 1-D
+operators of one chart line.  Both act on the same nodal vectors
+(vertex values).
 """
 
 import json
@@ -23,7 +25,7 @@ import scipy.sparse as sp
 
 from .errors import (DegenerateElementError, InvalidParameterError,
                      MeshFormatError)
-from .geometry import GeometryFamily
+from .geometry import GeometryFamily, sample_grid
 from .spectral import PhiModes, dissection_order
 
 # barycentric coordinates of the three edge midpoints
@@ -58,7 +60,6 @@ class SurfaceMesh:
     quad_measure: np.ndarray    # (T, 3)
     quad_nu: np.ndarray         # (T, 3, 4)
     quad_asq: np.ndarray        # (T, 3)
-    vertex_params: Optional[np.ndarray] = None  # (V, 2)
     source_family: Optional[GeometryFamily] = None
     degraded_normals: bool = False
     surface_dim: int = 2
@@ -194,7 +195,6 @@ def mesh_torus(family, nt, nphi):
         quad_points=quad_points, quad_weights=quad_weights,
         quad_measure=quad_measure, quad_nu=quad_nu,
         quad_asq=np.asarray(quad_asq, float),
-        vertex_params=vparams,
         source_family=family, grid_shape=(nt, nphi))
 
 
@@ -332,17 +332,18 @@ def assemble_spectral(mesh):
     """Fourier pseudo-spectral stiffness, mass and potential mass.
 
     The nodes are the vertices of a ``mesh_torus`` grid with both sides
-    odd.  With D_a the differentiation matrix along chart direction a
-    and nodal weights w = dt*dphi*sqrt(g), the operators are
-    K = sum_a D_a^T diag(w / g_aa) D_a, Mm = diag(w) and
-    W = diag(w (n + |A|^2)).  They meet the identities
-    Delta l_v = -n l_v and Delta f_v = -|A|^2 f_v at the nodes to
-    spectral accuracy rather than O(h^2).  The chart must be orthogonal
-    (g_12 = 0); an even side would leave the Nyquist mode in the kernel
-    of D and add spurious low eigenvalues.
+    odd.  The chart must be orthogonal (g_12 = 0) with g_11, g_22 and
+    q = n + |A|^2 invariant in phi, as on every torus the package builds,
+    so each operator is a Kronecker product of 1-D operators of one line
+    of constant phi.  With differentiation matrices D_t, D_phi and line
+    weights w = dt*dphi*sqrt(g): K = Kt (x) I + diag(w / g_22) (x) Kphi,
+    Kt = D_t^T diag(w / g_11) D_t, Kphi = D_phi^T D_phi, Mm = diag(w) (x) I
+    and W = diag(w q) (x) I.  They meet Delta l_v = -n l_v and
+    Delta f_v = -|A|^2 f_v at the nodes to spectral accuracy rather than
+    O(h^2).  An even side would leave the Nyquist mode in the kernel of
+    D and add spurious low eigenvalues.
     """
-    if (mesh.grid_shape is None or mesh.source_family is None
-            or mesh.vertex_params is None):
+    if mesh.grid_shape is None or mesh.source_family is None:
         raise InvalidParameterError(
             f"{mesh.name} has no structured chart grid; spectral "
             "assembly needs a mesh_torus mesh")
@@ -352,35 +353,30 @@ def assemble_spectral(mesh):
             f"spectral assembly needs odd grid sides, got {nt}x{nphi}")
     family = mesh.source_family
     lt, lp = family.periods
-    T = family.tangents(mesh.vertex_params)
-    g = np.einsum("vai,vbi->vab", T, T)
-    g11, g22, g12 = g[:, 0, 0], g[:, 1, 1], g[:, 0, 1]
+    u = sample_grid(family, mesh.grid_shape)
+    T = family.tangents(u)
+    g11, g22, g12 = np.einsum("vai,vbi->abv", T, T)[[0, 1, 0], [0, 1, 1]]
     if np.abs(g12).max() > 1e-10 * np.sqrt(g11 * g22).max():
         raise InvalidParameterError(
             f"{mesh.name}: chart is not orthogonal "
             f"(max |g_12| = {np.abs(g12).max():.3e})")
-    w = (lt / nt) * (lp / nphi) * np.sqrt(g11 * g22 - g12 ** 2)
-    ct = (w / g11).reshape(nt, nphi)
-    cp = (w / g22).reshape(nt, nphi)
-    Dt, Dp = _fourier_diff(nt, lt), _fourier_diff(nphi, lp)
-    # one dense block per grid line: Kt[j] = Dt^T diag(ct[:, j]) Dt
-    # couples nodes (i, j) and (l, j); Kp[i] couples (i, j) and (i, m)
-    Kt = (Dt.T[None] * ct.T[:, None, :]) @ Dt
-    Kp = (Dp.T[None] * cp[:, None, :]) @ Dp
-    node = np.arange(nt * nphi).reshape(nt, nphi)
-    rows = np.concatenate([
-        np.broadcast_to(node.T[:, :, None], Kt.shape).ravel(),
-        np.broadcast_to(node[:, :, None], Kp.shape).ravel()])
-    cols = np.concatenate([
-        np.broadcast_to(node.T[:, None, :], Kt.shape).ravel(),
-        np.broadcast_to(node[:, None, :], Kp.shape).ravel()])
-    K = sp.coo_matrix((np.concatenate([Kt.ravel(), Kp.ravel()]),
-                       (rows, cols)), shape=(node.size,) * 2).tocsr()
     n = mesh.surface_dim
-    q = n + mesh.vertex_asq
-    return OperatorSet(K=((K + K.T) * 0.5).tocsr(),
-                       Mm=sp.diags(w).tocsr(), W=sp.diags(w * q).tocsr(),
-                       n=n, q_max=float(q.max()), grid_shape=mesh.grid_shape)
+    coeffs = np.stack([g11, g22, n + family.asq(u)]).reshape(3, nt, nphi)
+    drift = np.abs(coeffs - coeffs[..., :1]).max(axis=(1, 2))
+    if (drift > 1e-10 * np.abs(coeffs).max(axis=(1, 2))).any():
+        raise InvalidParameterError(
+            f"{mesh.name}: chart coefficients vary in phi "
+            f"(max change of g_11, g_22, q: {drift.max():.3e})")
+    g11, g22, q = coeffs[..., 0]
+    w = (lt / nt) * (lp / nphi) * np.sqrt(g11 * g22)
+    Dt, Dp = _fourier_diff(nt, lt), _fourier_diff(nphi, lp)
+    Kt, Kp = ((A + A.T) * 0.5 for A in (Dt.T @ ((w / g11)[:, None] * Dt),
+                                        Dp.T @ Dp))
+    I = sp.identity(nphi)
+    K = (sp.kron(Kt, I) + sp.kron(sp.diags(w / g22), Kp)).tocsr()
+    Mm, W = (sp.kron(sp.diags(c), I, format="csr") for c in (w, w * q))
+    return OperatorSet(K=K, Mm=Mm, W=W, n=n, q_max=float(q.max()),
+                       grid_shape=mesh.grid_shape)
 
 
 def mesh_to_json(mesh):

@@ -436,6 +436,8 @@ def chain_sweep(span, draws=100, seed=0):
     (0.05, 0.95).  The normal moments behind v0 are formed once, and
     every draw reads the span forms, so no draw touches a nodal vector.
     """
+    if draws < 1:
+        raise InvalidParameterError(f"draws must be >= 1, got {draws}")
     mesh, ops = span.mesh, span.ops
     moments = _normal_moments(mesh)
     rng = np.random.default_rng(seed)

@@ -12,12 +12,13 @@ the rotation angle phi (every torus the package builds), the pencil is
 block-circulant and both paths run on one small pencil per
 phi-Fourier mode instead (``PhiModes``).  A mode pencil is stored only
 as a band, in the interleaved order 0, nt-1, 1, nt-2, ..., where a P1
-pencil has bandwidth 2.  A mode is solved, by a dense eigensolve of its
-unpacked band, only when a banded Cholesky factorization cannot exclude
-it from the answer; that certificate costs O(nt kd^2) for bandwidth kd,
-not the O(nt^3) of a dense one.  Every inertia count, of the unreduced
-pencil or of a mode that fails the certificate, reads the pivot signs
-of one unpivoted sparse factorization (``_signature``).
+pencil has bandwidth 2; it is complex only where a block is not
+symmetric.  A mode is solved, by a dense eigensolve of its unpacked
+band, only when a banded Cholesky factorization cannot exclude it from
+the answer; that certificate costs O(nt kd^2) for bandwidth kd, not the
+O(nt^3) of a dense one.  Every inertia count, of the unreduced pencil
+or of a mode that fails the certificate, reads the pivot signs of one
+unpivoted sparse factorization (``_signature``).
 """
 
 import functools
@@ -138,6 +139,8 @@ class PhiModes:
     spectral block is dense, so kd = nt - 1).  ``band`` sums them for a
     mode and shift, ``pencil`` unpacks them into a dense pencil in the
     same interleaved order, and ``lift`` maps vectors back to node order.
+    Where every block is symmetric, as on a Kronecker-built spectral set,
+    the antisymmetric part is empty and each mode pencil stays real.
 
     Modes are solved lazily (``lowest``): a mode is either solved, by one
     dense eigensolve whose eigenpairs are kept, or certified, by a banded
@@ -178,6 +181,7 @@ class PhiModes:
         # the entries (i, l) and (l, i) share a row and are summed
         odd = sp.csr_matrix((0.5 * np.sign(P - Q) * c, (rows, o)),
                             shape=shape)
+        odd.eliminate_zeros()
         return offsets, even, odd
 
     @classmethod
@@ -206,18 +210,15 @@ class PhiModes:
         offsets, even, odd = operator
         theta = 2 * np.pi * (offsets * k % self.nphi) / self.nphi
         ab = even @ np.cos(theta)
-        if self.multiplicity(k) == 2:
+        if self.multiplicity(k) == 2 and odd.nnz:
             ab = ab + 1j * (odd @ np.sin(theta))
         return ab.reshape(self.kd + 1, self.nt)
 
     def pencil(self, k):
         """Dense Hermitian (B_k, Mm_k) of mode k in the interleaved order."""
-        pencil = []
-        for operator in (self._B, self._Mm):
-            values, index = _unband(self._band_sum(operator, k))
-            pencil.append(np.zeros((self.nt, self.nt), dtype=values.dtype))
-            pencil[-1][index] = values
-        return tuple(pencil)
+        return tuple(sp.coo_matrix(_unband(self._band_sum(operator, k)),
+                                   shape=(self.nt,) * 2).toarray()
+                     for operator in (self._B, self._Mm))
 
     def band(self, k, shift):
         """B_k - shift Mm_k in LAPACK lower band storage in the

@@ -115,6 +115,16 @@ def test_chain_takes_no_delta1(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["paper-check", "--family", "clifford", "--res", "16", "--draws", "0"],
+    ["chain", "--family", "equator", "--n", "2", "--res", "2",
+     "--draws", "-3"]])
+def test_draws_below_one_is_an_error_line(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "draws" in err
+
+
 def test_paper_check_report(capsys):
     code, doc = run_json(capsys, [
         "paper-check", "--family", "clifford", "--n", "2", "--k", "1",

@@ -200,6 +200,23 @@ def test_spectral_rejects_oblique_chart(clifford_mesh_odd):
         fem.assemble_spectral(oblique)
 
 
+def test_spectral_rejects_phi_varying_chart(clifford_mesh_odd):
+    # a phi-tangent scaled by 1 + 0.1 cos(phi) makes g_22 vary in phi,
+    # so the operators are no Kronecker products of one chart line
+    family = clifford_mesh_odd.source_family
+
+    def scaled(u):
+        T = family.tangents(u)
+        s = 1.0 + 0.1 * np.cos(np.asarray(u)[..., 1])
+        return np.stack([T[..., 0, :], s[..., None] * T[..., 1, :]], axis=-2)
+
+    varying = dataclasses.replace(
+        clifford_mesh_odd,
+        source_family=dataclasses.replace(family, tangents=scaled))
+    with pytest.raises(InvalidParameterError, match="phi"):
+        fem.assemble_spectral(varying)
+
+
 def test_spectral_operator_invariants(clifford_mesh_odd,
                                       clifford_op_spectral):
     ops = clifford_op_spectral
@@ -231,22 +248,57 @@ def test_spectral_clifford_landmarks(clifford_mesh_odd,
             assert res <= 1e-10
 
 
-def test_spectral_independent_of_chart_scale(clifford_family):
-    # t -> t/2 on a 33x17 grid: g_11 != g_22 and the two sides and
-    # periods differ, yet the spectrum is that of the same torus
-    fam = clifford_family
+def _stretched_clifford(fam):
+    """The Clifford chart under t -> t/2: g_11 != g_22."""
     half = np.array([0.5, 1.0])
 
     def at(field):
         return lambda u: field(np.asarray(u) * half)
 
-    stretched = dataclasses.replace(
+    return dataclasses.replace(
         fam, periods=(4 * np.pi, 2 * np.pi),
         position=at(fam.position), normal=at(fam.normal), asq=at(fam.asq),
         tangents=lambda u: at(fam.tangents)(u) * half[:, None],
         sqrt_det_g=lambda u: 0.5 * at(fam.sqrt_det_g)(u))
-    ops = fem.assemble_spectral(mesh_torus(stretched, 33, 17))
+
+
+def test_spectral_independent_of_chart_scale(clifford_family):
+    # t -> t/2 on a 33x17 grid: g_11 != g_22 and the two sides and
+    # periods differ, yet the spectrum is that of the same torus
+    ops = fem.assemble_spectral(
+        mesh_torus(_stretched_clifford(clifford_family), 33, 17))
     table = clifford_jacobi(2, 1)[0]
     exact = np.concatenate([[float(v)] * m for v, m in table.entries])
     report = lowest_eigs(ops, count=len(exact))
     assert np.abs(report.eigenvalues - exact).max() <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["otsuki", "stretched_clifford"])
+def test_spectral_mode_pencil_is_one_chart_line(name, request):
+    # mode k of a spectral set is the real 1-D pencil
+    # (Kt + kappa_k^2 diag(w / g_22) - diag(w q), diag(w)) of the line
+    # phi = 0, with Kt = D^T diag(w / g_11) D and kappa_k = 2 pi k / L_phi
+    if name == "otsuki":
+        ops = request.getfixturevalue("otsuki_op_spectral")
+        family = request.getfixturevalue("otsuki_mesh_odd").source_family
+    else:
+        family = _stretched_clifford(request.getfixturevalue(
+            "clifford_family"))
+        ops = fem.assemble_spectral(mesh_torus(family, 33, 17))
+    nt, nphi = ops.grid_shape
+    lt, lp = family.periods
+    u = np.stack([lt * np.arange(nt) / nt, np.zeros(nt)], axis=-1)
+    T = family.tangents(u)
+    g11, g22 = (np.einsum("vi,vi->v", T[:, a], T[:, a]) for a in (0, 1))
+    w = (lt / nt) * (lp / nphi) * np.sqrt(g11 * g22)
+    q = ops.n + family.asq(u)
+    D = fem._fourier_diff(nt, lt)
+    Kt = D.T @ ((w / g11)[:, None] * D)
+    modes = ops.phi_modes
+    node = np.ix_(modes._position, modes._position)
+    for k in range(nphi // 2 + 1):
+        kappa = 2 * np.pi * k / lp
+        Bref = Kt + np.diag(kappa ** 2 * w / g22 - w * q)
+        for A, ref in zip(modes.pencil(k), (Bref, np.diag(w))):
+            assert np.isrealobj(A)
+            assert np.abs(A[node] - ref).max() <= 1e-13 * np.abs(ref).max()
