@@ -57,6 +57,12 @@ def _build_mesh(args):
     return fem.mesh_torus(fam, nt, nphi)
 
 
+def _check_draws(args):
+    """Reject a draw count below one before any mesh is built."""
+    if args.draws < 1:
+        raise InvalidParameterError(f"draws must be >= 1, got {args.draws}")
+
+
 def _emit(args, config, report, csv_rows=None):
     doc = {"version": __version__,
            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -121,6 +127,7 @@ def cmd_spectrum(args):
 
 
 def cmd_paper_check(args):
+    _check_draws(args)
     mesh = _build_mesh(args)
     ops = fem.assemble(mesh)
     span = paperlab.trial_span(mesh, ops)
@@ -150,6 +157,7 @@ def cmd_paper_check(args):
 
 
 def cmd_chain(args):
+    _check_draws(args)
     mesh = _build_mesh(args)
     ops = fem.assemble(mesh)
     records, params = paperlab.chain_sweep(paperlab.trial_span(mesh, ops),

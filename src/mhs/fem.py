@@ -2,8 +2,9 @@
 
 Meshes carry flat triangles between on-sphere vertices plus per-triangle
 quadrature data (3-point edge-midpoint rule, exact for quadratics on the
-flat element).  Geometric fields (normal, |A|^2, area element) are
-sampled analytically from the source family whenever one is attached.
+flat element).  On a chart mesh the geometric fields (normal, |A|^2,
+area element) are sampled analytically, one ``sample`` pass of the
+source family per point set.
 The stability operator enters through the pencil B = K - W where
 W integrates (n + |A|^2) against the nodal basis.
 
@@ -152,7 +153,8 @@ def mesh_torus(family, nt, nphi):
 
     Each grid cell is split into two triangles; per-triangle parameter
     coordinates are kept unwrapped so quadrature midpoints never jump
-    across the periodic seam.
+    across the periodic seam.  The family is sampled twice, once on the
+    vertex lattice and once at the quadrature points.
     """
     if nt < 8 or nphi < 8:
         raise InvalidParameterError("torus mesh resolutions must be >= 8")
@@ -161,9 +163,7 @@ def mesh_torus(family, nt, nphi):
     I, J = np.meshgrid(np.arange(nt), np.arange(nphi), indexing="ij")
     ii, jj = I.ravel(), J.ravel()
     vparams = np.stack([ii * dt, jj * dp], axis=-1)
-    vertices = family.position(vparams)
-    vertex_nu = family.normal(vparams)
-    vertex_asq = family.asq(vparams)
+    vertices, _, vertex_nu, _, vertex_asq, _ = family.sample(vparams)
 
     def vid(i, j):
         return (i % nt) * nphi + (j % nphi)
@@ -181,13 +181,11 @@ def mesh_torus(family, nt, nphi):
                    corner(ii, jj + 1)], axis=1)
     tri_params = np.concatenate([p1, p2])
     quad_params = np.einsum("qc,tcd->tqd", _PHI, tri_params)
-    quad_points = family.position(quad_params)
-    quad_nu = family.normal(quad_params)
-    quad_asq = family.asq(quad_params)
+    quad_points, _, quad_nu, _, quad_asq, sqrtg = family.sample(quad_params)
     area = _triangle_areas(vertices, triangles)
     quad_weights = np.repeat(area[:, None] / 3.0, 3, axis=1)
     param_area = 0.5 * dt * dp
-    quad_measure = family.sqrt_det_g(quad_params) * (param_area / 3.0)
+    quad_measure = sqrtg * (param_area / 3.0)
     return SurfaceMesh(
         name=f"{family.name}@{nt}x{nphi}",
         vertices=vertices, triangles=triangles,
@@ -354,14 +352,14 @@ def assemble_spectral(mesh):
     family = mesh.source_family
     lt, lp = family.periods
     u = sample_grid(family, mesh.grid_shape)
-    T = family.tangents(u)
+    _, T, _, _, asq, _ = family.sample(u)
     g11, g22, g12 = np.einsum("vai,vbi->abv", T, T)[[0, 1, 0], [0, 1, 1]]
     if np.abs(g12).max() > 1e-10 * np.sqrt(g11 * g22).max():
         raise InvalidParameterError(
             f"{mesh.name}: chart is not orthogonal "
             f"(max |g_12| = {np.abs(g12).max():.3e})")
     n = mesh.surface_dim
-    coeffs = np.stack([g11, g22, n + family.asq(u)]).reshape(3, nt, nphi)
+    coeffs = np.stack([g11, g22, n + asq]).reshape(3, nt, nphi)
     drift = np.abs(coeffs - coeffs[..., :1]).max(axis=(1, 2))
     if (drift > 1e-10 * np.abs(coeffs).max(axis=(1, 2))).any():
         raise InvalidParameterError(

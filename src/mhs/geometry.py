@@ -1,40 +1,61 @@
 """Doubly periodic charts of minimal tori in S^3.
 
-A family bundles vectorized evaluators for the immersion x(u), the unit
-normal nu(u), the shape operator expressed in a Gram-Schmidt tangent
-frame, |A|^2 and the chart area element on the periodic rectangle
-[0, L_t) x [0, L_phi).  Everything is closed-form; nothing is
+A family is one vectorized field pass ``sample(u)`` on the periodic
+rectangle [0, L_t) x [0, L_phi): it returns the immersion x(u), the
+coordinate tangents, the unit normal nu(u), the shape operator expressed
+in a Gram-Schmidt tangent frame, |A|^2 and the chart area element
+together.  The six named fields are views of that pass; the library
+reads only ``sample``.  Everything is closed-form; nothing is
 reconstructed from meshes.  The Clifford torus lives here; rotational
 tori come from ``mhs.rotational``.  Spectra in any dimension are in
 ``mhs.closedform``.
 """
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import InvalidParameterError
 
 
+# the components of ``GeometryFamily.sample``, in order
+FIELDS = ("position", "tangents", "normal", "shape_frame", "asq",
+          "sqrt_det_g")
+
+
 @dataclass(frozen=True)
 class GeometryFamily:
     """Immersed minimal torus in S^3 on a doubly periodic chart.
 
-    ``periods`` = (L_t, L_phi) are the chart periods.  Evaluators accept
-    parameter arrays of shape (..., 2) and broadcast.  ``shape_frame``
-    returns the shape operator in the orthonormal frame obtained by
-    Gram-Schmidt of the coordinate tangents, in order.
+    ``periods`` = (L_t, L_phi) are the chart periods.  ``sample(u)``
+    takes parameter arrays of shape (..., 2) and returns, in one pass,
+    (position, tangents, normal, shape_frame, asq, sqrt_det_g) with
+    shapes (..., 4), (..., 2, 4), (..., 4), (..., 2, 2), (...) and (...).
+    ``shape_frame`` is the shape operator in the orthonormal frame
+    obtained by Gram-Schmidt of the coordinate tangents, in order.
+
+    The six named fields are single-field views of ``sample``, filled in
+    when left unset.  The library reads only ``sample``, so swapping a
+    view changes nothing it computes: a changed chart is a new family
+    built around a changed ``sample``.
     """
 
     name: str
     periods: tuple
-    position: Callable
-    tangents: Callable
-    normal: Callable
-    shape_frame: Callable
-    asq: Callable
-    sqrt_det_g: Callable
+    sample: Callable
+    position: Optional[Callable] = None
+    tangents: Optional[Callable] = None
+    normal: Optional[Callable] = None
+    shape_frame: Optional[Callable] = None
+    asq: Optional[Callable] = None
+    sqrt_det_g: Optional[Callable] = None
+
+    def __post_init__(self):
+        for i, field in enumerate(FIELDS):
+            if getattr(self, field) is None:
+                object.__setattr__(self, field,
+                                   lambda u, i=i: self.sample(u)[i])
 
 
 def clifford(n, k):
@@ -52,48 +73,21 @@ def clifford(n, k):
     # principal curvatures -1, 1 in the Gram-Schmidt frame
     A_const = np.diag([-1.0, 1.0])
 
-    def circles(u):
+    def sample(u):
         u = np.asarray(u, dtype=float)
         t, p = u[..., 0], u[..., 1]
-        return np.cos(t), np.sin(t), np.cos(p), np.sin(p)
-
-    def position(u):
-        ct, st, cp, sp = circles(u)
-        return r * np.stack([ct, st, cp, sp], axis=-1)
-
-    def tangents(u):
-        ct, st, cp, sp = circles(u)
+        ct, st, cp, sp = np.cos(t), np.sin(t), np.cos(p), np.sin(p)
         zero = np.zeros_like(ct)
-        return r * np.stack([np.stack([-st, ct, zero, zero], axis=-1),
-                             np.stack([zero, zero, -sp, cp], axis=-1)],
-                            axis=-2)
+        tangents = r * np.stack([np.stack([-st, ct, zero, zero], axis=-1),
+                                 np.stack([zero, zero, -sp, cp], axis=-1)],
+                                axis=-2)
+        return (r * np.stack([ct, st, cp, sp], axis=-1), tangents,
+                r * np.stack([ct, st, -cp, -sp], axis=-1),
+                np.broadcast_to(A_const, t.shape + (2, 2)).copy(),
+                np.full(t.shape, 2.0), np.full(t.shape, r * r))
 
-    def normal(u):
-        ct, st, cp, sp = circles(u)
-        return r * np.stack([ct, st, -cp, -sp], axis=-1)
-
-    def shape(u):
-        u = np.asarray(u, dtype=float)
-        return np.broadcast_to(A_const, u.shape[:-1] + (2, 2)).copy()
-
-    def asq(u):
-        u = np.asarray(u, dtype=float)
-        return np.full(u.shape[:-1], 2.0)
-
-    def sqrtg(u):
-        u = np.asarray(u, dtype=float)
-        return np.full(u.shape[:-1], r * r)
-
-    return GeometryFamily(
-        name="clifford(2,1)",
-        periods=(2.0 * np.pi, 2.0 * np.pi),
-        position=position,
-        tangents=tangents,
-        normal=normal,
-        shape_frame=shape,
-        asq=asq,
-        sqrt_det_g=sqrtg,
-    )
+    return GeometryFamily(name="clifford(2,1)",
+                          periods=(2.0 * np.pi, 2.0 * np.pi), sample=sample)
 
 
 def sample_grid(family, per_dim):
@@ -111,5 +105,5 @@ def sample_grid(family, per_dim):
 def check_minimality(family, per_dim=32):
     """Max |trace A| over a sample grid; zero for minimal immersions."""
     u = sample_grid(family, per_dim)
-    A = family.shape_frame(u)
+    A = family.sample(u)[3]
     return float(np.abs(np.trace(A, axis1=-2, axis2=-1)).max())

@@ -14,7 +14,9 @@ closed form: a(theta) exactly, and dv/dtheta a smooth even 2*pi-periodic
 function, held as its cosine series.  The mean of that series is the
 rotation number, the root-find for p/q runs on it, and v, v' and v'' of
 the torus chart are the series' integral, value and derivative.  No ODE
-is integrated and nothing is interpolated.
+is integrated and nothing is interpolated.  ``build_surface`` turns the
+chart into a ``geometry.GeometryFamily`` whose ``sample`` computes every
+field in one pass.
 """
 
 import math
@@ -209,13 +211,14 @@ def build_surface(profile, nt=256, nphi=64):
     """Immersed torus X(theta, phi) in S^3 from a closed profile.
 
     theta runs over the q radial periods [0, 2*pi*q), phi over the
-    rotation circle [0, 2*pi).  Fails loudly if the assembled surface is
-    not minimal to 1e-10.
+    rotation circle [0, 2*pi).  The family's ``sample`` evaluates the
+    profile chart once per call and returns every field from it.  Fails
+    loudly if the assembled surface is not minimal to 1e-10.
     """
     if nt < 16 or nphi < 16:
         raise InvalidParameterError("resolutions below 16 are not supported")
 
-    def _fields(u):
+    def sample(u):
         """X, (X_t, X_phi), nu, A, |A|^2 and sqrt(g) in one pass.
 
         With the unit vectors e_a = dX/d(alpha) and e_v = dX/(cos(alpha) dv),
@@ -256,19 +259,9 @@ def build_surface(profile, nt=256, nphi=64):
         asq = A[..., 0, 0] ** 2 + A[..., 1, 1] ** 2
         return X, dX, nu, A, asq, speed * sa
 
-    def field(i):
-        return lambda u: _fields(u)[i]
-
     family = GeometryFamily(
         name=f"otsuki({profile.p},{profile.q})",
-        periods=(2.0 * np.pi * profile.q, 2.0 * np.pi),
-        position=field(0),
-        tangents=field(1),
-        normal=field(2),
-        shape_frame=field(3),
-        asq=field(4),
-        sqrt_det_g=field(5),
-    )
+        periods=(2.0 * np.pi * profile.q, 2.0 * np.pi), sample=sample)
     # self-check on the requested mesh resolution, never skipped
     trace = check_minimality(family, (nt, nphi))
     if trace > _MINIMALITY_TOL:

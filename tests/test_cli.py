@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from mhs import paperlab, spectral
+from mhs import cli, paperlab, spectral
 from mhs.cli import main
 from mhs.errors import MeshFormatError
 from mhs.fem import load_mesh, mesh_sphere, mesh_to_json
@@ -116,13 +116,18 @@ def test_chain_takes_no_delta1(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["paper-check", "--family", "clifford", "--res", "16", "--draws", "0"],
+    ["paper-check", "--family", "otsuki", "--res", "64", "--draws", "0"],
     ["chain", "--family", "equator", "--n", "2", "--res", "2",
      "--draws", "-3"]])
-def test_draws_below_one_is_an_error_line(capsys, argv):
+def test_draws_below_one_is_an_error_line(capsys, monkeypatch, argv):
+    # the draw count is checked before any mesh is built
+    def no_mesh(args):
+        raise AssertionError("meshed before the draw count was checked")
+
+    monkeypatch.setattr(cli, "_build_mesh", no_mesh)
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "draws" in err
+    assert err == f"error: draws must be >= 1, got {argv[-1]}\n"
 
 
 def test_paper_check_report(capsys):

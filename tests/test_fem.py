@@ -12,7 +12,7 @@ from mhs.errors import (DegenerateElementError, InvalidParameterError,
 from mhs.fem import (assemble, mesh_from_json, mesh_sphere, mesh_to_json,
                      mesh_torus)
 from mhs.closedform import clifford_jacobi
-from mhs.geometry import clifford
+from mhs.geometry import FIELDS, GeometryFamily, clifford
 from mhs.spectral import lowest_eigs, morse_index
 
 
@@ -189,13 +189,13 @@ def test_spectral_rejects_oblique_chart(clifford_mesh_odd):
     family = clifford_mesh_odd.source_family
 
     def sheared(u):
-        T = family.tangents(u)
-        return np.stack([T[..., 0, :], T[..., 1, :] + 0.5 * T[..., 0, :]],
-                        axis=-2)
+        X, T, *rest = family.sample(u)
+        return (X, np.stack([T[..., 0, :], T[..., 1, :] + 0.5 * T[..., 0, :]],
+                            axis=-2), *rest)
 
     oblique = dataclasses.replace(
         clifford_mesh_odd,
-        source_family=dataclasses.replace(family, tangents=sheared))
+        source_family=GeometryFamily(family.name, family.periods, sheared))
     with pytest.raises(InvalidParameterError, match="orthogonal"):
         fem.assemble_spectral(oblique)
 
@@ -206,13 +206,14 @@ def test_spectral_rejects_phi_varying_chart(clifford_mesh_odd):
     family = clifford_mesh_odd.source_family
 
     def scaled(u):
-        T = family.tangents(u)
+        X, T, *rest = family.sample(u)
         s = 1.0 + 0.1 * np.cos(np.asarray(u)[..., 1])
-        return np.stack([T[..., 0, :], s[..., None] * T[..., 1, :]], axis=-2)
+        return (X, np.stack([T[..., 0, :], s[..., None] * T[..., 1, :]],
+                            axis=-2), *rest)
 
     varying = dataclasses.replace(
         clifford_mesh_odd,
-        source_family=dataclasses.replace(family, tangents=scaled))
+        source_family=GeometryFamily(family.name, family.periods, scaled))
     with pytest.raises(InvalidParameterError, match="phi"):
         fem.assemble_spectral(varying)
 
@@ -252,25 +253,68 @@ def _stretched_clifford(fam):
     """The Clifford chart under t -> t/2: g_11 != g_22."""
     half = np.array([0.5, 1.0])
 
-    def at(field):
-        return lambda u: field(np.asarray(u) * half)
+    def sample(u):
+        X, T, nu, A, asq, sqrtg = fam.sample(np.asarray(u) * half)
+        return X, T * half[:, None], nu, A, asq, 0.5 * sqrtg
 
-    return dataclasses.replace(
-        fam, periods=(4 * np.pi, 2 * np.pi),
-        position=at(fam.position), normal=at(fam.normal), asq=at(fam.asq),
-        tangents=lambda u: at(fam.tangents)(u) * half[:, None],
-        sqrt_det_g=lambda u: 0.5 * at(fam.sqrt_det_g)(u))
+    return GeometryFamily(fam.name, (4 * np.pi, 2 * np.pi), sample)
 
 
 def test_spectral_independent_of_chart_scale(clifford_family):
     # t -> t/2 on a 33x17 grid: g_11 != g_22 and the two sides and
-    # periods differ, yet the spectrum is that of the same torus
-    ops = fem.assemble_spectral(
-        mesh_torus(_stretched_clifford(clifford_family), 33, 17))
+    # periods differ, yet the mesh has the area and the spectral set the
+    # spectrum of the same torus
+    mesh = mesh_torus(_stretched_clifford(clifford_family), 33, 17)
+    area = 2 * np.pi ** 2
+    assert abs(mesh.quad_measure.sum() - area) <= 1e-12 * area
+    ops = fem.assemble_spectral(mesh)
     table = clifford_jacobi(2, 1)[0]
     exact = np.concatenate([[float(v)] * m for v, m in table.entries])
     report = lowest_eigs(ops, count=len(exact))
     assert np.abs(report.eigenvalues - exact).max() <= 1e-10
+
+
+def _counting(family):
+    """family rebuilt around a sample that logs the shape of each call."""
+    calls = []
+
+    def sample(u):
+        calls.append(np.shape(u))
+        return family.sample(u)
+
+    return GeometryFamily(family.name, family.periods, sample), calls
+
+
+@pytest.mark.parametrize("name, grid", [("clifford", (33, 17)),
+                                        ("otsuki", (63, 17))])
+def test_one_sample_pass_per_point_set(name, grid, request):
+    # mesh_torus samples the vertex lattice and the quadrature points,
+    # assemble_spectral one chart lattice, each in a single pass
+    if name == "otsuki":
+        family = request.getfixturevalue("otsuki_mesh_odd").source_family
+    else:
+        family = request.getfixturevalue("clifford_family")
+    counting, calls = _counting(family)
+    nt, nphi = grid
+    mesh = mesh_torus(counting, nt, nphi)
+    assert calls == [(nt * nphi, 2), (2 * nt * nphi, 3, 2)]
+    fem.assemble_spectral(mesh)
+    assert calls[2:] == [(nt * nphi, 2)]
+
+
+def test_mesh_ignores_swapped_views(clifford_family, otsuki_mesh_coarse):
+    # pass-through wrappers around the six views, swapped in with
+    # dataclasses.replace as a tracer would, leave the mesh bit for bit
+    for family, grid in ((clifford_family, (44, 44)),
+                         (otsuki_mesh_coarse.source_family, (128, 32))):
+        wrappers = {f: (lambda u, view=getattr(family, f): view(u))
+                    for f in FIELDS}
+        wrapped = dataclasses.replace(family, **wrappers)
+        assert all(getattr(wrapped, f) is wrappers[f] for f in FIELDS)
+        ref, got = mesh_torus(family, *grid), mesh_torus(wrapped, *grid)
+        for f in ("vertices", "vertex_nu", "vertex_asq", "quad_points",
+                  "quad_measure", "quad_nu", "quad_asq"):
+            assert getattr(got, f).tobytes() == getattr(ref, f).tobytes(), f
 
 
 @pytest.mark.parametrize("name", ["otsuki", "stretched_clifford"])

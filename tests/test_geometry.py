@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mhs.errors import InvalidParameterError
-from mhs.geometry import check_minimality, clifford, sample_grid
+from mhs.geometry import FIELDS, check_minimality, clifford, sample_grid
 from mhs.rotational import build_surface, find_otsuki
 
 # the closed-form Otsuki (2, 3) fields; unlike the Clifford torus, A varies
@@ -93,6 +93,18 @@ def test_clifford_principal_curvatures():
     A = clifford(2, 1).shape_frame(np.array([0.3, 1.1]))
     vals = np.sort(np.linalg.eigvalsh(A))
     assert np.abs(vals - [-1.0, 1.0]).max() < 1e-10
+
+
+@pytest.mark.parametrize("family", [clifford(2, 1), OTSUKI])
+def test_views_are_sample_components(family):
+    # each named field is one component of the single pass, bit for bit
+    u = sample_grid(family, (16, 8))
+    fields = family.sample(u)
+    assert len(fields) == len(FIELDS)
+    for name, want in zip(FIELDS, fields):
+        got = getattr(family, name)(u)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), name
 
 
 @pytest.mark.parametrize("family", [clifford(2, 1), OTSUKI])

@@ -8,6 +8,7 @@ import pytest
 
 from mhs import paperlab, spectral
 from mhs.errors import InvalidParameterError
+from mhs.geometry import FIELDS
 from mhs.paperlab import (VERDICT_GEODESIC, VERDICT_HYP_FAIL,
                           VERDICT_NEGATIVE, chain_sweep, choose_v0,
                           conjecture_probe, gauss_identities, lemma_check,
@@ -338,7 +339,8 @@ def test_chain_sweep_matches_direct_sparse_forms(
 
 
 def _counting_source(mesh):
-    """The mesh with a source family whose six fields log their calls."""
+    """The mesh with a source family whose sample pass and six field
+    views log their calls."""
     family = mesh.source_family
     calls = []
 
@@ -348,10 +350,8 @@ def _counting_source(mesh):
             return getattr(family, name)(params)
         return field
 
-    fields = ("position", "tangents", "normal", "shape_frame", "asq",
-              "sqrt_det_g")
     counting = dataclasses.replace(
-        family, **{name: counted(name) for name in fields})
+        family, **{name: counted(name) for name in ("sample",) + FIELDS})
     return dataclasses.replace(mesh, source_family=counting), calls
 
 
@@ -373,6 +373,13 @@ def test_no_chart_evaluation_after_meshing(otsuki_mesh, otsuki_op):
     theorem_check(span, 0.5)
     conjecture_probe(mesh, otsuki_op)
     assert calls == []
+
+
+def test_chain_sweep_validates_draws(sphere_mesh, sphere_op):
+    span = trial_span(sphere_mesh, sphere_op)
+    for draws in (0, -3):
+        with pytest.raises(InvalidParameterError, match="draws"):
+            chain_sweep(span, draws=draws)
 
 
 def test_chain_single_term_case(otsuki_mesh, otsuki_op):
