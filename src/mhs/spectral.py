@@ -3,9 +3,15 @@
 Two independent counting paths are provided: shift-invert Lanczos for
 the lowest eigenpairs, and the signature of a symmetric factorization
 for inertia counts; every reported index is expected to agree across
-both.  At every size both factor the shifted pencil without pivoting in
-one nested-dissection order of its graph (``dissection_order``).  Only
-a request for over a quarter of the spectrum takes a dense solve.
+both.  On the unreduced pencil both factor the shifted pencil without
+pivoting in one nested-dissection order of its graph
+(``dissection_order``), and ``morse_index`` factors it once, at
+-zero_tol, for both jobs (``_shift_invert``).  Sharing the factor keeps
+the checks independent: the Lanczos pairs must pass a residual check
+against the unfactored K - W and Mm, so a wrong solve cannot pass, and
+the count is Sylvester's law on the pivots, so wrong pivot signs fail
+the comparison of the two counts.  Only a request for over a quarter
+of the spectrum takes a dense solve.
 
 On a chart grid whose pencil is invariant under the one-step shift in
 the rotation angle phi (every torus the package builds), the pencil is
@@ -386,13 +392,10 @@ def dissection_order(A):
         v, comp = v[~leaf], comp[~leaf]
         heads, _ = _runs(comp)
         run = np.repeat(np.arange(len(heads)), np.diff(np.r_[heads, len(v)]))
-        level = csgraph.dijkstra(graph, unweighted=True, indices=first[big],
-                                 min_only=True)[v].astype(np.intp)
+        level = _levels(graph, first[big])[v]
         far = np.where(level == np.maximum.reduceat(level, heads)[run],
                        np.arange(len(v)), len(v))
-        level = csgraph.dijkstra(graph, unweighted=True,
-                                 indices=v[np.minimum.reduceat(far, heads)],
-                                 min_only=True)[v].astype(np.intp)
+        level = _levels(graph, v[np.minimum.reduceat(far, heads)])[v]
         # median level of each component: the first whose cumulative
         # count passes half the component
         width = level.max() + 1
@@ -410,13 +413,36 @@ def dissection_order(A):
         active[v[cut]] = False
 
 
+def _levels(graph, sources):
+    """Breadth-first level of every vertex of the symmetric graph from
+    the nearest of sources, -1 where none reaches: one O(E) sweep from a
+    virtual vertex joined to every source."""
+    import scipy.sparse.csgraph as csgraph
+    n, m = graph.shape[0], graph.indptr[-1] + len(sources)
+    joined = sp.csr_matrix((np.ones(m), np.r_[graph.indices, sources],
+                            np.r_[graph.indptr, m]), shape=(n + 1, n + 1))
+    order, parent = csgraph.breadth_first_order(
+        joined, n, directed=True, return_predecessors=True)
+    # in breadth-first order the parents' positions never decrease, so
+    # level d + 1 ends after the last vertex whose parent is in level d
+    position = np.empty(n + 1, dtype=np.intp)
+    position[order] = np.arange(len(order))
+    parent = position[parent[order[1:]]]
+    starts = [0, 1]
+    while starts[-1] < len(order):
+        starts.append(1 + int(np.searchsorted(parent, starts[-1])))
+    level = np.full(n + 1, -1, dtype=np.intp)
+    level[order] = np.repeat(np.arange(-1, len(starts) - 2), np.diff(starts))
+    return level[:n]
+
+
 def _ordered_factor(A, order):
     """Unpivoted sparse LU of A[order][:, order]: (pivots, solve).
 
     Every pivot is taken on the diagonal, so for symmetric or Hermitian
     A this is an LDL^H in disguise and the pivots are D.  solve(b) solves
-    A x = b in the numbering of A.  None when a zero pivot stops the
-    elimination.
+    A x = b in the numbering of A; it keeps the factor, not A.  None when
+    a zero pivot stops the elimination.
     """
     try:
         lu = spla.splu(A[order][:, order].tocsc(), permc_spec="NATURAL",
@@ -426,12 +452,28 @@ def _ordered_factor(A, order):
         return None
     if not np.array_equal(lu.perm_r, lu.perm_c):   # off-diagonal pivot
         return None
+    dtype = A.dtype
 
     def solve(b):
-        x = np.empty(len(b), dtype=np.result_type(b, A.dtype))
+        x = np.empty(len(b), dtype=np.result_type(b, dtype))
         x[order] = lu.solve(b[order])
         return x
     return lu.U.diagonal(), solve
+
+
+def _report(ops, vals, vecs, zero_tol, path, vectors=False, modes=None,
+            solved=None):
+    """EigenReport of the window vals, after the residual check of its
+    pairs against the unfactored B and Mm."""
+    if vecs is not None:
+        _residual_check(ops.B, ops.Mm, vals, vecs)
+    index = int((vals < -zero_tol).sum())
+    nullity = int((np.abs(vals) <= zero_tol).sum())
+    saturated = bool(len(vals) < ops.size and vals[-1] <= zero_tol)
+    return EigenReport(eigenvalues=vals, index=index, nullity=nullity,
+                       zero_tol=float(zero_tol), lambda1=float(vals[0]),
+                       window_saturated=saturated, path=path, modes=modes,
+                       vectors=vecs if vectors else None, solved_modes=solved)
 
 
 def lowest_eigs(ops, count, zero_tol=0.05, vectors=False):
@@ -440,10 +482,9 @@ def lowest_eigs(ops, count, zero_tol=0.05, vectors=False):
     On a phi-shift-invariant chart grid the values come from the mode
     pencils that Cholesky certificates cannot exclude (``PhiModes``).
     Otherwise a request for over a quarter of the spectrum takes a dense
-    solve, and any other shift-invert Lanczos with the shift below the
-    spectrum (the pencil is bounded below by -q_max, so the shifted
-    matrix is positive definite and is factored without pivoting) and a
-    seeded start vector, so repeated runs agree bitwise.
+    solve, and any other shift-invert Lanczos (``_shift_invert``) with
+    the shift -q_max - 1 below the spectrum: the pencil is bounded below
+    by -q_max, so the factor there must have no negative pivot.
     """
     size = ops.size
     if count < 1:
@@ -451,7 +492,6 @@ def lowest_eigs(ops, count, zero_tol=0.05, vectors=False):
     if count > size:
         raise InvalidParameterError(
             f"count {count} exceeds system size {size}")
-    B = ops.B
     modes = solved = None
     if ops.phi_modes is not None:
         path = "phi-modes"
@@ -459,39 +499,63 @@ def lowest_eigs(ops, count, zero_tol=0.05, vectors=False):
         solved = tuple(sorted(ops.phi_modes.solved))
     elif count > size // 4:
         path = "dense"
-        vals, vecs = sla.eigh(B.toarray(), ops.Mm.toarray())
+        vals, vecs = sla.eigh(ops.B.toarray(), ops.Mm.toarray())
         vals, vecs = vals[:count], vecs[:, :count]
     else:
         path = "shift-invert"
-        sigma = -ops.q_max - 1.0
-        factor = _ordered_factor(B - sigma * ops.Mm,
-                                 ops.elimination_order)
-        if factor is None or factor[0].min() <= 0.0:
-            raise NumericalFailureError(
-                f"shift-invert matrix at sigma = {sigma:.6g} is not "
-                "positive definite; q_max understates the potential")
-        solve = spla.LinearOperator((size, size), matvec=factor[1],
-                                    dtype=float)
-        # random, not ones or the Mm diagonal: a start vector invariant
-        # under the mesh's symmetries misses the other modes
-        start = np.random.default_rng(0).standard_normal(size)
+        _, vals, vecs = _shift_invert(ops, -ops.q_max - 1.0, count)
+    return _report(ops, vals, vecs, zero_tol, path, vectors, modes, solved)
+
+
+def _shift_invert(ops, sigma, count, clear=None):
+    """Shift-invert Lanczos on one factorization of K - W - sigma Mm.
+
+    The unpivoted factor in ``ops.elimination_order`` does two jobs, as
+    in spectrum slicing (Ericsson & Ruhe, Math. Comp. 35, 1980; Grimes,
+    Lewis & Simon, SIAM J. Matrix Anal. Appl. 15, 1994): its pivot
+    signs give c, the number of eigenvalues below the shift
+    (``_signature``, jittered and retried as in ``inertia_below``), and
+    its solve is the Lanczos operator, whose window holds the eigenvalues
+    nearest the shift.  With clear None the shift must lie below the
+    spectrum (c = 0), and the window of count values is the lowest.
+    Otherwise the window doubles from count until it holds exactly c
+    values below the shift and its top exceeds clear, so that it is the
+    lowest; more than c values below the shift raise at once, and a
+    window that would pass a quarter of the spectrum is left to the
+    dense solve (values None).  The start vector is seeded, so repeated
+    runs agree bitwise.
+
+    Returns (c, ascending values, vectors).
+    """
+    (c, solve), shift = _retrying(functools.partial(_nodal_signature, ops),
+                                  sigma)
+    if clear is None and c:
+        raise NumericalFailureError(
+            f"shift-invert matrix at sigma = {sigma:.6g} is not "
+            "positive definite; q_max understates the potential")
+    size = ops.size
+    solve = spla.LinearOperator((size, size), matvec=solve, dtype=float)
+    # random, not ones or the Mm diagonal: a start vector invariant
+    # under the mesh's symmetries misses the other modes
+    start = np.random.default_rng(0).standard_normal(size)
+    while True:
         try:
-            vals, vecs = spla.eigsh(B, k=count, M=ops.Mm, sigma=sigma,
+            vals, vecs = spla.eigsh(ops.B, k=count, M=ops.Mm, sigma=shift,
                                     which="LM", v0=start, OPinv=solve)
         except Exception as exc:   # ARPACK breakdowns vary in type
             raise NumericalFailureError(
                 f"shift-invert eigensolve failed: {exc}") from exc
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-    if vecs is not None:
-        _residual_check(B, ops.Mm, vals, vecs)
-    index = int((vals < -zero_tol).sum())
-    nullity = int((np.abs(vals) <= zero_tol).sum())
-    saturated = bool(count < size and vals[-1] <= zero_tol)
-    return EigenReport(eigenvalues=vals, index=index, nullity=nullity,
-                       zero_tol=float(zero_tol), lambda1=float(vals[0]),
-                       window_saturated=saturated, path=path, modes=modes,
-                       vectors=vecs if vectors else None, solved_modes=solved)
+        found = int((vals < shift).sum())
+        if found > c:
+            raise NumericalFailureError(
+                f"index mismatch: eigensolver {found}, factorization {c}")
+        if clear is None or (found == c and vals[-1] > clear):
+            return c, vals, vecs
+        count *= 2
+        if count > size // 4:
+            return c, None, None
 
 
 def inertia_below(ops, sigma):
@@ -503,26 +567,35 @@ def inertia_below(ops, sigma):
     On a phi-shift-invariant chart grid it sums the signatures of the
     mode pencils, each with its multiplicity: none negative where a
     banded Cholesky factorization succeeds, else from the pivots of the
-    mode's band.  Otherwise, at every size, it factors the unreduced
-    pencil in ``ops.elimination_order``.
+    mode's band.  Otherwise it factors the unreduced pencil in
+    ``ops.elimination_order`` (``_nodal_signature``), the factorization
+    whose solve ``morse_index`` also hands to Lanczos.
     """
+    if ops.phi_modes is not None:
+        return _retrying(functools.partial(_mode_signature, ops.phi_modes),
+                         sigma)[0]
+    (neg, _), _ = _retrying(functools.partial(_nodal_signature, ops), sigma)
+    return neg
+
+
+def _retrying(signature, sigma):
+    """(signature(shift), shift) at the first shift, sigma jittered
+    upward, where the signature is not None: where the shifted matrix
+    is not numerically singular."""
     jitter = 0.0
     for attempt in range(_SHIFT_RETRIES):
         shift = sigma + jitter
-        if ops.phi_modes is not None:
-            neg, ok = _mode_signature(ops.phi_modes, shift)
-        else:
-            neg, ok = _signature((ops.B - shift * ops.Mm).tocsc(),
-                                 ops.elimination_order)
-        if ok:
-            return neg
+        result = signature(shift)
+        if result is not None:
+            return result, shift
         jitter = (10.0 ** attempt) * 1e-10
     raise ShiftRetryExhaustedError(
         f"shifted matrix stayed singular near sigma = {sigma}")
 
 
 def _mode_signature(modes, shift):
-    """Sum of the mode pencils' signatures at shift, with multiplicity.
+    """Sum of the mode pencils' signatures at shift, with multiplicity;
+    None if a mode's count is unreliable.
 
     A mode whose shifted pencil factors by a banded Cholesky
     (``PhiModes.positive``) clear of roundoff adds no negatives; any
@@ -534,32 +607,40 @@ def _mode_signature(modes, shift):
         if modes.positive(k, shift, 1e-12):
             continue
         A = sp.csc_matrix(_unband(modes.band(k, shift)))
-        neg, ok = _signature(A, np.arange(modes.nt))
-        if not ok:
-            return 0, False
-        total += modes.multiplicity(k) * neg
-    return total, True
+        signature = _signature(A, np.arange(modes.nt))
+        if signature is None:
+            return None
+        total += modes.multiplicity(k) * signature[0]
+    return total
+
+
+def _nodal_signature(ops, shift):
+    """_signature of the unreduced K - W - shift Mm in
+    ``ops.elimination_order``; the shifted matrix is dropped on return."""
+    return _signature((ops.B - shift * ops.Mm).tocsc(),
+                      ops.elimination_order)
 
 
 def _signature(A, order):
-    """(negative pivots, reliable) of an unpivoted sparse factorization
-    of real symmetric or complex Hermitian A in ``order``: an LDL^H in
-    disguise, so the signs of the real parts of the pivots give the
-    inertia.  Reliable when clear of roundoff (``_clear_of_roundoff``)
-    at 1e-12 of max(|entry|, 1), raised for each pivot to 1e-12 of the
-    largest pivot up to it: without pivoting an indefinite matrix can
-    grow its entries, an LDL^H update puts that growth on the diagonal,
-    and it scales the rounding error of every later pivot.
+    """(negative pivots, solve) of an unpivoted sparse factorization of
+    real symmetric or complex Hermitian A in ``order``, or None if the
+    count is unreliable.  The factorization is an LDL^H in disguise, so
+    the signs of the real parts of the pivots give the inertia.
+    Reliable when clear of roundoff (``_clear_of_roundoff``) at 1e-12 of
+    max(|entry|, 1), raised for each pivot to 1e-12 of the largest pivot
+    up to it: without pivoting an indefinite matrix can grow its
+    entries, an LDL^H update puts that growth on the diagonal, and it
+    scales the rounding error of every later pivot.
     """
     factor = _ordered_factor(A, order)
     if factor is None:
-        return 0, False
+        return None
     d, solve = factor[0].real, factor[1]
     level = 1e-12 * np.maximum.accumulate(
         np.maximum(np.abs(d), max(np.abs(A.data).max(), 1.0)))
     if not _clear_of_roundoff(d, level, solve):
-        return 0, False
-    return int((d < 0).sum()), True
+        return None
+    return int((d < 0).sum()), solve
 
 
 def _clear_of_roundoff(pivots, level, solve):
@@ -602,17 +683,36 @@ def first_eigfunction(ops):
 
 
 def morse_index(ops, zero_tol=0.05):
-    """Morse index via lowest_eigs, growing the window until it clears
-    the negative part of the spectrum, cross-checked against inertia."""
+    """Morse index: (eigenvalues below -zero_tol, report of a window of
+    the lowest eigenvalues that ends above zero_tol).
+
+    Two independent counts must agree.  The window's eigenpairs pass the
+    residual check against the unfactored K - W and Mm; the other count
+    is Sylvester's law on the pivots of a factorization at -zero_tol.
+    On the unreduced pencil one factorization serves both: its solve
+    drives shift-invert Lanczos at -zero_tol, whose window grows until
+    it holds exactly the counted values below the shift
+    (``_shift_invert``).  On the phi-mode path the window of
+    ``lowest_eigs`` doubles until it clears zero_tol, and
+    ``inertia_below`` counts.  A window past a quarter of the spectrum
+    is a dense solve on either path; on the unreduced pencil it is
+    checked against the count of the one factorization.
+    """
     count = min(_MORSE_WINDOW, ops.size)
-    while True:
+    below = report = None
+    if ops.phi_modes is None and count <= ops.size // 4:
+        below, vals, vecs = _shift_invert(ops, -zero_tol, count, zero_tol)
+        if vals is None:   # the dense solve takes the larger windows
+            count = ops.size // 4 + 1
+        else:
+            report = _report(ops, vals, vecs, zero_tol, "shift-invert")
+    while report is None or report.window_saturated:
         report = lowest_eigs(ops, count=count, zero_tol=zero_tol)
-        if not report.window_saturated:
-            break
         count = min(2 * count, ops.size)
-    inertia = inertia_below(ops, -zero_tol)
-    if inertia != report.index:
+    if below is None:
+        below = inertia_below(ops, -zero_tol)
+    if below != report.index:
         raise NumericalFailureError(
             f"index mismatch: eigensolver {report.index}, "
-            f"factorization {inertia}")
+            f"factorization {below}")
     return report.index, report

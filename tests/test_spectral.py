@@ -141,6 +141,72 @@ def test_shift_invert_refuses_indefinite_factor(sphere_op):
         lowest_eigs(bad, 4)
 
 
+def _counted(name):
+    """mock.patch of a spectral module attribute that counts its calls."""
+    module = spla if name == "eigsh" else spectral
+    return mock.patch.object(module, name, wraps=getattr(module, name))
+
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_nodal_morse_index_factors_once(level):
+    # one factorization at -zero_tol gives the count and drives Lanczos;
+    # the window of 16 (index 1, nullity 3, then the 5 and 7 values of
+    # degrees 2 and 3) is the lowest 16, which the equator report keeps
+    ops = fem.assemble(fem.mesh_sphere(level))
+    with _counted("_ordered_factor") as factor, _counted("eigsh") as eigsh:
+        index, report = morse_index(ops)
+    assert (factor.call_count, eigsh.call_count) == (1, 1)
+    assert (index, report.nullity, report.path) == (1, 3, "shift-invert")
+    reference = lowest_eigs(ops, 16).eigenvalues
+    assert len(report.eigenvalues) == 16
+    assert np.abs(report.eigenvalues - reference).max() < 1e-10
+
+
+@pytest.mark.parametrize("flip, found, counted", [
+    (lambda d: np.flatnonzero(d > 0)[0], 1, 2),    # one count too many
+    (lambda d: np.flatnonzero(d < 0)[0], 1, 0),    # one count too few
+], ids=["overcount", "undercount"])
+def test_nodal_index_check_is_two_sided(flip, found, counted):
+    # one pivot's sign flipped, its solve left alone: Lanczos still finds
+    # the one value below -zero_tol, and the counts must not be reconciled
+    ops = fem.assemble(fem.mesh_sphere(3))
+    factor = spectral._ordered_factor
+
+    def flipped(A, order):
+        d, solve = factor(A, order)
+        d = d.copy()
+        d[flip(d.real)] *= -1
+        return d, solve
+    with mock.patch.object(spectral, "_ordered_factor", flipped):
+        with pytest.raises(NumericalFailureError,
+                           match=f"index mismatch: eigensolver {found}, "
+                                 f"factorization {counted}"):
+            morse_index(ops)
+
+
+def test_level_sweeps_are_unweighted_shortest_paths(sphere_op):
+    # breadth-first levels equal dijkstra's unweighted distances from the
+    # nearest source, so the dissection order is the same permutation
+    def dijkstra_levels(graph, sources):
+        level = csgraph.dijkstra(graph, unweighted=True, indices=sources,
+                                 min_only=True)
+        return np.where(np.isinf(level), -1, level).astype(np.intp)
+
+    B3 = fem.assemble(fem.mesh_sphere(3)).B
+    for B, sources in ((sphere_op.B, [0]), (sphere_op.B, [0, 700, 2000]),
+                       (sps.block_diag([B3, sphere_op.B]), [5, 642 + 9])):
+        graph = sps.csr_matrix(B != 0, dtype=float)
+        assert np.array_equal(spectral._levels(graph, np.array(sources)),
+                              dijkstra_levels(graph, sources))
+        order = spectral.dissection_order(B)
+        with mock.patch.object(spectral, "_levels", dijkstra_levels):
+            assert np.array_equal(spectral.dissection_order(B), order)
+    # a vertex no source reaches has level -1
+    graph = sps.csr_matrix(sps.block_diag([B3, B3]) != 0, dtype=float)
+    assert np.array_equal(spectral._levels(graph, np.array([0])),
+                          dijkstra_levels(graph, [0]))
+
+
 def test_first_eigfunction_clifford(clifford_op):
     lam1, rho = first_eigfunction(clifford_op)
     assert abs(lam1 + 4.0) < 5e-2
@@ -476,8 +542,7 @@ def test_mode_signature_cholesky_fast_path(request):
             with mock.patch.object(spectral, "_signature",
                                    wraps=spectral._signature) as sig:
                 fast = spectral._mode_signature(modes, sigma)
-            assert fast == (_count_below(modes, spectra, sigma), True), (
-                name, sigma)
+            assert fast == _count_below(modes, spectra, sigma), (name, sigma)
             # the others factored by Cholesky
             assert sig.call_count < modes.count
             fallbacks += sig.call_count
@@ -498,7 +563,7 @@ def test_mode_signature_cholesky_fast_path(request):
         for shift in (lam, lo):
             with mock.patch.object(spectral, "_signature",
                                    wraps=spectral._signature) as sig:
-                assert spectral._mode_signature(modes, shift) == (0, False)
+                assert spectral._mode_signature(modes, shift) is None
             assert sig.call_count == 1   # mode 0, the first, stopped the sum
             with mock.patch.object(spectral, "_mode_signature",
                                    wraps=spectral._mode_signature) as retry:
@@ -526,9 +591,9 @@ def test_signature_flags_pivot_growth(otsuki_op_coarse):
     for sigma in mu + np.logspace(-14, -3, 12):
         A = sps.csc_matrix(spectral._unband(modes.band(k, sigma)))
         d = spectral._ordered_factor(A, order)[0].real
-        neg, ok = spectral._signature(A, order)
-        if ok:
-            assert neg == (spectra[k] < sigma).sum()
+        signature = spectral._signature(A, order)
+        if signature is not None:
+            assert signature[0] == (spectra[k] < sigma).sum()
         elif np.abs(d).min() > 1e-12 * np.abs(A.data).max():
             flagged += 1
         assert inertia_below(ops, sigma) == _count_below(modes, spectra,
@@ -585,11 +650,11 @@ def test_signature_counts_complex_hermitian(otsuki_op_coarse):
     d = np.concatenate([-np.arange(1.0, 8.0), np.arange(1.0, 14.0)])
     H = (Q * d) @ Q.conj().T
     H = sps.csc_matrix((H + H.conj().T) / 2)
-    assert spectral._signature(H, rng.permutation(20)) == (7, True)
+    assert spectral._signature(H, rng.permutation(20))[0] == 7
     # exactly singular: the second pivot of [[1, i], [-i, 1]] is 1 - 1
     S = sps.block_diag([sps.csc_matrix([[1.0, 1j], [-1j, 1.0]]), H],
                        format="csc")
-    assert spectral._signature(S, np.arange(22)) == (0, False)
+    assert spectral._signature(S, np.arange(22)) is None
     # the band of a complex mode, unpacked, against its dense eigh count
     modes = otsuki_op_coarse.phi_modes
     k, sigma = 1, -1.0
@@ -598,7 +663,7 @@ def test_signature_counts_complex_hermitian(otsuki_op_coarse):
     expected = int((sla.eigh(*_mode_reference(otsuki_op_coarse, k),
                              eigvals_only=True) < sigma).sum())
     assert expected > 0
-    assert spectral._signature(A, np.arange(modes.nt)) == (expected, True)
+    assert spectral._signature(A, np.arange(modes.nt))[0] == expected
 
 
 def test_spectral_otsuki_exact_landmarks(otsuki_op_spectral):
