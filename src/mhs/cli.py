@@ -46,21 +46,23 @@ def _build_mesh(args):
             "meshes are only available for surfaces in S^3 (n = 2)")
     if args.family == "equator":
         return fem.mesh_sphere(args.res)
-    nphi = args.nphi or args.res
+    nphi = args.res if args.nphi is None else args.nphi
     if args.family == "clifford":
-        nt = args.nt or args.res
+        nt = args.res if args.nt is None else args.nt
         fam = clifford(2, args.k)
     else:
-        nt = args.nt or 4 * args.res
+        nt = 4 * args.res if args.nt is None else args.nt
         profile = rotational.find_otsuki(args.p, args.q)
-        fam = rotational.build_surface(profile, nt, nphi)
+        fam = rotational.build_surface(profile)
     return fem.mesh_torus(fam, nt, nphi)
 
 
-def _check_draws(args):
-    """Reject a draw count below one before any mesh is built."""
+def _check_sweep(args):
+    """Reject draws below one or a negative seed before any mesh is built."""
     if args.draws < 1:
         raise InvalidParameterError(f"draws must be >= 1, got {args.draws}")
+    if args.seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {args.seed}")
 
 
 def _emit(args, config, report, csv_rows=None):
@@ -127,7 +129,7 @@ def cmd_spectrum(args):
 
 
 def cmd_paper_check(args):
-    _check_draws(args)
+    _check_sweep(args)
     mesh = _build_mesh(args)
     ops = fem.assemble(mesh)
     span = paperlab.trial_span(mesh, ops)
@@ -157,7 +159,7 @@ def cmd_paper_check(args):
 
 
 def cmd_chain(args):
-    _check_draws(args)
+    _check_sweep(args)
     mesh = _build_mesh(args)
     ops = fem.assemble(mesh)
     records, params = paperlab.chain_sweep(paperlab.trial_span(mesh, ops),

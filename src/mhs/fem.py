@@ -24,8 +24,8 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (DegenerateElementError, InvalidParameterError,
-                     MeshFormatError)
+from .errors import (DegenerateElementError, GenerationFailedError,
+                     InvalidParameterError, MeshFormatError)
 from .geometry import GeometryFamily, sample_grid
 from .spectral import PhiModes, dissection_order
 
@@ -36,6 +36,7 @@ _PHI = np.array([[0.5, 0.5, 0.0],
 # reference gradients of the hat functions
 _DREF = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 _AREA_TOL = 1e-14
+_MINIMALITY_TOL = 1e-10        # mesh_torus's max |trace A| at the vertices
 # ico7 has 163,842 vertices; each further level quadruples the mesh
 _MAX_SUBDIVISIONS = 7
 
@@ -153,8 +154,8 @@ def mesh_torus(family, nt, nphi):
 
     Each grid cell is split into two triangles; per-triangle parameter
     coordinates are kept unwrapped so quadrature midpoints never jump
-    across the periodic seam.  The family is sampled twice, once on the
-    vertex lattice and once at the quadrature points.
+    across the periodic seam.  The family is sampled twice: on the vertex
+    lattice, the minimality self-check's grid, and at the quadrature points.
     """
     if nt < 8 or nphi < 8:
         raise InvalidParameterError("torus mesh resolutions must be >= 8")
@@ -163,7 +164,11 @@ def mesh_torus(family, nt, nphi):
     I, J = np.meshgrid(np.arange(nt), np.arange(nphi), indexing="ij")
     ii, jj = I.ravel(), J.ravel()
     vparams = np.stack([ii * dt, jj * dp], axis=-1)
-    vertices, _, vertex_nu, _, vertex_asq, _ = family.sample(vparams)
+    vertices, _, vertex_nu, A, vertex_asq, _ = family.sample(vparams)
+    trace = np.abs(A[:, 0, 0] + A[:, 1, 1]).max()
+    if trace > _MINIMALITY_TOL:
+        raise GenerationFailedError(
+            f"minimality self-check failed: max |trace A| = {trace:.3e}")
 
     def vid(i, j):
         return (i % nt) * nphi + (j % nphi)

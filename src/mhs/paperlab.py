@@ -246,9 +246,13 @@ def _normal_moments(mesh):
     (the flat weights on a mesh without one).  The form minimized by
     v0 is linear in delta2: Q(delta2) = Q_A - n delta2 Q_1.  The
     products go through BLAS, whose blocked sums are more accurate than
-    one long einsum accumulation.
+    one long einsum accumulation.  Raises unless ||nu|^2 - 1| <= 1e-10
+    at every point, which bounds trace Q - int (|A|^2 - n delta2) =
+    int (|A|^2 - n delta2)(|nu|^2 - 1) to 1e-10 relative for any delta2.
     """
     nu = mesh.quad_nu.reshape(-1, mesh.quad_nu.shape[-1])
+    if np.abs(np.einsum("pa,pa->p", nu, nu) - 1.0).max() > 1e-10:
+        raise InvalidParameterError("quadrature normals are not unit")
     w_nu = mesh.quad_measure.reshape(-1, 1) * nu
     Q_A = (mesh.quad_asq.reshape(-1, 1) * w_nu).T @ nu
     Q_1 = w_nu.T @ nu
@@ -274,20 +278,13 @@ def _lowest_direction(Q):
     return P[:, a] / np.linalg.norm(P[:, a])
 
 
-def _v0_from_moments(mesh, moments, delta2):
-    """choose_v0 on precomputed _normal_moments."""
+def _v0_from_moments(moments, n, delta2):
+    """choose_v0 on precomputed _normal_moments of an n-surface."""
     if not (0.0 < delta2 < 1.0):
         raise InvalidParameterError("delta2 must lie in (0, 1)")
     Q_A, Q_1 = moments
-    c = mesh.surface_dim * delta2
-    Q = Q_A - c * Q_1
+    Q = Q_A - n * delta2 * Q_1
     Q = 0.5 * (Q + Q.T)
-    weight = mesh.quad_measure * (mesh.quad_asq - c)
-    total = float(weight.sum())
-    scale = max(abs(total), float(np.abs(weight).sum()), 1e-30)
-    if abs(np.trace(Q) - total) > 1e-10 * scale:
-        raise InvalidParameterError(
-            "quadrature normals are not unit: trace identity violated")
     v0 = _lowest_direction(Q)
     return v0, float(v0 @ Q @ v0)
 
@@ -298,10 +295,10 @@ def choose_v0(mesh, delta2):
     Builds the quadratic form Q over the ambient basis from the two
     normal moments and returns a unit vector of its lowest eigenspace
     (canonical when that space is degenerate) together with v0^T Q v0.
-    The averaging identity trace Q = int (|A|^2 - n delta2) is enforced
-    to 1e-10 relative.
+    The averaging identity trace Q = int (|A|^2 - n delta2) holds to
+    1e-10 relative, by the unit-normal check of _normal_moments.
     """
-    return _v0_from_moments(mesh, _normal_moments(mesh), delta2)
+    return _v0_from_moments(_normal_moments(mesh), mesh.surface_dim, delta2)
 
 
 def _gamma0_form(G, B, v0):
@@ -433,11 +430,14 @@ def chain_sweep(span, draws=100, seed=0):
 
     Returns the list of ChainRecords together with the draw parameters;
     a, b and the entries of w are standard normal, delta1 is uniform on
-    (0.05, 0.95).  The normal moments behind v0 are formed once, and
-    every draw reads the span forms, so no draw touches a nodal vector.
+    (0.05, 0.95), from a seed >= 0.  The normal moments behind v0 are
+    formed once and every draw reads the span forms, so no draw touches
+    a quadrature point or a nodal vector.
     """
     if draws < 1:
         raise InvalidParameterError(f"draws must be >= 1, got {draws}")
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     mesh, ops = span.mesh, span.ops
     moments = _normal_moments(mesh)
     rng = np.random.default_rng(seed)
@@ -448,7 +448,7 @@ def chain_sweep(span, draws=100, seed=0):
         b = float(rng.standard_normal())
         w = rng.standard_normal(dim)
         delta1 = float(rng.uniform(0.05, 0.95))
-        v0, _ = _v0_from_moments(mesh, moments, 1.0 - delta1)
+        v0, _ = _v0_from_moments(moments, ops.n, 1.0 - delta1)
         records.append(_chain_record(span.forms, ops.n, span.lam1, a, b, w,
                                      delta1, v0))
         params.append({"a": a, "b": b, "w": w.tolist(), "delta1": delta1})

@@ -27,10 +27,10 @@ import numpy as np
 from scipy.fft import dct
 from scipy.optimize import brentq
 
-from .errors import (ConvergenceError, GenerationFailedError,
-                     IntegrationFailureError, InvalidParameterError,
-                     NoSolutionError, OutOfWindowError)
-from .geometry import GeometryFamily, check_minimality
+from .errors import (ConvergenceError, IntegrationFailureError,
+                     InvalidParameterError, NoSolutionError,
+                     OutOfWindowError)
+from .geometry import GeometryFamily
 
 CIRCULAR_ENERGY = 0.5          # Clairaut constant of the Clifford torus
 _ENERGY_FLOOR = 1e-4
@@ -40,7 +40,6 @@ _QUAD_RTOL = 1e-14             # series tail below rounding, relative to
                                # the mean (the noise floor is 5e-15 at
                                # the energy floor, 4e-16 from c = 0.02)
 _CLOSURE_TOL = 1e-12           # |mean dv/dtheta - p/q| at the root
-_MINIMALITY_TOL = 1e-10        # build_surface's max |trace A|
 _WINDOW_SCAN = 41              # energies in the rotation-window scan
 
 
@@ -207,16 +206,14 @@ def find_otsuki(p, q):
     return profile
 
 
-def build_surface(profile, nt=256, nphi=64):
+def build_surface(profile):
     """Immersed torus X(theta, phi) in S^3 from a closed profile.
 
     theta runs over the q radial periods [0, 2*pi*q), phi over the
     rotation circle [0, 2*pi).  The family's ``sample`` evaluates the
-    profile chart once per call and returns every field from it.  Fails
-    loudly if the assembled surface is not minimal to 1e-10.
+    profile chart once per call and returns every field from it;
+    ``fem.mesh_torus`` checks on its vertex lattice that it is minimal.
     """
-    if nt < 16 or nphi < 16:
-        raise InvalidParameterError("resolutions below 16 are not supported")
 
     def sample(u):
         """X, (X_t, X_phi), nu, A, |A|^2 and sqrt(g) in one pass.
@@ -259,12 +256,6 @@ def build_surface(profile, nt=256, nphi=64):
         asq = A[..., 0, 0] ** 2 + A[..., 1, 1] ** 2
         return X, dX, nu, A, asq, speed * sa
 
-    family = GeometryFamily(
+    return GeometryFamily(
         name=f"otsuki({profile.p},{profile.q})",
         periods=(2.0 * np.pi * profile.q, 2.0 * np.pi), sample=sample)
-    # self-check on the requested mesh resolution, never skipped
-    trace = check_minimality(family, (nt, nphi))
-    if trace > _MINIMALITY_TOL:
-        raise GenerationFailedError(
-            f"minimality self-check failed: max |trace A| = {trace:.3e}")
-    return family

@@ -68,13 +68,13 @@ def otsuki_profile():
 
 @pytest.fixture(scope="session")
 def otsuki_mesh_coarse(otsuki_profile):
-    family = rotational.build_surface(otsuki_profile, 128, 32)
+    family = rotational.build_surface(otsuki_profile)
     return fem.mesh_torus(family, 128, 32)
 
 
 @pytest.fixture(scope="session")
 def otsuki_mesh(otsuki_profile):
-    family = rotational.build_surface(otsuki_profile, 256, 64)
+    family = rotational.build_surface(otsuki_profile)
     return fem.mesh_torus(family, 256, 64)
 
 
@@ -82,7 +82,7 @@ def otsuki_mesh(otsuki_profile):
 def otsuki_mesh_odd(otsuki_profile):
     """Odd-sided grid for the spectral set; long in t, where the profile
     varies, and short in the rotation angle phi."""
-    family = rotational.build_surface(otsuki_profile, 255, 17)
+    family = rotational.build_surface(otsuki_profile)
     return fem.mesh_torus(family, 255, 17)
 
 

@@ -118,16 +118,29 @@ def test_chain_takes_no_delta1(capsys):
 @pytest.mark.parametrize("argv", [
     ["paper-check", "--family", "otsuki", "--res", "64", "--draws", "0"],
     ["chain", "--family", "equator", "--n", "2", "--res", "2",
-     "--draws", "-3"]])
+     "--draws", "-3"],
+    ["paper-check", "--family", "otsuki", "--res", "64", "--seed", "-1"],
+    ["chain", "--family", "clifford", "--res", "16", "--draws", "2",
+     "--seed", "-1"]])
 def test_draws_below_one_is_an_error_line(capsys, monkeypatch, argv):
-    # the draw count is checked before any mesh is built
+    # the draw count and the seed are checked before any mesh is built
     def no_mesh(args):
-        raise AssertionError("meshed before the draw count was checked")
+        raise AssertionError("meshed before the draws were checked")
 
     monkeypatch.setattr(cli, "_build_mesh", no_mesh)
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err == f"error: draws must be >= 1, got {argv[-1]}\n"
+    bound = {"--draws": "draws must be >= 1", "--seed": "seed must be >= 0"}
+    assert err == f"error: {bound[argv[-2]]}, got {argv[-1]}\n"
+
+
+@pytest.mark.parametrize("flag", ["--nt", "--nphi"])
+def test_zero_resolution_override_is_an_error_line(capsys, flag):
+    # an override of 0 is not "unset": mesh_torus's guard reports it
+    argv = ["spectrum", "--family", "clifford", "--res", "16", flag, "0"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: torus mesh resolutions must be >= 8\n"
 
 
 def test_paper_check_report(capsys):

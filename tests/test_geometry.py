@@ -8,8 +8,8 @@ from mhs.geometry import FIELDS, check_minimality, clifford, sample_grid
 from mhs.rotational import build_surface, find_otsuki
 
 # the closed-form Otsuki (2, 3) fields; unlike the Clifford torus, A varies
-OTSUKI = build_surface(find_otsuki(2, 3), 64, 32)
-# the minimality bound build_surface enforces on its closed-form fields
+OTSUKI = build_surface(find_otsuki(2, 3))
+# the minimality bound mesh_torus enforces on the closed-form fields
 TRACE_TOL = {"clifford(2,1)": 1e-8, "otsuki(2,3)": 1e-10,
              "otsuki(7,10)": 1e-10}
 
@@ -57,7 +57,7 @@ def gradient_residuals(family, v, u, h):
 
 
 @pytest.mark.parametrize("family", [
-    OTSUKI, build_surface(find_otsuki(7, 10), 64, 32), clifford(2, 1)])
+    OTSUKI, build_surface(find_otsuki(7, 10)), clifford(2, 1)])
 def test_frame_invariants_sampled(family):
     rng = np.random.default_rng(7)
     for _ in range(10):
@@ -142,5 +142,5 @@ def test_gradient_identities_otsuki():
 
 def test_rotational_surface_minimality(otsuki_profile):
     from mhs.rotational import build_surface
-    fam = build_surface(otsuki_profile, 32, 16)
+    fam = build_surface(otsuki_profile)
     assert check_minimality(fam, per_dim=(32, 16)) <= 1e-10

@@ -8,6 +8,7 @@ import pytest
 
 from mhs import paperlab, spectral
 from mhs.errors import InvalidParameterError
+from mhs.fem import mesh_sphere
 from mhs.geometry import FIELDS
 from mhs.paperlab import (VERDICT_GEODESIC, VERDICT_HYP_FAIL,
                           VERDICT_NEGATIVE, chain_sweep, choose_v0,
@@ -117,6 +118,20 @@ def test_choose_v0_rejects_non_unit_normals(otsuki_mesh):
     for delta2 in (0.1, 0.9):
         with pytest.raises(InvalidParameterError):
             choose_v0(mesh, delta2)
+
+
+def test_choose_v0_rejects_normals_off_unit_at_a_point():
+    # |nu|^2 = 1 + 1e-6 s with a zero-mean s leaves the averaging
+    # identity intact on the equator (|A|^2 = 0), but not the pointwise
+    # unit bound of the quadrature normals
+    mesh = mesh_sphere(3)
+    w = mesh.quad_measure
+    s = np.random.default_rng(0).standard_normal(w.shape)
+    s -= (w * s).sum() / w.sum()
+    scaled = dataclasses.replace(
+        mesh, quad_nu=np.sqrt(1.0 + 1e-6 * s)[..., None] * mesh.quad_nu)
+    with pytest.raises(InvalidParameterError, match="not unit"):
+        choose_v0(scaled, 0.5)
 
 
 def test_choose_v0_equator(sphere_mesh):
@@ -380,6 +395,8 @@ def test_chain_sweep_validates_draws(sphere_mesh, sphere_op):
     for draws in (0, -3):
         with pytest.raises(InvalidParameterError, match="draws"):
             chain_sweep(span, draws=draws)
+    with pytest.raises(InvalidParameterError, match="seed must be >= 0"):
+        chain_sweep(span, draws=2, seed=-1)
 
 
 def test_chain_single_term_case(otsuki_mesh, otsuki_op):

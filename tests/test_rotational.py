@@ -14,6 +14,7 @@ from mhs import rotational
 from mhs.errors import (GenerationFailedError, IntegrationFailureError,
                         InvalidParameterError, NoSolutionError,
                         OutOfWindowError)
+from mhs.fem import mesh_torus
 from mhs.geometry import check_minimality, sample_grid
 from mhs.rotational import (build_surface, find_otsuki, rotation_number,
                             rotation_window)
@@ -110,7 +111,7 @@ def test_otsuki_path_loads_no_ode_or_spline(tmp_path):
     code = (
         "import sys\n"
         "from mhs import cli, rotational\n"
-        "rotational.build_surface(rotational.find_otsuki(3, 5), 64, 32)\n"
+        "rotational.build_surface(rotational.find_otsuki(3, 5))\n"
         "assert cli.main(['paper-check', '--family', 'otsuki', '--res',"
         f" '16', '--output', {report!r}]) == 0\n"
         "print([m for m in ('scipy.integrate', 'scipy.interpolate')"
@@ -136,7 +137,7 @@ def test_chart_follows_ode_oracle(p, q):
     # X(theta, 0) against the ODE at the orbit arc length
     # t(theta) = int_0^theta sqrt(g), which Gauss-Legendre sums exactly
     profile = find_otsuki(p, q)
-    family = build_surface(profile, 64, 32)
+    family = build_surface(profile)
     T, evaluate = _integrate_period(profile.clairaut)
     edges = np.linspace(0.0, np.pi, 41)
     x, w = np.polynomial.legendre.leggauss(24)
@@ -183,20 +184,15 @@ def test_find_otsuki_outside_window():
         find_otsuki(1, 3)
 
 
-def test_build_surface_resolution_guard(otsuki_profile):
-    with pytest.raises(InvalidParameterError):
-        build_surface(otsuki_profile, 8, 64)
-
-
 def test_build_surface_self_check(otsuki_profile):
-    fam = build_surface(otsuki_profile, 64, 32)
+    fam = build_surface(otsuki_profile)
     assert check_minimality(fam, per_dim=(64, 32)) <= 1e-10
     # the chart closes over q radial periods of theta
     assert fam.periods == (2.0 * np.pi * otsuki_profile.q, 2.0 * np.pi)
 
 
 def test_normal_is_unit_orthogonal_and_oriented(otsuki_profile):
-    fam = build_surface(otsuki_profile, 64, 16)
+    fam = build_surface(otsuki_profile)
     u = sample_grid(fam, (64, 16))
     X, T, nu = fam.position(u), fam.tangents(u), fam.normal(u)
     assert np.abs(np.linalg.norm(nu, axis=-1) - 1.0).max() < 1e-12
@@ -207,24 +203,44 @@ def test_normal_is_unit_orthogonal_and_oriented(otsuki_profile):
     assert np.abs(det + fam.sqrt_det_g(u)).max() < 1e-12
 
 
-def test_build_surface_rejects_corrupt_profile(otsuki_profile):
+def test_mesh_torus_rejects_corrupt_profile(otsuki_profile):
+    # a profile whose energy no longer matches its series is not minimal;
+    # meshing its family runs the self-check on the vertex lattice
     import dataclasses
     broken = dataclasses.replace(
         otsuki_profile, clairaut=otsuki_profile.clairaut * (1.0 + 1e-3))
-    with pytest.raises(GenerationFailedError):
-        build_surface(broken, 32, 16)
+    family = build_surface(broken)
+    with pytest.raises(GenerationFailedError, match="trace A"):
+        mesh_torus(family, 32, 16)
+
+
+def test_chart_is_sampled_only_by_the_mesh(otsuki_profile, monkeypatch):
+    # build_surface evaluates nothing; mesh_torus samples the chart once
+    # at the vertices (self-check included) and once at the quadrature
+    calls = []
+    chart = rotational.ProfileCurve.chart
+
+    def counted(self, theta):
+        calls.append(np.shape(theta))
+        return chart(self, theta)
+
+    monkeypatch.setattr(rotational.ProfileCurve, "chart", counted)
+    family = build_surface(otsuki_profile)
+    assert calls == []
+    mesh_torus(family, 32, 16)
+    assert calls == [(32 * 16,), (2 * 32 * 16, 3)]
 
 
 @pytest.mark.parametrize("p, q", [(3, 5), (5, 9)])
 def test_build_surface_passes_self_check_beyond_2_3(p, q):
-    fam = build_surface(find_otsuki(p, q), 64, 32)
+    fam = build_surface(find_otsuki(p, q))
     assert check_minimality(fam, per_dim=(64, 32)) <= 1e-10
 
 
 def test_area_stable_under_refinement(otsuki_profile):
     # the area element sqrt(g) is smooth and periodic, so its uniform
     # sums are resolution independent to rounding
-    fam = build_surface(otsuki_profile, 64, 32)
+    fam = build_surface(otsuki_profile)
     area = np.prod(fam.periods)
     coarse = fam.sqrt_det_g(sample_grid(fam, (64, 32))).mean() * area
     fine = fam.sqrt_det_g(sample_grid(fam, (128, 64))).mean() * area
@@ -247,7 +263,7 @@ def test_asq_integral_stable_under_mesh_refinement(otsuki_mesh_coarse,
 def test_near_circular_profile_approaches_constant_curvature():
     # close to the circular solution |A|^2 should flatten toward n = 2
     profile = find_otsuki(408, 577)  # rotation number 0.7071057
-    fam = build_surface(profile, 32, 16)
+    fam = build_surface(profile)
     asq = fam.asq(sample_grid(fam, (256, 8)))
     assert abs(asq.max() - 2.0) < 0.05 * 2.0
     assert abs(asq.min() - 2.0) < 0.05 * 2.0

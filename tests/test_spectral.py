@@ -119,7 +119,7 @@ def test_imported_otsuki_mesh_takes_the_nodal_path(otsuki_profile):
     # an exported-then-imported mesh has no chart grid, so even 1,024
     # unknowns of an indefinite pencil take shift-invert Lanczos and the
     # sparse signature
-    family = rotational.build_surface(otsuki_profile, 64, 16)
+    family = rotational.build_surface(otsuki_profile)
     torus = fem.mesh_torus(family, 64, 16)
     mesh = fem.mesh_from_json(fem.mesh_to_json(torus))
     ops = fem.assemble(mesh)
@@ -268,7 +268,7 @@ def test_otsuki_index_census(p, q, nt, nphi, assembler, index):
     # index and nullity of further Otsuki tori, each at two resolutions
     # or on the independent P1 discretization; the nullity is 5 for the
     # Killing fields, 6 - 1, and every index exceeds Urbano's bound
-    family = rotational.build_surface(rotational.find_otsuki(p, q), nt, nphi)
+    family = rotational.build_surface(rotational.find_otsuki(p, q))
     got, report = morse_index(assembler(fem.mesh_torus(family, nt, nphi)))
     assert (got, report.nullity) == (index, 5)
     assert got > URBANO_MIN_INDEX
@@ -349,7 +349,7 @@ def test_phi_modes_carry_the_whole_spectrum(clifford_ops, otsuki_profile,
                                            clifford_op_spectral):
     # every mode, the Nyquist one of an even side included, against a
     # dense solve of the whole pencil
-    family = rotational.build_surface(otsuki_profile, 40, 16)
+    family = rotational.build_surface(otsuki_profile)
     small_otsuki = fem.assemble(fem.mesh_torus(family, 40, 16))
     for ops in (clifford_ops[16], small_otsuki, clifford_op_spectral):
         reduced = lowest_eigs(ops, ops.size)
