@@ -14,9 +14,11 @@ closed form: a(theta) exactly, and dv/dtheta a smooth even 2*pi-periodic
 function, held as its cosine series.  The mean of that series is the
 rotation number, the root-find for p/q runs on it, and v, v' and v'' of
 the torus chart are the series' integral, value and derivative.  No ODE
-is integrated and nothing is interpolated.  ``build_surface`` turns the
-chart into a ``geometry.GeometryFamily`` whose ``sample`` computes every
-field in one pass.
+is integrated and nothing is interpolated.  The root-find is ``_brentq``,
+an in-tree port of scipy's Brent root (brentq.c) that returns the same
+bits, so importing the module loads no ``scipy.optimize``.
+``build_surface`` turns the chart into a ``geometry.GeometryFamily``
+whose ``sample`` computes every field in one pass.
 """
 
 import math
@@ -25,7 +27,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.fft import dct
-from scipy.optimize import brentq
 
 from .errors import (ConvergenceError, IntegrationFailureError,
                      InvalidParameterError, NoSolutionError,
@@ -176,6 +177,67 @@ class ProfileCurve:
         }
 
 
+def _brentq(f, a, b, xtol, rtol, maxiter=100):
+    """A root of f in [a, b] by Brent's method, as scipy's brentq.c.
+
+    The same interpolate, extrapolate and bisect branches, the same
+    tolerance delta = (xtol + rtol |x|) / 2 and the same order of float
+    operations, so it returns scipy's root bit for bit after as many
+    calls of f.  (Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 4.)
+    """
+
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise NoSolutionError(f"root-find: f({x!r}) is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise NoSolutionError(
+            f"root-find: f has the same sign at {a!r} and {b!r}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:                            # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                                       # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry                 # short step
+            else:
+                spre = scur = sbis                      # bisect
+        else:
+            spre = scur = sbis                          # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise ConvergenceError(
+        f"root-find did not converge in {maxiter} iterations")
+
+
 def find_otsuki(p, q):
     """Root-find the energy whose rotation number is p/q.
 
@@ -195,8 +257,8 @@ def find_otsuki(p, q):
             f"window ({rots[0]:.6f}, {rots[-1]:.6f})")
     i = int(np.searchsorted(rots, target))
     lo, hi = energies[i - 1], energies[i]
-    energy = brentq(lambda c: rotation_number(c) - target, lo, hi,
-                    xtol=1e-14, rtol=8.9e-16)
+    energy = _brentq(lambda c: rotation_number(c) - target, lo, hi,
+                     xtol=1e-14, rtol=8.9e-16)
     profile = ProfileCurve(clairaut=float(energy), p=p, q=q,
                            series=_cosine_series(energy))
     if profile.closure_residual > 2.0 * np.pi * _CLOSURE_TOL:

@@ -657,8 +657,10 @@ def _clear_of_roundoff(pivots, level, solve):
 
 
 @functools.lru_cache
-def _probe(n):   # shared between calls: read it, never write it
-    return np.random.default_rng(0).standard_normal(n)
+def _probe(n):   # shared between calls, so read-only
+    b = np.random.default_rng(0).standard_normal(n)
+    b.flags.writeable = False
+    return b
 
 
 def first_eigfunction(ops):

@@ -1,5 +1,6 @@
 """Rotation numbers, profile generation and the rotational surface builder."""
 
+import math
 import os
 import subprocess
 import sys
@@ -11,9 +12,9 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from mhs import rotational
-from mhs.errors import (GenerationFailedError, IntegrationFailureError,
-                        InvalidParameterError, NoSolutionError,
-                        OutOfWindowError)
+from mhs.errors import (ConvergenceError, GenerationFailedError,
+                        IntegrationFailureError, InvalidParameterError,
+                        NoSolutionError, OutOfWindowError)
 from mhs.fem import mesh_torus
 from mhs.geometry import check_minimality, sample_grid
 from mhs.rotational import (build_surface, find_otsuki, rotation_number,
@@ -104,22 +105,106 @@ def test_quadrature_matches_ode_oracle():
 
 
 def test_otsuki_path_loads_no_ode_or_spline(tmp_path):
-    # the profile is in closed form: generating, building and checking an
-    # Otsuki torus integrates no ODE and fits no spline
+    # the profile is in closed form and its energy comes from the in-tree
+    # Brent root: importing the CLI, generating, building and checking an
+    # Otsuki torus, and an equator spectrum load no root-finder, no ODE
+    # solver and no spline
     src = str(Path(__file__).parents[1] / "src")
     report = str(tmp_path / "report.json")
     code = (
         "import sys\n"
+        "def loaded():\n"
+        "    return [m for m in ('scipy.optimize', 'scipy.integrate',"
+        " 'scipy.interpolate') if m in sys.modules]\n"
         "from mhs import cli, rotational\n"
+        "print(loaded())\n"
         "rotational.build_surface(rotational.find_otsuki(3, 5))\n"
         "assert cli.main(['paper-check', '--family', 'otsuki', '--res',"
         f" '16', '--output', {report!r}]) == 0\n"
-        "print([m for m in ('scipy.integrate', 'scipy.interpolate')"
-        " if m in sys.modules])\n")
+        "print(loaded())\n"
+        "assert cli.main(['spectrum', '--family', 'equator', '--res', '3',"
+        f" '--output', {report!r}]) == 0\n"
+        "print(loaded())\n")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]"] * 3
+
+
+def _counted(f):
+    """f with a count of its calls in `.calls`."""
+    def counted(x):
+        counted.calls += 1
+        return f(x)
+
+    counted.calls = 0
+    return counted
+
+
+def _otsuki_bracket(p, q):
+    """find_otsuki's root-find: f and the bracket from the window scan."""
+    energies, rots = rotation_window()
+    i = int(np.searchsorted(rots, p / q))
+    return (lambda c: rotation_number(c) - p / q), energies[i - 1], energies[i]
+
+
+_GENERIC_ROOTS = {
+    "wallis_cubic": (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    "cos_fixed_point": (lambda x: math.cos(x) - x, 0.0, 1.0),
+    "steep_atan": (lambda x: math.atan(50.0 * (x - 0.123)), -3.0, 7.0),
+    # takes a short step that the 3 |sbis| - delta bound, not |spre|,
+    # lets through
+    "exp_ten": (lambda x: math.exp(x) - 10.0, 1.0, 3.0),
+    "root_at_a": (lambda x: x * x - 4.0, 2.0, 5.0),
+    "root_at_b": (lambda x: x - 1.5, 0.0, 1.5),
+}
+
+
+@pytest.mark.parametrize("case", [f"otsuki{p}{q}" for p, q in
+                                  [(2, 3), (3, 5), (5, 9), (7, 10)]]
+                         + sorted(_GENERIC_ROOTS))
+@pytest.mark.parametrize("xtol, rtol", [(1e-14, 8.9e-16), (1e-6, 1e-10)])
+def test_brentq_matches_scipy_bit_for_bit(case, xtol, rtol):
+    # the port of brentq.c returns scipy's root bit for bit after the
+    # same number of calls of f
+    otsuki = case.startswith("otsuki")
+    if otsuki:
+        p, q = int(case[6]), int(case[7:])
+        f, a, b = _otsuki_bracket(p, q)
+    else:
+        f, a, b = _GENERIC_ROOTS[case]
+    ours, theirs = _counted(f), _counted(f)
+    root = rotational._brentq(ours, a, b, xtol=xtol, rtol=rtol)
+    ref = brentq(theirs, a, b, xtol=xtol, rtol=rtol)
+    assert root.hex() == ref.hex()
+    assert ours.calls == theirs.calls
+    if otsuki and (xtol, rtol) == (1e-14, 8.9e-16):
+        # find_otsuki's own tolerances: its energy is scipy's root
+        assert find_otsuki(p, q).clairaut.hex() == ref.hex()
+
+
+def test_brentq_raises_library_errors():
+    # where scipy's brentq raises ValueError or RuntimeError, which the
+    # CLI would print as tracebacks
+    def root(f, a, b, maxiter=100):
+        return rotational._brentq(f, a, b, 1e-14, 8.9e-16, maxiter)
+
+    with pytest.raises(NoSolutionError, match="same sign"):
+        root(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(ValueError):
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+    # NaN at an end of the bracket and at the first interior step (0.3)
+    hole = _counted(lambda x: x - 0.3 if abs(x - 0.5) > 0.4 else math.nan)
+    with pytest.raises(NoSolutionError, match="NaN"):
+        root(hole, 0.0, 1.0)
+    assert hole.calls == 3
+    with pytest.raises(NoSolutionError, match="NaN"):
+        root(lambda x: math.nan if x > 0.5 else x, -1.0, 1.0)
+    with pytest.raises(ConvergenceError, match="3 iterations"):
+        root(lambda x: math.cos(x) - x, 0.0, 1.0, maxiter=3)
+    with pytest.raises(RuntimeError):
+        brentq(lambda x: math.cos(x) - x, 0.0, 1.0, xtol=1e-14,
+               rtol=8.9e-16, maxiter=3)
 
 
 def test_profile_agrees_with_ode_root(otsuki_profile):

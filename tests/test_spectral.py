@@ -102,9 +102,11 @@ def test_dissection_order_keeps_the_factor_sparse(sphere_op):
 
 
 def test_nodal_path_matches_independent_references(sphere_op, clifford_op):
-    sigma = -sphere_op.q_max - 1.0
-    ref = np.sort(spla.eigsh(sphere_op.B, 16, M=sphere_op.Mm, sigma=sigma,
-                             which="LM", return_eigenvectors=False))
+    # a dense reference: an unseeded ARPACK one, sharing nothing with the
+    # path under test but Lanczos, sometimes dropped a member of the
+    # 4-fold cluster at 10.0614
+    ref = sla.eigh(sphere_op.B.toarray(), sphere_op.Mm.toarray(),
+                   eigvals_only=True, subset_by_index=[0, 15])
     report = lowest_eigs(sphere_op, 16)
     assert report.path == "shift-invert"
     assert np.abs(report.eigenvalues - ref).max() < 1e-10
@@ -599,6 +601,18 @@ def test_signature_flags_pivot_growth(otsuki_op_coarse):
         assert inertia_below(ops, sigma) == _count_below(modes, spectra,
                                                          sigma)
     assert flagged >= 1
+
+
+def test_probe_vector_is_read_only(sphere_op):
+    # the cached probe is shared by every roundoff check of the same size,
+    # so a write would change later counts; writing to it raises instead
+    inertia_below(sphere_op, 0.05)
+    b = spectral._probe(sphere_op.size)
+    assert b is spectral._probe(sphere_op.size)
+    with pytest.raises(ValueError, match="read-only"):
+        b[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        b *= 2.0
 
 
 @pytest.mark.parametrize("name", ["otsuki_op_coarse", "clifford_op",
