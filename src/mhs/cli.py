@@ -45,6 +45,10 @@ def _build_mesh(args):
         raise InvalidParameterError(
             "meshes are only available for surfaces in S^3 (n = 2)")
     if args.family == "equator":
+        if args.nt is not None or args.nphi is not None:
+            raise InvalidParameterError(
+                "--nt and --nphi apply to torus families; the equator "
+                "mesh takes only --res subdivisions")
         return fem.mesh_sphere(args.res)
     nphi = args.res if args.nphi is None else args.nphi
     if args.family == "clifford":

@@ -33,8 +33,9 @@ from .spectral import PhiModes, dissection_order
 _PHI = np.array([[0.5, 0.5, 0.0],
                  [0.0, 0.5, 0.5],
                  [0.5, 0.0, 0.5]])
-# reference gradients of the hat functions
-_DREF = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+# products of the hat functions at the midpoints: row q holds
+# phi_a(q) phi_b(q), flattened over (a, b)
+_PHI_PHI = (_PHI[:, :, None] * _PHI[:, None, :]).reshape(3, 9)
 _AREA_TOL = 1e-14
 _MINIMALITY_TOL = 1e-10        # mesh_torus's max |trace A| at the vertices
 # ico7 has 163,842 vertices; each further level quadruples the mesh
@@ -81,10 +82,8 @@ class SurfaceMesh:
 
     @property
     def num_edges(self):
-        e = np.sort(np.concatenate([self.triangles[:, [0, 1]],
-                                    self.triangles[:, [1, 2]],
-                                    self.triangles[:, [2, 0]]]), axis=1)
-        return len(np.unique(e, axis=0))
+        return len(np.unique(_edge_keys(self.triangles, self.num_vertices,
+                                        directed=False)))
 
     @property
     def euler_characteristic(self):
@@ -136,15 +135,26 @@ class OperatorSet:
         return self.K.shape[0]
 
 
+def _edge_keys(triangles, num_vertices, directed=True):
+    """One int64 key, tail * num_vertices + head, per edge of every
+    triangle: the edges 0->1 of all triangles, then 1->2, then 2->0.  An
+    undirected edge runs from its smaller vertex to its larger.  The keys
+    sort as the (tail, head) pairs do, and divmod(key, num_vertices)
+    gives the pair back."""
+    tris = np.asarray(triangles, dtype=np.int64)
+    tails, heads = tris.T.ravel(), tris[:, [1, 2, 0]].T.ravel()
+    if not directed:
+        tails, heads = np.minimum(tails, heads), np.maximum(tails, heads)
+    return tails * num_vertices + heads
+
+
 def _check_orientation(triangles, num_vertices):
     """Directed interior edges must each appear exactly once."""
     tris = np.asarray(triangles)
     if tris.min() < 0 or tris.max() >= num_vertices:
         raise MeshFormatError("triangle index out of range")
-    directed = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]],
-                               tris[:, [2, 0]]])
-    _, counts = np.unique(directed, axis=0, return_counts=True)
-    if counts.max() > 1:
+    keys = _edge_keys(tris, num_vertices)
+    if len(np.unique(keys)) < len(keys):
         raise MeshFormatError("inconsistent triangle orientation "
                               "(repeated directed edge)")
 
@@ -229,12 +239,11 @@ def mesh_sphere(subdivisions):
     verts = _ICO_V / np.linalg.norm(_ICO_V, axis=1, keepdims=True)
     faces = _ICO_F.copy()
     for _ in range(subdivisions):
-        edges = np.sort(np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]],
-                                        faces[:, [2, 0]]]), axis=1)
-        uniq, inv = np.unique(edges, axis=0, return_inverse=True)
-        mid = verts[uniq[:, 0]] + verts[uniq[:, 1]]
-        mid /= np.linalg.norm(mid, axis=1, keepdims=True)
         base = len(verts)
+        uniq, inv = np.unique(_edge_keys(faces, base, directed=False),
+                              return_inverse=True)
+        mid = verts[uniq // base] + verts[uniq % base]
+        mid /= np.linalg.norm(mid, axis=1, keepdims=True)
         verts = np.concatenate([verts, mid])
         m01 = base + inv[: len(faces)]
         m12 = base + inv[len(faces): 2 * len(faces)]
@@ -264,14 +273,19 @@ def mesh_sphere(subdivisions):
         quad_asq=np.zeros((T, 3)))
 
 
-def _triangle_areas(vertices, triangles):
+def _gram(vertices, triangles):
+    """(g11, g22, g12, det): the Gram matrix of the edges from corner 0
+    of every flat triangle, and its determinant."""
     P = vertices[triangles]
     e1 = P[:, 1] - P[:, 0]
     e2 = P[:, 2] - P[:, 0]
-    g11 = np.einsum("ti,ti->t", e1, e1)
-    g22 = np.einsum("ti,ti->t", e2, e2)
-    g12 = np.einsum("ti,ti->t", e1, e2)
-    return 0.5 * np.sqrt(np.maximum(g11 * g22 - g12 ** 2, 0.0))
+    g11, g22, g12 = (np.einsum("ti,ti->t", a, b)
+                     for a, b in ((e1, e1), (e2, e2), (e1, e2)))
+    return g11, g22, g12, g11 * g22 - g12 ** 2
+
+
+def _triangle_areas(vertices, triangles):
+    return 0.5 * np.sqrt(np.maximum(_gram(vertices, triangles)[3], 0.0))
 
 
 def assemble(mesh):
@@ -282,28 +296,26 @@ def assemble(mesh):
     """
     V = mesh.num_vertices
     tris = mesh.triangles
-    P = mesh.vertices[tris]
-    e1 = P[:, 1] - P[:, 0]
-    e2 = P[:, 2] - P[:, 0]
-    G = np.empty((len(tris), 2, 2))
-    G[:, 0, 0] = np.einsum("ti,ti->t", e1, e1)
-    G[:, 1, 1] = np.einsum("ti,ti->t", e2, e2)
-    G[:, 0, 1] = G[:, 1, 0] = np.einsum("ti,ti->t", e1, e2)
-    detg = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] ** 2
+    g11, g22, g12, detg = _gram(mesh.vertices, tris)
     area = 0.5 * np.sqrt(np.maximum(detg, 0.0))
     if area.min() < _AREA_TOL:
         bad = int(np.argmin(area))
         raise DegenerateElementError(
             f"triangle {bad} has area {area.min():.3e}")
-    Ginv = np.empty_like(G)
-    Ginv[:, 0, 0] = G[:, 1, 1] / detg
-    Ginv[:, 1, 1] = G[:, 0, 0] / detg
-    Ginv[:, 0, 1] = Ginv[:, 1, 0] = -G[:, 0, 1] / detg
-    Kloc = area[:, None, None] * np.einsum("ab,tbc,dc->tad", _DREF, Ginv, _DREF)
+    # D G^-1 D^T, D the reference hat gradients (-1, -1), (1, 0), (0, 1),
+    # written out in the entries h of G^-1; the (0, 0) entry adds all four
+    # left to right, as the plain double sum over D's columns does
+    h11, h22, h12 = g22 / detg, g11 / detg, -g12 / detg
+    s1, s2 = -(h11 + h12), -(h12 + h22)
+    Kloc = area[:, None, None] * np.stack(
+        [((h11 + h12) + h12) + h22, s1, s2, s1, h11, h12, s2, h12, h22],
+        axis=1).reshape(-1, 3, 3)
     w = mesh.quad_weights
     n = mesh.surface_dim
-    Mloc = np.einsum("tq,qa,qb->tab", w, _PHI, _PHI)
-    Wloc = np.einsum("tq,qa,qb->tab", w * (n + mesh.quad_asq), _PHI, _PHI)
+    # at most two quadrature points carry each product of hat functions,
+    # so the sum over points rounds the same in any order
+    Mloc, Wloc = ((c @ _PHI_PHI).reshape(-1, 3, 3)
+                  for c in (w, w * (n + mesh.quad_asq)))
     rows = np.repeat(tris, 3, axis=1).ravel()
     cols = np.tile(tris, (1, 3)).ravel()
 

@@ -43,7 +43,7 @@ _RESIDUAL_TOL = 1e-8
 _SHIFT_RETRIES = 6
 _SHIFT_TOL = 1e-12   # phi-shift invariance, relative to max |entry|
 _MORSE_WINDOW = 16   # first eigenvalue window of morse_index
-_DISSECTION_LEAF = 64   # largest part that dissection_order leaves whole
+_DISSECTION_LEAF = 16   # largest part that dissection_order leaves whole
 _CERTIFY_GAP = 1e-9     # relative margin of a mode certificate above tau
 
 

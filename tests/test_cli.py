@@ -143,6 +143,25 @@ def test_zero_resolution_override_is_an_error_line(capsys, flag):
     assert err == "error: torus mesh resolutions must be >= 8\n"
 
 
+@pytest.mark.parametrize("command", ["spectrum", "paper-check"])
+@pytest.mark.parametrize("flag", ["--nt", "--nphi"])
+def test_equator_grid_override_is_an_error_line(capsys, monkeypatch,
+                                                command, flag):
+    # the icosphere has no grid sides; an override it would ignore is
+    # refused before any mesh is built
+    def no_mesh(subdivisions):
+        raise AssertionError("meshed before the override was refused")
+
+    monkeypatch.setattr(cli.fem, "mesh_sphere", no_mesh)
+    argv = [command, "--family", "equator", "--res", "2", flag, "24"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --nt and --nphi apply to torus "
+                            "families; the equator mesh takes only --res "
+                            "subdivisions\n")
+
+
 def test_paper_check_report(capsys):
     code, doc = run_json(capsys, [
         "paper-check", "--family", "clifford", "--n", "2", "--k", "1",

@@ -5,8 +5,9 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from mhs import fem
+from mhs import fem, rotational
 from mhs.errors import (DegenerateElementError, InvalidParameterError,
                         MeshFormatError)
 from mhs.fem import (assemble, mesh_from_json, mesh_sphere, mesh_to_json,
@@ -59,10 +60,86 @@ def test_sphere_subdivision_guard():
         mesh_sphere(8)
 
 
+@pytest.mark.parametrize("subdivisions", [1, 2, 3, 4, 5])
+def test_sphere_mesh_matches_row_sort_reference(subdivisions):
+    # the one-key edge sort numbers the midpoints as the lexicographic
+    # row sort did, so the mesh is the same to the bit
+    verts = fem._ICO_V / np.linalg.norm(fem._ICO_V, axis=1, keepdims=True)
+    faces = fem._ICO_F.copy()
+    for _ in range(subdivisions):
+        edges = np.sort(np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]],
+                                        faces[:, [2, 0]]]), axis=1)
+        uniq, inv = np.unique(edges, axis=0, return_inverse=True)
+        mid = verts[uniq[:, 0]] + verts[uniq[:, 1]]
+        mid /= np.linalg.norm(mid, axis=1, keepdims=True)
+        m01, m12, m20 = (len(verts) + inv).reshape(3, -1)
+        verts = np.concatenate([verts, mid])
+        a, b, c = faces.T
+        faces = np.concatenate([np.stack([a, m01, m20], axis=1),
+                                np.stack([b, m12, m01], axis=1),
+                                np.stack([c, m20, m12], axis=1),
+                                np.stack([m01, m12, m20], axis=1)])
+    mesh = mesh_sphere(subdivisions)
+    assert mesh.triangles.dtype == faces.dtype
+    assert np.array_equal(mesh.triangles, faces)
+    assert np.array_equal(mesh.vertices[:, :3], verts)
+    assert mesh.num_edges == 30 * 4 ** subdivisions
+    assert mesh.euler_characteristic == 2
+
+
+def _einsum_operators(mesh):
+    """K, Mm and W with the element matrices as three-operand einsums."""
+    tris, V = mesh.triangles, mesh.num_vertices
+    P = mesh.vertices[tris]
+    e1, e2 = P[:, 1] - P[:, 0], P[:, 2] - P[:, 0]
+    G = np.empty((len(tris), 2, 2))
+    G[:, 0, 0] = np.einsum("ti,ti->t", e1, e1)
+    G[:, 1, 1] = np.einsum("ti,ti->t", e2, e2)
+    G[:, 0, 1] = G[:, 1, 0] = np.einsum("ti,ti->t", e1, e2)
+    detg = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] ** 2
+    area = 0.5 * np.sqrt(np.maximum(detg, 0.0))
+    Ginv = np.empty_like(G)
+    Ginv[:, 0, 0] = G[:, 1, 1] / detg
+    Ginv[:, 1, 1] = G[:, 0, 0] / detg
+    Ginv[:, 0, 1] = Ginv[:, 1, 0] = -G[:, 0, 1] / detg
+    D = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    w, q = mesh.quad_weights, mesh.surface_dim + mesh.quad_asq
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(tris, (1, 3)).ravel()
+    operators = []
+    for loc in (area[:, None, None] * np.einsum("ab,tbc,dc->tad",
+                                                D, Ginv, D),
+                np.einsum("tq,qa,qb->tab", w, fem._PHI, fem._PHI),
+                np.einsum("tq,qa,qb->tab", w * q, fem._PHI, fem._PHI)):
+        A = sp.coo_matrix((loc.ravel(), (rows, cols)), shape=(V, V)).tocsr()
+        operators.append(((A + A.T) * 0.5).tocsr())
+    return operators
+
+
+@pytest.mark.parametrize("name", ["ico3", "clifford44", "otsuki64x16"])
+def test_assembly_matches_einsum_reference(name, clifford_family,
+                                           otsuki_profile):
+    # the written-out element matrices add in the einsums' order; on the
+    # Otsuki chart a plain D @ Ginv @ D.T differs in the last bit
+    mesh = {"ico3": lambda: mesh_sphere(3),
+            "clifford44": lambda: mesh_torus(clifford_family, 44, 44),
+            "otsuki64x16": lambda: mesh_torus(
+                rotational.build_surface(otsuki_profile), 64, 16)}[name]()
+    ops = assemble(mesh)
+    for got, ref in zip((ops.K, ops.Mm, ops.W), _einsum_operators(mesh)):
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(ref, part))
+
+
 def test_orientation_consistency(clifford_mesh, sphere_mesh):
     from mhs.fem import _check_orientation
     _check_orientation(clifford_mesh.triangles, clifford_mesh.num_vertices)
     _check_orientation(sphere_mesh.triangles, sphere_mesh.num_vertices)
+    # a triangle repeated with its orientation kept repeats its edges
+    tris = np.concatenate([sphere_mesh.triangles,
+                           sphere_mesh.triangles[[7]]])
+    with pytest.raises(MeshFormatError, match="repeated directed edge"):
+        _check_orientation(tris, sphere_mesh.num_vertices)
 
 
 def test_operator_invariants(clifford_op, clifford_mesh):
