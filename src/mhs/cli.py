@@ -21,15 +21,17 @@ from .geometry import clifford
 # input file or an output path in a missing directory
 _USAGE_ERRORS = (InvalidParameterError, MeshFormatError, NoSolutionError,
                  OSError)
+# default of each family parameter flag, and the families that take it
+_FAMILY_PARAMS = {"k": (1, ("clifford",)), "p": (2, ("otsuki",)),
+                  "q": (3, ("otsuki",))}
 
 
 def _add_family_args(parser):
     parser.add_argument("--family", required=True,
                         choices=["clifford", "equator", "otsuki"])
     parser.add_argument("--n", type=int, default=2)
-    parser.add_argument("--k", type=int, default=1)
-    parser.add_argument("--p", type=int, default=2)
-    parser.add_argument("--q", type=int, default=3)
+    for flag in _FAMILY_PARAMS:
+        parser.add_argument(f"--{flag}", type=int, default=None)
     parser.add_argument("--res", type=int, default=64,
                         help="grid resolution (torus side / icosphere "
                              "subdivisions)")
@@ -40,7 +42,16 @@ def _add_family_args(parser):
 
 
 def _build_mesh(args):
-    """Mesh for the requested family at the requested resolution."""
+    """Mesh for the requested family at the requested resolution.
+
+    A family parameter given to a family that does not take it is an
+    error; one not given gets its default, recorded in the config."""
+    for flag, (default, families) in _FAMILY_PARAMS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif args.family not in families:
+            raise InvalidParameterError(
+                f"--{flag} does not apply to the {args.family} family")
     if args.n != 2:
         raise InvalidParameterError(
             "meshes are only available for surfaces in S^3 (n = 2)")

@@ -11,9 +11,8 @@ W integrates (n + |A|^2) against the nodal basis.
 ``assemble`` builds piecewise-linear (P1) elements on any mesh;
 ``assemble_spectral`` builds a Fourier pseudo-spectral operator set on
 the node grid of a structured torus mesh with an orthogonal chart whose
-coefficients do not depend on phi, as Kronecker products of the 1-D
-operators of one chart line.  Both act on the same nodal vectors
-(vertex values).
+coefficients do not depend on phi, stated by the 1-D operators of one
+chart line.  Both act on the same nodal vectors (vertex values).
 """
 
 import json
@@ -23,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import (DegenerateElementError, GenerationFailedError,
                      InvalidParameterError, MeshFormatError)
@@ -94,11 +94,12 @@ class SurfaceMesh:
 class OperatorSet:
     """Assembled matrices of the weak stability form.
 
-    K is the stiffness, Mm the mass, W the (n + |A|^2)-weighted mass;
-    the quadratic form of the stability operator is x^T (K - W) x.
-    B = K - W, the |A|^2-weighted mass SA = W - n Mm, the phi-mode
-    split of the pencil and the elimination order of its sparse
-    factorizations are built on first use and kept.
+    K is the stiffness (on a spectral set an operator, ``_LineKron``),
+    Mm the mass, W the (n + |A|^2)-weighted mass; the quadratic form of
+    the stability operator is x^T (K - W) x.  B = K - W, the
+    |A|^2-weighted mass SA = W - n Mm, the phi-mode split of the pencil
+    and the elimination order of its sparse factorizations are built on
+    first use and kept.
     """
 
     K: sp.csr_matrix
@@ -107,20 +108,23 @@ class OperatorSet:
     n: int
     q_max: float   # max of n + |A|^2 over quadrature points
     grid_shape: Optional[tuple] = None   # (nt, nphi) of a structured chart
+    block_row: Optional[tuple] = None    # a spectral set's rows of B, Mm
 
     @cached_property
     def B(self):
-        return (self.K - self.W).tocsr()
+        return self.K - self.W
 
     @cached_property
     def SA(self):
-        return (self.W - self.n * self.Mm).tocsr()
+        return self.W - self.n * self.Mm
 
     @cached_property
     def phi_modes(self):
         """The pencil split over phi-Fourier modes (``spectral.PhiModes``),
-        or None off a chart grid or where B or Mm is not invariant under
-        the one-step shift in phi."""
+        from block_row if given; None off a chart grid or where B or Mm
+        is not invariant under the one-step shift in phi."""
+        if self.grid_shape is not None and self.block_row is not None:
+            return PhiModes(*self.grid_shape, *self.block_row)
         return PhiModes.build(self.B, self.Mm, self.grid_shape)
 
     @cached_property
@@ -343,20 +347,37 @@ def _fourier_diff(N, length):
     return (np.pi / length) * D
 
 
+class _LineKron(spla.LinearOperator):
+    """Kt (x) I + diag(a) (x) Kphi, by one reshape and a product with each
+    factor; a sparse summand is wrapped, so K - W is an operator too."""
+
+    def __init__(self, Kt, a, Kp):
+        super().__init__(float, (len(a) * len(Kp),) * 2)
+        self.Kt, self.a, self.Kp = Kt, a, Kp
+
+    def _matmat(self, X):
+        Y = X.reshape(len(self.a), len(self.Kp), -1)
+        return ((self.Kt @ Y.reshape(len(self.a), -1)).reshape(Y.shape)
+                + self.a[:, None, None] * (self.Kp @ Y)).reshape(X.shape)
+
+    def __add__(self, x):
+        return super().__add__(spla.aslinearoperator(x))
+
+
 def assemble_spectral(mesh):
     """Fourier pseudo-spectral stiffness, mass and potential mass.
 
     The nodes are the vertices of a ``mesh_torus`` grid with both sides
     odd.  The chart must be orthogonal (g_12 = 0) with g_11, g_22 and
     q = n + |A|^2 invariant in phi, as on every torus the package builds,
-    so each operator is a Kronecker product of 1-D operators of one line
-    of constant phi.  With differentiation matrices D_t, D_phi and line
-    weights w = dt*dphi*sqrt(g): K = Kt (x) I + diag(w / g_22) (x) Kphi,
-    Kt = D_t^T diag(w / g_11) D_t, Kphi = D_phi^T D_phi, Mm = diag(w) (x) I
-    and W = diag(w q) (x) I.  They meet Delta l_v = -n l_v and
-    Delta f_v = -|A|^2 f_v at the nodes to spectral accuracy rather than
-    O(h^2).  An even side would leave the Nyquist mode in the kernel of
-    D and add spurious low eigenvalues.
+    so the set is stated by 1-D operators of one line of constant phi.
+    With differentiation matrices D_t, D_phi and line weights
+    w = dt*dphi*sqrt(g): K = Kt (x) I + diag(w / g_22) (x) Kphi, applied
+    factor by factor (``_LineKron``), Kt = D_t^T diag(w / g_11) D_t,
+    Kphi = D_phi^T D_phi, Mm = diag(w) (x) I and W = diag(w q) (x) I; the
+    phi-mode split reads their block row 0.  They meet Delta l_v = -n l_v
+    and Delta f_v = -|A|^2 f_v at the nodes to spectral accuracy rather
+    than O(h^2); an even side leaves the Nyquist mode in the kernel of D.
     """
     if mesh.grid_shape is None or mesh.source_family is None:
         raise InvalidParameterError(
@@ -387,11 +408,13 @@ def assemble_spectral(mesh):
     Dt, Dp = _fourier_diff(nt, lt), _fourier_diff(nphi, lp)
     Kt, Kp = ((A + A.T) * 0.5 for A in (Dt.T @ ((w / g11)[:, None] * Dt),
                                         Dp.T @ Dp))
-    I = sp.identity(nphi)
-    K = (sp.kron(Kt, I) + sp.kron(sp.diags(w / g22), Kp)).tocsr()
-    Mm, W = (sp.kron(sp.diags(c), I, format="csr") for c in (w, w * q))
-    return OperatorSet(K=K, Mm=Mm, W=W, n=n, q_max=float(q.max()),
-                       grid_shape=mesh.grid_shape)
+    e0 = np.eye(1, nphi)
+    row = (sp.kron(Kt, e0) + sp.kron(sp.diags(w / g22), Kp[:1])
+           - sp.kron(sp.diags(w * q), e0))
+    Mm, W = (sp.diags(np.repeat(c, nphi), format="csr") for c in (w, w * q))
+    return OperatorSet(K=_LineKron(Kt, w / g22, Kp), Mm=Mm, W=W, n=n,
+                       q_max=float(q.max()), grid_shape=mesh.grid_shape,
+                       block_row=(row, sp.kron(sp.diags(w), e0)))
 
 
 def mesh_to_json(mesh):

@@ -95,10 +95,10 @@ def _shift_invariant(A, perm):
     return abs(A[perm][:, perm] - A).max() <= _SHIFT_TOL * scale
 
 
-def _offset_entries(A, nt, nphi):
-    """(offsets s, and for every stored A[(i, 0), (l, s)] its offset
-    index, i, l and value): the blocks C_s[i, l] of block row 0."""
-    R = A[np.arange(nt) * nphi].tocoo()
+def _offset_entries(row, nphi):
+    """(offsets s, and for every stored row[i, (l, s)] its offset index,
+    i, l and value): the blocks C_s[i, l] of block row 0."""
+    R = row.tocoo()
     l, s = np.divmod(R.col, nphi)
     offsets = np.unique(s)
     return offsets, np.searchsorted(offsets, s), R.row, l, R.data
@@ -140,7 +140,7 @@ class PhiModes:
 
     The band is the only stored form of a mode pencil: per-offset lower
     band columns in the interleaved order 0, nt-1, 1, nt-2, ..., read
-    once from the entries of block row 0, with the bandwidth kd read from
+    once from block row 0 of B and Mm, with the bandwidth kd read from
     the pattern (a P1 block is cyclic tridiagonal, so kd = 2; a Fourier
     spectral block is dense, so kd = nt - 1).  ``band`` sums them for a
     mode and shift, ``pencil`` unpacks them into a dense pencil in the
@@ -154,11 +154,11 @@ class PhiModes:
     nothing below a threshold.
     """
 
-    def __init__(self, nt, nphi, B, Mm):
+    def __init__(self, nt, nphi, B_row, Mm_row):
         self.nt, self.nphi = nt, nphi
         # interleaved position of each node row i
         self._position = np.argsort(_interleaved(nt))
-        entries = _offset_entries(B, nt, nphi), _offset_entries(Mm, nt, nphi)
+        entries = _offset_entries(B_row, nphi), _offset_entries(Mm_row, nphi)
         self.kd = int(max(np.abs(self._position[i] - self._position[l])
                           .max(initial=0) for _, _, i, l, _ in entries))
         # (offsets, even and odd band columns) of B and of Mm
@@ -202,7 +202,7 @@ class PhiModes:
                  + (np.arange(nphi) + 1) % nphi).ravel()
         if not (_shift_invariant(B, shift) and _shift_invariant(Mm, shift)):
             return None
-        return cls(nt, nphi, B, Mm)
+        return cls(nt, nphi, B[::nphi], Mm[::nphi])
 
     @property
     def count(self):

@@ -8,9 +8,36 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
 from mhs import fem, rotational
-from mhs.geometry import clifford
+from mhs.geometry import clifford, sample_grid
+
+
+def kron_set(mesh):
+    """The spectral set of mesh with K, Mm and W formed whole, as 2-D
+    Kronecker products of the 1-D operators of its chart line phi = 0:
+    K = Kt (x) I + diag(w / g_22) (x) Kphi, Mm = diag(w) (x) I and
+    W = diag(w q) (x) I.  A reference for ``fem.assemble_spectral``, which
+    forms no 2-D K; the chart is sampled and the line read from the whole
+    lattice as there, so the two agree bit for bit wherever they take
+    the same steps.  Its phi-mode split is sliced from the whole B."""
+    nt, nphi = mesh.grid_shape
+    family = mesh.source_family
+    lt, lp = family.periods
+    _, T, _, _, asq, _ = family.sample(sample_grid(family, (nt, nphi)))
+    g11, g22 = np.einsum("vai,vbi->abv", T, T)[[0, 1], [0, 1]]
+    g11, g22, q = np.stack([g11, g22, mesh.surface_dim + asq]).reshape(
+        3, nt, nphi)[..., 0]
+    w = (lt / nt) * (lp / nphi) * np.sqrt(g11 * g22)
+    Dt, Dp = fem._fourier_diff(nt, lt), fem._fourier_diff(nphi, lp)
+    Kt, Kp = ((A + A.T) * 0.5 for A in (Dt.T @ ((w / g11)[:, None] * Dt),
+                                        Dp.T @ Dp))
+    eye = sps.identity(nphi)
+    K = (sps.kron(Kt, eye) + sps.kron(sps.diags(w / g22), Kp)).tocsr()
+    Mm, W = (sps.kron(sps.diags(c), eye, format="csr") for c in (w, w * q))
+    return fem.OperatorSet(K=K, Mm=Mm, W=W, n=mesh.surface_dim,
+                           q_max=float(q.max()), grid_shape=(nt, nphi))
 
 
 @pytest.fixture(scope="session")
@@ -52,6 +79,12 @@ def clifford_op_spectral(clifford_mesh_odd):
 
 
 @pytest.fixture(scope="session")
+def clifford_op_kron(clifford_mesh_odd):
+    """clifford_op_spectral with its K, Mm and W formed (``kron_set``)."""
+    return kron_set(clifford_mesh_odd)
+
+
+@pytest.fixture(scope="session")
 def sphere_mesh():
     return fem.mesh_sphere(4)
 
@@ -89,6 +122,12 @@ def otsuki_mesh_odd(otsuki_profile):
 @pytest.fixture(scope="session")
 def otsuki_op_spectral(otsuki_mesh_odd):
     return fem.assemble_spectral(otsuki_mesh_odd)
+
+
+@pytest.fixture(scope="session")
+def otsuki_op_kron(otsuki_mesh_odd):
+    """otsuki_op_spectral with its K, Mm and W formed (``kron_set``)."""
+    return kron_set(otsuki_mesh_odd)
 
 
 @pytest.fixture(scope="session")

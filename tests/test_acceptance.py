@@ -13,7 +13,6 @@ from mhs.closedform import clifford_jacobi, equator_jacobi
 from mhs.geometry import check_minimality
 from mhs.paperlab import (chain_sweep, conjecture_probe, gauss_identities,
                           lemma_check, theorem_check, trial_span)
-from mhs.rotational import build_surface
 from mhs.spectral import lowest_eigs, morse_index
 
 

@@ -162,6 +162,36 @@ def test_equator_grid_override_is_an_error_line(capsys, monkeypatch,
                             "subdivisions\n")
 
 
+@pytest.mark.parametrize("family, flag", [
+    ("equator", "--k"), ("equator", "--p"), ("equator", "--q"),
+    ("clifford", "--p"), ("clifford", "--q"), ("otsuki", "--k")])
+def test_parameter_of_another_family_is_an_error_line(capsys, monkeypatch,
+                                                      family, flag):
+    # a family parameter the family does not take is refused before any
+    # mesh is built, not ignored and recorded in the config
+    def no_mesh(*args):
+        raise AssertionError("meshed before the parameter was refused")
+
+    for module, name in ((cli.fem, "mesh_sphere"), (cli.fem, "mesh_torus"),
+                         (cli.rotational, "find_otsuki")):
+        monkeypatch.setattr(module, name, no_mesh)
+    assert main(["spectrum", "--family", family, "--res", "2", flag,
+                 "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {flag} does not apply to the {family} "
+                            "family\n")
+
+
+def test_family_parameters_keep_their_defaults_in_the_config(capsys):
+    _, doc = run_json(capsys, ["spectrum", "--family", "equator", "--res",
+                               "2", "--count", "4"])
+    assert {f: doc["config"][f] for f in "kpq"} == {"k": 1, "p": 2, "q": 3}
+    _, doc = run_json(capsys, ["spectrum", "--family", "clifford", "--res",
+                               "16", "--count", "4", "--k", "1"])
+    assert {f: doc["config"][f] for f in "kpq"} == {"k": 1, "p": 2, "q": 3}
+
+
 def test_paper_check_report(capsys):
     code, doc = run_json(capsys, [
         "paper-check", "--family", "clifford", "--n", "2", "--k", "1",

@@ -1,6 +1,5 @@
 """Exact spectral tables for spheres, products and equators."""
 
-import numpy as np
 import pytest
 
 from mhs.closedform import (SpectrumTable, clifford_jacobi, equator_jacobi,

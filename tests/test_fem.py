@@ -2,12 +2,14 @@
 
 import dataclasses
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mhs import fem, rotational
+from mhs import fem, rotational, spectral
 from mhs.errors import (DegenerateElementError, InvalidParameterError,
                         MeshFormatError)
 from mhs.fem import (assemble, mesh_from_json, mesh_sphere, mesh_to_json,
@@ -298,13 +300,57 @@ def test_spectral_rejects_phi_varying_chart(clifford_mesh_odd):
 def test_spectral_operator_invariants(clifford_mesh_odd,
                                       clifford_op_spectral):
     ops = clifford_op_spectral
-    for A in (ops.K, ops.Mm, ops.W):
-        assert abs(A - A.T).max() == 0.0
+    # K is applied factor by factor, so its matrix is read off the
+    # identity; Mm and W are diagonal
+    K = ops.K @ np.eye(ops.size)
+    assert abs(K - K.T).max() == 0.0
+    for A in (ops.Mm, ops.W):
+        assert abs(A - sp.diags(A.diagonal())).max() == 0.0
     ones = np.ones(ops.size)
     assert np.abs(ops.K @ ones).max() < 1e-12
     # the trapezoidal rule integrates the constant area element exactly
     assert abs(ones @ (ops.Mm @ ones) - 2 * np.pi ** 2) < 1e-12
     assert abs(ops.W - 4.0 * ops.Mm).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", ["clifford_op_spectral",
+                                  "otsuki_op_spectral"])
+def test_spectral_set_is_its_kronecker_line(name, request):
+    # against the 2-D Kronecker set of the same line (conftest.kron_set):
+    # K, B and SA on random blocks to 1e-13, the diagonal Mm and W and the
+    # block rows handed to the phi-mode split bit for bit
+    ops = request.getfixturevalue(name)
+    ref = request.getfixturevalue(name.replace("_spectral", "_kron"))
+    nphi = ops.grid_shape[1]
+    X = np.random.default_rng(3).standard_normal((ops.size, 5))
+    for got, want in ((ops.K, ref.K), (ops.B, ref.B), (ops.SA, ref.SA)):
+        for x in (X, X[:, 0]):
+            Y = want @ x
+            assert (got @ x).shape == Y.shape
+            assert np.abs(got @ x - Y).max() <= 1e-13 * np.abs(Y).max()
+    for got, want in ((ops.Mm, ref.Mm), (ops.W, ref.W),
+                      (ops.block_row[0], ref.B[::nphi]),
+                      (ops.block_row[1], ref.Mm[::nphi])):
+        assert got.shape == want.shape and abs(got - want).max() == 0.0
+
+
+def test_spectral_set_forms_no_2d_operator():
+    # Otsuki (3,5) 425 x 25: assembly and the Morse index stay within
+    # 64 MB of traced allocations, where the 2-D Kronecker K alone holds
+    # nt^2 nphi = 4.5M entries, and the phi-shift check of a P1 set
+    # never runs
+    family = rotational.build_surface(rotational.find_otsuki(3, 5))
+    mesh = mesh_torus(family, 425, 25)
+    with mock.patch.object(spectral, "_shift_invariant",
+                           side_effect=AssertionError("shift check ran")):
+        tracemalloc.start()
+        try:
+            index, report = morse_index(fem.assemble_spectral(mesh))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (index, report.nullity) == (20, 5)
+    assert peak <= 64 * 2 ** 20
 
 
 def test_spectral_clifford_landmarks(clifford_mesh_odd,

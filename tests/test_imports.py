@@ -1,5 +1,5 @@
 """Static hygiene of the package sources: no unused imports, locals or
-private module-level names."""
+private module-level names; and no unused imports in the tests."""
 
 import ast
 import os
@@ -11,6 +11,7 @@ import pytest
 
 SOURCES = sorted(p for p in (Path(__file__).parents[1] / "src" / "mhs")
                  .glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source):
@@ -94,7 +95,7 @@ def test_no_unread_private_names():
     assert unread_private_names(sources) == []
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -15,7 +15,6 @@ from mhs import fem, rotational, spectral
 from mhs.closedform import clifford_jacobi, equator_jacobi
 from mhs.errors import (InvalidParameterError, MultiplicityWarningError,
                         NumericalFailureError)
-from mhs.geometry import clifford
 from mhs.spectral import (first_eigfunction, inertia_below, lowest_eigs,
                           morse_index)
 
@@ -266,8 +265,10 @@ def test_otsuki_index(otsuki_op):
     (7, 10, 255, 17, fem.assemble_spectral, 46),
     (7, 10, 425, 17, fem.assemble_spectral, 46),
     (5, 9, 576, 64, fem.assemble, 36),
+    (5, 9, 855, 17, fem.assemble_spectral, 36),
 ], ids=["3-5-spectral-425x17", "3-5-spectral-425x25",
-        "7-10-spectral-255x17", "7-10-spectral-425x17", "5-9-p1-576x64"])
+        "7-10-spectral-255x17", "7-10-spectral-425x17", "5-9-p1-576x64",
+        "5-9-spectral-855x17"])
 def test_otsuki_index_census(p, q, nt, nphi, assembler, index):
     # index and nullity of further Otsuki tori, each at two resolutions
     # or on the independent P1 discretization; the nullity is 5 for the
@@ -314,6 +315,13 @@ def _unreduced(ops):
     return dataclasses.replace(ops, grid_shape=None)
 
 
+def _formed(name, request):
+    """The operator set of fixture name with its matrices formed whole: a
+    spectral set's 2-D Kronecker reference (``conftest.kron_set``), any
+    other set itself."""
+    return request.getfixturevalue(name.replace("_spectral", "_kron"))
+
+
 def _sign_fixed(ops, x):
     x = x / np.sqrt(x @ (ops.Mm @ x))
     return x if np.ones(ops.size) @ (ops.Mm @ x) > 0 else -x
@@ -323,11 +331,12 @@ def _sign_fixed(ops, x):
                                   "otsuki_op_spectral", "clifford_op"])
 def test_phi_modes_agree_with_unreduced_path(name, request):
     ops = request.getfixturevalue(name)
-    full = _unreduced(ops)
+    full = _unreduced(_formed(name, request))
     if name.endswith("_spectral"):
-        # dense K, diagonal Mm: one dense solve of Mm^-1/2 B Mm^-1/2
-        s = 1.0 / np.sqrt(ops.Mm.diagonal())
-        vals, Y = sla.eigh(s[:, None] * ops.B.toarray() * s,
+        # the 2-D Kronecker set: dense K, diagonal Mm, one dense solve of
+        # Mm^-1/2 B Mm^-1/2
+        s = 1.0 / np.sqrt(full.Mm.diagonal())
+        vals, Y = sla.eigh(s[:, None] * full.B.toarray() * s,
                            subset_by_index=[0, 23])
         assert vals[-1] > 0.05   # the window clears every counted shift
         vecs, count_below = s[:, None] * Y, lambda x: int((vals < x).sum())
@@ -350,14 +359,18 @@ def test_phi_modes_agree_with_unreduced_path(name, request):
 
 
 def test_phi_modes_carry_the_whole_spectrum(clifford_ops, otsuki_profile,
-                                           clifford_op_spectral):
+                                           clifford_op_spectral,
+                                           clifford_op_kron):
     # every mode, the Nyquist one of an even side included, against a
-    # dense solve of the whole pencil
+    # dense solve of the whole pencil, formed as 2-D Kronecker products
+    # for the spectral set
     family = rotational.build_surface(otsuki_profile)
     small_otsuki = fem.assemble(fem.mesh_torus(family, 40, 16))
-    for ops in (clifford_ops[16], small_otsuki, clifford_op_spectral):
+    for ops, whole in ((clifford_ops[16], clifford_ops[16]),
+                       (small_otsuki, small_otsuki),
+                       (clifford_op_spectral, clifford_op_kron)):
         reduced = lowest_eigs(ops, ops.size)
-        plain = lowest_eigs(_unreduced(ops), ops.size)
+        plain = lowest_eigs(_unreduced(whole), ops.size)
         assert (reduced.path, plain.path) == ("phi-modes", "dense")
         nphi = ops.grid_shape[1]
         assert set(reduced.modes) == set(range(nphi // 2 + 1))
@@ -463,7 +476,7 @@ def test_phi_mode_ties_are_listed_by_mode():
     lo, hi = -4.0, np.nextafter(-4.0, 0.0)
     lists = []
     for a, b in ((lo, hi), (hi, lo)):
-        modes = spectral.PhiModes(2, 8, eye, eye)
+        modes = spectral.PhiModes(2, 8, eye[::8], eye[::8])
         modes.solved = {0: (np.array([a, 1.0]), None),
                         2: (np.array([b, 0.5]), None)}
         vals, labels, cols = modes._merged()
@@ -540,7 +553,7 @@ def test_mode_signature_cholesky_fast_path(request):
                  "clifford_op_spectral"):
         ops = request.getfixturevalue(name)
         modes = ops.phi_modes
-        spectra = _mode_spectra(ops)
+        spectra = _mode_spectra(_formed(name, request))
         fallbacks = 0
         for sigma in shifts:
             with mock.patch.object(spectral, "_signature",
@@ -628,8 +641,9 @@ def test_banded_certificate_brackets_every_mode(name, request):
     # the interleaved order 0, nt-1, 1, nt-2, ...
     i = np.arange(nt)
     order = np.argsort(np.minimum(2 * i, 2 * (nt - 1 - i) + 1))
+    whole = ops if name == "synthetic" else _formed(name, request)
     for k in range(modes.count):
-        Bk, Mk = _mode_reference(ops, k)
+        Bk, Mk = _mode_reference(whole, k)
         mu = sla.eigh(Bk, Mk, eigvals_only=True, subset_by_index=[0, 0])[0]
         gap = 1e-6 * max(abs(mu), 1.0)
         assert modes.positive(k, mu - gap)
