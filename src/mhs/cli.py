@@ -21,7 +21,7 @@ from .geometry import clifford
 # input file or an output path in a missing directory
 _USAGE_ERRORS = (InvalidParameterError, MeshFormatError, NoSolutionError,
                  OSError)
-# default of each family parameter flag, and the families that take it
+# default of each family parameter flag, and the only families taking it
 _FAMILY_PARAMS = {"k": (1, ("clifford",)), "p": (2, ("otsuki",)),
                   "q": (3, ("otsuki",))}
 
@@ -42,10 +42,7 @@ def _add_family_args(parser):
 
 
 def _build_mesh(args):
-    """Mesh for the requested family at the requested resolution.
-
-    A family parameter given to a family that does not take it is an
-    error; one not given gets its default, recorded in the config."""
+    """Mesh for the requested family at the requested resolution."""
     for flag, (default, families) in _FAMILY_PARAMS.items():
         if getattr(args, flag) is None:
             setattr(args, flag, default)

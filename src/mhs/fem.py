@@ -94,21 +94,19 @@ class SurfaceMesh:
 class OperatorSet:
     """Assembled matrices of the weak stability form.
 
-    K is the stiffness (on a spectral set an operator, ``_LineKron``),
-    Mm the mass, W the (n + |A|^2)-weighted mass; the quadratic form of
-    the stability operator is x^T (K - W) x.  B = K - W, the
-    |A|^2-weighted mass SA = W - n Mm, the phi-mode split of the pencil
-    and the elimination order of its sparse factorizations are built on
-    first use and kept.
+    K is the stiffness, Mm the mass, W the (n + |A|^2)-weighted mass;
+    the quadratic form of the stability operator is x^T (K - W) x.
+    B = K - W, the |A|^2-weighted mass SA = W - n Mm, the phi-mode
+    split of the pencil and the elimination order of its sparse
+    factorizations are built on first use and kept.
     """
 
-    K: sp.csr_matrix
+    K: sp.csr_matrix | spla.LinearOperator   # _LineKron on a spectral set
     Mm: sp.csr_matrix
     W: sp.csr_matrix
     n: int
     q_max: float   # max of n + |A|^2 over quadrature points
     grid_shape: Optional[tuple] = None   # (nt, nphi) of a structured chart
-    block_row: Optional[tuple] = None    # a spectral set's rows of B, Mm
 
     @cached_property
     def B(self):
@@ -121,11 +119,17 @@ class OperatorSet:
     @cached_property
     def phi_modes(self):
         """The pencil split over phi-Fourier modes (``spectral.PhiModes``),
-        from block_row if given; None off a chart grid or where B or Mm
-        is not invariant under the one-step shift in phi."""
-        if self.grid_shape is not None and self.block_row is not None:
-            return PhiModes(*self.grid_shape, *self.block_row)
-        return PhiModes.build(self.B, self.Mm, self.grid_shape)
+        or None off a chart grid or where B or Mm is not invariant under
+        the one-step shift in phi; a spectral set is split by its line."""
+        if not isinstance(self.K, _LineKron):
+            return PhiModes.build(self.B, self.Mm, self.grid_shape)
+        if self.grid_shape is None:
+            raise InvalidParameterError(
+                "a spectral set has only the phi-mode path")
+        K, nphi = self.K, self.grid_shape[1]
+        row = (sp.kron(K.Kt, np.eye(1, nphi))
+               + sp.kron(sp.diags(K.a), K.Kp[:1]) - self.W[::nphi])
+        return PhiModes(*self.grid_shape, row, self.Mm[::nphi])
 
     @cached_property
     def elimination_order(self):
@@ -408,13 +412,9 @@ def assemble_spectral(mesh):
     Dt, Dp = _fourier_diff(nt, lt), _fourier_diff(nphi, lp)
     Kt, Kp = ((A + A.T) * 0.5 for A in (Dt.T @ ((w / g11)[:, None] * Dt),
                                         Dp.T @ Dp))
-    e0 = np.eye(1, nphi)
-    row = (sp.kron(Kt, e0) + sp.kron(sp.diags(w / g22), Kp[:1])
-           - sp.kron(sp.diags(w * q), e0))
     Mm, W = (sp.diags(np.repeat(c, nphi), format="csr") for c in (w, w * q))
     return OperatorSet(K=_LineKron(Kt, w / g22, Kp), Mm=Mm, W=W, n=n,
-                       q_max=float(q.max()), grid_shape=mesh.grid_shape,
-                       block_row=(row, sp.kron(sp.diags(w), e0)))
+                       q_max=float(q.max()), grid_shape=mesh.grid_shape)
 
 
 def mesh_to_json(mesh):

@@ -318,7 +318,7 @@ def test_spectral_operator_invariants(clifford_mesh_odd,
 def test_spectral_set_is_its_kronecker_line(name, request):
     # against the 2-D Kronecker set of the same line (conftest.kron_set):
     # K, B and SA on random blocks to 1e-13, the diagonal Mm and W and the
-    # block rows handed to the phi-mode split bit for bit
+    # phi-mode split of block row 0 bit for bit, also after W is replaced
     ops = request.getfixturevalue(name)
     ref = request.getfixturevalue(name.replace("_spectral", "_kron"))
     nphi = ops.grid_shape[1]
@@ -328,10 +328,17 @@ def test_spectral_set_is_its_kronecker_line(name, request):
             Y = want @ x
             assert (got @ x).shape == Y.shape
             assert np.abs(got @ x - Y).max() <= 1e-13 * np.abs(Y).max()
-    for got, want in ((ops.Mm, ref.Mm), (ops.W, ref.W),
-                      (ops.block_row[0], ref.B[::nphi]),
-                      (ops.block_row[1], ref.Mm[::nphi])):
+    for got, want in ((ops.Mm, ref.Mm), (ops.W, ref.W)):
         assert got.shape == want.shape and abs(got - want).max() == 0.0
+    for W in (ref.W, 2.0 * ref.W):
+        got = dataclasses.replace(ops, W=W).phi_modes
+        want = spectral.PhiModes(*ops.grid_shape, (ref.K - W)[::nphi],
+                                 ref.Mm[::nphi])
+        assert got.kd == want.kd
+        for (s, even, odd), (t, even_ref, odd_ref) in zip(
+                (got._B, got._Mm), (want._B, want._Mm)):
+            assert np.array_equal(s, t)
+            assert abs(even - even_ref).max() == abs(odd - odd_ref).max() == 0
 
 
 def test_spectral_set_forms_no_2d_operator():

@@ -315,6 +315,15 @@ def _unreduced(ops):
     return dataclasses.replace(ops, grid_shape=None)
 
 
+def test_spectral_set_has_only_the_phi_mode_path(otsuki_op_spectral):
+    # its K is applied factor by factor: no matrix to factor or densify
+    ops = _unreduced(otsuki_op_spectral)
+    for solve in (partial(lowest_eigs, ops, 1), partial(morse_index, ops),
+                  partial(inertia_below, ops, 0.0)):
+        with pytest.raises(InvalidParameterError, match="phi-mode path"):
+            solve()
+
+
 def _formed(name, request):
     """The operator set of fixture name with its matrices formed whole: a
     spectral set's 2-D Kronecker reference (``conftest.kron_set``), any
