@@ -46,5 +46,5 @@ class ShiftRetryExhaustedError(NumericalFailureError):
 
 
 class MultiplicityWarningError(NumericalFailureError):
-    """The computed ground state changes sign; the lowest eigenvalue is
-    probably not resolved as simple at this resolution."""
+    """The computed ground state changes sign: the ground level is
+    numerically multiple, or not resolved as simple at this resolution."""

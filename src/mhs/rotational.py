@@ -15,10 +15,13 @@ function, held as its cosine series.  The mean of that series is the
 rotation number, the root-find for p/q runs on it, and v, v' and v'' of
 the torus chart are the series' integral, value and derivative.  No ODE
 is integrated and nothing is interpolated.  The root-find is ``_brentq``,
-an in-tree port of scipy's Brent root (brentq.c) that returns the same
-bits, so importing the module loads no ``scipy.optimize``.
-``build_surface`` turns the chart into a ``geometry.GeometryFamily``
-whose ``sample`` computes every field in one pass.
+an in-tree port of scipy's Brent root (brentq.c), and the series comes
+from ``_dct2``, a port of pocketfft's DCT-II onto ``numpy.fft``; both
+return scipy's bits, so importing the module loads no ``scipy.optimize``
+and no ``scipy.fft``.  ``build_surface`` turns the chart into a
+``geometry.GeometryFamily`` whose ``sample`` computes every field in one
+pass, and every field that depends on theta alone once per distinct
+theta.
 """
 
 import math
@@ -26,7 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dct
 
 from .errors import (ConvergenceError, IntegrationFailureError,
                      InvalidParameterError, NoSolutionError,
@@ -74,6 +76,69 @@ def _dv_dtheta(c, theta):
                                 * (sin_a * cos_a + c)))
 
 
+def _sincos_2pibyn(x, n):
+    """(cos, sin) of 2 pi x / n for 4 x < n, from the first octant as
+    pocketfft's ``sincos_2pibyn::calc`` takes it."""
+    ang, x = 0.25 * math.pi / n, 8 * x
+    if x < n:
+        return math.cos(x * ang), math.sin(x * ang)
+    return math.sin((2 * n - x) * ang), math.cos((2 * n - x) * ang)
+
+
+@lru_cache(maxsize=None)
+def _dct2_twiddles(N):
+    """cos(2 pi (k + 1) / (4N)) for k < N - 1, as pocketfft tabulates it:
+    one table of fine and one of coarse angles, whose products give every
+    entry.  Returned as the slices the post-pass of ``_dct2`` reads."""
+    n, shift = 4 * N, 1
+    while 1 << (2 * shift) < (n + 2) // 2:
+        shift += 1
+    mask = (1 << shift) - 1
+    fine = np.array([(1.0, 0.0)] + [_sincos_2pibyn(i, n)
+                                    for i in range(1, mask + 1)])
+    coarse = np.array([(1.0, 0.0)] + [_sincos_2pibyn(i << shift, n)
+                                      for i in range(1, N >> shift)])
+    k = np.arange(1, N)
+    x1, x2 = fine[k & mask], coarse[k >> shift]
+    tw = x1[:, 0] * x2[:, 0] - x1[:, 1] * x2[:, 1]
+    h = N // 2
+    return tw[:h - 1], tw[N - 2:h - 1:-1], tw[h - 1]
+
+
+def _dct2(x):
+    """Unnormalized DCT-II, y_k = 2 sum_j x_j cos(pi k (2j + 1) / (2N)).
+
+    A port of pocketfft's ``T_dcst23::exec`` for type 2 (Makhoul, IEEE
+    TASSP 28, 1980): x is folded into the half-complex input of one
+    N-point real FFT, which ``numpy.fft.irfft`` runs on the same C++
+    pocketfft that scipy vendors, and the output is untwisted by the
+    pocketfft twiddles.  It returns ``scipy.fft.dct(x, type=2)`` bit for
+    bit on the lengths the cosine series uses, the powers of two from
+    64 to 65,536, and accepts no other.
+    """
+    N = x.size
+    if not (_QUAD_NODES <= N <= _QUAD_MAX_NODES and N & (N - 1) == 0):
+        raise InvalidParameterError(
+            f"DCT length {N} is not a power of two in "
+            f"[{_QUAD_NODES}, {_QUAD_MAX_NODES}]")
+    h = N // 2
+    z = np.empty(h + 1, complex)
+    z.real[0], z.real[h] = 2.0 * x[0], 2.0 * x[-1]
+    z.imag[0] = z.imag[h] = 0.0
+    z.real[1:h] = x[2:-1:2] + x[1:-2:2]
+    z.imag[1:h] = x[2:-1:2] - x[1:-2:2]
+    c = np.fft.irfft(z, n=N, norm="forward")
+    lo, hi, mid = _dct2_twiddles(N)
+    ck, ckc = c[1:h], c[N - 1:h:-1]
+    t1 = lo * ckc + hi * ck
+    t2 = lo * ck - hi * ckc
+    y = np.empty(N)
+    y[0], y[h] = c[0], c[h] * mid
+    y[1:h] = 0.5 * (t1 + t2)
+    y[N - 1:h:-1] = 0.5 * (t1 - t2)
+    return y
+
+
 def _cosine_series(c):
     """Coefficients b_k of dv/dtheta = sum_k b_k cos(k theta) at energy c.
 
@@ -85,7 +150,7 @@ def _cosine_series(c):
     nodes = _QUAD_NODES
     while nodes <= _QUAD_MAX_NODES:
         theta = (np.arange(nodes) + 0.5) * (np.pi / nodes)
-        b = dct(_dv_dtheta(c, theta), type=2) / nodes
+        b = _dct2(_dv_dtheta(c, theta)) / nodes
         b[0] *= 0.5
         if np.abs(b[nodes // 2:]).max() <= _QUAD_RTOL * b[0]:
             return b
@@ -273,8 +338,10 @@ def build_surface(profile):
 
     theta runs over the q radial periods [0, 2*pi*q), phi over the
     rotation circle [0, 2*pi).  The family's ``sample`` evaluates the
-    profile chart once per call and returns every field from it;
-    ``fem.mesh_torus`` checks on its vertex lattice that it is minimal.
+    profile chart once per call and returns every field from it: the
+    fields of theta alone once per distinct theta, and per point only
+    their products with cos(phi) and sin(phi).  ``fem.mesh_torus`` checks
+    on its vertex lattice that it is minimal.
     """
 
     def sample(u):
@@ -291,32 +358,48 @@ def build_surface(profile):
         """
         u = np.asarray(u, dtype=float)
         t, phi = u[..., 0], u[..., 1]
+        theta, at = np.unique(t.ravel(), return_inverse=True)
+        at = at.reshape(t.shape)
+        # every field of theta alone is computed once per distinct theta.
         # v'' is the derivative of the series, not the profile equation,
         # so the minimality self-check is a genuine consistency test
-        al, vv, d_a, d_v, dda, ddv = profile.chart(t)
+        al, vv, d_a, d_v, dda, ddv = profile.chart(theta)
         ca, sa = np.cos(al), np.sin(al)
         cv, sv = np.cos(vv), np.sin(vv)
-        cp, sp = np.cos(phi), np.sin(phi)
-        zero = np.zeros_like(ca)
-        X = np.stack([ca * cv, ca * sv, sa * cp, sa * sp], axis=-1)
-        e_a = np.stack([-sa * cv, -sa * sv, ca * cp, ca * sp], axis=-1)
-        e_v = np.stack([-sv, cv, zero, zero], axis=-1)
         w_v = d_v * ca
         speed = np.sqrt(d_a ** 2 + w_v ** 2)
-        dX = np.stack([d_a[..., None] * e_a + w_v[..., None] * e_v,
-                       np.stack([zero, zero, -sa * sp, sa * cp], axis=-1)],
-                      axis=-2)
-        nu = (w_v[..., None] * e_a - d_a[..., None] * e_v) / speed[..., None]
+        # components 0, 1 of e_a and e_v; components 2, 3 of e_v are zero
+        ea0, ea1, ev0, ev1 = -sa * cv, -sa * sv, -sv, cv
         # <nu, e_a> = w_v / speed, <nu, e_v> = -d_a / speed, <nu, X> = 0,
         # <nu, e_r> = -sa w_v / speed and <nu, (0, 0, cp, sp)> = ca w_v / speed
         h11 = (dda * w_v - d_a * (ddv * ca - 2.0 * d_a * d_v * sa)
                + d_v * w_v ** 2 * sa) / speed
         h22 = -sa * ca * w_v / speed
-        A = np.zeros(t.shape + (2, 2))
-        A[..., 0, 0] = h11 / speed ** 2
-        A[..., 1, 1] = h22 / sa ** 2
-        asq = A[..., 0, 0] ** 2 + A[..., 1, 1] ** 2
-        return X, dX, nu, A, asq, speed * sa
+        # the line's part of each field, gathered to the points
+        X, dX, nu, A = (np.zeros(theta.shape + s)
+                        for s in ((4,), (2, 4), (4,), (2, 2)))
+        X[:, 0], X[:, 1] = ca * cv, ca * sv
+        dX[:, 0, 0] = d_a * ea0 + w_v * ev0
+        dX[:, 0, 1] = d_a * ea1 + w_v * ev1
+        nu[:, 0] = (w_v * ea0 - d_a * ev0) / speed
+        nu[:, 1] = (w_v * ea1 - d_a * ev1) / speed
+        A[:, 0, 0], A[:, 1, 1] = h11 / speed ** 2, h22 / sa ** 2
+        asq = A[:, 0, 0] ** 2 + A[:, 1, 1] ** 2
+        X, dX, nu, A, asq, sqrt_g = (
+            f[at] for f in (X, dX, nu, A, asq, speed * sa))
+        # per point only the factors of cos(phi) and sin(phi) in X, e_a,
+        # X_phi and nu; w_z and d_z, the products of w_v and d_a with the
+        # zero components of e_v, keep the signed zeros of the frame sums
+        ca, sa, d_a, w_v, speed, w_z, d_z = np.stack(
+            [ca, sa, d_a, w_v, speed, w_v * 0.0, d_a * 0.0])[:, at]
+        cp, sp = np.cos(phi), np.sin(phi)
+        ea2, ea3 = ca * cp, ca * sp
+        X[..., 2], X[..., 3] = sa * cp, sa * sp
+        dX[..., 0, 2], dX[..., 0, 3] = d_a * ea2 + w_z, d_a * ea3 + w_z
+        dX[..., 1, 2], dX[..., 1, 3] = -sa * sp, sa * cp
+        nu[..., 2] = (w_v * ea2 - d_z) / speed
+        nu[..., 3] = (w_v * ea3 - d_z) / speed
+        return X, dX, nu, A, asq, sqrt_g
 
     return GeometryFamily(
         name=f"otsuki({profile.p},{profile.q})",

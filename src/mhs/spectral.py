@@ -45,6 +45,8 @@ _SHIFT_TOL = 1e-12   # phi-shift invariance, relative to max |entry|
 _MORSE_WINDOW = 16   # first eigenvalue window of morse_index
 _DISSECTION_LEAF = 16   # largest part that dissection_order leaves whole
 _CERTIFY_GAP = 1e-9     # relative margin of a mode certificate above tau
+_MULTIPLE_GAP = 1e-8    # lambda2 - lambda1 of a numerically multiple
+                        # ground level, relative to max(|lambda1|, 1)
 
 
 @dataclass(frozen=True)
@@ -668,7 +670,10 @@ def first_eigfunction(ops):
 
     The vector is normalized to unit Mm-norm with its global sign fixed
     so that the Mm-weighted mean is positive.  A sign change across
-    nodes means the lowest eigenvalue was not resolved as simple.
+    nodes raises ``MultiplicityWarningError``: the ground level is
+    numerically multiple if the second eigenvalue lies within
+    ``_MULTIPLE_GAP`` of the first, and otherwise it was not resolved as
+    simple at this resolution.
     """
     report = lowest_eigs(ops, count=1, vectors=True)
     rho = report.vectors[:, 0]
@@ -678,6 +683,12 @@ def first_eigfunction(ops):
     if mean < 0:
         rho = -rho
     if rho.min() <= 0.0:
+        lam1, lam2 = lowest_eigs(ops, count=2).eigenvalues
+        if lam2 - lam1 <= _MULTIPLE_GAP * max(abs(lam1), 1.0):
+            raise MultiplicityWarningError(
+                f"computed ground state changes sign; the ground level "
+                f"{lam1:.8g} is numerically multiple (lambda2 - lambda1 = "
+                f"{lam2 - lam1:.1e}); refining the mesh will not split it")
         raise MultiplicityWarningError(
             "computed ground state changes sign; the lowest eigenvalue "
             "is not resolved as simple at this resolution")

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.fft import dct
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -105,17 +106,19 @@ def test_quadrature_matches_ode_oracle():
 
 
 def test_otsuki_path_loads_no_ode_or_spline(tmp_path):
-    # the profile is in closed form and its energy comes from the in-tree
-    # Brent root: importing the CLI, generating, building and checking an
-    # Otsuki torus, and an equator spectrum load no root-finder, no ODE
-    # solver and no spline
+    # the profile is in closed form, its energy comes from the in-tree
+    # Brent root and its series from the in-tree DCT: importing the CLI,
+    # generating, building and checking an Otsuki torus, and an equator
+    # spectrum load no root-finder, no ODE solver, no spline, no FFT
+    # package and no special functions
     src = str(Path(__file__).parents[1] / "src")
     report = str(tmp_path / "report.json")
     code = (
         "import sys\n"
         "def loaded():\n"
         "    return [m for m in ('scipy.optimize', 'scipy.integrate',"
-        " 'scipy.interpolate') if m in sys.modules]\n"
+        " 'scipy.interpolate', 'scipy.fft', 'scipy.special')"
+        " if m in sys.modules]\n"
         "from mhs import cli, rotational\n"
         "print(loaded())\n"
         "rotational.build_surface(rotational.find_otsuki(3, 5))\n"
@@ -181,6 +184,55 @@ def test_brentq_matches_scipy_bit_for_bit(case, xtol, rtol):
     if otsuki and (xtol, rtol) == (1e-14, 8.9e-16):
         # find_otsuki's own tolerances: its energy is scipy's root
         assert find_otsuki(p, q).clairaut.hex() == ref.hex()
+
+
+_DCT_LENGTHS = [1 << e for e in range(6, 17)]
+
+
+@pytest.mark.parametrize("n", _DCT_LENGTHS)
+def test_dct2_matches_scipy_bit_for_bit(n):
+    # the port of pocketfft's DCT-II returns scipy's bytes on random
+    # vectors and on dv/dtheta at the midpoints, at both ends of the scan
+    rng = np.random.default_rng(n)
+    theta = (np.arange(n) + 0.5) * (np.pi / n)
+    energies = rotation_window()[0]
+    for x in (rng.standard_normal(n), rng.uniform(-1e3, 1e3, n),
+              rotational._dv_dtheta(energies[0], theta),
+              rotational._dv_dtheta(energies[-1], theta)):
+        assert rotational._dct2(x).tobytes() == dct(x, type=2).tobytes()
+
+
+@pytest.mark.parametrize("n", [60, 96, 32, 1 << 17])
+def test_dct2_rejects_unchecked_lengths(n):
+    with pytest.raises(InvalidParameterError, match="power of two"):
+        rotational._dct2(np.ones(n))
+
+
+def _scipy_series(c):
+    """Reference: the cosine series of dv/dtheta by scipy.fft.dct, with
+    the node doubling of the library."""
+    nodes = 64
+    while True:
+        theta = (np.arange(nodes) + 0.5) * (np.pi / nodes)
+        b = dct(rotational._dv_dtheta(c, theta), type=2) / nodes
+        b[0] *= 0.5
+        if np.abs(b[nodes // 2:]).max() <= 1e-14 * b[0]:
+            return b
+        nodes *= 2
+
+
+@pytest.mark.parametrize("p, q", [(2, 3), (5, 9)])
+def test_find_otsuki_matches_scipy_dct_path(p, q):
+    # the energy and series of a profile are those of the scipy.fft path,
+    # bit for bit: same scan, same Brent root, same coefficients
+    energies = rotation_window()[0]
+    rots = np.array([_scipy_series(c)[0] for c in energies])
+    i = int(np.searchsorted(rots, p / q))
+    energy = brentq(lambda c: _scipy_series(c)[0] - p / q,
+                    energies[i - 1], energies[i], xtol=1e-14, rtol=8.9e-16)
+    profile = find_otsuki(p, q)
+    assert profile.clairaut.hex() == energy.hex()
+    assert profile.series.tobytes() == _scipy_series(energy).tobytes()
 
 
 def test_brentq_raises_library_errors():
@@ -301,7 +353,8 @@ def test_mesh_torus_rejects_corrupt_profile(otsuki_profile):
 
 def test_chart_is_sampled_only_by_the_mesh(otsuki_profile, monkeypatch):
     # build_surface evaluates nothing; mesh_torus samples the chart once
-    # at the vertices (self-check included) and once at the quadrature
+    # at the vertices (self-check included) and once at the quadrature,
+    # each time only on the distinct theta of the points
     calls = []
     chart = rotational.ProfileCurve.chart
 
@@ -313,7 +366,7 @@ def test_chart_is_sampled_only_by_the_mesh(otsuki_profile, monkeypatch):
     family = build_surface(otsuki_profile)
     assert calls == []
     mesh_torus(family, 32, 16)
-    assert calls == [(32 * 16,), (2 * 32 * 16, 3)]
+    assert calls == [(32,), (65,)]
 
 
 @pytest.mark.parametrize("p, q", [(3, 5), (5, 9)])

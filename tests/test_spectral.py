@@ -274,9 +274,28 @@ def test_otsuki_index_census(p, q, nt, nphi, assembler, index):
     # or on the independent P1 discretization; the nullity is 5 for the
     # Killing fields, 6 - 1, and every index exceeds Urbano's bound
     family = rotational.build_surface(rotational.find_otsuki(p, q))
-    got, report = morse_index(assembler(fem.mesh_torus(family, nt, nphi)))
+    ops = assembler(fem.mesh_torus(family, nt, nphi))
+    got, report = morse_index(ops)
     assert (got, report.nullity) == (index, 5)
     assert got > URBANO_MIN_INDEX
+    if (p, q) == (5, 9):
+        # the ground level is a 9-fold cluster, one state per well of the
+        # profile, so it is reported multiple, not under-resolved
+        with pytest.raises(MultiplicityWarningError,
+                           match="numerically multiple"):
+            first_eigfunction(ops)
+
+
+def test_sign_change_on_a_simple_ground_level_is_under_resolution():
+    # coarse P1 (5, 9): lambda1 is simple (gap 2.6) but its computed
+    # eigenvector still changes sign
+    family = rotational.build_surface(rotational.find_otsuki(5, 9))
+    ops = fem.assemble(fem.mesh_torus(family, 128, 32))
+    lam = lowest_eigs(ops, 2).eigenvalues
+    assert lam[1] - lam[0] > 2.0
+    with pytest.raises(MultiplicityWarningError,
+                       match="not resolved as simple at this resolution"):
+        first_eigfunction(ops)
 
 
 def test_discrete_spectra_converge_from_above(clifford_ops):
