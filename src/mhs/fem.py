@@ -170,10 +170,14 @@ def _check_orientation(triangles, num_vertices):
 def mesh_torus(family, nt, nphi):
     """Structured periodic mesh of a torus chart.
 
-    Each grid cell is split into two triangles; per-triangle parameter
-    coordinates are kept unwrapped so quadrature midpoints never jump
-    across the periodic seam.  The family is sampled twice: on the vertex
-    lattice, the minimality self-check's grid, and at the quadrature points.
+    Each grid cell is split into two triangles.  The family is sampled
+    twice: on the vertex lattice, the minimality self-check's grid, and
+    once at each distinct quadrature point, the midpoints of the
+    theta-edges, phi-edges and diagonals, which the triangles on either
+    side of an edge share.  Midpoint parameters are 0.5 a + 0.5 b of the
+    corner parameters i dt and j dphi, unwrapped, so a midpoint never
+    jumps across the periodic seam and an edge on the seam keeps its own
+    copy.
     """
     if nt < 8 or nphi < 8:
         raise InvalidParameterError("torus mesh resolutions must be >= 8")
@@ -195,27 +199,34 @@ def mesh_torus(family, nt, nphi):
     t2 = np.stack([vid(ii, jj), vid(ii + 1, jj + 1), vid(ii, jj + 1)], axis=1)
     triangles = np.concatenate([t1, t2])
 
-    def corner(i, j):
-        return np.stack([i * dt, j * dp], axis=-1)
-
-    p1 = np.stack([corner(ii, jj), corner(ii + 1, jj),
-                   corner(ii + 1, jj + 1)], axis=1)
-    p2 = np.stack([corner(ii, jj), corner(ii + 1, jj + 1),
-                   corner(ii, jj + 1)], axis=1)
-    tri_params = np.concatenate([p1, p2])
-    quad_params = np.einsum("qc,tcd->tqd", _PHI, tri_params)
-    quad_points, _, quad_nu, _, quad_asq, sqrtg = family.sample(quad_params)
+    # corner parameters with the seam's unwrapped copies, and the midpoints
+    # between neighbours, rounded as the barycentric sum of _PHI rounds them
+    t, p = np.arange(nt + 1) * dt, np.arange(nphi + 1) * dp
+    tm, pm = 0.5 * t[:-1] + 0.5 * t[1:], 0.5 * p[:-1] + 0.5 * p[1:]
+    # the midpoints of the theta-edges (i + 1/2, j), the phi-edges
+    # (i, j + 1/2) and the diagonals (i + 1/2, j + 1/2), one block each
+    blocks = [(tm, p), (t, pm), (tm, pm)]
+    params = np.concatenate([np.stack(np.meshgrid(a, b, indexing="ij"),
+                                      axis=-1).reshape(-1, 2)
+                             for a, b in blocks])
+    edge_t = ii * (nphi + 1) + jj
+    edge_p = nt * (nphi + 1) + ii * nphi + jj
+    diag = nt * (nphi + 1) + (nt + 1) * nphi + ii * nphi + jj
+    # the midpoints of edges 01, 12 and 20 of each triangle
+    at = np.concatenate([np.stack([edge_t, edge_p + nphi, diag], axis=1),
+                         np.stack([diag, edge_t + 1, edge_p], axis=1)])
+    X, _, nu, _, asq, sqrtg = family.sample(params)
     area = _triangle_areas(vertices, triangles)
     quad_weights = np.repeat(area[:, None] / 3.0, 3, axis=1)
     param_area = 0.5 * dt * dp
-    quad_measure = sqrtg * (param_area / 3.0)
+    quad_measure = sqrtg[at] * (param_area / 3.0)
     return SurfaceMesh(
         name=f"{family.name}@{nt}x{nphi}",
         vertices=vertices, triangles=triangles,
         vertex_nu=vertex_nu, vertex_asq=np.asarray(vertex_asq, float),
-        quad_points=quad_points, quad_weights=quad_weights,
-        quad_measure=quad_measure, quad_nu=quad_nu,
-        quad_asq=np.asarray(quad_asq, float),
+        quad_points=X[at], quad_weights=quad_weights,
+        quad_measure=quad_measure, quad_nu=nu[at],
+        quad_asq=np.asarray(asq, float)[at],
         source_family=family, grid_shape=(nt, nphi))
 
 

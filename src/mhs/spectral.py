@@ -24,7 +24,10 @@ band, only when a banded Cholesky factorization cannot exclude it from
 the answer; that certificate costs O(nt kd^2) for bandwidth kd, not the
 O(nt^3) of a dense one.  Every inertia count, of the unreduced pencil
 or of a mode that fails the certificate, reads the pivot signs of one
-unpivoted sparse factorization (``_signature``).
+unpivoted sparse factorization (``_signature``).  There ``morse_index``
+counts first, at both ends of the zero window in one sweep over the
+modes, and then solves exactly the counted window, so its nullity is
+certified as well as its index.
 """
 
 import functools
@@ -47,6 +50,8 @@ _DISSECTION_LEAF = 16   # largest part that dissection_order leaves whole
 _CERTIFY_GAP = 1e-9     # relative margin of a mode certificate above tau
 _MULTIPLE_GAP = 1e-8    # lambda2 - lambda1 of a numerically multiple
                         # ground level, relative to max(|lambda1|, 1)
+_SIGN_TOL = 1e-12       # a ground-state value below -_SIGN_TOL max |rho|
+                        # is a sign change, not roundoff
 
 
 @dataclass(frozen=True)
@@ -583,7 +588,8 @@ def inertia_below(ops, sigma):
 def _retrying(signature, sigma):
     """(signature(shift), shift) at the first shift, sigma jittered
     upward, where the signature is not None: where the shifted matrix
-    is not numerically singular."""
+    is not numerically singular.  sigma may be an array of shifts,
+    jittered together."""
     jitter = 0.0
     for attempt in range(_SHIFT_RETRIES):
         shift = sigma + jitter
@@ -595,25 +601,28 @@ def _retrying(signature, sigma):
         f"shifted matrix stayed singular near sigma = {sigma}")
 
 
-def _mode_signature(modes, shift):
-    """Sum of the mode pencils' signatures at shift, with multiplicity;
-    None if a mode's count is unreliable.
+def _mode_signature(modes, shifts):
+    """Sum of the mode pencils' signatures at a shift, with
+    multiplicity, or a tuple of them for an array of shifts; None if a
+    count is unreliable.
 
-    A mode whose shifted pencil factors by a banded Cholesky
-    (``PhiModes.positive``) clear of roundoff adds no negatives; any
-    other takes the signature of its unpacked band, in the band's own
-    order.
+    One sweep over the modes serves every shift.  A mode whose pencil
+    shifted by the largest shift factors by a banded Cholesky
+    (``PhiModes.positive``) clear of roundoff adds no negatives at any
+    of them; any other takes the signature of its unpacked band at each
+    shift, in the band's own order.
     """
-    total = 0
+    totals, top = [0] * np.size(shifts), np.max(shifts)
     for k in range(modes.count):
-        if modes.positive(k, shift, 1e-12):
+        if modes.positive(k, top, 1e-12):
             continue
-        A = sp.csc_matrix(_unband(modes.band(k, shift)))
-        signature = _signature(A, np.arange(modes.nt))
-        if signature is None:
-            return None
-        total += modes.multiplicity(k) * signature[0]
-    return total
+        for i, shift in enumerate(np.ravel(shifts)):
+            A = sp.csc_matrix(_unband(modes.band(k, shift)))
+            signature = _signature(A, np.arange(modes.nt))
+            if signature is None:
+                return None
+            totals[i] += modes.multiplicity(k) * signature[0]
+    return tuple(totals) if np.ndim(shifts) else totals[0]
 
 
 def _nodal_signature(ops, shift):
@@ -670,7 +679,8 @@ def first_eigfunction(ops):
 
     The vector is normalized to unit Mm-norm with its global sign fixed
     so that the Mm-weighted mean is positive.  A sign change across
-    nodes raises ``MultiplicityWarningError``: the ground level is
+    nodes, a value below -_SIGN_TOL max |rho| rather than a roundoff
+    zero, raises ``MultiplicityWarningError``: the ground level is
     numerically multiple if the second eigenvalue lies within
     ``_MULTIPLE_GAP`` of the first, and otherwise it was not resolved as
     simple at this resolution.
@@ -682,7 +692,7 @@ def first_eigfunction(ops):
     mean = float(np.ones(ops.size) @ (ops.Mm @ rho))
     if mean < 0:
         rho = -rho
-    if rho.min() <= 0.0:
+    if rho.min() < -_SIGN_TOL * np.abs(rho).max():
         lam1, lam2 = lowest_eigs(ops, count=2).eigenvalues
         if lam2 - lam1 <= _MULTIPLE_GAP * max(abs(lam1), 1.0):
             raise MultiplicityWarningError(
@@ -705,27 +715,44 @@ def morse_index(ops, zero_tol=0.05):
     On the unreduced pencil one factorization serves both: its solve
     drives shift-invert Lanczos at -zero_tol, whose window grows until
     it holds exactly the counted values below the shift
-    (``_shift_invert``).  On the phi-mode path the window of
-    ``lowest_eigs`` doubles until it clears zero_tol, and
-    ``inertia_below`` counts.  A window past a quarter of the spectrum
-    is a dense solve on either path; on the unreduced pencil it is
-    checked against the count of the one factorization.
+    (``_shift_invert``).  On the phi-mode path one sweep over the modes
+    counts c- below -zero_tol and c+ below +zero_tol (``_mode_signature``,
+    as in spectrum slicing), and one ``lowest_eigs`` call solves the
+    lowest max(_MORSE_WINDOW, c+ + 1) values, at least one more than
+    the count below zero_tol.  Its index must equal c- and its nullity
+    c+ - c-, so the nullity has two paths too.  A window past a quarter
+    of the spectrum of the unreduced pencil is a dense solve, checked
+    against the count of the one factorization.
     """
     count = min(_MORSE_WINDOW, ops.size)
-    below = report = None
-    if ops.phi_modes is None and count <= ops.size // 4:
-        below, vals, vecs = _shift_invert(ops, -zero_tol, count, zero_tol)
-        if vals is None:   # the dense solve takes the larger windows
-            count = ops.size // 4 + 1
-        else:
-            report = _report(ops, vals, vecs, zero_tol, "shift-invert")
-    while report is None or report.window_saturated:
-        report = lowest_eigs(ops, count=count, zero_tol=zero_tol)
-        count = min(2 * count, ops.size)
-    if below is None:
-        below = inertia_below(ops, -zero_tol)
+    nullity = None   # c+ - c-, counted on the phi-mode path
+    if ops.phi_modes is not None:
+        (below, upto), _ = _retrying(
+            functools.partial(_mode_signature, ops.phi_modes),
+            np.array([-zero_tol, zero_tol]))
+        nullity = upto - below
+        report = lowest_eigs(ops, min(max(count, upto + 1), ops.size),
+                             zero_tol)
+    else:
+        below = report = None
+        if count <= ops.size // 4:
+            below, vals, vecs = _shift_invert(ops, -zero_tol, count,
+                                              zero_tol)
+            if vals is None:   # the dense solve takes the larger windows
+                count = ops.size // 4 + 1
+            else:
+                report = _report(ops, vals, vecs, zero_tol, "shift-invert")
+        while report is None or report.window_saturated:
+            report = lowest_eigs(ops, count=count, zero_tol=zero_tol)
+            count = min(2 * count, ops.size)
+        if below is None:
+            below = inertia_below(ops, -zero_tol)
     if below != report.index:
         raise NumericalFailureError(
             f"index mismatch: eigensolver {report.index}, "
             f"factorization {below}")
+    if nullity is not None and nullity != report.nullity:
+        raise NumericalFailureError(
+            f"nullity mismatch: eigensolver {report.nullity}, "
+            f"factorization {nullity}")
     return report.index, report

@@ -419,7 +419,9 @@ def _counting(family):
                                         ("otsuki", (63, 17))])
 def test_one_sample_pass_per_point_set(name, grid, request):
     # mesh_torus samples the vertex lattice and the quadrature points,
-    # assemble_spectral one chart lattice, each in a single pass
+    # assemble_spectral one chart lattice, each in a single pass; the
+    # quadrature points are the distinct edge midpoints, nt (nphi + 1)
+    # on theta-edges, (nt + 1) nphi on phi-edges and nt nphi diagonals
     if name == "otsuki":
         family = request.getfixturevalue("otsuki_mesh_odd").source_family
     else:
@@ -427,9 +429,42 @@ def test_one_sample_pass_per_point_set(name, grid, request):
     counting, calls = _counting(family)
     nt, nphi = grid
     mesh = mesh_torus(counting, nt, nphi)
-    assert calls == [(nt * nphi, 2), (2 * nt * nphi, 3, 2)]
+    assert calls == [(nt * nphi, 2), (3 * nt * nphi + nt + nphi, 2)]
     fem.assemble_spectral(mesh)
     assert calls[2:] == [(nt * nphi, 2)]
+
+
+@pytest.mark.parametrize("name, grid", [("clifford", (33, 17)),
+                                        ("clifford", (44, 44)),
+                                        ("otsuki", (63, 17))])
+def test_quadrature_points_sampled_once_match_per_triangle(name, grid,
+                                                          request):
+    # each edge midpoint is sampled once and shared by the triangles on
+    # either side; every quadrature array equals, bit for bit, the
+    # per-triangle reference: barycentric midpoints of the unwrapped
+    # corner parameters, sampled three to a triangle
+    if name == "otsuki":
+        family = request.getfixturevalue("otsuki_mesh_odd").source_family
+    else:
+        family = request.getfixturevalue("clifford_family")
+    nt, nphi = grid
+    mesh = mesh_torus(family, nt, nphi)
+    lt, lp = family.periods
+    dt, dp = lt / nt, lp / nphi
+    i, j = (a.ravel() for a in np.meshgrid(np.arange(nt), np.arange(nphi),
+                                           indexing="ij"))
+    c00, c10, c11, c01 = (np.stack([(i + a) * dt, (j + b) * dp], axis=-1)
+                          for a, b in ((0, 0), (1, 0), (1, 1), (0, 1)))
+    corners = np.concatenate([np.stack([c00, c10, c11], axis=1),
+                              np.stack([c00, c11, c01], axis=1)])
+    u = np.einsum("qc,tcd->tqd", fem._PHI, corners)
+    X, _, nu, _, asq, sqrtg = family.sample(u)
+    reference = {"quad_points": X, "quad_nu": nu, "quad_asq": asq,
+                 "quad_measure": sqrtg * (0.5 * dt * dp / 3.0)}
+    for field, ref in reference.items():
+        got = getattr(mesh, field)
+        assert got.shape == ref.shape, field
+        assert got.tobytes() == np.asarray(ref, float).tobytes(), field
 
 
 def test_mesh_ignores_swapped_views(clifford_family, otsuki_mesh_coarse):

@@ -286,6 +286,20 @@ def test_otsuki_index_census(p, q, nt, nphi, assembler, index):
             first_eigfunction(ops)
 
 
+def test_roundoff_on_a_simple_ground_level_is_no_sign_change():
+    # P1 (5, 9) 256x64, the CLI's default --res 64: lambda1 is simple
+    # (gap 3.7e-3) and the ground state vanishes nowhere but to roundoff,
+    # a few 1e-17 of its largest value, which is not a sign change
+    family = rotational.build_surface(rotational.find_otsuki(5, 9))
+    ops = fem.assemble(fem.mesh_torus(family, 256, 64))
+    lam = lowest_eigs(ops, 2).eigenvalues
+    assert 1e-3 < lam[1] - lam[0] < 1e-2
+    lam1, rho = first_eigfunction(ops)
+    assert lam1 == lam[0]
+    assert rho.min() > -1e-12 * np.abs(rho).max()
+    assert morse_index(ops)[0] == 36
+
+
 def test_sign_change_on_a_simple_ground_level_is_under_resolution():
     # coarse P1 (5, 9): lambda1 is simple (gap 2.6) but its computed
     # eigenvector still changes sign
@@ -685,18 +699,82 @@ def test_banded_certificate_brackets_every_mode(name, request):
             assert not ab[d, nt - d:].any()
 
 
-@pytest.mark.parametrize("size", [None, 128], ids=["otsuki", "clifford"])
-def test_morse_index_reports_its_solved_modes(size, otsuki_op,
+@pytest.mark.parametrize("size, solved", [(None, [0, 1]), (128, [0, 1, 2])],
+                         ids=["otsuki", "clifford"])
+def test_morse_index_reports_its_solved_modes(size, solved, otsuki_op,
                                               clifford_family):
-    # P1 Otsuki 256x64 and Clifford 128^2 each solve modes 0, 1 and 2 by
-    # a dense eigensolve; the other 30 and 62 are certified
+    # P1 Otsuki 256x64 solves modes 0 and 1 by a dense eigensolve for its
+    # counted window of 18, Clifford 128^2 modes 0, 1 and 2 for its 16;
+    # the other 31 and 62 are certified
     if size is None:
         ops = dataclasses.replace(otsuki_op)   # empty mode caches
     else:
         ops = fem.assemble(fem.mesh_torus(clifford_family, size, size))
     _, report = morse_index(ops)
     assert report.solved_modes == tuple(sorted(ops.phi_modes.solved))
-    assert report.to_dict()["solved_modes"] == [0, 1, 2]
+    assert report.to_dict()["solved_modes"] == solved
+
+
+def test_morse_index_solves_the_counted_window(otsuki_op, clifford_family):
+    # one sweep counts c- = 12 values below -zero_tol and c+ = 17 below
+    # +zero_tol on P1 Otsuki (2, 3) 256x64, so the window holds
+    # c+ + 1 = 18 values, from two dense eigensolves of modes 0 and 1,
+    # and is a bitwise prefix of the window of 32 that mode 2 joins
+    ops = dataclasses.replace(otsuki_op)   # empty mode caches
+    with mock.patch.object(sla, "eigh", wraps=sla.eigh) as eigh:
+        index, report = morse_index(ops)
+    assert (index, report.nullity) == (12, 5)
+    assert len(report.eigenvalues) == 18
+    assert (report.solved_modes, eigh.call_count) == ((0, 1), 2)
+    assert not report.window_saturated
+    wider = lowest_eigs(dataclasses.replace(otsuki_op), 32)
+    assert wider.solved_modes == (0, 1, 2)
+    assert report.eigenvalues.tobytes() == wider.eigenvalues[:18].tobytes()
+    # Clifford 44^2 counts c+ = 9, so its window keeps the 16 values
+    ops = fem.assemble(fem.mesh_torus(clifford_family, 44, 44))
+    assert inertia_below(ops, 0.05) == 9
+    index, report = morse_index(ops)
+    assert (index, report.nullity, len(report.eigenvalues)) == (5, 4, 16)
+
+
+@pytest.mark.parametrize("at, flip, message", [
+    (0.05, lambda d: np.flatnonzero(d > 0)[0], "nullity mismatch: "
+     "eigensolver 3, factorization 4"),
+    (0.05, lambda d: np.flatnonzero(d < 0)[0], "nullity mismatch: "
+     "eigensolver 3, factorization 2"),
+    (-0.05, lambda d: np.flatnonzero(d > 0)[0], "index mismatch: "
+     "eigensolver 12, factorization 13"),
+    (-0.05, lambda d: np.flatnonzero(d < 0)[0], "index mismatch: "
+     "eigensolver 12, factorization 11"),
+], ids=["nullity-overcount", "nullity-undercount", "index-overcount",
+        "index-undercount"])
+def test_phi_mode_count_checks_are_two_sided(at, flip, message,
+                                             otsuki_op_coarse):
+    # P1 Otsuki (2, 3) 128x32 has index 12 and nullity 3.  One pivot's
+    # sign flipped in the signature of mode 0, the first mode the count
+    # sweep factors, at one end of the zero window, the eigensolve left
+    # alone: c+ at +zero_tol checks the nullity, c- at -zero_tol the
+    # index, and neither miscount may be reconciled by the window
+    ops = dataclasses.replace(otsuki_op_coarse)   # empty mode caches
+    band, factor = spectral.PhiModes.band, spectral._ordered_factor
+    shifts, flipped = [], []
+
+    def recording(self, k, shift):
+        shifts.append(shift)
+        return band(self, k, shift)
+
+    def flipping(A, order):
+        d, solve = factor(A, order)
+        if np.sign(shifts[-1]) == np.sign(at) and not flipped:
+            d = d.copy()
+            d[flip(d.real)] *= -1
+            flipped.append(True)
+        return d, solve
+    with mock.patch.object(spectral.PhiModes, "band", recording), \
+            mock.patch.object(spectral, "_ordered_factor", flipping):
+        with pytest.raises(NumericalFailureError, match=message):
+            morse_index(ops)
+    assert flipped == [True]
 
 
 def test_signature_counts_complex_hermitian(otsuki_op_coarse):
