@@ -8,26 +8,26 @@ source family per point set.
 The stability operator enters through the pencil B = K - W where
 W integrates (n + |A|^2) against the nodal basis.
 
-``assemble`` builds piecewise-linear (P1) elements on any mesh;
-``assemble_spectral`` builds a Fourier pseudo-spectral operator set on
-the node grid of a structured torus mesh with an orthogonal chart whose
-coefficients do not depend on phi, stated by the 1-D operators of one
-chart line.  Both act on the same nodal vectors (vertex values).
+``assemble`` builds piecewise-linear (P1) elements on any mesh, stated
+by the block row 0 of phi-column 0 where its elements are invariant in
+phi; ``assemble_spectral`` builds a Fourier pseudo-spectral operator set
+on the node grid of a structured torus mesh with an orthogonal chart
+whose coefficients do not depend on phi, stated by the 1-D operators of
+one chart line.  Both act on the same nodal vectors (vertex values).
 """
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (DegenerateElementError, GenerationFailedError,
                      InvalidParameterError, MeshFormatError)
 from .geometry import GeometryFamily, sample_grid
-from .spectral import PhiModes, dissection_order
+from .spectral import _SHIFT_TOL, ChartLine, PhiModes, dissection_order
 
 # barycentric coordinates of the three edge midpoints
 _PHI = np.array([[0.5, 0.5, 0.0],
@@ -96,14 +96,18 @@ class OperatorSet:
 
     K is the stiffness, Mm the mass, W the (n + |A|^2)-weighted mass;
     the quadratic form of the stability operator is x^T (K - W) x.
-    B = K - W, the |A|^2-weighted mass SA = W - n Mm, the phi-mode
-    split of the pencil and the elimination order of its sparse
-    factorizations are built on first use and kept.
+    Each is a sparse matrix or, on a chart grid, a chart line
+    (``spectral.ChartLine``): a block-circulant operator stated by its
+    block row 0, whose matrix is lifted only when a product, a dense
+    solve or a sparse factorization asks for it.  B = K - W, the
+    |A|^2-weighted mass SA = W - n Mm, the phi-mode split of the pencil
+    and the elimination order of its sparse factorizations are built on
+    first use and kept; B and SA of chart lines are chart lines.
     """
 
-    K: sp.csr_matrix | spla.LinearOperator   # _LineKron on a spectral set
-    Mm: sp.csr_matrix
-    W: sp.csr_matrix
+    K: sp.csr_matrix | ChartLine   # with factored products if spectral
+    Mm: sp.csr_matrix | ChartLine
+    W: sp.csr_matrix | ChartLine
     n: int
     q_max: float   # max of n + |A|^2 over quadrature points
     grid_shape: Optional[tuple] = None   # (nt, nphi) of a structured chart
@@ -119,17 +123,13 @@ class OperatorSet:
     @cached_property
     def phi_modes(self):
         """The pencil split over phi-Fourier modes (``spectral.PhiModes``),
-        or None off a chart grid or where B or Mm is not invariant under
-        the one-step shift in phi; a spectral set is split by its line."""
-        if not isinstance(self.K, _LineKron):
-            return PhiModes.build(self.B, self.Mm, self.grid_shape)
-        if self.grid_shape is None:
+        read from the block rows 0 of B and Mm, or None off a chart grid
+        or where B or Mm is not block-circulant in phi."""
+        if (self.grid_shape is None
+                and getattr(self.K, "apply", None) is not None):
             raise InvalidParameterError(
                 "a spectral set has only the phi-mode path")
-        K, nphi = self.K, self.grid_shape[1]
-        row = (sp.kron(K.Kt, np.eye(1, nphi))
-               + sp.kron(sp.diags(K.a), K.Kp[:1]) - self.W[::nphi])
-        return PhiModes(*self.grid_shape, row, self.Mm[::nphi])
+        return PhiModes.build(self.B, self.Mm, self.grid_shape)
 
     @cached_property
     def elimination_order(self):
@@ -307,11 +307,49 @@ def _triangle_areas(vertices, triangles):
     return 0.5 * np.sqrt(np.maximum(_gram(vertices, triangles)[3], 0.0))
 
 
+def _column_zero(mesh, locs):
+    """The triangles touching phi-column 0, as a mask, where the P1
+    operators of the mesh are block-circulant in phi by their elements;
+    else None.
+
+    That needs a chart grid whose triangles come in phi-columns, triangle
+    c*nt*nphi + i*nphi + j in column j as ``mesh_torus`` lays them out,
+    with column j being column 0 moved j steps in phi, and every element
+    matrix in locs equal to its column-0 counterpart to _SHIFT_TOL of the
+    largest.
+    """
+    if mesh.grid_shape is None:
+        return None
+    nt, nphi = mesh.grid_shape
+    if mesh.num_vertices != nt * nphi or mesh.num_triangles % nphi:
+        return None
+    tris = mesh.triangles.reshape(-1, nphi, 3)
+    t0 = tris[:, :1]
+    # the phi-index of every vertex of column j, were it column 0 moved
+    j = (t0 + np.arange(nphi)[:, None]) % nphi
+    if not np.array_equal(tris, t0 - t0 % nphi + j):
+        return None
+    for loc in locs:
+        loc = loc.reshape(-1, nphi, 9)
+        drift = loc - loc[:, :1]
+        if (max(drift.max(), -drift.min())
+                > _SHIFT_TOL * max(loc.max(), -loc.min())):
+            return None
+    return (j == 0).any(axis=-1).ravel()
+
+
 def assemble(mesh):
     """Stiffness, mass and potential-weighted mass of the mesh.
 
     Flat P1 elements; the potential q = n + |A|^2 is integrated with the
     3-point midpoint rule using the analytically sampled quad_asq.
+    Where the element matrices certify that the operators are
+    block-circulant in phi (``_column_zero``), as on every ``mesh_torus``
+    mesh the package builds, only the triangles touching phi-column 0
+    are scattered, in their global order, and K, Mm and W are the chart
+    lines (``spectral.ChartLine``) of the block rows 0 of that scatter:
+    the same rows, bit for bit, as the whole scatter's.  Any other mesh
+    is scattered whole into sparse matrices.
     """
     V = mesh.num_vertices
     tris = mesh.triangles
@@ -335,6 +373,10 @@ def assemble(mesh):
     # so the sum over points rounds the same in any order
     Mloc, Wloc = ((c @ _PHI_PHI).reshape(-1, 3, 3)
                   for c in (w, w * (n + mesh.quad_asq)))
+    locs = (Kloc, Mloc, Wloc)
+    near = _column_zero(mesh, locs)
+    if near is not None:
+        tris, locs = tris[near], [loc[near] for loc in locs]
     rows = np.repeat(tris, 3, axis=1).ravel()
     cols = np.tile(tris, (1, 3)).ravel()
 
@@ -342,8 +384,13 @@ def assemble(mesh):
         A = sp.coo_matrix((loc.ravel(), (rows, cols)), shape=(V, V)).tocsr()
         return ((A + A.T) * 0.5).tocsr()
 
-    return OperatorSet(K=scatter(Kloc), Mm=scatter(Mloc), W=scatter(Wloc),
-                       n=n, q_max=float((n + mesh.quad_asq).max()),
+    if near is None:
+        K, Mm, W = map(scatter, locs)
+    else:
+        nphi = mesh.grid_shape[1]
+        K, Mm, W = (ChartLine(scatter(loc)[::nphi], nphi) for loc in locs)
+    return OperatorSet(K=K, Mm=Mm, W=W, n=n,
+                       q_max=float((n + mesh.quad_asq).max()),
                        grid_shape=mesh.grid_shape)
 
 
@@ -362,21 +409,12 @@ def _fourier_diff(N, length):
     return (np.pi / length) * D
 
 
-class _LineKron(spla.LinearOperator):
-    """Kt (x) I + diag(a) (x) Kphi, by one reshape and a product with each
-    factor; a sparse summand is wrapped, so K - W is an operator too."""
-
-    def __init__(self, Kt, a, Kp):
-        super().__init__(float, (len(a) * len(Kp),) * 2)
-        self.Kt, self.a, self.Kp = Kt, a, Kp
-
-    def _matmat(self, X):
-        Y = X.reshape(len(self.a), len(self.Kp), -1)
-        return ((self.Kt @ Y.reshape(len(self.a), -1)).reshape(Y.shape)
-                + self.a[:, None, None] * (self.Kp @ Y)).reshape(X.shape)
-
-    def __add__(self, x):
-        return super().__add__(spla.aslinearoperator(x))
+def _kron_product(Kt, a, Kp, X):
+    """(Kt (x) I + diag(a) (x) Kp) X, by one reshape and a product with
+    each factor."""
+    Y = X.reshape(len(a), len(Kp), -1)
+    return ((Kt @ Y.reshape(len(a), -1)).reshape(Y.shape)
+            + a[:, None, None] * (Kp @ Y)).reshape(X.shape)
 
 
 def assemble_spectral(mesh):
@@ -388,9 +426,10 @@ def assemble_spectral(mesh):
     so the set is stated by 1-D operators of one line of constant phi.
     With differentiation matrices D_t, D_phi and line weights
     w = dt*dphi*sqrt(g): K = Kt (x) I + diag(w / g_22) (x) Kphi, applied
-    factor by factor (``_LineKron``), Kt = D_t^T diag(w / g_11) D_t,
-    Kphi = D_phi^T D_phi, Mm = diag(w) (x) I and W = diag(w q) (x) I; the
-    phi-mode split reads their block row 0.  They meet Delta l_v = -n l_v
+    factor by factor (``_kron_product``), Kt = D_t^T diag(w / g_11) D_t,
+    Kphi = D_phi^T D_phi, Mm = diag(w) (x) I and W = diag(w q) (x) I, all
+    three chart lines (``spectral.ChartLine``) whose block row 0 the
+    phi-mode split reads.  They meet Delta l_v = -n l_v
     and Delta f_v = -|A|^2 f_v at the nodes to spectral accuracy rather
     than O(h^2); an even side leaves the Nyquist mode in the kernel of D.
     """
@@ -423,8 +462,12 @@ def assemble_spectral(mesh):
     Dt, Dp = _fourier_diff(nt, lt), _fourier_diff(nphi, lp)
     Kt, Kp = ((A + A.T) * 0.5 for A in (Dt.T @ ((w / g11)[:, None] * Dt),
                                         Dp.T @ Dp))
-    Mm, W = (sp.diags(np.repeat(c, nphi), format="csr") for c in (w, w * q))
-    return OperatorSet(K=_LineKron(Kt, w / g22, Kp), Mm=Mm, W=W, n=n,
+    a, e0 = w / g22, np.eye(1, nphi)
+    K = ChartLine(sp.kron(Kt, e0) + sp.kron(sp.diags(a), Kp[:1]), nphi,
+                  apply=partial(_kron_product, Kt, a, Kp))
+    Mm, W = (ChartLine(sp.kron(sp.diags(c), e0, format="csr"), nphi)
+             for c in (w, w * q))
+    return OperatorSet(K=K, Mm=Mm, W=W, n=n,
                        q_max=float(q.max()), grid_shape=mesh.grid_shape)
 
 

@@ -17,6 +17,7 @@ Only the conjecture probe has another head, the constant 1.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -102,7 +103,9 @@ class TheoremReport:
 @dataclass(frozen=True)
 class TrialSpan:
     """Ground state (lam1, rho) and the Mm-, B- and SA-Gram forms of the
-    coordinate span {rho, f_e.., l_e..} of one mesh and operator set."""
+    coordinate span {rho, f_e.., l_e..} of one mesh and operator set.
+    The normal moments of the mesh behind every choice of v0
+    (``_normal_moments``) are formed on first use and kept."""
 
     mesh: object
     ops: object
@@ -110,6 +113,10 @@ class TrialSpan:
     rho: np.ndarray
     labels: tuple
     forms: tuple
+
+    @cached_property
+    def moments(self):
+        return _normal_moments(self.mesh)
 
 
 @dataclass(frozen=True)
@@ -345,7 +352,7 @@ def theorem_check(span, delta1):
     lo = max(asq_max / (2.0 * mesh.surface_dim), 0.0)
     hi = min(1.0 - ratio, 1.0)
     geodesic = asq_max < 1e-12
-    v0, _ = choose_v0(mesh, delta2)
+    v0, _ = _v0_from_moments(span.moments, mesh.surface_dim, delta2)
     G, B, _ = span.forms
     report, gamma0_max = _gamma0_form(G, B, v0)
     if geodesic:
@@ -430,16 +437,15 @@ def chain_sweep(span, draws=100, seed=0):
 
     Returns the list of ChainRecords together with the draw parameters;
     a, b and the entries of w are standard normal, delta1 is uniform on
-    (0.05, 0.95), from a seed >= 0.  The normal moments behind v0 are
-    formed once and every draw reads the span forms, so no draw touches
-    a quadrature point or a nodal vector.
+    (0.05, 0.95), from a seed >= 0.  Every v0 comes from the span's
+    normal moments and every draw reads the span forms, so no draw
+    touches a quadrature point or a nodal vector.
     """
     if draws < 1:
         raise InvalidParameterError(f"draws must be >= 1, got {draws}")
     if seed < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     mesh, ops = span.mesh, span.ops
-    moments = _normal_moments(mesh)
     rng = np.random.default_rng(seed)
     dim = mesh.vertices.shape[1]
     records, params = [], []
@@ -448,7 +454,7 @@ def chain_sweep(span, draws=100, seed=0):
         b = float(rng.standard_normal())
         w = rng.standard_normal(dim)
         delta1 = float(rng.uniform(0.05, 0.95))
-        v0, _ = _v0_from_moments(moments, ops.n, 1.0 - delta1)
+        v0, _ = _v0_from_moments(span.moments, ops.n, 1.0 - delta1)
         records.append(_chain_record(span.forms, ops.n, span.lam1, a, b, w,
                                      delta1, v0))
         params.append({"a": a, "b": b, "w": w.tolist(), "delta1": delta1})

@@ -16,7 +16,14 @@ of the spectrum takes a dense solve.
 On a chart grid whose pencil is invariant under the one-step shift in
 the rotation angle phi (every torus the package builds), the pencil is
 block-circulant and both paths run on one small pencil per
-phi-Fourier mode instead (``PhiModes``).  A mode pencil is stored only
+phi-Fourier mode instead (``PhiModes``), read from block row 0 of B
+and Mm.  Operators given as chart lines (``ChartLine``), stated by
+block row 0 alone as ``fem`` assembles every torus mesh it builds, are
+split from those rows with no check; their V x V matrices are lifted
+from the rows only when a product, a dense solve or a sparse
+factorization asks.  A pencil given as sparse matrices is split only
+where each equals the lift of its own block row 0 to 1e-12 of its
+largest entry (``_shift_invariant``).  A mode pencil is stored only
 as a band, in the interleaved order 0, nt-1, 1, nt-2, ..., where a P1
 pencil has bandwidth 2; it is complex only where a block is not
 symmetric.  A mode is solved, by a dense eigensolve of its unpacked
@@ -97,9 +104,118 @@ def _residual_check(B, Mm, vals, vecs):
             f"tolerance at eigenvalue {vals[i]:.6g}")
 
 
-def _shift_invariant(A, perm):
+def _lift(row, nphi):
+    """The block-circulant V x V CSR matrix of block row 0 ``row`` on an
+    (nt, nphi) grid: node row (i, j) is row i with every column (l, s)
+    moved to (l, s + j), averaged with its transpose, which is
+    block-circulant too, so that it is symmetric bit for bit as a
+    scatter is."""
+    R = row.tocoo()
+    l, s = np.divmod(R.col, nphi)
+    j = np.arange(nphi)[:, None]
+    size = row.shape[1]
+    L = sp.csr_matrix((np.tile(R.data, nphi),
+                       ((R.row * nphi + j).ravel(),
+                        (l * nphi + (s + j) % nphi).ravel())),
+                      shape=(size, size))
+    return ((L + L.T) * 0.5).tocsr()
+
+
+def _shift_invariant(A, nphi):
+    """Whether sparse A equals the lift of its block row 0 to _SHIFT_TOL
+    of its largest entry: block-circulant in phi, with no drift along
+    the phi-columns."""
     scale = abs(A).max()
-    return abs(A[perm][:, perm] - A).max() <= _SHIFT_TOL * scale
+    return abs(_lift(A[::nphi], nphi) - A).max() <= _SHIFT_TOL * scale
+
+
+def _block_row(A, nphi):
+    """Block row 0 of A where A is block-circulant in phi, else None: the
+    row a chart line is stated by, or the rows i*nphi of a sparse matrix
+    that passes ``_shift_invariant``."""
+    if isinstance(A, ChartLine):
+        return A.row
+    return A[::nphi] if _shift_invariant(A, nphi) else None
+
+
+def _sparse(A):
+    """A as a sparse matrix: the lift of a chart line, else A itself."""
+    return A.matrix if isinstance(A, ChartLine) else A
+
+
+class ChartLine(spla.LinearOperator):
+    """A block-circulant operator on the nodes of an (nt, nphi) chart
+    grid, stated by its block row 0.
+
+    Node (i, j) is i*nphi + j, and ``row`` is the sparse nt x nt*nphi
+    block row 0: entry (i, l*nphi + s) is C_s[i, l], the weight of node
+    (l, j + s) in node row (i, j) for every j.  ``matrix``, the V x V
+    CSR form, is lifted from the row on first use (``_lift``), and
+    products use it unless ``apply`` states them in factors.  A sum,
+    difference or scalar multiple of chart lines is the chart line of
+    the same combination of rows, applied term by term if a term has
+    factors.  With a matrix it is a matrix, formed with the lift; a
+    line with factors is never lifted and takes the matrix as the line
+    of its block row 0 instead, which must pass ``_shift_invariant``.
+    """
+
+    def __init__(self, row, nphi, apply=None):
+        super().__init__(float, (row.shape[1],) * 2)
+        self.row, self.nphi, self.apply = row, nphi, apply
+
+    @functools.cached_property
+    def matrix(self):
+        return _lift(self.row, self.nphi)
+
+    @property
+    def nnz(self):
+        """Stored entries of ``matrix``, which need not be formed, where
+        the pattern of the line is symmetric as every assembled one is."""
+        return self.row.nnz * self.nphi
+
+    def _matmat(self, X):
+        return self.matrix @ X if self.apply is None else self.apply(X)
+
+    def _joined(self, row, other, apply):
+        factored = (self.apply is not None
+                    or getattr(other, "apply", None) is not None)
+        return ChartLine(row, self.nphi, apply if factored else None)
+
+    def _operand(self, x):
+        """x, or the chart line of matrix x where self has factors."""
+        if self.apply is None or isinstance(x, ChartLine):
+            return x
+        row = _block_row(x, self.nphi)
+        if row is None:
+            raise InvalidParameterError(
+                "a factored chart line joins only a matrix that is "
+                "block-circulant in phi")
+        return ChartLine(row, self.nphi)
+
+    def __add__(self, x):
+        x = self._operand(x)
+        if isinstance(x, ChartLine):
+            return self._joined(self.row + x.row, x,
+                                lambda X: self @ X + x @ X)
+        return self.matrix + x
+
+    def __sub__(self, x):
+        x = self._operand(x)
+        if isinstance(x, ChartLine):
+            return self._joined(self.row - x.row, x,
+                                lambda X: self @ X - x @ X)
+        return self.matrix - x
+
+    def __rsub__(self, x):
+        x = self._operand(x)
+        return x - self if isinstance(x, ChartLine) else x - self.matrix
+
+    def __mul__(self, x):
+        if np.isscalar(x):
+            return self._joined(x * self.row, None, lambda X: x * (self @ X))
+        return super().__mul__(x)
+
+    __rmul__ = __mul__
 
 
 def _offset_entries(row, nphi):
@@ -199,17 +315,17 @@ class PhiModes:
 
     @classmethod
     def build(cls, B, Mm, grid_shape):
-        """The split, or None without a grid or without shift invariance."""
+        """The split of (B, Mm) read from their block rows 0
+        (``_block_row``), or None without a grid or where B or Mm is not
+        block-circulant in phi."""
         if grid_shape is None:
             return None
         nt, nphi = grid_shape
         if nt * nphi != B.shape[0]:
             return None
-        shift = (np.arange(nt)[:, None] * nphi
-                 + (np.arange(nphi) + 1) % nphi).ravel()
-        if not (_shift_invariant(B, shift) and _shift_invariant(Mm, shift)):
-            return None
-        return cls(nt, nphi, B[::nphi], Mm[::nphi])
+        B_row = _block_row(B, nphi)
+        Mm_row = None if B_row is None else _block_row(Mm, nphi)
+        return None if Mm_row is None else cls(nt, nphi, B_row, Mm_row)
 
     @property
     def count(self):
@@ -358,7 +474,7 @@ def dissection_order(A):
     """
     import scipy.sparse.csgraph as csgraph
     n = A.shape[0]
-    R = sp.coo_matrix(A)
+    R = sp.coo_matrix(_sparse(A))
     rows, cols = np.r_[R.row, R.col], np.r_[R.col, R.row]
     G = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     rows = np.repeat(np.arange(n), np.diff(G.indptr))
@@ -506,7 +622,8 @@ def lowest_eigs(ops, count, zero_tol=0.05, vectors=False):
         solved = tuple(sorted(ops.phi_modes.solved))
     elif count > size // 4:
         path = "dense"
-        vals, vecs = sla.eigh(ops.B.toarray(), ops.Mm.toarray())
+        vals, vecs = sla.eigh(_sparse(ops.B).toarray(),
+                              _sparse(ops.Mm).toarray())
         vals, vecs = vals[:count], vecs[:, :count]
     else:
         path = "shift-invert"
@@ -547,7 +664,8 @@ def _shift_invert(ops, sigma, count, clear=None):
     start = np.random.default_rng(0).standard_normal(size)
     while True:
         try:
-            vals, vecs = spla.eigsh(ops.B, k=count, M=ops.Mm, sigma=shift,
+            vals, vecs = spla.eigsh(_sparse(ops.B), k=count,
+                                    M=_sparse(ops.Mm), sigma=shift,
                                     which="LM", v0=start, OPinv=solve)
         except Exception as exc:   # ARPACK breakdowns vary in type
             raise NumericalFailureError(
@@ -628,7 +746,7 @@ def _mode_signature(modes, shifts):
 def _nodal_signature(ops, shift):
     """_signature of the unreduced K - W - shift Mm in
     ``ops.elimination_order``; the shifted matrix is dropped on return."""
-    return _signature((ops.B - shift * ops.Mm).tocsc(),
+    return _signature((_sparse(ops.B) - shift * _sparse(ops.Mm)).tocsc(),
                       ops.elimination_order)
 
 

@@ -122,15 +122,23 @@ def _einsum_operators(mesh):
 def test_assembly_matches_einsum_reference(name, clifford_family,
                                            otsuki_profile):
     # the written-out element matrices add in the einsums' order; on the
-    # Otsuki chart a plain D @ Ginv @ D.T differs in the last bit
+    # Otsuki chart a plain D @ Ginv @ D.T differs in the last bit.  A
+    # chart mesh scatters whole without its grid; with it, its chart lines
+    # hold the reference's block rows 0 bit for bit
     mesh = {"ico3": lambda: mesh_sphere(3),
             "clifford44": lambda: mesh_torus(clifford_family, 44, 44),
             "otsuki64x16": lambda: mesh_torus(
                 rotational.build_surface(otsuki_profile), 64, 16)}[name]()
+    refs = _einsum_operators(mesh)
+    whole = assemble(dataclasses.replace(mesh, grid_shape=None))
     ops = assemble(mesh)
-    for got, ref in zip((ops.K, ops.Mm, ops.W), _einsum_operators(mesh)):
+    nphi = 1 if mesh.grid_shape is None else mesh.grid_shape[1]
+    for got, ref in zip((whole.K, whole.Mm, whole.W, ops.K, ops.Mm, ops.W),
+                        refs + [A[::nphi] for A in refs]):
+        got = got.row if isinstance(got, spectral.ChartLine) else got
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, part), getattr(ref, part))
+    assert isinstance(ops.K, spectral.ChartLine) == (name != "ico3")
 
 
 def test_orientation_consistency(clifford_mesh, sphere_mesh):
@@ -146,35 +154,43 @@ def test_orientation_consistency(clifford_mesh, sphere_mesh):
 
 def test_operator_invariants(clifford_op, clifford_mesh):
     ops = clifford_op
-    for A in (ops.K, ops.Mm, ops.W):
+    # the lift of a chart line is symmetric bit for bit, as the whole
+    # scatter is, and differs from it only by the rounding of the element
+    # matrices from one phi-column to the next
+    whole = assemble(dataclasses.replace(clifford_mesh, grid_shape=None))
+    for A, line in zip((whole.K, whole.Mm, whole.W), (ops.K, ops.Mm, ops.W)):
         assert abs(A - A.T).max() == 0.0
+        assert abs(line.matrix - line.matrix.T).max() == 0.0
+        assert abs(line.matrix - A).max() <= 1e-14 * abs(A).max()
     # constants in the stiffness kernel
     assert np.abs(ops.K @ np.ones(ops.size)).max() < 1e-12
     # partition of unity
     ones = np.ones(ops.size)
     assert abs(ones @ (ops.Mm @ ones) - clifford_mesh.area) < 1e-12
     # constant potential: W is an exact multiple of the mass matrix
-    assert abs(ops.W - 4.0 * ops.Mm).max() < 1e-12
+    assert abs((ops.W - 4.0 * ops.Mm).matrix).max() < 1e-12
     # |A|^2-weighted mass is positive semidefinite: its lowest eigenvalue
     # exceeds -1e-10 exactly when a shift by 1e-10 makes it definite
     import scipy.linalg as sla
-    WA = (ops.W - 2 * ops.Mm).toarray()
+    WA = (ops.W - 2 * ops.Mm).matrix.toarray()
     sla.cholesky(WA + 1e-10 * np.eye(ops.size))
 
 
 def test_operator_set_caches_pencil_parts(clifford_op):
     ops = clifford_op
     assert ops.B is ops.B and ops.SA is ops.SA
-    assert abs(ops.B - (ops.K - ops.W)).max() == 0.0
-    assert abs(ops.SA - (ops.W - ops.n * ops.Mm)).max() == 0.0
+    # chart lines combine by their rows, and a lift is of the combined row
+    assert abs(ops.B.row - (ops.K.row - ops.W.row)).max() == 0.0
+    assert abs(ops.SA.row - (ops.W.row - ops.n * ops.Mm.row)).max() == 0.0
+    assert abs(ops.B.matrix - (ops.K - ops.W).matrix).max() == 0.0
 
 
 def test_assembly_deterministic(clifford_family):
     m1 = mesh_torus(clifford_family, 16, 16)
     m2 = mesh_torus(clifford_family, 16, 16)
     o1, o2 = assemble(m1), assemble(m2)
-    assert np.array_equal(o1.K.data, o2.K.data)
-    assert np.array_equal(o1.W.data, o2.W.data)
+    assert np.array_equal(o1.K.row.data, o2.K.row.data)
+    assert np.array_equal(o1.W.row.data, o2.W.row.data)
 
 
 def test_degenerate_triangle_rejected(sphere_mesh):
@@ -304,13 +320,13 @@ def test_spectral_operator_invariants(clifford_mesh_odd,
     # identity; Mm and W are diagonal
     K = ops.K @ np.eye(ops.size)
     assert abs(K - K.T).max() == 0.0
-    for A in (ops.Mm, ops.W):
+    for A in (ops.Mm.matrix, ops.W.matrix):
         assert abs(A - sp.diags(A.diagonal())).max() == 0.0
     ones = np.ones(ops.size)
     assert np.abs(ops.K @ ones).max() < 1e-12
     # the trapezoidal rule integrates the constant area element exactly
     assert abs(ones @ (ops.Mm @ ones) - 2 * np.pi ** 2) < 1e-12
-    assert abs(ops.W - 4.0 * ops.Mm).max() < 1e-12
+    assert abs((ops.W - 4.0 * ops.Mm).matrix).max() < 1e-12
 
 
 @pytest.mark.parametrize("name", ["clifford_op_spectral",
@@ -330,15 +346,26 @@ def test_spectral_set_is_its_kronecker_line(name, request):
             assert np.abs(got @ x - Y).max() <= 1e-13 * np.abs(Y).max()
     for got, want in ((ops.Mm, ref.Mm), (ops.W, ref.W)):
         assert got.shape == want.shape and abs(got - want).max() == 0.0
-    for W in (ref.W, 2.0 * ref.W):
-        got = dataclasses.replace(ops, W=W).phi_modes
-        want = spectral.PhiModes(*ops.grid_shape, (ref.K - W)[::nphi],
+    # the factored K is never lifted: a 2-D W joins it as the line of its
+    # certified block row 0, a W given as a chart line by its row, and a
+    # bent 2-D W is refused
+    for W, W_ref in ((ref.W, ref.W), (2.0 * ref.W, 2.0 * ref.W),
+                     (2.0 * ops.W, 2.0 * ref.W)):
+        replaced = dataclasses.replace(ops, W=W)
+        assert replaced.B.apply is not None
+        got = replaced.phi_modes
+        want = spectral.PhiModes(*ops.grid_shape, (ref.K - W_ref)[::nphi],
                                  ref.Mm[::nphi])
         assert got.kd == want.kd
         for (s, even, odd), (t, even_ref, odd_ref) in zip(
                 (got._B, got._Mm), (want._B, want._Mm)):
             assert np.array_equal(s, t)
             assert abs(even - even_ref).max() == abs(odd - odd_ref).max() == 0
+    assert "matrix" not in vars(ops.K)
+    bent = ref.W.tolil()
+    bent[37, 37] += 1e-6
+    with pytest.raises(InvalidParameterError, match="block-circulant"):
+        dataclasses.replace(ops, W=bent.tocsr()).B
 
 
 def test_spectral_set_forms_no_2d_operator():
@@ -358,6 +385,58 @@ def test_spectral_set_forms_no_2d_operator():
             tracemalloc.stop()
     assert (index, report.nullity) == (20, 5)
     assert peak <= 64 * 2 ** 20
+
+
+def test_p1_chart_set_forms_no_2d_operator(clifford_family, otsuki_mesh):
+    # on the Clifford ladder and P1 Otsuki 256x64 the Morse index reads
+    # only block rows 0: no lift to a V x V matrix and no shift check,
+    # and every eigenvalue, mode, index and nullity equals, bit for bit,
+    # that of the split of the set scattered whole
+    meshes = [mesh_torus(clifford_family, n, n) for n in (44, 64, 96, 128)]
+    for mesh in meshes + [otsuki_mesh]:
+        # scattered whole without the grid, then split with it restored
+        whole = assemble(dataclasses.replace(mesh, grid_shape=None))
+        assert not isinstance(whole.K, spectral.ChartLine)
+        ref_index, ref = morse_index(
+            dataclasses.replace(whole, grid_shape=mesh.grid_shape))
+        with mock.patch.object(spectral, "_shift_invariant",
+                               side_effect=AssertionError("shift check")), \
+                mock.patch.object(spectral, "_lift",
+                                  side_effect=AssertionError("lift")):
+            ops = assemble(mesh)
+            index, report = morse_index(ops)
+        assert all(isinstance(A, spectral.ChartLine)
+                   for A in (ops.K, ops.Mm, ops.W, ops.B, ops.SA))
+        assert (index, report.nullity) == (ref_index, ref.nullity)
+        assert report.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+        assert np.array_equal(report.modes, ref.modes)
+        assert report.solved_modes == ref.solved_modes
+
+
+def test_p1_chart_set_refuses_stale_or_bent_splits(clifford_meshes,
+                                                   clifford_ops):
+    mesh, ops = clifford_meshes[32], clifford_ops[32]
+    index, report = morse_index(ops)
+    assert (index, report.nullity, report.path) == (5, 2, "phi-modes")
+    # one triangle's |A|^2 off by 1e-6 fails the element check: the mesh
+    # is scattered whole, its split refused, and the count unchanged
+    asq = mesh.quad_asq.copy()
+    asq[37] += 1e-6
+    bent = assemble(dataclasses.replace(mesh, quad_asq=asq))
+    assert not isinstance(bent.W, spectral.ChartLine)
+    assert bent.phi_modes is None
+    bent_index, bent_report = morse_index(bent)
+    assert bent_report.path == "shift-invert"
+    assert (bent_index, bent_report.nullity) == (index, report.nullity)
+    # W replaced on a chart-line set: twice W as a chart line splits the
+    # new pencil, as the whole scatter with twice its W does, bit for bit
+    doubled = dataclasses.replace(ops, W=2.0 * ops.W)
+    whole = assemble(dataclasses.replace(mesh, grid_shape=None))
+    formed = dataclasses.replace(whole, W=2.0 * whole.W,
+                                 grid_shape=mesh.grid_shape)
+    got, want = (lowest_eigs(s, 12).eigenvalues for s in (doubled, formed))
+    assert doubled.phi_modes is not None and got.tobytes() == want.tobytes()
+    assert got[0] < report.eigenvalues[0] - 1.0
 
 
 def test_spectral_clifford_landmarks(clifford_mesh_odd,

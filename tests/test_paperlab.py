@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -388,6 +389,19 @@ def test_no_chart_evaluation_after_meshing(otsuki_mesh, otsuki_op):
     theorem_check(span, 0.5)
     conjecture_probe(mesh, otsuki_op)
     assert calls == []
+
+
+def test_normal_moments_formed_once_per_span(otsuki_mesh, otsuki_op):
+    # theorem_check and chain_sweep both read the span's moments: one
+    # pass over the quadrature normals, and the same v0 as choose_v0
+    span = trial_span(otsuki_mesh, otsuki_op)
+    with mock.patch.object(paperlab, "_normal_moments",
+                           wraps=paperlab._normal_moments) as moments:
+        theorem = theorem_check(span, 0.5)
+        chain_sweep(span, draws=5, seed=0)
+        theorem_check(span, 0.3)
+    assert moments.call_count == 1
+    assert theorem.v0.tobytes() == choose_v0(otsuki_mesh, 0.5)[0].tobytes()
 
 
 def test_chain_sweep_validates_draws(sphere_mesh, sphere_op):

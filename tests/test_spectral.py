@@ -64,7 +64,8 @@ def test_inertia_dense_and_sparse_agree(clifford_ops):
     # with the phi-mode split withheld, the sparse signature of the 1024
     # unknowns of Clifford 32^2 against a dense solve of the whole pencil
     ops = dataclasses.replace(clifford_ops[32], grid_shape=None)
-    exact = sla.eigh(ops.B.toarray(), ops.Mm.toarray(), eigvals_only=True)
+    exact = sla.eigh(ops.B.matrix.toarray(), ops.Mm.matrix.toarray(),
+                     eigvals_only=True)
     assert (exact < -0.05).sum() == 5   # the Clifford index
     for sigma in (-3.0, -0.05, 0.05, 4.5):
         assert inertia_below(ops, sigma) == int((exact < sigma).sum())
@@ -453,7 +454,7 @@ def test_phi_mode_path_refused_off_chart(sphere_op, clifford_meshes,
     # one potential entry off by 1e-6 breaks the phi-shift invariance:
     # the split must be refused, and the answer must not change
     ops = clifford_ops[32]
-    W = ops.W.tolil()
+    W = ops.W.matrix.tolil()
     W[37, 37] += 1e-6
     bent = dataclasses.replace(ops, W=W.tocsr())
     assert bent.phi_modes is None
