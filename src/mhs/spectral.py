@@ -29,9 +29,17 @@ pencil has bandwidth 2; it is complex only where a block is not
 symmetric.  A mode is solved, by a dense eigensolve of its unpacked
 band, only when a banded Cholesky factorization cannot exclude it from
 the answer; that certificate costs O(nt kd^2) for bandwidth kd, not the
-O(nt^3) of a dense one.  Every inertia count, of the unreduced pencil
-or of a mode that fails the certificate, reads the pivot signs of one
-unpivoted sparse factorization (``_signature``).  There ``morse_index``
+O(nt^3) of a dense one.  Where the pencil is invariant under the
+one-step shift in theta too, as on every Clifford set, each mode pencil
+is circulant and the theta-Fourier basis diagonalizes it: once the
+block rows show every node row to be row 0 moved in theta
+(``_first_unshifted_row``), the values of every mode are read from two
+2-D Fourier sums of node row 0 (``_theta_symbols``), in place of both
+the Cholesky certificate and the dense eigensolve.  Every inertia
+count, of the unreduced pencil or of a mode that fails the
+certificate, reads the pivot signs of one unpivoted sparse
+factorization (``_signature``), in closed form too, so a count never
+rests on the values it checks.  There ``morse_index``
 counts first, at both ends of the zero window in one sweep over the
 modes, and then solves exactly the counted window, so its nullity is
 certified as well as its index.
@@ -76,8 +84,8 @@ class EigenReport:
     path: str            # "dense", "shift-invert" or "phi-modes"
     modes: Optional[np.ndarray] = None     # phi-Fourier mode of each value
     vectors: Optional[np.ndarray] = None   # columns, Mm-orthonormal
-    # phi-modes the operator set has solved by a dense eigensolve, sorted;
-    # every other mode was excluded by a Cholesky certificate
+    # phi-modes the operator set has solved by a dense eigensolve or in
+    # closed form, sorted; every other mode was excluded by a certificate
     solved_modes: Optional[tuple] = None
 
     def to_dict(self):
@@ -249,6 +257,61 @@ def _interleaved(n):
     return order
 
 
+def _first_unshifted_row(row, nt, nphi):
+    """The first node row i of block row 0 on an (nt, nphi) grid that is
+    not row 0 moved i steps in theta, or nt where there is none.  Row i
+    is row 0 moved when its entry (l + i, s) is row 0's (l, s), with
+    the same pattern and every value within _SHIFT_TOL of the largest
+    entry.  Rows are compared in runs [1, 2), [2, 4), [4, 8), ..., so
+    the check reads at most twice the rows before the first that
+    differs."""
+    R = row.tocsr()
+    ptr, width = R.indptr, R.indptr[1]
+    tol = _SHIFT_TOL * np.abs(R.data).max(initial=0.0)
+
+    def moved_back(start, stop):
+        """(keys l*nphi + s, values) of rows start to stop - 1, each
+        moved back to row 0 and sorted by key."""
+        block, shape = slice(ptr[start], ptr[stop]), (stop - start, width)
+        l, s = np.divmod(R.indices[block].reshape(shape), nphi)
+        key = (l - np.arange(start, stop)[:, None]) % nt * nphi + s
+        o = np.argsort(key, axis=1)
+        return (np.take_along_axis(key, o, axis=1),
+                np.take_along_axis(R.data[block].reshape(shape), o, axis=1))
+    key0, val0 = moved_back(0, 1)
+    start = 1
+    while start < nt:
+        stop = min(2 * start, nt)
+        # a row of another width ends the run
+        short = np.flatnonzero(np.diff(ptr[start:stop + 1]) != width)
+        key, val = moved_back(start, start + short[0] if len(short)
+                              else stop)
+        same = ((key == key0).all(axis=1)
+                & (np.abs(val - val0) <= tol).all(axis=1))
+        first = start + (len(same) if same.all() else int(np.argmin(same)))
+        if first < stop:
+            return first
+        start = stop
+    return nt
+
+
+def _theta_symbols(nt, nphi, B_row, Mm_row):
+    """(b, m): the real parts of the 2-D Fourier sums of node row 0 of
+    block rows 0 of B and Mm, as (nt, nphi // 2 + 1) arrays over
+    (theta-mode a, phi-mode k), where both block rows are circulant in
+    theta too (``_first_unshifted_row``) and m is positive; else None.
+    Only the real part counts, since the lift is symmetrized."""
+    symbols = []
+    for row in (B_row, Mm_row):
+        if _first_unshifted_row(row, nt, nphi) < nt:
+            return None
+        R = row.tocsr()
+        line = np.bincount(R.indices[:R.indptr[1]], R.data[:R.indptr[1]],
+                           minlength=nt * nphi)
+        symbols.append(np.fft.rfft2(line.reshape(nt, nphi)).real)
+    return tuple(symbols) if symbols[1].min() > 0 else None
+
+
 class PhiModes:
     """The pencil of an (nt, nphi) chart grid split over phi-Fourier modes.
 
@@ -275,6 +338,19 @@ class PhiModes:
     dense eigensolve whose eigenpairs are kept, or certified, by a banded
     Cholesky factorization (``positive``, O(nt kd^2)) proving it has
     nothing below a threshold.
+
+    Where every node row i of the block rows of B and Mm is row 0 moved
+    i steps in theta, to _SHIFT_TOL of the largest entry, each C_s is
+    circulant too, and x(i, j) = e^(2 pi i (a i / nt + k j / nphi)) is an
+    eigenvector of the pencil with the value b(a, k) / m(a, k): the real
+    parts of the 2-D Fourier sums of node row 0, since the lift is
+    symmetrized (``symbols``, from ``_theta_symbols``, None where the
+    check fails).  Then a mode is certified by every b - shift m > 0
+    and solved by sorting its values (``_excludes``, ``_solve``), with
+    no dense eigensolve and the same meaning of ``solved``.  The counts
+    of ``_mode_signature`` still read the band pivots, and every pair
+    returned still passes the residual check on its band pencil, so
+    the closed form is checked by two paths like a dense solve.
     """
 
     def __init__(self, nt, nphi, B_row, Mm_row):
@@ -286,10 +362,14 @@ class PhiModes:
                           .max(initial=0) for _, _, i, l, _ in entries))
         # (offsets, even and odd band columns) of B and of Mm
         self._B, self._Mm = (self._band_columns(*e) for e in entries)
+        # the closed form of every mode, where the pencil is circulant in
+        # theta too, else None
+        self.symbols = _theta_symbols(nt, nphi, B_row, Mm_row)
         # mode k -> (ascending eigenvalues, Mm_k-orthonormal vectors in
         # the interleaved order)
         self.solved = {}
         # largest tau at which B_k - (tau + gap) Mm_k factored by Cholesky
+        # or, in closed form, had every symbol positive
         self.certified = np.full(self.count, -np.inf)
         # leading eigenpairs of each solved mode that passed the residual
         # check
@@ -367,6 +447,39 @@ class PhiModes:
         return info == 0 and _clear_of_roundoff(
             L[0].real ** 2, level, lambda b: pbtrs(L, b, lower=1)[0])
 
+    def _excludes(self, k, shift):
+        """Whether every eigenvalue of mode k exceeds shift: by its
+        closed form, every b - shift m positive, else by the banded
+        Cholesky factorization of ``positive``."""
+        if self.symbols is None:
+            return self.positive(k, shift)
+        b, m = (s[:, k] for s in self.symbols)
+        return bool(np.all(b - shift * m > 0))
+
+    def _solve(self, k):
+        """(ascending eigenvalues, Mm_k-orthonormal vectors in the
+        interleaved order) of mode k: a dense eigensolve of its pencil,
+        or in closed form the values b / m of theta-mode a with the
+        Fourier columns e^(2 pi i a i / nt), normalized to 1 / sqrt(nt m);
+        on a real mode the pair a, -a is one value with a cosine and a
+        sine column."""
+        if self.symbols is None:
+            return sla.eigh(*self.pencil(k))
+        nt, half = self.nt, self.nt // 2 + 1
+        b, m = (s[:, k] for s in self.symbols)
+        i = _interleaved(nt)[:, None]   # node row of each position
+        if self.multiplicity(k) == 2:
+            a = np.arange(nt)
+            U = np.exp(2j * np.pi * (i * a % nt) / nt) / np.sqrt(nt * m)
+        else:   # cosines of a = 0 .. nt/2, then sines of a = 1 .. (nt-1)/2
+            a = np.r_[np.arange(half), np.arange(1, nt - half + 1)]
+            angle = 2 * np.pi * (i * a % nt) / nt
+            U = (np.where(np.arange(nt) < half, np.cos(angle), np.sin(angle))
+                 * np.sqrt(np.where(2 * a % nt, 2.0, 1.0) / (nt * m[a])))
+        lam = b[a] / m[a]
+        order = np.argsort(lam, kind="stable")
+        return lam[order], U[:, order]
+
     def lift(self, k, U):
         """Real nodal vectors of mode-k eigenvectors U (Mm_k-orthonormal,
         rows in the interleaved order).
@@ -418,8 +531,9 @@ class PhiModes:
         is passed over when it is certified at tau or above, else it is
         certified now if B_k - (tau + gap) Mm_k factors by the banded
         Cholesky of ``positive`` (Sylvester's law: then every eigenvalue
-        of the mode exceeds tau + gap), else it is solved by a dense
-        eigensolve and tau recomputed.  The gap, a
+        of the mode exceeds tau + gap) or, in closed form, has every
+        symbol b - (tau + gap) m positive, else it is solved, by a dense
+        eigensolve or in closed form, and tau recomputed.  The gap, a
         relative _CERTIFY_GAP, keeps a mode whose eigenvalue ties tau
         from being left out on rounding.  The eigenpairs of each mode
         behind the answer pass the residual check.
@@ -430,11 +544,11 @@ class PhiModes:
             tau = vals[count - 1] if len(vals) >= count else np.inf
             if k in self.solved or self.certified[k] >= tau:
                 continue
-            if tau < np.inf and self.positive(
+            if tau < np.inf and self._excludes(
                     k, tau + _CERTIFY_GAP * max(abs(tau), 1.0)):
                 self.certified[k] = tau
                 continue
-            self.solved[k] = sla.eigh(*self.pencil(k))
+            self.solved[k] = self._solve(k)
             vals = self._merged()[0]
         vals, modes, cols = (a[:count] for a in self._merged())
         X = np.empty((self.nt * self.nphi, count)) if vectors else None
@@ -603,7 +717,8 @@ def lowest_eigs(ops, count, zero_tol=0.05, vectors=False):
     """The `count` algebraically smallest eigenpairs of (K-W, Mm).
 
     On a phi-shift-invariant chart grid the values come from the mode
-    pencils that Cholesky certificates cannot exclude (``PhiModes``).
+    pencils that certificates cannot exclude (``PhiModes``), in closed
+    form where the pencil is invariant in theta too.
     Otherwise a request for over a quarter of the spectrum takes a dense
     solve, and any other shift-invert Lanczos (``_shift_invert``) with
     the shift -q_max - 1 below the spectrum: the pencil is bounded below

@@ -58,6 +58,12 @@ def clifford_ops(clifford_meshes):
 
 
 @pytest.fixture(scope="session")
+def clifford_op_44(clifford_family):
+    """The first rung of the Clifford benchmark ladder."""
+    return fem.assemble(fem.mesh_torus(clifford_family, 44, 44))
+
+
+@pytest.fixture(scope="session")
 def clifford_mesh(clifford_meshes):
     return clifford_meshes[64]
 

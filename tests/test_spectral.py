@@ -549,7 +549,12 @@ def test_phi_mode_cutoff_agrees_with_every_mode_solved(name, request):
             report = lowest_eigs(cut, count)
             index, window = morse_index(cut)
         modes = cut.phi_modes
-        assert eigh.call_count == len(modes.solved) < modes.count
+        # Clifford is circulant in theta too: its modes are solved in
+        # closed form, with no dense eigensolve
+        closed = name == "clifford_op"
+        assert (modes.symbols is not None) == closed
+        assert eigh.call_count == (0 if closed else len(modes.solved))
+        assert len(modes.solved) < modes.count
         for rep in (report, window):
             size = len(rep.eigenvalues)
             assert np.abs(rep.eigenvalues
@@ -700,6 +705,99 @@ def test_banded_certificate_brackets_every_mode(name, request):
             assert not ab[d, nt - d:].any()
 
 
+@pytest.mark.parametrize("name", ["clifford_op_44", "clifford_op",
+                                  "clifford_op_spectral"])
+def test_closed_form_agrees_with_every_mode_pencil(name, request):
+    # a set circulant in theta as well as in phi has every mode in closed
+    # form: its values match a dense solve of the mode pencil, its
+    # columns are Mm_k-orthonormal eigenvectors, and its symbol
+    # certificate brackets the lowest value of each mode as the banded
+    # Cholesky one does
+    ops = dataclasses.replace(request.getfixturevalue(name))
+    modes = ops.phi_modes
+    assert modes.symbols is not None
+    whole = _formed(name, request)
+    for k in range(modes.count):
+        lam, U = modes._solve(k)
+        Bk, Mk = modes.pencil(k)
+        exact = sla.eigh(Bk, Mk, eigvals_only=True)
+        assert np.all(np.abs(lam - exact)
+                      <= 1e-12 * np.maximum(np.abs(exact), 1.0)), k
+        assert np.abs(U.conj().T @ Mk @ U - np.eye(modes.nt)).max() < 1e-10
+        assert np.abs(Bk @ U - (Mk @ U) * lam).max() < 1e-10
+        mu = sla.eigh(*_mode_reference(whole, k), eigvals_only=True,
+                      subset_by_index=[0, 0])[0]
+        gap = 1e-6 * max(abs(mu), 1.0)
+        assert modes._excludes(k, mu - gap)
+        assert not modes._excludes(k, mu + gap)
+    report = lowest_eigs(ops, 24, vectors=True)
+    X = report.vectors
+    assert np.abs(X.T @ (ops.Mm @ X) - np.eye(24)).max() < 1e-10
+    R = ops.B @ X - (ops.Mm @ X) * report.eigenvalues
+    assert np.abs(R).max() < 1e-10
+
+
+def _band_path(ops):
+    """morse_index of a fresh copy of ops with the closed form refused."""
+    with mock.patch.object(spectral, "_theta_symbols", return_value=None):
+        fresh = dataclasses.replace(ops)
+        answer = morse_index(fresh)
+    assert fresh.phi_modes.symbols is None
+    return answer
+
+
+@pytest.mark.parametrize("name", ["clifford_op_44", "clifford_op",
+                                  "clifford_128", "clifford_op_spectral"])
+def test_closed_form_morse_index_matches_the_band_path(name, request,
+                                                       clifford_family):
+    # no dense eigensolve, the counts still read from band pivots, and
+    # the answer of the dense solves of the band path
+    ops = (fem.assemble(fem.mesh_torus(clifford_family, 128, 128))
+           if name == "clifford_128" else request.getfixturevalue(name))
+    closed = dataclasses.replace(ops)
+    with mock.patch.object(sla, "eigh", wraps=sla.eigh) as eigh, \
+            mock.patch.object(spectral, "_signature",
+                              wraps=spectral._signature) as signature:
+        index, report = morse_index(closed)
+    assert eigh.call_count == 0 and signature.call_count > 0
+    assert closed.phi_modes.symbols is not None
+    band_index, band = _band_path(ops)
+    assert (index, report.nullity, report.solved_modes) == (
+        band_index, band.nullity, band.solved_modes)
+    assert np.array_equal(report.modes, band.modes)
+    assert np.abs(report.eigenvalues - band.eigenvalues).max() <= 1e-11
+
+
+def test_closed_form_refused_where_theta_invariance_fails(
+        clifford_op_44, otsuki_op_coarse, otsuki_op, otsuki_op_spectral):
+    # the diagonal entry of node row 5 of W bent by 1e-9 relative, past
+    # _SHIFT_TOL of the largest entry of B: no closed form, and the dense
+    # solves of the band path, bit for bit
+    nt, nphi = clifford_op_44.grid_shape
+    row = clifford_op_44.W.row.tolil()
+    row[5, 5 * nphi] *= 1 + 1e-9
+    bent = dataclasses.replace(clifford_op_44,
+                               W=spectral.ChartLine(row.tocsr(), nphi))
+    assert spectral._first_unshifted_row(bent.B.row, nt, nphi) == 5
+    assert bent.phi_modes.symbols is None
+    with mock.patch.object(sla, "eigh", wraps=sla.eigh) as eigh:
+        index, report = morse_index(bent)
+    assert eigh.call_count == len(report.solved_modes) > 0
+    band_index, band = _band_path(bent)
+    assert (index, report.nullity, report.solved_modes) == (
+        band_index, band.nullity, band.solved_modes)
+    assert report.modes.tobytes() == band.modes.tobytes()
+    assert report.eigenvalues.tobytes() == band.eigenvalues.tobytes()
+    # Otsuki varies in t: the check stops at node row 1, having sorted
+    # rows 0 and 1 alone, and no set is put in closed form
+    for ops in (otsuki_op_coarse, otsuki_op, otsuki_op_spectral):
+        nt, nphi = ops.grid_shape
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as sort:
+            assert spectral._first_unshifted_row(ops.B.row, nt, nphi) == 1
+        assert sum(len(call.args[0]) for call in sort.call_args_list) == 2
+        assert ops.phi_modes.symbols is None
+
+
 @pytest.mark.parametrize("size, solved", [(None, [0, 1]), (128, [0, 1, 2])],
                          ids=["otsuki", "clifford"])
 def test_morse_index_reports_its_solved_modes(size, solved, otsuki_op,
@@ -716,7 +814,7 @@ def test_morse_index_reports_its_solved_modes(size, solved, otsuki_op,
     assert report.to_dict()["solved_modes"] == solved
 
 
-def test_morse_index_solves_the_counted_window(otsuki_op, clifford_family):
+def test_morse_index_solves_the_counted_window(otsuki_op, clifford_op_44):
     # one sweep counts c- = 12 values below -zero_tol and c+ = 17 below
     # +zero_tol on P1 Otsuki (2, 3) 256x64, so the window holds
     # c+ + 1 = 18 values, from two dense eigensolves of modes 0 and 1,
@@ -732,31 +830,50 @@ def test_morse_index_solves_the_counted_window(otsuki_op, clifford_family):
     assert wider.solved_modes == (0, 1, 2)
     assert report.eigenvalues.tobytes() == wider.eigenvalues[:18].tobytes()
     # Clifford 44^2 counts c+ = 9, so its window keeps the 16 values
-    ops = fem.assemble(fem.mesh_torus(clifford_family, 44, 44))
+    ops = dataclasses.replace(clifford_op_44)
     assert inertia_below(ops, 0.05) == 9
     index, report = morse_index(ops)
     assert (index, report.nullity, len(report.eigenvalues)) == (5, 4, 16)
 
 
-@pytest.mark.parametrize("at, flip, message", [
-    (0.05, lambda d: np.flatnonzero(d > 0)[0], "nullity mismatch: "
+def _positive_pivot(d):
+    return np.flatnonzero(d > 0)[0]
+
+
+def _negative_pivot(d):
+    return np.flatnonzero(d < 0)[0]
+
+
+@pytest.mark.parametrize("name, at, flip, message", [
+    ("otsuki_op_coarse", 0.05, _positive_pivot, "nullity mismatch: "
      "eigensolver 3, factorization 4"),
-    (0.05, lambda d: np.flatnonzero(d < 0)[0], "nullity mismatch: "
+    ("otsuki_op_coarse", 0.05, _negative_pivot, "nullity mismatch: "
      "eigensolver 3, factorization 2"),
-    (-0.05, lambda d: np.flatnonzero(d > 0)[0], "index mismatch: "
+    ("otsuki_op_coarse", -0.05, _positive_pivot, "index mismatch: "
      "eigensolver 12, factorization 13"),
-    (-0.05, lambda d: np.flatnonzero(d < 0)[0], "index mismatch: "
+    ("otsuki_op_coarse", -0.05, _negative_pivot, "index mismatch: "
      "eigensolver 12, factorization 11"),
+    ("clifford_op_44", 0.05, _positive_pivot, "nullity mismatch: "
+     "eigensolver 4, factorization 5"),
+    ("clifford_op_44", 0.05, _negative_pivot, "nullity mismatch: "
+     "eigensolver 4, factorization 3"),
+    ("clifford_op_44", -0.05, _positive_pivot, "index mismatch: "
+     "eigensolver 5, factorization 6"),
+    ("clifford_op_44", -0.05, _negative_pivot, "index mismatch: "
+     "eigensolver 5, factorization 4"),
 ], ids=["nullity-overcount", "nullity-undercount", "index-overcount",
-        "index-undercount"])
-def test_phi_mode_count_checks_are_two_sided(at, flip, message,
-                                             otsuki_op_coarse):
-    # P1 Otsuki (2, 3) 128x32 has index 12 and nullity 3.  One pivot's
-    # sign flipped in the signature of mode 0, the first mode the count
-    # sweep factors, at one end of the zero window, the eigensolve left
-    # alone: c+ at +zero_tol checks the nullity, c- at -zero_tol the
+        "index-undercount", "clifford-nullity-overcount",
+        "clifford-nullity-undercount", "clifford-index-overcount",
+        "clifford-index-undercount"])
+def test_phi_mode_count_checks_are_two_sided(name, at, flip, message,
+                                             request):
+    # P1 Otsuki (2, 3) 128x32 has index 12 and nullity 3, P1 Clifford
+    # 44^2 index 5 and nullity 4, its window solved in closed form.  One
+    # pivot's sign flipped in the signature of mode 0, the first mode the
+    # count sweep factors, at one end of the zero window, the eigensolve
+    # left alone: c+ at +zero_tol checks the nullity, c- at -zero_tol the
     # index, and neither miscount may be reconciled by the window
-    ops = dataclasses.replace(otsuki_op_coarse)   # empty mode caches
+    ops = dataclasses.replace(request.getfixturevalue(name))   # empty caches
     band, factor = spectral.PhiModes.band, spectral._ordered_factor
     shifts, flipped = [], []
 
@@ -776,6 +893,7 @@ def test_phi_mode_count_checks_are_two_sided(at, flip, message,
         with pytest.raises(NumericalFailureError, match=message):
             morse_index(ops)
     assert flipped == [True]
+    assert (ops.phi_modes.symbols is not None) == (name == "clifford_op_44")
 
 
 def test_signature_counts_complex_hermitian(otsuki_op_coarse):
