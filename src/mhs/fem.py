@@ -10,15 +10,15 @@ W integrates (n + |A|^2) against the nodal basis.
 
 ``assemble`` builds piecewise-linear (P1) elements on any mesh, stated
 by the block row 0 of phi-column 0 where its elements are invariant in
-phi; ``assemble_spectral`` builds a Fourier pseudo-spectral operator set
-on the node grid of a structured torus mesh with an orthogonal chart
-whose coefficients do not depend on phi, stated by the 1-D operators of
-one chart line.  Both act on the same nodal vectors (vertex values).
+phi (``OperatorSet``).  ``assemble_spectral`` builds the Fourier
+pseudo-spectral set of a torus mesh as four coefficient arrays on its
+line phi = 0 (``spectral.TwistedLine``).  Both act on the same nodal
+vectors (vertex values).
 """
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -27,7 +27,8 @@ import scipy.sparse as sp
 from .errors import (DegenerateElementError, GenerationFailedError,
                      InvalidParameterError, MeshFormatError)
 from .geometry import GeometryFamily, sample_grid
-from .spectral import _SHIFT_TOL, ChartLine, PhiModes, dissection_order
+from .spectral import (_SHIFT_TOL, ChartLine, PhiModes, TwistedLine,
+                       _Pencil, dissection_order)
 
 # barycentric coordinates of the three edge midpoints
 _PHI = np.array([[0.5, 0.5, 0.0],
@@ -91,21 +92,19 @@ class SurfaceMesh:
 
 
 @dataclass(frozen=True)
-class OperatorSet:
+class OperatorSet(_Pencil):
     """Assembled matrices of the weak stability form.
 
     K is the stiffness, Mm the mass, W the (n + |A|^2)-weighted mass;
     the quadratic form of the stability operator is x^T (K - W) x.
     Each is a sparse matrix or, on a chart grid, a chart line
-    (``spectral.ChartLine``): a block-circulant operator stated by its
-    block row 0, whose matrix is lifted only when a product, a dense
-    solve or a sparse factorization asks for it.  B = K - W, the
-    |A|^2-weighted mass SA = W - n Mm, the phi-mode split of the pencil
-    and the elimination order of its sparse factorizations are built on
-    first use and kept; B and SA of chart lines are chart lines.
+    (``spectral.ChartLine``), whose matrix is lifted only when a product,
+    a dense solve or a sparse factorization asks for it; B = K - W and
+    SA = W - n Mm of chart lines are chart lines.  The phi-mode split and
+    the elimination order are built on first use and kept.
     """
 
-    K: sp.csr_matrix | ChartLine   # with factored products if spectral
+    K: sp.csr_matrix | ChartLine
     Mm: sp.csr_matrix | ChartLine
     W: sp.csr_matrix | ChartLine
     n: int
@@ -113,22 +112,10 @@ class OperatorSet:
     grid_shape: Optional[tuple] = None   # (nt, nphi) of a structured chart
 
     @cached_property
-    def B(self):
-        return self.K - self.W
-
-    @cached_property
-    def SA(self):
-        return self.W - self.n * self.Mm
-
-    @cached_property
     def phi_modes(self):
         """The pencil split over phi-Fourier modes (``spectral.PhiModes``),
         read from the block rows 0 of B and Mm, or None off a chart grid
         or where B or Mm is not block-circulant in phi."""
-        if (self.grid_shape is None
-                and getattr(self.K, "apply", None) is not None):
-            raise InvalidParameterError(
-                "a spectral set has only the phi-mode path")
         return PhiModes.build(self.B, self.Mm, self.grid_shape)
 
     @cached_property
@@ -137,10 +124,6 @@ class OperatorSet:
         (``spectral.dissection_order``), shared by every sparse
         factorization of the unreduced pencil."""
         return dissection_order(self.B)
-
-    @property
-    def size(self):
-        return self.K.shape[0]
 
 
 def _edge_keys(triangles, num_vertices, directed=True):
@@ -394,44 +377,20 @@ def assemble(mesh):
                        grid_shape=mesh.grid_shape)
 
 
-def _fourier_diff(N, length):
-    """Fourier differentiation matrix on N equispaced nodes of one period.
-
-    Odd N only: entry (j, k) is (pi/length)(-1)^(j-k) csc(pi (j-k)/N)
-    off the diagonal and zero on it (Trefethen, Spectral Methods in
-    MATLAB, ch. 3).
-    """
-    k = np.arange(N)
-    d = k[:, None] - k[None, :]
-    off = d != 0
-    D = np.zeros((N, N))
-    D[off] = ((-1.0) ** d[off]) / np.sin(np.pi * d[off] / N)
-    return (np.pi / length) * D
-
-
-def _kron_product(Kt, a, Kp, X):
-    """(Kt (x) I + diag(a) (x) Kp) X, by one reshape and a product with
-    each factor."""
-    Y = X.reshape(len(a), len(Kp), -1)
-    return ((Kt @ Y.reshape(len(a), -1)).reshape(Y.shape)
-            + a[:, None, None] * (Kp @ Y)).reshape(X.shape)
-
-
 def assemble_spectral(mesh):
     """Fourier pseudo-spectral stiffness, mass and potential mass.
 
     The nodes are the vertices of a ``mesh_torus`` grid with both sides
     odd.  The chart must be orthogonal (g_12 = 0) with g_11, g_22 and
     q = n + |A|^2 invariant in phi, as on every torus the package builds,
-    so the set is stated by 1-D operators of one line of constant phi.
-    With differentiation matrices D_t, D_phi and line weights
-    w = dt*dphi*sqrt(g): K = Kt (x) I + diag(w / g_22) (x) Kphi, applied
-    factor by factor (``_kron_product``), Kt = D_t^T diag(w / g_11) D_t,
-    Kphi = D_phi^T D_phi, Mm = diag(w) (x) I and W = diag(w q) (x) I, all
-    three chart lines (``spectral.ChartLine``) whose block row 0 the
-    phi-mode split reads.  They meet Delta l_v = -n l_v
-    and Delta f_v = -|A|^2 f_v at the nodes to spectral accuracy rather
-    than O(h^2); an even side leaves the Nyquist mode in the kernel of D.
+    so the set is one line of constant phi (``spectral.TwistedLine``):
+    with Fourier derivatives D_t, D_phi and weights w = dt dphi sqrt(g),
+    K = D_t^T diag(w / g_11) D_t (x) I + diag(w / g_22) (x) D_phi^T D_phi,
+    Mm = diag(w) (x) I and W = diag(w q) (x) I.  They meet
+    Delta l_v = -n l_v and Delta f_v = -|A|^2 f_v at the nodes to spectral
+    accuracy rather than O(h^2).  An even side leaves the Nyquist mode in
+    the kernel of D, and an even count of Bloch phases a phase with no
+    frequency window symmetric about zero.
     """
     if mesh.grid_shape is None or mesh.source_family is None:
         raise InvalidParameterError(
@@ -459,16 +418,9 @@ def assemble_spectral(mesh):
             f"(max change of g_11, g_22, q: {drift.max():.3e})")
     g11, g22, q = coeffs[..., 0]
     w = (lt / nt) * (lp / nphi) * np.sqrt(g11 * g22)
-    Dt, Dp = _fourier_diff(nt, lt), _fourier_diff(nphi, lp)
-    Kt, Kp = ((A + A.T) * 0.5 for A in (Dt.T @ ((w / g11)[:, None] * Dt),
-                                        Dp.T @ Dp))
-    a, e0 = w / g22, np.eye(1, nphi)
-    K = ChartLine(sp.kron(Kt, e0) + sp.kron(sp.diags(a), Kp[:1]), nphi,
-                  apply=partial(_kron_product, Kt, a, Kp))
-    Mm, W = (ChartLine(sp.kron(sp.diags(c), e0, format="csr"), nphi)
-             for c in (w, w * q))
-    return OperatorSet(K=K, Mm=Mm, W=W, n=n,
-                       q_max=float(q.max()), grid_shape=mesh.grid_shape)
+    return TwistedLine(line=np.stack([w, w / g11, w / g22, w * q]),
+                       lengths=(lt, lp), n=n, q_max=float(q.max()),
+                       grid_shape=mesh.grid_shape)
 
 
 def mesh_to_json(mesh):

@@ -1,48 +1,21 @@
 """Generalized eigenvalue solves for the stability pencil (K - W, Mm).
 
-Two independent counting paths are provided: shift-invert Lanczos for
-the lowest eigenpairs, and the signature of a symmetric factorization
-for inertia counts; every reported index is expected to agree across
-both.  On the unreduced pencil both factor the shifted pencil without
-pivoting in one nested-dissection order of its graph
-(``dissection_order``), and ``morse_index`` factors it once, at
--zero_tol, for both jobs (``_shift_invert``).  Sharing the factor keeps
-the checks independent: the Lanczos pairs must pass a residual check
-against the unfactored K - W and Mm, so a wrong solve cannot pass, and
-the count is Sylvester's law on the pivots, so wrong pivot signs fail
-the comparison of the two counts.  Only a request for over a quarter
-of the spectrum takes a dense solve.
-
-On a chart grid whose pencil is invariant under the one-step shift in
-the rotation angle phi (every torus the package builds), the pencil is
-block-circulant and both paths run on one small pencil per
-phi-Fourier mode instead (``PhiModes``), read from block row 0 of B
-and Mm.  Operators given as chart lines (``ChartLine``), stated by
-block row 0 alone as ``fem`` assembles every torus mesh it builds, are
-split from those rows with no check; their V x V matrices are lifted
-from the rows only when a product, a dense solve or a sparse
-factorization asks.  A pencil given as sparse matrices is split only
-where each equals the lift of its own block row 0 to 1e-12 of its
-largest entry (``_shift_invariant``).  A mode pencil is stored only
-as a band, in the interleaved order 0, nt-1, 1, nt-2, ..., where a P1
-pencil has bandwidth 2; it is complex only where a block is not
-symmetric.  A mode is solved, by a dense eigensolve of its unpacked
-band, only when a banded Cholesky factorization cannot exclude it from
-the answer; that certificate costs O(nt kd^2) for bandwidth kd, not the
-O(nt^3) of a dense one.  Where the pencil is invariant under the
-one-step shift in theta too, as on every Clifford set, each mode pencil
-is circulant and the theta-Fourier basis diagonalizes it: once the
-block rows show every node row to be row 0 moved in theta
-(``_first_unshifted_row``), the values of every mode are read from two
-2-D Fourier sums of node row 0 (``_theta_symbols``), in place of both
-the Cholesky certificate and the dense eigensolve.  Every inertia
-count, of the unreduced pencil or of a mode that fails the
-certificate, reads the pivot signs of one unpivoted sparse
-factorization (``_signature``), in closed form too, so a count never
-rests on the values it checks.  There ``morse_index``
-counts first, at both ends of the zero window in one sweep over the
-modes, and then solves exactly the counted window, so its nullity is
-certified as well as its index.
+Every index rests on two independent paths: eigenpairs that pass a
+residual check against the unfactored pencil, and Sylvester's law on
+the pivot signs of an unpivoted symmetric factorization
+(``_signature``), so a count never rests on the values it checks.  On
+the unreduced pencil ``morse_index`` factors K - W + zero_tol Mm once,
+in a nested-dissection order (``dissection_order``), for both: its
+pivots count, and its solve drives shift-invert Lanczos
+(``_shift_invert``).  Only a request for over a quarter of the spectrum
+takes a dense solve.  On a chart grid invariant under the one-step
+shift in phi (every torus the package builds) both paths run on small
+pencils per phi-Fourier mode instead, swept, merged and counted by one
+set of routines (``_ModeSweep``, ``_mode_signature``) for either split:
+the banded mode pencils of a P1 set (``PhiModes``) or the Bloch phase
+pencils of a spectral line (``TwistedLine``).  There ``morse_index``
+counts at both ends of the zero window in one sweep and then solves
+exactly the counted window, so its nullity is certified too.
 """
 
 import functools
@@ -157,19 +130,14 @@ class ChartLine(spla.LinearOperator):
 
     Node (i, j) is i*nphi + j, and ``row`` is the sparse nt x nt*nphi
     block row 0: entry (i, l*nphi + s) is C_s[i, l], the weight of node
-    (l, j + s) in node row (i, j) for every j.  ``matrix``, the V x V
-    CSR form, is lifted from the row on first use (``_lift``), and
-    products use it unless ``apply`` states them in factors.  A sum,
-    difference or scalar multiple of chart lines is the chart line of
-    the same combination of rows, applied term by term if a term has
-    factors.  With a matrix it is a matrix, formed with the lift; a
-    line with factors is never lifted and takes the matrix as the line
-    of its block row 0 instead, which must pass ``_shift_invariant``.
+    (l, j + s) in node row (i, j) for every j.  Products use ``matrix``,
+    the V x V CSR lift of the row (``_lift``).  Chart lines combine
+    linearly as their rows do, and with a matrix through the lift.
     """
 
-    def __init__(self, row, nphi, apply=None):
+    def __init__(self, row, nphi):
         super().__init__(float, (row.shape[1],) * 2)
-        self.row, self.nphi, self.apply = row, nphi, apply
+        self.row, self.nphi = row, nphi
 
     @functools.cached_property
     def matrix(self):
@@ -182,45 +150,24 @@ class ChartLine(spla.LinearOperator):
         return self.row.nnz * self.nphi
 
     def _matmat(self, X):
-        return self.matrix @ X if self.apply is None else self.apply(X)
-
-    def _joined(self, row, other, apply):
-        factored = (self.apply is not None
-                    or getattr(other, "apply", None) is not None)
-        return ChartLine(row, self.nphi, apply if factored else None)
-
-    def _operand(self, x):
-        """x, or the chart line of matrix x where self has factors."""
-        if self.apply is None or isinstance(x, ChartLine):
-            return x
-        row = _block_row(x, self.nphi)
-        if row is None:
-            raise InvalidParameterError(
-                "a factored chart line joins only a matrix that is "
-                "block-circulant in phi")
-        return ChartLine(row, self.nphi)
+        return self.matrix @ X
 
     def __add__(self, x):
-        x = self._operand(x)
         if isinstance(x, ChartLine):
-            return self._joined(self.row + x.row, x,
-                                lambda X: self @ X + x @ X)
+            return ChartLine(self.row + x.row, self.nphi)
         return self.matrix + x
 
     def __sub__(self, x):
-        x = self._operand(x)
         if isinstance(x, ChartLine):
-            return self._joined(self.row - x.row, x,
-                                lambda X: self @ X - x @ X)
+            return ChartLine(self.row - x.row, self.nphi)
         return self.matrix - x
 
     def __rsub__(self, x):
-        x = self._operand(x)
-        return x - self if isinstance(x, ChartLine) else x - self.matrix
+        return x - self.matrix
 
     def __mul__(self, x):
         if np.isscalar(x):
-            return self._joined(x * self.row, None, lambda X: x * (self @ X))
+            return ChartLine(x * self.row, self.nphi)
         return super().__mul__(x)
 
     __rmul__ = __mul__
@@ -262,37 +209,22 @@ def _first_unshifted_row(row, nt, nphi):
     not row 0 moved i steps in theta, or nt where there is none.  Row i
     is row 0 moved when its entry (l + i, s) is row 0's (l, s), with
     the same pattern and every value within _SHIFT_TOL of the largest
-    entry.  Rows are compared in runs [1, 2), [2, 4), [4, 8), ..., so
-    the check reads at most twice the rows before the first that
-    differs."""
+    entry.  The rows before the first of another width, which ends the
+    check, are moved back to row 0, sorted by key l*nphi + s and
+    compared with it in one pass."""
     R = row.tocsr()
     ptr, width = R.indptr, R.indptr[1]
     tol = _SHIFT_TOL * np.abs(R.data).max(initial=0.0)
-
-    def moved_back(start, stop):
-        """(keys l*nphi + s, values) of rows start to stop - 1, each
-        moved back to row 0 and sorted by key."""
-        block, shape = slice(ptr[start], ptr[stop]), (stop - start, width)
-        l, s = np.divmod(R.indices[block].reshape(shape), nphi)
-        key = (l - np.arange(start, stop)[:, None]) % nt * nphi + s
-        o = np.argsort(key, axis=1)
-        return (np.take_along_axis(key, o, axis=1),
-                np.take_along_axis(R.data[block].reshape(shape), o, axis=1))
-    key0, val0 = moved_back(0, 1)
-    start = 1
-    while start < nt:
-        stop = min(2 * start, nt)
-        # a row of another width ends the run
-        short = np.flatnonzero(np.diff(ptr[start:stop + 1]) != width)
-        key, val = moved_back(start, start + short[0] if len(short)
-                              else stop)
-        same = ((key == key0).all(axis=1)
-                & (np.abs(val - val0) <= tol).all(axis=1))
-        first = start + (len(same) if same.all() else int(np.argmin(same)))
-        if first < stop:
-            return first
-        start = stop
-    return nt
+    rows = int(np.argmax(np.r_[np.diff(ptr) != width, True]))
+    l, s = np.divmod(R.indices[:ptr[rows]].reshape(rows, width), nphi)
+    key = (l - np.arange(rows)[:, None]) % nt * nphi + s
+    o = np.argsort(key, axis=1)
+    key = np.take_along_axis(key, o, axis=1)
+    val = np.take_along_axis(R.data[:ptr[rows]].reshape(rows, width), o,
+                             axis=1)
+    same = ((key == key[0]).all(axis=1)
+            & (np.abs(val - val[0]) <= tol).all(axis=1))
+    return int(np.argmin(np.r_[same, False]))
 
 
 def _theta_symbols(nt, nphi, B_row, Mm_row):
@@ -312,45 +244,129 @@ def _theta_symbols(nt, nphi, B_row, Mm_row):
     return tuple(symbols) if symbols[1].min() > 0 else None
 
 
-class PhiModes:
+class _Pencil:
+    """B = K - W and the |A|^2-weighted mass SA = W - n Mm of an operator
+    set, built on first use and kept."""
+
+    @functools.cached_property
+    def B(self):
+        return self.K - self.W
+
+    @functools.cached_property
+    def SA(self):
+        return self.W - self.n * self.Mm
+
+    @property
+    def size(self):
+        return self.K.shape[0]
+
+
+class _ModeSweep:
+    """The sweep over the phi-modes k = 0 .. nphi // 2 of either split of
+    a chart-grid pencil.  Modes k and -k are conjugate, so a mode
+    0 < k < nphi/2 holds each value of the real pencil twice.  A split
+    states per mode k the certificate ``positive(k, shift, floor)`` that
+    B_k - shift Mm_k is positive definite clear of roundoff at floor, the
+    solve ``_solve(k)``, ascending values first, the real nodal vectors
+    ``_vectors(k, r)`` of its leading r pairs and, unless the solve
+    checked them, their residual check ``_check(k, r)``, and the weighted
+    shifted matrices whose signatures count it (``shifted``).
+    """
+
+    # mode k -> its solve, and the largest tau at which each mode was
+    # certified above tau + gap
+    solved = functools.cached_property(lambda self: {})
+    certified = functools.cached_property(
+        lambda self: np.full(self.count, -np.inf))
+
+    @property
+    def count(self):
+        """Number of distinct modes k = 0 .. nphi // 2."""
+        return self.nphi // 2 + 1
+
+    def multiplicity(self, k):
+        return 1 if (2 * k) % self.nphi == 0 else 2
+
+    def _check(self, k, r):
+        """A split that checks each solve whole needs no further check."""
+
+    def _excludes(self, k, shift):
+        """Whether every eigenvalue of mode k exceeds shift."""
+        return self.positive(k, shift)
+
+    def _merged(self):
+        """(eigenvalues, modes, columns in _vectors(k, r)) of the solved
+        modes, ascending, complex modes twice.  Values within a relative
+        _CERTIFY_GAP are ties, listed by mode rather than by rounding; no
+        certificate excludes a mode that close to tau, so a tie at the
+        end of a window is solved whole."""
+        if not self.solved:
+            return np.empty(0), np.empty(0, int), np.empty(0, int)
+        vals, modes, cols = [], [], []
+        for k in sorted(self.solved):
+            lam = self.solved[k][0]
+            m = self.multiplicity(k)
+            vals.append(np.repeat(lam, m))
+            modes.append(np.full(m * len(lam), k))
+            cols.append(np.arange(m * len(lam)))
+        vals, modes, cols = map(np.concatenate, (vals, modes, cols))
+        order = np.argsort(vals, kind="stable")
+        vals = vals[order]
+        tie = np.diff(vals) <= _CERTIFY_GAP * np.maximum(abs(vals[1:]), 1)
+        order = order[np.lexsort((cols[order], modes[order],
+                                  np.cumsum(np.r_[True, ~tie])))]
+        return vals, modes[order], cols[order]
+
+    def lowest(self, count, vectors=False):
+        """(eigenvalues, modes, nodal vectors or None) of the lowest count.
+
+        tau is the count-th smallest value of the modes solved so far
+        (infinite while they have fewer).  One sweep in order of k, with
+        no monotonicity in k assumed, passes over a mode certified at tau
+        or above, certifies one that ``_excludes`` puts above tau + gap
+        (a relative _CERTIFY_GAP, so that a tie with tau is not left out
+        on rounding), and solves any other, recomputing tau.  The
+        eigenpairs of each mode behind the answer pass the residual check.
+        """
+        vals = self._merged()[0]
+        for k in range(self.count):
+            # solving a mode can only lower tau, so one pass suffices
+            tau = vals[count - 1] if len(vals) >= count else np.inf
+            if k in self.solved or self.certified[k] >= tau:
+                continue
+            if tau < np.inf and self._excludes(
+                    k, tau + _CERTIFY_GAP * max(abs(tau), 1.0)):
+                self.certified[k] = tau
+                continue
+            self.solved[k] = self._solve(k)
+            vals = self._merged()[0]
+        vals, modes, cols = (a[:count] for a in self._merged())
+        X = np.empty((self.nt * self.nphi, count)) if vectors else None
+        for k in np.unique(modes):
+            sel = np.flatnonzero(modes == k)
+            r = int(cols[sel].max()) // self.multiplicity(k) + 1
+            self._check(k, r)
+            if vectors:
+                X[:, sel] = self._vectors(k, r)[:, cols[sel]]
+        return vals, modes, X
+
+
+class PhiModes(_ModeSweep):
     """The pencil of an (nt, nphi) chart grid split over phi-Fourier modes.
 
-    Node (i, j) is i*nphi + j.  When B and Mm are invariant under the
-    shift j -> j + 1, they are block-circulant with nt x nt blocks C_s
-    (offset s in phi), and x(i, j) = u(i) e^(2 pi i j k / nphi) is an
+    Node (i, j) is i*nphi + j.  Where B and Mm are invariant under the
+    shift j -> j + 1 they are block-circulant, with nt x nt blocks C_s at
+    phi-offset s, and x(i, j) = u(i) e^(2 pi i j k / nphi) is an
     eigenvector exactly when u solves the mode pencil
-    (sum_s C_s^B w^(sk), sum_s C_s^M w^(sk)) with w = e^(2 pi i / nphi).
-    Modes k and -k are complex conjugate, so the real pencil has each
-    eigenvalue of a mode 0 < k < nphi/2 twice (the real and imaginary
-    parts of x); modes 0 and nphi/2 are real and count once.
-
-    The band is the only stored form of a mode pencil: per-offset lower
-    band columns in the interleaved order 0, nt-1, 1, nt-2, ..., read
-    once from block row 0 of B and Mm, with the bandwidth kd read from
-    the pattern (a P1 block is cyclic tridiagonal, so kd = 2; a Fourier
-    spectral block is dense, so kd = nt - 1).  ``band`` sums them for a
-    mode and shift, ``pencil`` unpacks them into a dense pencil in the
-    same interleaved order, and ``lift`` maps vectors back to node order.
-    Where every block is symmetric, as on a Kronecker-built spectral set,
-    the antisymmetric part is empty and each mode pencil stays real.
-
-    Modes are solved lazily (``lowest``): a mode is either solved, by one
-    dense eigensolve whose eigenpairs are kept, or certified, by a banded
-    Cholesky factorization (``positive``, O(nt kd^2)) proving it has
-    nothing below a threshold.
-
-    Where every node row i of the block rows of B and Mm is row 0 moved
-    i steps in theta, to _SHIFT_TOL of the largest entry, each C_s is
-    circulant too, and x(i, j) = e^(2 pi i (a i / nt + k j / nphi)) is an
-    eigenvector of the pencil with the value b(a, k) / m(a, k): the real
-    parts of the 2-D Fourier sums of node row 0, since the lift is
-    symmetrized (``symbols``, from ``_theta_symbols``, None where the
-    check fails).  Then a mode is certified by every b - shift m > 0
-    and solved by sorting its values (``_excludes``, ``_solve``), with
-    no dense eigensolve and the same meaning of ``solved``.  The counts
-    of ``_mode_signature`` still read the band pivots, and every pair
-    returned still passes the residual check on its band pencil, so
-    the closed form is checked by two paths like a dense solve.
+    (sum_s C_s^B w^(sk), sum_s C_s^M w^(sk)), w = e^(2 pi i / nphi).
+    A mode pencil is stored only as per-offset band columns in the
+    interleaved order 0, nt-1, 1, nt-2, ..., bandwidth kd from the
+    pattern (2 for P1), complex only where a block is not symmetric.  It
+    is solved by one dense eigensolve, or certified by a banded Cholesky
+    factorization (``positive``).  Where every node row is row 0 moved in
+    theta, each C_s is circulant too, and every mode is solved and
+    certified in closed form (``symbols``); its counts still read the
+    band pivots, and its pairs still pass the residual check on the band.
     """
 
     def __init__(self, nt, nphi, B_row, Mm_row):
@@ -365,14 +381,7 @@ class PhiModes:
         # the closed form of every mode, where the pencil is circulant in
         # theta too, else None
         self.symbols = _theta_symbols(nt, nphi, B_row, Mm_row)
-        # mode k -> (ascending eigenvalues, Mm_k-orthonormal vectors in
-        # the interleaved order)
-        self.solved = {}
-        # largest tau at which B_k - (tau + gap) Mm_k factored by Cholesky
-        # or, in closed form, had every symbol positive
-        self.certified = np.full(self.count, -np.inf)
-        # leading eigenpairs of each solved mode that passed the residual
-        # check
+        # leading pairs of each solved mode that passed the residual check
         self._checked = np.zeros(self.count, dtype=int)
 
     def _band_columns(self, offsets, o, i, l, c):
@@ -407,14 +416,6 @@ class PhiModes:
         Mm_row = None if B_row is None else _block_row(Mm, nphi)
         return None if Mm_row is None else cls(nt, nphi, B_row, Mm_row)
 
-    @property
-    def count(self):
-        """Number of distinct modes k = 0 .. nphi // 2."""
-        return self.nphi // 2 + 1
-
-    def multiplicity(self, k):
-        return 1 if (2 * k) % self.nphi == 0 else 2
-
     def _band_sum(self, operator, k):
         offsets, even, odd = operator
         theta = 2 * np.pi * (offsets * k % self.nphi) / self.nphi
@@ -435,6 +436,10 @@ class PhiModes:
         (Q + d, Q)."""
         return (self._band_sum(self._B, k)
                 - shift * self._band_sum(self._Mm, k))
+
+    def shifted(self, k, shift):
+        """[(1, B_k - shift Mm_k)], unpacked from its band."""
+        return [(1, sp.csc_matrix(_unband(self.band(k, shift))))]
 
     def positive(self, k, shift, floor=0.0):
         """Whether the banded Cholesky factorization (?pbtrf) of
@@ -480,14 +485,17 @@ class PhiModes:
         order = np.argsort(lam, kind="stable")
         return lam[order], U[:, order]
 
-    def lift(self, k, U):
-        """Real nodal vectors of mode-k eigenvectors U (Mm_k-orthonormal,
-        rows in the interleaved order).
+    def _check(self, k, r):
+        if r > self._checked[k]:
+            lam, U = self.solved[k]
+            _residual_check(*self.pencil(k), lam[:r], U[:, :r])
+            self._checked[k] = r
 
-        Returns Mm-orthonormal columns: one per column of U for a real
-        mode, the real and imaginary parts in turn for a complex one.
-        """
-        U = U[self._position]
+    def _vectors(self, k, r):
+        """Mm-orthonormal real nodal vectors of the leading r eigenvectors
+        of mode k: one per eigenvector for a real mode, the real and
+        imaginary parts in turn for a complex one."""
+        U = self.solved[k][1][self._position, :r]
         j = np.arange(self.nphi)
         if self.multiplicity(k) == 1:
             phase = (-1.0) ** (j * (2 * k // self.nphi)) / np.sqrt(self.nphi)
@@ -499,69 +507,175 @@ class PhiModes:
             X = np.stack([Z.real, Z.imag], axis=-1)
         return X.reshape(self.nt * self.nphi, -1)
 
-    def _merged(self):
-        """(eigenvalues, modes, columns in lift(k, U)) of the solved modes,
-        ascending, complex modes twice.  Values within a relative
-        _CERTIFY_GAP are ties, listed by mode rather than by rounding; no
-        certificate excludes a mode that close to tau, so a tie at the
-        end of a window is solved whole."""
-        if not self.solved:
-            return np.empty(0), np.empty(0, int), np.empty(0, int)
-        vals, modes, cols = [], [], []
-        for k in sorted(self.solved):
-            lam = self.solved[k][0]
-            m = self.multiplicity(k)
-            vals.append(np.repeat(lam, m))
-            modes.append(np.full(m * len(lam), k))
-            cols.append(np.arange(m * len(lam)))
-        vals, modes, cols = map(np.concatenate, (vals, modes, cols))
-        order = np.argsort(vals, kind="stable")
-        vals = vals[order]
-        tie = np.diff(vals) <= _CERTIFY_GAP * np.maximum(abs(vals[1:]), 1)
-        order = order[np.lexsort((cols[order], modes[order],
-                                  np.cumsum(np.r_[True, ~tie])))]
-        return vals, modes[order], cols[order]
 
-    def lowest(self, count, vectors=False):
-        """(eigenvalues, modes, nodal vectors or None) of the lowest count.
+def _period(line):
+    """The smallest divisor m of the length nt of the rows of line under
+    which every row repeats, to _SHIFT_TOL of its largest entry."""
+    nt = line.shape[1]
+    scale = _SHIFT_TOL * np.abs(line).max(axis=1)
+    for m in (m for m in range(1, nt + 1) if nt % m == 0):
+        periods = line.reshape(len(line), -1, m)
+        if np.all(np.abs(periods - periods[:, :1]).max(axis=(1, 2)) <= scale):
+            return m
 
-        tau is the count-th smallest eigenvalue of the modes solved so
-        far (infinite while they have fewer).  The modes are swept in
-        order of k, with no monotonicity in k assumed: an unsolved mode
-        is passed over when it is certified at tau or above, else it is
-        certified now if B_k - (tau + gap) Mm_k factors by the banded
-        Cholesky of ``positive`` (Sylvester's law: then every eigenvalue
-        of the mode exceeds tau + gap) or, in closed form, has every
-        symbol b - (tau + gap) m positive, else it is solved, by a dense
-        eigensolve or in closed form, and tau recomputed.  The gap, a
-        relative _CERTIFY_GAP, keeps a mode whose eigenvalue ties tau
-        from being left out on rounding.  The eigenpairs of each mode
-        behind the answer pass the residual check.
-        """
-        vals = self._merged()[0]
-        for k in range(self.count):
-            # solving a mode can only lower tau, so one pass suffices
-            tau = vals[count - 1] if len(vals) >= count else np.inf
-            if k in self.solved or self.certified[k] >= tau:
-                continue
-            if tau < np.inf and self._excludes(
-                    k, tau + _CERTIFY_GAP * max(abs(tau), 1.0)):
-                self.certified[k] = tau
-                continue
-            self.solved[k] = self._solve(k)
-            vals = self._merged()[0]
-        vals, modes, cols = (a[:count] for a in self._merged())
-        X = np.empty((self.nt * self.nphi, count)) if vectors else None
-        for k in np.unique(modes):
-            sel = np.flatnonzero(modes == k)
-            r = int(cols[sel].max()) // self.multiplicity(k) + 1
-            lam, U = self.solved[k]
-            if r > self._checked[k]:
-                _residual_check(*self.pencil(k), lam[:r], U[:, :r])
-                self._checked[k] = r
-            if vectors:
-                X[:, sel] = self.lift(k, U[:, :r])[:, cols[sel]]
-        return vals, modes, X
+
+@dataclass(frozen=True)
+class TwistedLine(_ModeSweep, _Pencil):
+    """The Fourier pseudo-spectral set of a chart line, split over
+    phi-modes and Bloch phases.
+
+    ``line`` holds w, w / g_11, w / g_22 and w q at the nt nodes of the
+    line phi = 0 of an (nt, nphi) grid of chart lengths (L_theta, L_phi),
+    w = dt dphi sqrt(g).  They repeat every m nodes (``_period``), so by
+    Floquet-Bloch theory mode k splits into P = nt / m problems
+    u(x + m nodes) = e^(2 pi i r / P) u(x), |r| <= (P-1)/2: the m x m
+    Hermitian pencils (r, k) = (D_r^H diag(w / g_11) D_r
+    + kappa_k^2 diag(w / g_22) - diag(w q), diag(w)), with D_r the
+    Fourier derivative on the frequencies j + r / P, |j| <= (m-1)/2, and
+    kappa_k = 2 pi k / L_phi.  With nt odd, so P odd, the frequencies
+    j P + r are those of the whole line, so the phase spectra make up the
+    2-D mode pencil; phase P/2 of an even P would have no window
+    symmetric about zero.  Phase -r is the conjugate of r: only r >= 0 is
+    formed, and r > 0 counts twice.  As D_r^H diag(w / g_11) D_r >= 0,
+    mode k has nothing below sigma where kappa_k^2 w / g_22 - w q
+    - sigma w > 0 at every node (``positive``).  Mm and W are diagonal
+    chart lines; K and the nodal vectors go through the FFT over the
+    phase axis b and phi axis j of node (b m + a, j).
+    """
+
+    line: np.ndarray   # (4, nt)
+    lengths: tuple     # (L_theta, L_phi) of the chart
+    n: int
+    q_max: float
+    grid_shape: tuple  # (nt, nphi)
+
+    nt = property(lambda self: self.grid_shape[0])
+    nphi = property(lambda self: self.grid_shape[1])
+    phi_modes = property(lambda self: self)
+    m = functools.cached_property(lambda self: _period(self.line))
+    phases = property(lambda self: self.nt // self.m)
+
+    @functools.cached_property
+    def _stiffness(self):
+        """D_r^H diag(w / g_11) D_r of the phases r = 0 .. P // 2, where
+        D_r[a, b] = (pi P / L_theta)(-1)^d csc(pi d / m) e^(2 pi i r d / nt)
+        at d = a - b != 0 and 2 pi i r / L_theta at d = 0 (Trefethen,
+        Spectral Methods in MATLAB, ch. 3, twisted)."""
+        m, lt = self.m, self.lengths[0]
+        d = np.arange(m)[:, None] - np.arange(m)
+        D = ((np.pi * self.phases / lt) * (-1.0) ** d
+             / np.where(d, np.sin(np.pi * d / m), np.inf))
+        stiffness = []
+        for r in range(self.phases // 2 + 1):
+            Dr = D if r == 0 else (D * np.exp(2j * np.pi * r * d / self.nt)
+                                   + np.eye(m) * (2j * np.pi * r / lt))
+            K = Dr.conj().T @ (self.line[1, :m, None] * Dr)
+            stiffness.append((K + K.conj().T) * 0.5)
+        return stiffness
+
+    def _diagonal(self, k):
+        """kappa_k^2 w / g_22 - w q on one period."""
+        _, _, a22, wq = self.line[:, :self.m]
+        return (2 * np.pi * k / self.lengths[1]) ** 2 * a22 - wq
+
+    def pencil(self, r, k):
+        """Dense Hermitian (B, Mm) of phase r and mode k."""
+        K = self._stiffness[abs(r)]
+        return ((K.conj() if r < 0 else K) + np.diag(self._diagonal(k)),
+                np.diag(self.line[0, :self.m]))
+
+    def positive(self, k, shift, floor=0.0):
+        """Whether kappa_k^2 w / g_22 - w q - shift w exceeds floor times
+        max(|entry|, 1) at every node."""
+        d = self._diagonal(k) - shift * self.line[0, :self.m]
+        return bool(d.min() > floor * max(np.abs(d).max(), 1.0))
+
+    def shifted(self, k, shift):
+        """(weight, pencil (r, k) shifted) of the phases r >= 0."""
+        d = np.diag(self._diagonal(k) - shift * self.line[0, :self.m])
+        return [(2 if r else 1, sp.csc_matrix(K + d))
+                for r, K in enumerate(self._stiffness)]
+
+    def _solve(self, k):
+        """(ascending values, their signed phases, their columns, and the
+        ascending values and diag(w)-orthonormal vectors of each phase
+        r >= 0) of mode k, each value of r > 0 listed for r and -r."""
+        pairs = [self._phase(r, k) for r in range(self.phases // 2 + 1)]
+        R = len(pairs) - 1
+        signed = np.r_[0, np.arange(1, R + 1).repeat(2) * np.tile([1, -1], R)]
+        lam = np.concatenate([pairs[abs(p)][0] for p in signed])
+        order = np.argsort(lam, kind="stable")
+        return (lam[order], signed.repeat(self.m)[order],
+                np.tile(np.arange(self.m), len(signed))[order], pairs)
+
+    def _phase(self, r, k):
+        """(ascending values, diag(w)-orthonormal vectors) of pencil
+        (r, k), every pair residual-checked."""
+        B, Mm = self.pencil(r, k)
+        lam, U = sla.eigh(B, Mm)
+        _residual_check(B, Mm, lam, U)
+        return lam, U
+
+    def _vectors(self, k, r):
+        """Real nodal vectors of the leading r values of mode k: for each
+        value's vector u and phase p, c = 1 and -i in turn in a complex
+        mode; in mode 0 phase 0 is real, and p = r, -r are c = 1, -i of
+        phase r (``_nodal``)."""
+        _, phase, col, pairs = self.solved[k]
+        phase, col = phase[:r], col[:r]
+        if self.multiplicity(k) == 2:
+            p, c, col = phase.repeat(2), np.tile([1, -1j], r), col.repeat(2)
+        else:
+            p, c = np.abs(phase), np.where(phase < 0, -1j, 1)
+        U = np.stack([pairs[abs(q)][1][:, j] for q, j in zip(p, col)], axis=1)
+        return self._nodal(k, p, c * np.where(p < 0, U.conj(), U))
+
+    def _nodal(self, k, p, cU):
+        """Re z normalized in Mm for each column cU and phase p, with
+        z = cU(a) e^(2 pi i (p b / P + k j / nphi)) at node (b m + a, j):
+        the coefficients cU / 2 at (p, k) and their conjugates at
+        (-p, -k), transformed back."""
+        P, nphi, cols = self.phases, self.nphi, np.arange(len(p))
+        Y = np.zeros((P, self.m, nphi, len(p)), dtype=complex)
+        Y[p % P, :, k, cols] = 0.5 * cU.T
+        Y[-p % P, :, -k % nphi, cols] += 0.5 * cU.conj().T
+        real = (p == 0) & (k == 0)
+        return (np.fft.ifft2(Y, axes=(0, 2)).real.reshape(-1, len(p))
+                * np.sqrt(np.where(real, 1.0, 2.0) * P * nphi))
+
+    def ground(self):
+        """(the two lowest values of pencil (0, 0), the nodal vector of
+        the lowest).  The periodic problem carries the ground state, and a
+        cluster of ground values, one per phase, leaves it unmixed."""
+        lam, U = self._phase(0, 0)
+        return lam[:2], self._nodal(0, np.zeros(1, int), U[:, :1])[:, 0]
+
+    def stiffness(self, X):
+        """K X for nodal X, phase pencil by phase pencil between the FFT
+        over the phase and phi axes and its inverse."""
+        P, m, nphi = self.phases, self.m, self.nphi
+        Y = np.fft.fft2(X.reshape(P, m, nphi, -1), axes=(0, 2))
+        k = np.minimum(np.arange(nphi), nphi - np.arange(nphi))
+        Z = ((2 * np.pi * k / self.lengths[1]) ** 2)[:, None] * Y
+        Z *= self.line[2, :m, None, None]
+        for f in range(P):
+            K = self._stiffness[min(f, P - f)]
+            Z[f] += ((K.conj() if 2 * f > P else K)
+                     @ Y[f].reshape(m, -1)).reshape(Y[f].shape)
+        return np.fft.ifft2(Z, axes=(0, 2)).real.reshape(X.shape)
+
+    @functools.cached_property
+    def K(self):
+        size = self.nt * self.nphi
+        return spla.LinearOperator((size, size), matvec=self.stiffness,
+                                   matmat=self.stiffness, dtype=float)
+
+    Mm = functools.cached_property(lambda self: self._chart_diagonal(0))
+    W = functools.cached_property(lambda self: self._chart_diagonal(3))
+
+    def _chart_diagonal(self, i):
+        return ChartLine(sp.kron(sp.diags(self.line[i]), np.eye(1, self.nphi),
+                                 format="csr"), self.nphi)
 
 
 def _runs(keys):
@@ -716,13 +830,16 @@ def _report(ops, vals, vecs, zero_tol, path, vectors=False, modes=None,
 def lowest_eigs(ops, count, zero_tol=0.05, vectors=False):
     """The `count` algebraically smallest eigenpairs of (K-W, Mm).
 
-    On a phi-shift-invariant chart grid the values come from the mode
-    pencils that certificates cannot exclude (``PhiModes``), in closed
-    form where the pencil is invariant in theta too.
-    Otherwise a request for over a quarter of the spectrum takes a dense
-    solve, and any other shift-invert Lanczos (``_shift_invert``) with
-    the shift -q_max - 1 below the spectrum: the pencil is bounded below
-    by -q_max, so the factor there must have no negative pivot.
+    On a chart grid the values come from the modes of its split
+    (``phi_modes``) that no certificate excludes: the banded pencils of
+    a P1 set (``PhiModes``), certified by banded Cholesky or in closed
+    form, or the Bloch phase pencils of a spectral line of measured
+    period (``TwistedLine``), certified where kappa_k^2 / g_22 - q exceeds
+    tau at every node.  Otherwise a request for over a quarter of the
+    spectrum takes a dense solve, and any other shift-invert Lanczos
+    (``_shift_invert``) with the shift -q_max - 1 below the spectrum: the
+    pencil is bounded below by -q_max, so the factor there must have no
+    negative pivot.
     """
     size = ops.size
     if count < 1:
@@ -804,12 +921,9 @@ def inertia_below(ops, sigma):
     Computed from the pivot signs of an unpivoted factorization of
     K - W - sigma*Mm (Sylvester's law, ``_signature``); if the shifted
     matrix is numerically singular the shift is jittered and retried.
-    On a phi-shift-invariant chart grid it sums the signatures of the
-    mode pencils, each with its multiplicity: none negative where a
-    banded Cholesky factorization succeeds, else from the pivots of the
-    mode's band.  Otherwise it factors the unreduced pencil in
-    ``ops.elimination_order`` (``_nodal_signature``), the factorization
-    whose solve ``morse_index`` also hands to Lanczos.
+    On a chart grid it sums the signatures of the mode pencils of its
+    split (``_mode_signature``), else it factors the unreduced pencil in
+    ``ops.elimination_order`` (``_nodal_signature``).
     """
     if ops.phi_modes is not None:
         return _retrying(functools.partial(_mode_signature, ops.phi_modes),
@@ -837,24 +951,21 @@ def _retrying(signature, sigma):
 def _mode_signature(modes, shifts):
     """Sum of the mode pencils' signatures at a shift, with
     multiplicity, or a tuple of them for an array of shifts; None if a
-    count is unreliable.
-
-    One sweep over the modes serves every shift.  A mode whose pencil
-    shifted by the largest shift factors by a banded Cholesky
-    (``PhiModes.positive``) clear of roundoff adds no negatives at any
-    of them; any other takes the signature of its unpacked band at each
-    shift, in the band's own order.
+    count is unreliable.  One sweep serves every shift: a mode certified
+    positive at the largest, clear of roundoff (``positive``), adds no
+    negatives, and any other the weighted signatures of its shifted
+    matrices (``shifted``), each in its own order.
     """
     totals, top = [0] * np.size(shifts), np.max(shifts)
     for k in range(modes.count):
         if modes.positive(k, top, 1e-12):
             continue
         for i, shift in enumerate(np.ravel(shifts)):
-            A = sp.csc_matrix(_unband(modes.band(k, shift)))
-            signature = _signature(A, np.arange(modes.nt))
-            if signature is None:
-                return None
-            totals[i] += modes.multiplicity(k) * signature[0]
+            for weight, A in modes.shifted(k, shift):
+                signature = _signature(A, np.arange(A.shape[0]))
+                if signature is None:
+                    return None
+                totals[i] += modes.multiplicity(k) * weight * signature[0]
     return tuple(totals) if np.ndim(shifts) else totals[0]
 
 
@@ -911,22 +1022,29 @@ def first_eigfunction(ops):
     """Ground state of the pencil: (lambda1, nodal vector).
 
     The vector is normalized to unit Mm-norm with its global sign fixed
-    so that the Mm-weighted mean is positive.  A sign change across
-    nodes, a value below -_SIGN_TOL max |rho| rather than a roundoff
-    zero, raises ``MultiplicityWarningError``: the ground level is
-    numerically multiple if the second eigenvalue lies within
-    ``_MULTIPLE_GAP`` of the first, and otherwise it was not resolved as
-    simple at this resolution.
+    so that the Mm-weighted mean is positive; a twisted line reads it
+    from the periodic problem (``TwistedLine.ground``).  A sign change
+    across nodes, a value below -_SIGN_TOL max |rho| rather than a
+    roundoff zero, raises ``MultiplicityWarningError``: the ground level
+    is numerically multiple if the second eigenvalue, of the same pencil
+    on a twisted line, lies within ``_MULTIPLE_GAP`` of the first, and
+    otherwise it was not resolved as simple at this resolution.
     """
-    report = lowest_eigs(ops, count=1, vectors=True)
-    rho = report.vectors[:, 0]
+    lowest = None
+    if isinstance(ops, TwistedLine):
+        lowest, rho = ops.ground()
+        lam1 = float(lowest[0])
+    else:
+        report = lowest_eigs(ops, count=1, vectors=True)
+        lam1, rho = report.lambda1, report.vectors[:, 0]
     mnorm = float(np.sqrt(rho @ (ops.Mm @ rho)))
     rho = rho / mnorm
     mean = float(np.ones(ops.size) @ (ops.Mm @ rho))
     if mean < 0:
         rho = -rho
     if rho.min() < -_SIGN_TOL * np.abs(rho).max():
-        lam1, lam2 = lowest_eigs(ops, count=2).eigenvalues
+        lam1, lam2 = (lowest_eigs(ops, count=2).eigenvalues
+                      if lowest is None else lowest)
         if lam2 - lam1 <= _MULTIPLE_GAP * max(abs(lam1), 1.0):
             raise MultiplicityWarningError(
                 f"computed ground state changes sign; the ground level "
@@ -935,7 +1053,7 @@ def first_eigfunction(ops):
         raise MultiplicityWarningError(
             "computed ground state changes sign; the lowest eigenvalue "
             "is not resolved as simple at this resolution")
-    return report.lambda1, rho
+    return lam1, rho
 
 
 def morse_index(ops, zero_tol=0.05):
@@ -943,19 +1061,16 @@ def morse_index(ops, zero_tol=0.05):
     the lowest eigenvalues that ends above zero_tol).
 
     Two independent counts must agree.  The window's eigenpairs pass the
-    residual check against the unfactored K - W and Mm; the other count
-    is Sylvester's law on the pivots of a factorization at -zero_tol.
-    On the unreduced pencil one factorization serves both: its solve
-    drives shift-invert Lanczos at -zero_tol, whose window grows until
-    it holds exactly the counted values below the shift
-    (``_shift_invert``).  On the phi-mode path one sweep over the modes
+    residual check; the other count is Sylvester's law on the pivots of
+    a factorization at -zero_tol.  On the unreduced pencil one
+    factorization serves both: its solve drives shift-invert Lanczos at
+    -zero_tol, whose window grows until it holds exactly the counted
+    values below the shift (``_shift_invert``), or past a quarter of the
+    spectrum is a dense solve.  On a split one sweep over the modes
     counts c- below -zero_tol and c+ below +zero_tol (``_mode_signature``,
     as in spectrum slicing), and one ``lowest_eigs`` call solves the
-    lowest max(_MORSE_WINDOW, c+ + 1) values, at least one more than
-    the count below zero_tol.  Its index must equal c- and its nullity
-    c+ - c-, so the nullity has two paths too.  A window past a quarter
-    of the spectrum of the unreduced pencil is a dense solve, checked
-    against the count of the one factorization.
+    lowest max(_MORSE_WINDOW, c+ + 1) values.  Its index must equal c-
+    and its nullity c+ - c-, so the nullity has two paths too.
     """
     count = min(_MORSE_WINDOW, ops.size)
     nullity = None   # c+ - c-, counted on the phi-mode path

@@ -14,14 +14,30 @@ from mhs import fem, rotational
 from mhs.geometry import clifford, sample_grid
 
 
+def _fourier_diff(N, length):
+    """Fourier differentiation matrix on N equispaced nodes of one period.
+
+    Odd N only: entry (j, k) is (pi/length)(-1)^(j-k) csc(pi (j-k)/N)
+    off the diagonal and zero on it (Trefethen, Spectral Methods in
+    MATLAB, ch. 3).
+    """
+    k = np.arange(N)
+    d = k[:, None] - k[None, :]
+    off = d != 0
+    D = np.zeros((N, N))
+    D[off] = ((-1.0) ** d[off]) / np.sin(np.pi * d[off] / N)
+    return (np.pi / length) * D
+
+
 def kron_set(mesh):
     """The spectral set of mesh with K, Mm and W formed whole, as 2-D
     Kronecker products of the 1-D operators of its chart line phi = 0:
     K = Kt (x) I + diag(w / g_22) (x) Kphi, Mm = diag(w) (x) I and
-    W = diag(w q) (x) I.  A reference for ``fem.assemble_spectral``, which
-    forms no 2-D K; the chart is sampled and the line read from the whole
-    lattice as there, so the two agree bit for bit wherever they take
-    the same steps.  Its phi-mode split is sliced from the whole B."""
+    W = diag(w q) (x) I, with the Fourier derivatives of the whole line
+    (``_fourier_diff``).  A reference for ``fem.assemble_spectral``, which
+    forms no 2-D operator and splits the line over Bloch phases; the
+    chart is sampled and the line read from the whole lattice as there.
+    Its phi-mode split is sliced from the whole B."""
     nt, nphi = mesh.grid_shape
     family = mesh.source_family
     lt, lp = family.periods
@@ -30,7 +46,7 @@ def kron_set(mesh):
     g11, g22, q = np.stack([g11, g22, mesh.surface_dim + asq]).reshape(
         3, nt, nphi)[..., 0]
     w = (lt / nt) * (lp / nphi) * np.sqrt(g11 * g22)
-    Dt, Dp = fem._fourier_diff(nt, lt), fem._fourier_diff(nphi, lp)
+    Dt, Dp = _fourier_diff(nt, lt), _fourier_diff(nphi, lp)
     Kt, Kp = ((A + A.T) * 0.5 for A in (Dt.T @ ((w / g11)[:, None] * Dt),
                                         Dp.T @ Dp))
     eye = sps.identity(nphi)

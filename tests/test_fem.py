@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import _fourier_diff
 from mhs import fem, rotational, spectral
 from mhs.errors import (DegenerateElementError, InvalidParameterError,
                         MeshFormatError)
@@ -316,10 +317,16 @@ def test_spectral_rejects_phi_varying_chart(clifford_mesh_odd):
 def test_spectral_operator_invariants(clifford_mesh_odd,
                                       clifford_op_spectral):
     ops = clifford_op_spectral
-    # K is applied factor by factor, so its matrix is read off the
-    # identity; Mm and W are diagonal
+    # K is applied through the FFT of the line's split, so its matrix,
+    # read off the identity, is symmetric to roundoff; each phase pencil
+    # it is made of is Hermitian bit for bit.  Mm and W are diagonal
     K = ops.K @ np.eye(ops.size)
-    assert abs(K - K.T).max() == 0.0
+    assert abs(K - K.T).max() <= 1e-15 * abs(K).max()
+    line = ops.phi_modes
+    for r in range(-(line.phases // 2), line.phases // 2 + 1):
+        for k in range(line.count):
+            B, Mm = line.pencil(r, k)
+            assert np.array_equal(B, B.conj().T) and np.array_equal(Mm, Mm.T)
     for A in (ops.Mm.matrix, ops.W.matrix):
         assert abs(A - sp.diags(A.diagonal())).max() == 0.0
     ones = np.ones(ops.size)
@@ -333,11 +340,10 @@ def test_spectral_operator_invariants(clifford_mesh_odd,
                                   "otsuki_op_spectral"])
 def test_spectral_set_is_its_kronecker_line(name, request):
     # against the 2-D Kronecker set of the same line (conftest.kron_set):
-    # K, B and SA on random blocks to 1e-13, the diagonal Mm and W and the
-    # phi-mode split of block row 0 bit for bit, also after W is replaced
+    # K, B and SA on random blocks to 1e-13, the diagonal Mm and W bit
+    # for bit
     ops = request.getfixturevalue(name)
     ref = request.getfixturevalue(name.replace("_spectral", "_kron"))
-    nphi = ops.grid_shape[1]
     X = np.random.default_rng(3).standard_normal((ops.size, 5))
     for got, want in ((ops.K, ref.K), (ops.B, ref.B), (ops.SA, ref.SA)):
         for x in (X, X[:, 0]):
@@ -346,26 +352,6 @@ def test_spectral_set_is_its_kronecker_line(name, request):
             assert np.abs(got @ x - Y).max() <= 1e-13 * np.abs(Y).max()
     for got, want in ((ops.Mm, ref.Mm), (ops.W, ref.W)):
         assert got.shape == want.shape and abs(got - want).max() == 0.0
-    # the factored K is never lifted: a 2-D W joins it as the line of its
-    # certified block row 0, a W given as a chart line by its row, and a
-    # bent 2-D W is refused
-    for W, W_ref in ((ref.W, ref.W), (2.0 * ref.W, 2.0 * ref.W),
-                     (2.0 * ops.W, 2.0 * ref.W)):
-        replaced = dataclasses.replace(ops, W=W)
-        assert replaced.B.apply is not None
-        got = replaced.phi_modes
-        want = spectral.PhiModes(*ops.grid_shape, (ref.K - W_ref)[::nphi],
-                                 ref.Mm[::nphi])
-        assert got.kd == want.kd
-        for (s, even, odd), (t, even_ref, odd_ref) in zip(
-                (got._B, got._Mm), (want._B, want._Mm)):
-            assert np.array_equal(s, t)
-            assert abs(even - even_ref).max() == abs(odd - odd_ref).max() == 0
-    assert "matrix" not in vars(ops.K)
-    bent = ref.W.tolil()
-    bent[37, 37] += 1e-6
-    with pytest.raises(InvalidParameterError, match="block-circulant"):
-        dataclasses.replace(ops, W=bent.tocsr()).B
 
 
 def test_spectral_set_forms_no_2d_operator():
@@ -565,7 +551,11 @@ def test_mesh_ignores_swapped_views(clifford_family, otsuki_mesh_coarse):
 def test_spectral_mode_pencil_is_one_chart_line(name, request):
     # mode k of a spectral set is the real 1-D pencil
     # (Kt + kappa_k^2 diag(w / g_22) - diag(w q), diag(w)) of the line
-    # phi = 0, with Kt = D^T diag(w / g_11) D and kappa_k = 2 pi k / L_phi
+    # phi = 0, with Kt = D^T diag(w / g_11) D and kappa_k = 2 pi k / L_phi;
+    # the Bloch waves V_r of the P phases of the line's period m,
+    # V_r[b m + a, a] = e^(2 pi i r b / P) / sqrt(P), split it into the
+    # phase pencils: V_r^H (B, Mm) V_s is pencil (r, k) for s = r and
+    # vanishes otherwise
     if name == "otsuki":
         ops = request.getfixturevalue("otsuki_op_spectral")
         family = request.getfixturevalue("otsuki_mesh_odd").source_family
@@ -580,13 +570,24 @@ def test_spectral_mode_pencil_is_one_chart_line(name, request):
     g11, g22 = (np.einsum("vi,vi->v", T[:, a], T[:, a]) for a in (0, 1))
     w = (lt / nt) * (lp / nphi) * np.sqrt(g11 * g22)
     q = ops.n + family.asq(u)
-    D = fem._fourier_diff(nt, lt)
+    D = _fourier_diff(nt, lt)
     Kt = D.T @ ((w / g11)[:, None] * D)
-    modes = ops.phi_modes
-    node = np.ix_(modes._position, modes._position)
+    line = ops.phi_modes
+    m, P = line.m, line.phases
+    assert (m, P) == ((85, 3) if name == "otsuki" else (1, 33))
+    phases = np.arange(P) - P // 2
+    b = np.arange(nt) // m
+    V = [np.exp(2j * np.pi * r * b / P)[:, None]
+         * np.eye(m)[np.arange(nt) % m] / np.sqrt(P) for r in phases]
     for k in range(nphi // 2 + 1):
         kappa = 2 * np.pi * k / lp
         Bref = Kt + np.diag(kappa ** 2 * w / g22 - w * q)
-        for A, ref in zip(modes.pencil(k), (Bref, np.diag(w))):
-            assert np.isrealobj(A)
-            assert np.abs(A[node] - ref).max() <= 1e-13 * np.abs(ref).max()
+        for ref in (Bref, np.diag(w)):
+            scale = np.abs(ref).max()
+            for r, Vr in zip(phases, V):
+                A = line.pencil(r, k)[ref is not Bref]
+                assert np.isrealobj(A) == (r == 0 or ref is not Bref)
+                for s, Vs in zip(phases, V):
+                    want = Vr.conj().T @ ref @ Vs
+                    got = A if s == r else 0.0
+                    assert np.abs(got - want).max() <= 1e-13 * scale

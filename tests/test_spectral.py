@@ -260,30 +260,49 @@ def test_otsuki_index(otsuki_op):
     assert inertia_below(otsuki_op, -0.05) == idx
 
 
-@pytest.mark.parametrize("p, q, nt, nphi, assembler, index", [
-    (3, 5, 425, 17, fem.assemble_spectral, 20),
-    (3, 5, 425, 25, fem.assemble_spectral, 20),
-    (7, 10, 255, 17, fem.assemble_spectral, 46),
-    (7, 10, 425, 17, fem.assemble_spectral, 46),
-    (5, 9, 576, 64, fem.assemble, 36),
-    (5, 9, 855, 17, fem.assemble_spectral, 36),
+@pytest.mark.parametrize("p, q, nt, nphi, assembler, index, ground", [
+    (3, 5, 425, 17, fem.assemble_spectral, 20, None),
+    (3, 5, 425, 25, fem.assemble_spectral, 20, None),
+    (7, 10, 255, 17, fem.assemble_spectral, 46, None),
+    (7, 10, 425, 17, fem.assemble_spectral, 46, None),
+    (5, 9, 576, 64, fem.assemble, 36, "numerically multiple"),
+    (5, 9, 855, 17, fem.assemble_spectral, 36, "not resolved as simple"),
+    (5, 9, 1089, 17, fem.assemble_spectral, 36, "positive"),
+    (6, 11, 495, 17, fem.assemble_spectral, 44, None),
+    (6, 11, 1045, 17, fem.assemble_spectral, 44, None),
 ], ids=["3-5-spectral-425x17", "3-5-spectral-425x25",
         "7-10-spectral-255x17", "7-10-spectral-425x17", "5-9-p1-576x64",
-        "5-9-spectral-855x17"])
-def test_otsuki_index_census(p, q, nt, nphi, assembler, index):
+        "5-9-spectral-855x17", "5-9-spectral-1089x17",
+        "6-11-spectral-495x17", "6-11-spectral-1045x17"])
+def test_otsuki_index_census(p, q, nt, nphi, assembler, index, ground):
     # index and nullity of further Otsuki tori, each at two resolutions
     # or on the independent P1 discretization; the nullity is 5 for the
-    # Killing fields, 6 - 1, and every index exceeds Urbano's bound
+    # Killing fields, 6 - 1, and every index exceeds Urbano's bound.
+    # (6, 11) has the value nearest the zero window, 0.81 zero_tol above
+    # it.  A spectral line solves modes 0 and 1 alone, its bound
+    # certifying every other mode above the window
     family = rotational.build_surface(rotational.find_otsuki(p, q))
     ops = assembler(fem.mesh_torus(family, nt, nphi))
     got, report = morse_index(ops)
     assert (got, report.nullity) == (index, 5)
     assert got > URBANO_MIN_INDEX
-    if (p, q) == (5, 9):
-        # the ground level is a 9-fold cluster, one state per well of the
-        # profile, so it is reported multiple, not under-resolved
-        with pytest.raises(MultiplicityWarningError,
-                           match="numerically multiple"):
+    if assembler is fem.assemble_spectral:
+        modes = ops.phi_modes
+        assert report.solved_modes == (0, 1)
+        assert np.all(modes.certified[2:] >= report.eigenvalues[-1])
+    if ground == "positive":
+        # the periodic ground state, phase 0 of mode 0 of the line (m =
+        # 121), is positive to roundoff
+        lam1, rho = first_eigfunction(ops)
+        assert abs(lam1 - report.lambda1) < 1e-9
+        assert rho.min() >= -spectral._SIGN_TOL * np.abs(rho).max()
+    elif ground is not None:
+        # P1: the ground level is a 9-fold cluster, one state per well of
+        # the profile, so it is reported multiple.  The line splits the
+        # cluster, one member per Bloch phase, and judges the ground state
+        # of phase 0 alone, simple but at m = 95 still dipping to -7.7e-10
+        # of its largest value
+        with pytest.raises(MultiplicityWarningError, match=ground):
             first_eigfunction(ops)
 
 
@@ -347,15 +366,6 @@ def test_lambda1_ordering_across_families(clifford_op, sphere_op, otsuki_op):
 def _unreduced(ops):
     """The same pencil without its chart grid: no phi-mode split."""
     return dataclasses.replace(ops, grid_shape=None)
-
-
-def test_spectral_set_has_only_the_phi_mode_path(otsuki_op_spectral):
-    # its K is applied factor by factor: no matrix to factor or densify
-    ops = _unreduced(otsuki_op_spectral)
-    for solve in (partial(lowest_eigs, ops, 1), partial(morse_index, ops),
-                  partial(inertia_below, ops, 0.0)):
-        with pytest.raises(InvalidParameterError, match="phi-mode path"):
-            solve()
 
 
 def _formed(name, request):
@@ -427,6 +437,24 @@ def test_phi_mode_vectors_are_mm_orthonormal_eigenvectors(otsuki_op):
     assert set(report.modes) == {0, 1, 2}
     assert np.abs(X.T @ (otsuki_op.Mm @ X) - np.eye(24)).max() < 1e-10
     R = otsuki_op.B @ X - (otsuki_op.Mm @ X) * report.eigenvalues
+    assert np.abs(R).max() < 1e-10
+
+
+@pytest.mark.parametrize("name", ["otsuki_op_spectral",
+                                  "clifford_op_spectral"])
+def test_line_vectors_are_mm_orthonormal_eigenvectors(name, request):
+    # nodal vectors of a line, formed from its phase pencils' vectors by
+    # the inverse FFT: the real and imaginary parts of the Bloch waves of
+    # modes 1 and 2, and in mode 0 the real phase 0 and the real and
+    # imaginary parts of phase r for the pair r, -r
+    ops = dataclasses.replace(request.getfixturevalue(name))
+    report = lowest_eigs(ops, 40, vectors=True)
+    X = report.vectors
+    assert set(report.modes) >= {0, 1, 2}
+    phases = ops.solved[0][1][:(report.modes == 0).sum()]
+    assert (phases == 0).any() and (phases != 0).any()
+    assert np.abs(X.T @ (ops.Mm @ X) - np.eye(40)).max() < 1e-10
+    R = ops.B @ X - (ops.Mm @ X) * report.eigenvalues
     assert np.abs(R).max() < 1e-10
 
 
@@ -550,10 +578,13 @@ def test_phi_mode_cutoff_agrees_with_every_mode_solved(name, request):
             index, window = morse_index(cut)
         modes = cut.phi_modes
         # Clifford is circulant in theta too: its modes are solved in
-        # closed form, with no dense eigensolve
+        # closed form, with no dense eigensolve; a spectral line solves a
+        # mode by one dense eigensolve per phase r >= 0
         closed = name == "clifford_op"
-        assert (modes.symbols is not None) == closed
-        assert eigh.call_count == (0 if closed else len(modes.solved))
+        assert (getattr(modes, "symbols", None) is not None) == closed
+        per_mode = getattr(modes, "phases", 1) // 2 + 1
+        assert eigh.call_count == (0 if closed
+                                   else per_mode * len(modes.solved))
         assert len(modes.solved) < modes.count
         for rep in (report, window):
             size = len(rep.eigenvalues)
@@ -563,8 +594,8 @@ def test_phi_mode_cutoff_agrees_with_every_mode_solved(name, request):
         assert (index, window.nullity) == (
             (full.eigenvalues < -0.05).sum(),
             (np.abs(full.eigenvalues) <= 0.05).sum())
-        # every mode left unsolved carries a Cholesky certificate at or
-        # above the largest value returned
+        # every mode left unsolved carries a certificate at or above the
+        # largest value returned
         unsolved = sorted(set(range(modes.count)) - set(modes.solved))
         assert unsolved
         assert np.all(modes.certified[unsolved]
@@ -597,8 +628,7 @@ def _count_below(modes, spectra, shift):
 def test_mode_signature_cholesky_fast_path(request):
     shifts = np.r_[-3.0, -0.05, 0.05, 4.5,
                    np.random.default_rng(11).uniform(-8.0, 6.0, 10)]
-    for name in ("otsuki_op_coarse", "clifford_op", "otsuki_op_spectral",
-                 "clifford_op_spectral"):
+    for name in ("otsuki_op_coarse", "clifford_op"):
         ops = request.getfixturevalue(name)
         modes = ops.phi_modes
         spectra = _mode_spectra(_formed(name, request))
@@ -634,6 +664,38 @@ def test_mode_signature_cholesky_fast_path(request):
                                    wraps=spectral._mode_signature) as retry:
                 count = inertia_below(ops, shift)
             assert retry.call_count > 1 and count == 1, name
+
+
+@pytest.mark.parametrize("name", ["otsuki_op_spectral",
+                                  "clifford_op_spectral"])
+def test_line_signature_counts_every_phase(name, request):
+    # a spectral line counts by the pivot signatures of its shifted phase
+    # pencils, phase r > 0 for -r too; a mode whose pointwise bound
+    # kappa_k^2 / g_22 - q clears the shift is passed over, and no mode it
+    # passes over has a value below the shift.  Against dense solves of
+    # the mode pencils of the 2-D Kronecker set
+    ops = request.getfixturevalue(name)
+    line = ops.phi_modes
+    spectra = _mode_spectra(_formed(name, request))
+    shifts = np.r_[-3.0, -0.05, 0.05, 4.5,
+                   np.random.default_rng(11).uniform(-8.0, 6.0, 10)]
+    for sigma in shifts:
+        with mock.patch.object(spectral, "_signature",
+                               wraps=spectral._signature) as sig:
+            count = spectral._mode_signature(line, sigma)
+        assert count == _count_below(line, spectra, sigma), sigma
+        cleared = [line.positive(k, sigma, 1e-12) for k in range(line.count)]
+        assert sig.call_count == (line.phases // 2 + 1) * cleared.count(False)
+        assert all(spectra[k][0] > sigma
+                   for k in range(line.count) if cleared[k])
+    # on the ground value of phase 0, where the shifted pencil is singular
+    # to rounding, there is no count, and the jitter retry takes over
+    lam = sla.eigh(*line.pencil(0, 0), eigvals_only=True)[0]
+    assert spectral._mode_signature(line, lam) is None
+    with mock.patch.object(spectral, "_mode_signature",
+                           wraps=spectral._mode_signature) as retry:
+        count = inertia_below(ops, lam)
+    assert retry.call_count > 1 and count == 1
 
 
 def test_signature_flags_pivot_growth(otsuki_op_coarse):
@@ -679,13 +741,14 @@ def test_probe_vector_is_read_only(sphere_op):
 
 
 @pytest.mark.parametrize("name", ["otsuki_op_coarse", "clifford_op",
-                                  "otsuki_op_spectral", "synthetic"])
+                                  "otsuki_op_kron", "synthetic"])
 def test_banded_certificate_brackets_every_mode(name, request):
+    # the 2-D Kronecker spectral set splits into dense mode blocks
     ops = _synthetic_ops() if name == "synthetic" else (
         request.getfixturevalue(name))
     modes = ops.phi_modes
     nt = ops.grid_shape[0]
-    assert modes.kd == (nt - 1 if name.endswith("_spectral") else 2)
+    assert modes.kd == (nt - 1 if name.endswith("_kron") else 2)
     # the interleaved order 0, nt-1, 1, nt-2, ...
     i = np.arange(nt)
     order = np.argsort(np.minimum(2 * i, 2 * (nt - 1 - i) + 1))
@@ -706,7 +769,7 @@ def test_banded_certificate_brackets_every_mode(name, request):
 
 
 @pytest.mark.parametrize("name", ["clifford_op_44", "clifford_op",
-                                  "clifford_op_spectral"])
+                                  "clifford_op_kron"])
 def test_closed_form_agrees_with_every_mode_pencil(name, request):
     # a set circulant in theta as well as in phi has every mode in closed
     # form: its values match a dense solve of the mode pencil, its
@@ -747,7 +810,7 @@ def _band_path(ops):
 
 
 @pytest.mark.parametrize("name", ["clifford_op_44", "clifford_op",
-                                  "clifford_128", "clifford_op_spectral"])
+                                  "clifford_128", "clifford_op_kron"])
 def test_closed_form_morse_index_matches_the_band_path(name, request,
                                                        clifford_family):
     # no dense eigensolve, the counts still read from band pivots, and
@@ -769,7 +832,7 @@ def test_closed_form_morse_index_matches_the_band_path(name, request,
 
 
 def test_closed_form_refused_where_theta_invariance_fails(
-        clifford_op_44, otsuki_op_coarse, otsuki_op, otsuki_op_spectral):
+        clifford_op_44, otsuki_op_coarse, otsuki_op, otsuki_op_kron):
     # the diagonal entry of node row 5 of W bent by 1e-9 relative, past
     # _SHIFT_TOL of the largest entry of B: no closed form, and the dense
     # solves of the band path, bit for bit
@@ -788,14 +851,55 @@ def test_closed_form_refused_where_theta_invariance_fails(
         band_index, band.nullity, band.solved_modes)
     assert report.modes.tobytes() == band.modes.tobytes()
     assert report.eigenvalues.tobytes() == band.eigenvalues.tobytes()
-    # Otsuki varies in t: the check stops at node row 1, having sorted
-    # rows 0 and 1 alone, and no set is put in closed form
-    for ops in (otsuki_op_coarse, otsuki_op, otsuki_op_spectral):
+    # Otsuki varies in t: the check, one sort of every row at once, stops
+    # at node row 1, and no set is put in closed form
+    for ops in (otsuki_op_coarse, otsuki_op, otsuki_op_kron):
         nt, nphi = ops.grid_shape
+        row = spectral._block_row(ops.B, nphi)
         with mock.patch.object(np, "argsort", wraps=np.argsort) as sort:
-            assert spectral._first_unshifted_row(ops.B.row, nt, nphi) == 1
-        assert sum(len(call.args[0]) for call in sort.call_args_list) == 2
+            assert spectral._first_unshifted_row(row, nt, nphi) == 1
+        assert sort.call_count == 1
         assert ops.phi_modes.symbols is None
+
+
+def _row_by_row(row, nt, nphi):
+    """_first_unshifted_row by a plain scan: each node row moved back to
+    row 0 and compared with it in turn."""
+    R = row.tocsr()
+    tol = spectral._SHIFT_TOL * np.abs(R.data).max()
+
+    def moved_back(i):
+        l, s = np.divmod(R.indices[R.indptr[i]:R.indptr[i + 1]], nphi)
+        key = (l - i) % nt * nphi + s
+        o = np.argsort(key)
+        return key[o], R.data[R.indptr[i]:R.indptr[i + 1]][o]
+    key0, val0 = moved_back(0)
+    for i in range(1, nt):
+        key, val = moved_back(i)
+        if (len(key) != len(key0) or np.any(key != key0)
+                or np.any(np.abs(val - val0) > tol)):
+            return i
+    return nt
+
+
+def test_first_unshifted_row_matches_a_row_by_row_scan(
+        clifford_op_44, clifford_family, otsuki_op):
+    # the one-pass check returns the index of a plain scan on the block
+    # rows of B and Mm, also where a row is bent or has another width
+    clifford_128 = fem.assemble(fem.mesh_torus(clifford_family, 128, 128))
+    nt, nphi = clifford_op_44.grid_shape
+    bent = clifford_op_44.W.row.tolil()
+    bent[7, 7 * nphi] *= 1 + 1e-9
+    wider = clifford_op_44.Mm.row.tolil()
+    wider[9, 3] = 1e-3
+    rows = [(ops.grid_shape, A.row) for ops in (clifford_op_44, clifford_128,
+                                                otsuki_op)
+            for A in (ops.B, ops.Mm)]
+    rows += [((nt, nphi), bent.tocsr()), ((nt, nphi), wider.tocsr())]
+    found = [spectral._first_unshifted_row(row, *shape)
+             for shape, row in rows]
+    assert found == [_row_by_row(row, *shape) for shape, row in rows]
+    assert found == [44, 44, 128, 128, 1, 1, 7, 9]
 
 
 @pytest.mark.parametrize("size, solved", [(None, [0, 1]), (128, [0, 1, 2])],
