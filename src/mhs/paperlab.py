@@ -267,33 +267,40 @@ def _normal_moments(mesh):
 
 
 def _lowest_direction(Q):
-    """A unit vector of the lowest eigenspace of Q, free of rounding.
+    """Unit vectors of the lowest eigenspaces of a stack Q of symmetric
+    d x d matrices, free of rounding, one row per matrix.
 
     Eigenvalues within _V0_DEGENERACY_TOL * max|lambda| of the smallest
     count as one eigenspace, of dimension k and with projector P; the
-    result is P e_a / |P e_a| for the first axis with |P e_a|^2 >= k/(2d),
+    row is P e_a / |P e_a| for the first axis with |P e_a|^2 >= k/(2d),
     which exists because trace P = k.  So a degenerate minimum (an
     isotropic block under a symmetry) yields the same direction whatever
-    the summation order.
+    the summation order.  One stacked eigensolve serves the whole stack,
+    and each matrix gets the same bits in a stack of any length.
     """
-    vals, vecs = sla.eigh(Q)
-    d = len(vals)
-    tol = _V0_DEGENERACY_TOL * np.abs(vals).max()
-    k = int((vals - vals[0] <= tol).sum())
-    P = vecs[:, :k] @ vecs[:, :k].T
-    a = int(np.argmax(np.diag(P) >= k / (2.0 * d)))
-    return P[:, a] / np.linalg.norm(P[:, a])
+    vals, vecs = np.linalg.eigh(Q)
+    d = vals.shape[-1]
+    tol = _V0_DEGENERACY_TOL * np.abs(vals).max(axis=-1, keepdims=True)
+    k = (vals - vals[:, :1] <= tol).sum(axis=-1)
+    lead = vecs * (np.arange(d) < k[:, None])[:, None, :]
+    P = lead @ np.swapaxes(lead, 1, 2)
+    diag = np.diagonal(P, axis1=1, axis2=2)
+    a = np.argmax(diag >= (k / (2.0 * d))[:, None], axis=-1)
+    column = P[np.arange(len(P)), :, a]
+    return column / np.linalg.norm(column, axis=-1, keepdims=True)
 
 
 def _v0_from_moments(moments, n, delta2):
-    """choose_v0 on precomputed _normal_moments of an n-surface."""
-    if not (0.0 < delta2 < 1.0):
+    """choose_v0 on precomputed _normal_moments of an n-surface, for an
+    array of delta2: (v0 rows, v0^T Q v0 for each)."""
+    delta2 = np.asarray(delta2, dtype=float)
+    if not np.all((0.0 < delta2) & (delta2 < 1.0)):
         raise InvalidParameterError("delta2 must lie in (0, 1)")
     Q_A, Q_1 = moments
-    Q = Q_A - n * delta2 * Q_1
-    Q = 0.5 * (Q + Q.T)
+    Q = Q_A - (n * delta2)[:, None, None] * Q_1
+    Q = 0.5 * (Q + np.swapaxes(Q, 1, 2))
     v0 = _lowest_direction(Q)
-    return v0, float(v0 @ Q @ v0)
+    return v0, np.einsum("pa,pab,pb->p", v0, Q, v0)
 
 
 def choose_v0(mesh, delta2):
@@ -305,7 +312,9 @@ def choose_v0(mesh, delta2):
     The averaging identity trace Q = int (|A|^2 - n delta2) holds to
     1e-10 relative, by the unit-normal check of _normal_moments.
     """
-    return _v0_from_moments(_normal_moments(mesh), mesh.surface_dim, delta2)
+    v0, value = _v0_from_moments(_normal_moments(mesh), mesh.surface_dim,
+                                 [delta2])
+    return v0[0], float(value[0])
 
 
 def _gamma0_form(G, B, v0):
@@ -352,7 +361,7 @@ def theorem_check(span, delta1):
     lo = max(asq_max / (2.0 * mesh.surface_dim), 0.0)
     hi = min(1.0 - ratio, 1.0)
     geodesic = asq_max < 1e-12
-    v0, _ = _v0_from_moments(span.moments, mesh.surface_dim, delta2)
+    v0 = _v0_from_moments(span.moments, mesh.surface_dim, [delta2])[0][0]
     G, B, _ = span.forms
     report, gamma0_max = _gamma0_form(G, B, v0)
     if geodesic:
@@ -387,26 +396,29 @@ def conjecture_probe(mesh, ops, rank_tol=_DEFAULT_RANK_TOL):
     return report, report.neg_inertia >= mesh.surface_dim + 4
 
 
-def _chain_record(forms, n, lam1, a, b, w, delta1, v0):
-    """The chain lines for f = a rho + l_w + b f_v0 on the span forms.
+def _chain_records(forms, n, lam1, a, b, w, delta1, v0):
+    """The chain lines for f = a rho + l_w + b f_v0 on the span forms,
+    one ChainRecord per row of a, b, w, delta1 and v0.
 
     L0 is the direct value, L0e its integral expansion, L1 substitutes
     lambda1 <= -2n, and the completed square L2 equals L1 exactly.
-    Every integral is u^T F v on span coefficient vectors.
+    Every integral is u^T F v on span coefficient vectors, stacked over
+    the draws.
     """
     G, B, SA = forms
     delta2 = 1.0 - delta1
-    d = len(v0)
-    rho = np.zeros(2 * d + 1)
-    rho[0] = 1.0
-    lw = np.concatenate([np.zeros(d + 1), w])
-    f0 = np.concatenate([[0.0], v0, np.zeros(d)])
-    f = a * rho + lw + b * f0
+    draws, d = v0.shape
+    rho = np.zeros((draws, 2 * d + 1))
+    rho[:, 0] = 1.0
+    lw, f0 = np.zeros_like(rho), np.zeros_like(rho)
+    lw[:, d + 1:] = w
+    f0[:, 1:d + 1] = v0
+    f = a[:, None] * rho + lw + b[:, None] * f0
 
     def dot(u, F, v):
-        return float(u @ F @ v)
+        return np.einsum("pi,pi->p", u @ F, v)
 
-    rho2 = dot(rho, G, rho)
+    rho2 = G[0, 0]
     f02 = dot(f0, G, f0)
     asq_l2 = dot(lw, SA, lw)
     asq_lf = dot(lw, SA, f0)
@@ -416,10 +428,10 @@ def _chain_record(forms, n, lam1, a, b, w, delta1, v0):
            - 2.0 * b * asq_lf - 2.0 * a * asq_rl)
     L1 = (-2.0 * a * a * n * rho2 - asq_l2 - n * b * b * f02
           - 2.0 * b * asq_lf - 2.0 * a * asq_rl)
-    t1 = a * a * (dot(rho, SA, rho) / delta1 - 2.0 * n * rho2)
-    g2 = (a / np.sqrt(delta1)) * rho + np.sqrt(delta1) * lw
+    t1 = a * a * (SA[0, 0] / delta1 - 2.0 * n * rho2)
+    g2 = (a / np.sqrt(delta1))[:, None] * rho + np.sqrt(delta1)[:, None] * lw
     t2 = -dot(g2, SA, g2)
-    g3 = (b / np.sqrt(delta2)) * f0 + np.sqrt(delta2) * lw
+    g3 = (b / np.sqrt(delta2))[:, None] * f0 + np.sqrt(delta2)[:, None] * lw
     t3 = -dot(g3, SA, g3)
     t4 = b * b * (dot(f0, SA, f0) / delta2 - n * f02)
     L2 = t1 + t2 + t3 + t4
@@ -427,9 +439,11 @@ def _chain_record(forms, n, lam1, a, b, w, delta1, v0):
              + abs(asq_l2) + n * b * b * f02 + 2.0 * abs(b * asq_lf)
              + 2.0 * abs(a * asq_rl)
              + abs(t1) + abs(t2) + abs(t3) + abs(t4))
-    return ChainRecord(L0=L0, L0e=L0e, L1=L1, L2=L2,
-                       terms=(t1, t2, t3, t4), scale=scale,
-                       lambda1=float(lam1))
+    return [ChainRecord(L0=l0, L0e=l0e, L1=l1, L2=l2, terms=terms,
+                        scale=s, lambda1=float(lam1))
+            for l0, l0e, l1, l2, *terms, s in zip(
+                *(x.tolist() for x in (L0, L0e, L1, L2, t1, t2, t3, t4,
+                                       scale)))]
 
 
 def chain_sweep(span, draws=100, seed=0):
@@ -437,25 +451,28 @@ def chain_sweep(span, draws=100, seed=0):
 
     Returns the list of ChainRecords together with the draw parameters;
     a, b and the entries of w are standard normal, delta1 is uniform on
-    (0.05, 0.95), from a seed >= 0.  Every v0 comes from the span's
-    normal moments and every draw reads the span forms, so no draw
-    touches a quadrature point or a nodal vector.
+    (0.05, 0.95), from a seed >= 0.  The draws are taken in order, then
+    evaluated in one pass: every v0 from one stacked eigensolve of the
+    span's normal moments, every chain line from stacked forms on the
+    span, so no draw touches a quadrature point or a nodal vector.
     """
     if draws < 1:
         raise InvalidParameterError(f"draws must be >= 1, got {draws}")
     if seed < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {seed}")
-    mesh, ops = span.mesh, span.ops
     rng = np.random.default_rng(seed)
-    dim = mesh.vertices.shape[1]
-    records, params = [], []
+    dim = span.mesh.vertices.shape[1]
+    params = []
     for _ in range(draws):
         a = float(rng.standard_normal())
         b = float(rng.standard_normal())
         w = rng.standard_normal(dim)
         delta1 = float(rng.uniform(0.05, 0.95))
-        v0, _ = _v0_from_moments(span.moments, ops.n, 1.0 - delta1)
-        records.append(_chain_record(span.forms, ops.n, span.lam1, a, b, w,
-                                     delta1, v0))
         params.append({"a": a, "b": b, "w": w.tolist(), "delta1": delta1})
+    a, b, delta1 = (np.array([p[key] for p in params])
+                    for key in ("a", "b", "delta1"))
+    w = np.array([p["w"] for p in params])
+    n = span.ops.n
+    v0, _ = _v0_from_moments(span.moments, n, 1.0 - delta1)
+    records = _chain_records(span.forms, n, span.lam1, a, b, w, delta1, v0)
     return records, params

@@ -90,16 +90,27 @@ def _lift(row, nphi):
     (nt, nphi) grid: node row (i, j) is row i with every column (l, s)
     moved to (l, s + j), averaged with its transpose, which is
     block-circulant too, so that it is symmetric bit for bit as a
-    scatter is."""
+    scatter is.  The average is taken on block row 0, where the
+    transpose holds C_s[i, l] at (l, (i, -s)), and exact-zero sums are
+    dropped, as a sparse sum drops them; so the lift has the bits of
+    the average of the whole matrix and its transpose without forming
+    either."""
     R = row.tocoo()
+    nt, size = row.shape
     l, s = np.divmod(R.col, nphi)
+    T = sp.csr_matrix((R.data, (l, R.row * nphi + -s % nphi)),
+                      shape=row.shape)
+    S = (row.tocsr() + T) * 0.5
     j = np.arange(nphi)[:, None]
-    size = row.shape[1]
-    L = sp.csr_matrix((np.tile(R.data, nphi),
-                       ((R.row * nphi + j).ravel(),
-                        (l * nphi + (s + j) % nphi).ravel())),
-                      shape=(size, size))
-    return ((L + L.T) * 0.5).tocsr()
+    # (l, s) -> (l, s + j mod nphi), in row j nt + i of a stack of shifts
+    moved = S.indices + j - nphi * (S.indices % nphi >= nphi - j)
+    stack = sp.csr_matrix((np.tile(S.data, nphi), moved.ravel(),
+                           np.r_[0, np.cumsum(np.tile(np.diff(S.indptr),
+                                                      nphi))]),
+                          shape=(nphi * nt, size))
+    L = stack[(np.arange(nt)[:, None] + nt * j.T).ravel()]
+    L.sort_indices()
+    return L
 
 
 def _shift_invariant(A, nphi):
@@ -538,7 +549,9 @@ class TwistedLine(_ModeSweep, _Pencil):
     symmetric about zero.  Phase -r is the conjugate of r: only r >= 0 is
     formed, and r > 0 counts twice.  As D_r^H diag(w / g_11) D_r >= 0,
     mode k has nothing below sigma where kappa_k^2 w / g_22 - w q
-    - sigma w > 0 at every node (``positive``).  Mm and W are diagonal
+    - sigma w > 0 at every node (``positive``); where that fails, a
+    Cholesky factorization of each phase pencil may still exclude sigma
+    (``_excludes``).  Mm and W are diagonal
     chart lines; K and the nodal vectors go through the FFT over the
     phase axis b and phi axis j of node (b m + a, j).
     """
@@ -590,11 +603,33 @@ class TwistedLine(_ModeSweep, _Pencil):
         d = self._diagonal(k) - shift * self.line[0, :self.m]
         return bool(d.min() > floor * max(np.abs(d).max(), 1.0))
 
+    def _shifted_phases(self, k, shift):
+        """Dense pencils (r, k) shifted, B - shift Mm, of the phases
+        r >= 0."""
+        d = np.diag(self._diagonal(k) - shift * self.line[0, :self.m])
+        return [K + d for K in self._stiffness]
+
     def shifted(self, k, shift):
         """(weight, pencil (r, k) shifted) of the phases r >= 0."""
-        d = np.diag(self._diagonal(k) - shift * self.line[0, :self.m])
-        return [(2 if r else 1, sp.csc_matrix(K + d))
-                for r, K in enumerate(self._stiffness)]
+        return [(2 if r else 1, sp.csc_matrix(A))
+                for r, A in enumerate(self._shifted_phases(k, shift))]
+
+    def _excludes(self, k, shift):
+        """Whether every eigenvalue of mode k exceeds shift: by the
+        pointwise bound of ``positive``, else by a Cholesky factorization
+        (?potrf) of every shifted phase pencil clear of roundoff
+        (``_clear_of_roundoff``) at 1e-12 of max(|entry|, 1)."""
+        if self.positive(k, shift):
+            return True
+        for A in self._shifted_phases(k, shift):
+            level = 1e-12 * max(np.abs(A).max(), 1.0)
+            potrf, potrs = sla.get_lapack_funcs(("potrf", "potrs"), (A,))
+            L, info = potrf(A, lower=1, overwrite_a=1)
+            if info or not _clear_of_roundoff(
+                    np.diagonal(L).real ** 2, level,
+                    lambda b: potrs(L, b, lower=1)[0]):
+                return False
+        return True
 
     def _solve(self, k):
         """(ascending values, their signed phases, their columns, and the

@@ -177,6 +177,35 @@ def test_operator_invariants(clifford_op, clifford_mesh):
     sla.cholesky(WA + 1e-10 * np.eye(ops.size))
 
 
+def _lift_reference(row, nphi):
+    """The lift of a block row as the whole V x V scatter of its shifts,
+    averaged with its transpose by a sparse sum."""
+    R = row.tocoo()
+    l, s = np.divmod(R.col, nphi)
+    j = np.arange(nphi)[:, None]
+    size = row.shape[1]
+    L = sp.csr_matrix((np.tile(R.data, nphi),
+                       ((R.row * nphi + j).ravel(),
+                        (l * nphi + (s + j) % nphi).ravel())),
+                      shape=(size, size))
+    return ((L + L.T) * 0.5).tocsr()
+
+
+def test_lift_has_the_bits_of_the_averaged_scatter(
+        otsuki_profile, otsuki_op, clifford_op, otsuki_op_spectral):
+    coarse = assemble(mesh_torus(rotational.build_surface(otsuki_profile),
+                                 64, 16))
+    lines = [getattr(ops, name) for ops in (otsuki_op, coarse, clifford_op)
+             for name in ("K", "Mm", "W", "B", "SA")]
+    lines += [otsuki_op_spectral.Mm, otsuki_op_spectral.W]
+    for line in lines:
+        got = spectral._lift(line.row, line.nphi)
+        want = _lift_reference(line.row, line.nphi)
+        for part in ("data", "indices", "indptr"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.dtype == b.dtype and np.array_equal(a, b), part
+
+
 def test_operator_set_caches_pencil_parts(clifford_op):
     ops = clifford_op
     assert ops.B is ops.B and ops.SA is ops.SA

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from mhs import paperlab, spectral
+from mhs import fem, paperlab, rotational, spectral
 from mhs.errors import InvalidParameterError
 from mhs.fem import mesh_sphere
 from mhs.geometry import FIELDS
@@ -354,6 +354,72 @@ def test_chain_sweep_matches_direct_sparse_forms(
             assert rec.lambda1 == span.lam1
 
 
+def _chain_per_draw(forms, n, lam1, a, b, w, delta1, v0):
+    """The chain lines of one draw, each integral u^T F v of span
+    coefficient vectors formed on its own: the reference for the
+    stacked pass of chain_sweep."""
+    G, B, SA = forms
+    delta2 = 1.0 - delta1
+    d = len(v0)
+    rho = np.eye(2 * d + 1)[0]
+    lw = np.concatenate([np.zeros(d + 1), w])
+    f0 = np.concatenate([[0.0], v0, np.zeros(d)])
+    f = a * rho + lw + b * f0
+
+    def dot(u, F, v):
+        return float(u @ F @ v)
+
+    rho2, f02 = dot(rho, G, rho), dot(f0, G, f0)
+    asq_l2, asq_lf, asq_rl = (dot(lw, SA, lw), dot(lw, SA, f0),
+                              dot(rho, SA, lw))
+    g2 = (a / np.sqrt(delta1)) * rho + np.sqrt(delta1) * lw
+    g3 = (b / np.sqrt(delta2)) * f0 + np.sqrt(delta2) * lw
+    terms = (a * a * (dot(rho, SA, rho) / delta1 - 2.0 * n * rho2),
+             -dot(g2, SA, g2), -dot(g3, SA, g3),
+             b * b * (dot(f0, SA, f0) / delta2 - n * f02))
+    rest = -asq_l2 - n * b * b * f02 - 2.0 * b * asq_lf - 2.0 * a * asq_rl
+    return {"L0": dot(f, B, f), "L0e": a * a * lam1 * rho2 + rest,
+            "L1": -2.0 * a * a * n * rho2 + rest, "L2": sum(terms),
+            "terms": terms,
+            "scale": (abs(a * a * lam1 * rho2) + 2.0 * a * a * n * rho2
+                      + abs(asq_l2) + n * b * b * f02
+                      + 2.0 * abs(b * asq_lf) + 2.0 * abs(a * asq_rl)
+                      + sum(abs(t) for t in terms))}
+
+
+def test_stacked_chain_sweep_matches_a_per_draw_pass(
+        otsuki_profile, clifford_mesh, clifford_op, sphere_mesh, sphere_op):
+    otsuki = fem.mesh_torus(rotational.build_surface(otsuki_profile), 64, 16)
+    for mesh, ops in ((otsuki, fem.assemble(otsuki)),
+                      (clifford_mesh, clifford_op), (sphere_mesh, sphere_op)):
+        span = trial_span(mesh, ops)
+        real, stacks = paperlab._v0_from_moments, []
+
+        def spy(*args):
+            stacks.append(real(*args)[0])
+            return stacks[-1], None
+
+        with (mock.patch.object(paperlab, "_v0_from_moments",
+                                side_effect=spy),
+              mock.patch.object(paperlab.np.linalg, "eigh",
+                                wraps=np.linalg.eigh) as eigh):
+            records, params = chain_sweep(span, draws=100, seed=3)
+        # one stacked eigensolve gives every v0, and each row has the
+        # bits of choose_v0 on its own
+        assert eigh.call_count == 1 and stacks[0].shape == (100, 4)
+        for rec, p, v0 in zip(records, params, stacks[0]):
+            assert v0.tobytes() == choose_v0(
+                mesh, 1.0 - p["delta1"])[0].tobytes()
+            ref = _chain_per_draw(span.forms, ops.n, span.lam1, p["a"],
+                                  p["b"], np.array(p["w"]), p["delta1"], v0)
+            tol = 1e-13 * ref["scale"]
+            assert abs(rec.scale - ref["scale"]) <= tol
+            for name in ("L0", "L0e", "L1", "L2"):
+                assert abs(getattr(rec, name) - ref[name]) <= tol, name
+            for got, want in zip(rec.terms, ref["terms"]):
+                assert abs(got - want) <= tol
+
+
 def _counting_source(mesh):
     """The mesh with a source family whose sample pass and six field
     views log their calls."""
@@ -416,8 +482,9 @@ def test_chain_sweep_validates_draws(sphere_mesh, sphere_op):
 def test_chain_single_term_case(otsuki_mesh, otsuki_op):
     span = trial_span(otsuki_mesh, otsuki_op)
     v0, _ = choose_v0(otsuki_mesh, 0.5)
-    rec = paperlab._chain_record(span.forms, otsuki_op.n, span.lam1, 0.0,
-                                 0.0, np.array([1.0, 0, 0, 0]), 0.5, v0)
+    (rec,) = paperlab._chain_records(
+        span.forms, otsuki_op.n, span.lam1, np.zeros(1), np.zeros(1),
+        np.array([[1.0, 0, 0, 0]]), np.array([0.5]), v0[None])
     # f = l_w alone: the direct value reduces to -int |A|^2 l_w^2 up to
     # the discrete residual of the coordinate eigenvalue identity
     assert rec.L0 < 0

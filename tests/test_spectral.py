@@ -666,6 +666,25 @@ def test_mode_signature_cholesky_fast_path(request):
             assert retry.call_count > 1 and count == 1, name
 
 
+@pytest.mark.parametrize("p, q, nt", [(2, 3, 255), (3, 5, 425),
+                                     (5, 9, 855)])
+def test_line_cutoff_falls_back_to_phase_cholesky(p, q, nt):
+    # the pointwise bound of mode 1 fails just above lambda1, and a
+    # Cholesky factorization of each shifted phase pencil certifies it
+    # there instead: the lowest value needs mode 0 alone
+    family = rotational.build_surface(rotational.find_otsuki(p, q))
+    ops = fem.assemble_spectral(fem.mesh_torus(family, nt, 17))
+    report = lowest_eigs(ops, 1)
+    assert report.solved_modes == (0,)
+    tau = report.eigenvalues[0]
+    shift = tau + spectral._CERTIFY_GAP * max(abs(tau), 1.0)
+    assert not ops.positive(1, shift) and ops._excludes(1, shift)
+    assert np.all(ops.certified[1:] >= tau)
+    # below an eigenvalue of the mode no factorization passes
+    lam = sla.eigh(*ops.pencil(0, 1), eigvals_only=True)[0]
+    assert not ops._excludes(1, lam + 1e-6 * max(abs(lam), 1.0))
+
+
 @pytest.mark.parametrize("name", ["otsuki_op_spectral",
                                   "clifford_op_spectral"])
 def test_line_signature_counts_every_phase(name, request):
