@@ -97,11 +97,12 @@ class OperatorSet(_Pencil):
 
     K is the stiffness, Mm the mass, W the (n + |A|^2)-weighted mass;
     the quadratic form of the stability operator is x^T (K - W) x.
-    Each is a sparse matrix or, on a chart grid, a chart line
-    (``spectral.ChartLine``), whose matrix is lifted only when a product,
-    a dense solve or a sparse factorization asks for it; B = K - W and
-    SA = W - n Mm of chart lines are chart lines.  The phi-mode split and
-    the elimination order are built on first use and kept.
+    All three are sparse matrices, or all three chart lines
+    (``spectral.ChartLine``), which are applied by their block rows and
+    never formed as V x V matrices; B = K - W and SA = W - n Mm of chart
+    lines are chart lines.  A set of chart lines splits over phi-modes,
+    and a sparse set takes the nodal path.  The split and the
+    elimination order are built on first use and kept.
     """
 
     K: sp.csr_matrix | ChartLine
@@ -109,14 +110,16 @@ class OperatorSet(_Pencil):
     W: sp.csr_matrix | ChartLine
     n: int
     q_max: float   # max of n + |A|^2 over quadrature points
-    grid_shape: Optional[tuple] = None   # (nt, nphi) of a structured chart
 
     @cached_property
     def phi_modes(self):
         """The pencil split over phi-Fourier modes (``spectral.PhiModes``),
-        read from the block rows 0 of B and Mm, or None off a chart grid
-        or where B or Mm is not block-circulant in phi."""
-        return PhiModes.build(self.B, self.Mm, self.grid_shape)
+        read from the block rows 0 of B and Mm where they are chart
+        lines, else None."""
+        B = self.B
+        if not isinstance(B, ChartLine):
+            return None
+        return PhiModes(B.row.shape[0], B.nphi, B.row, self.Mm.row)
 
     @cached_property
     def elimination_order(self):
@@ -373,8 +376,7 @@ def assemble(mesh):
         nphi = mesh.grid_shape[1]
         K, Mm, W = (ChartLine(scatter(loc)[::nphi], nphi) for loc in locs)
     return OperatorSet(K=K, Mm=Mm, W=W, n=n,
-                       q_max=float((n + mesh.quad_asq).max()),
-                       grid_shape=mesh.grid_shape)
+                       q_max=float((n + mesh.quad_asq).max()))
 
 
 def assemble_spectral(mesh):

@@ -8,14 +8,16 @@ the unreduced pencil ``morse_index`` factors K - W + zero_tol Mm once,
 in a nested-dissection order (``dissection_order``), for both: its
 pivots count, and its solve drives shift-invert Lanczos
 (``_shift_invert``).  Only a request for over a quarter of the spectrum
-takes a dense solve.  On a chart grid invariant under the one-step
-shift in phi (every torus the package builds) both paths run on small
-pencils per phi-Fourier mode instead, swept, merged and counted by one
-set of routines (``_ModeSweep``, ``_mode_signature``) for either split:
-the banded mode pencils of a P1 set (``PhiModes``) or the Bloch phase
-pencils of a spectral line (``TwistedLine``).  There ``morse_index``
-counts at both ends of the zero window in one sweep and then solves
-exactly the counted window, so its nullity is certified too.
+takes a dense solve.  On a set of chart lines, operators
+block-circulant in phi that are stated and applied by their block rows
+0 (``ChartLine``; every torus the package builds), no V x V matrix is
+formed, and both paths run on small pencils per phi-Fourier mode
+instead, swept, merged and counted by one set of routines
+(``_ModeSweep``, ``_mode_signature``) for either split: the banded mode
+pencils of a P1 set (``PhiModes``) or the Bloch phase pencils of a
+spectral line (``TwistedLine``).  There ``morse_index`` counts at both
+ends of the zero window in one sweep and then solves exactly the
+counted window, so its nullity is certified too.
 """
 
 import functools
@@ -85,65 +87,19 @@ def _residual_check(B, Mm, vals, vecs):
             f"tolerance at eigenvalue {vals[i]:.6g}")
 
 
-def _lift(row, nphi):
-    """The block-circulant V x V CSR matrix of block row 0 ``row`` on an
-    (nt, nphi) grid: node row (i, j) is row i with every column (l, s)
-    moved to (l, s + j), averaged with its transpose, which is
-    block-circulant too, so that it is symmetric bit for bit as a
-    scatter is.  The average is taken on block row 0, where the
-    transpose holds C_s[i, l] at (l, (i, -s)), and exact-zero sums are
-    dropped, as a sparse sum drops them; so the lift has the bits of
-    the average of the whole matrix and its transpose without forming
-    either."""
-    R = row.tocoo()
-    nt, size = row.shape
-    l, s = np.divmod(R.col, nphi)
-    T = sp.csr_matrix((R.data, (l, R.row * nphi + -s % nphi)),
-                      shape=row.shape)
-    S = (row.tocsr() + T) * 0.5
-    j = np.arange(nphi)[:, None]
-    # (l, s) -> (l, s + j mod nphi), in row j nt + i of a stack of shifts
-    moved = S.indices + j - nphi * (S.indices % nphi >= nphi - j)
-    stack = sp.csr_matrix((np.tile(S.data, nphi), moved.ravel(),
-                           np.r_[0, np.cumsum(np.tile(np.diff(S.indptr),
-                                                      nphi))]),
-                          shape=(nphi * nt, size))
-    L = stack[(np.arange(nt)[:, None] + nt * j.T).ravel()]
-    L.sort_indices()
-    return L
-
-
-def _shift_invariant(A, nphi):
-    """Whether sparse A equals the lift of its block row 0 to _SHIFT_TOL
-    of its largest entry: block-circulant in phi, with no drift along
-    the phi-columns."""
-    scale = abs(A).max()
-    return abs(_lift(A[::nphi], nphi) - A).max() <= _SHIFT_TOL * scale
-
-
-def _block_row(A, nphi):
-    """Block row 0 of A where A is block-circulant in phi, else None: the
-    row a chart line is stated by, or the rows i*nphi of a sparse matrix
-    that passes ``_shift_invariant``."""
-    if isinstance(A, ChartLine):
-        return A.row
-    return A[::nphi] if _shift_invariant(A, nphi) else None
-
-
-def _sparse(A):
-    """A as a sparse matrix: the lift of a chart line, else A itself."""
-    return A.matrix if isinstance(A, ChartLine) else A
-
-
 class ChartLine(spla.LinearOperator):
     """A block-circulant operator on the nodes of an (nt, nphi) chart
-    grid, stated by its block row 0.
+    grid, stated by its block row 0 and applied by it.
 
     Node (i, j) is i*nphi + j, and ``row`` is the sparse nt x nt*nphi
     block row 0: entry (i, l*nphi + s) is C_s[i, l], the weight of node
-    (l, j + s) in node row (i, j) for every j.  Products use ``matrix``,
-    the V x V CSR lift of the row (``_lift``).  Chart lines combine
-    linearly as their rows do, and with a matrix through the lift.
+    (l, j + s) in node row (i, j) for every j.  A block-circulant matrix
+    is given by its first block row (Davis, Circulant Matrices, 1979),
+    so no V x V matrix is formed: products apply the average of the
+    line and its transpose, whose block at offset s is
+    (C_s + C_-s^T) / 2 (``_blocks``), one nt x nt block per offset to X
+    moved s steps in phi.  Chart lines combine linearly as their rows
+    do, and with nothing else.
     """
 
     def __init__(self, row, nphi):
@@ -151,30 +107,40 @@ class ChartLine(spla.LinearOperator):
         self.row, self.nphi = row, nphi
 
     @functools.cached_property
-    def matrix(self):
-        return _lift(self.row, self.nphi)
+    def _blocks(self):
+        """(offset s, CSR block (C_s + C_-s^T) / 2) of every offset of
+        the symmetrized row: the transpose holds C_s[i, l] at (l, i) of
+        offset -s."""
+        nt, nphi = self.row.shape[0], self.nphi
+        R = self.row.tocoo()
+        l, s = np.divmod(R.col, nphi)
+        rows, cols, s = np.r_[R.row, l], np.r_[l, R.row], np.r_[s, -s % nphi]
+        data = np.r_[R.data, R.data] * 0.5
+        return [(o, sp.csr_matrix((data[s == o], (rows[s == o],
+                                                  cols[s == o])),
+                                  shape=(nt, nt)))
+                for o in np.unique(s)]
 
     @property
     def nnz(self):
-        """Stored entries of ``matrix``, which need not be formed, where
-        the pattern of the line is symmetric as every assembled one is."""
+        """Stored entries of the V x V matrix of the line, which is never
+        formed, where its pattern is symmetric as every assembled one is."""
         return self.row.nnz * self.nphi
 
     def _matmat(self, X):
-        return self.matrix @ X
+        nt = self.row.shape[0]
+        Y = X.reshape(nt, self.nphi, -1)
+        out = sum(C @ np.roll(Y, -s, axis=1).reshape(nt, -1)
+                  for s, C in self._blocks)
+        return out.reshape(X.shape)
 
     def __add__(self, x):
-        if isinstance(x, ChartLine):
-            return ChartLine(self.row + x.row, self.nphi)
-        return self.matrix + x
+        if not isinstance(x, ChartLine):
+            raise TypeError("a chart line combines only with chart lines")
+        return ChartLine(self.row + x.row, self.nphi)
 
     def __sub__(self, x):
-        if isinstance(x, ChartLine):
-            return ChartLine(self.row - x.row, self.nphi)
-        return self.matrix - x
-
-    def __rsub__(self, x):
-        return x - self.matrix
+        return self + -1.0 * x
 
     def __mul__(self, x):
         if np.isscalar(x):
@@ -243,7 +209,8 @@ def _theta_symbols(nt, nphi, B_row, Mm_row):
     block rows 0 of B and Mm, as (nt, nphi // 2 + 1) arrays over
     (theta-mode a, phi-mode k), where both block rows are circulant in
     theta too (``_first_unshifted_row``) and m is positive; else None.
-    Only the real part counts, since the lift is symmetrized."""
+    Only the real part counts, since a chart line applies its
+    symmetric part."""
     symbols = []
     for row in (B_row, Mm_row):
         if _first_unshifted_row(row, nt, nphi) < nt:
@@ -413,20 +380,6 @@ class PhiModes(_ModeSweep):
         odd.eliminate_zeros()
         return offsets, even, odd
 
-    @classmethod
-    def build(cls, B, Mm, grid_shape):
-        """The split of (B, Mm) read from their block rows 0
-        (``_block_row``), or None without a grid or where B or Mm is not
-        block-circulant in phi."""
-        if grid_shape is None:
-            return None
-        nt, nphi = grid_shape
-        if nt * nphi != B.shape[0]:
-            return None
-        B_row = _block_row(B, nphi)
-        Mm_row = None if B_row is None else _block_row(Mm, nphi)
-        return None if Mm_row is None else cls(nt, nphi, B_row, Mm_row)
-
     def _band_sum(self, operator, k):
         offsets, even, odd = operator
         theta = 2 * np.pi * (offsets * k % self.nphi) / self.nphi
@@ -435,11 +388,16 @@ class PhiModes(_ModeSweep):
             ab = ab + 1j * (odd @ np.sin(theta))
         return ab.reshape(self.kd + 1, self.nt)
 
+    def _unpacked(self, k):
+        """Sparse Hermitian (B_k, Mm_k) of mode k in the interleaved
+        order, unpacked from their bands."""
+        return tuple(sp.csr_matrix(_unband(self._band_sum(operator, k)),
+                                   shape=(self.nt,) * 2)
+                     for operator in (self._B, self._Mm))
+
     def pencil(self, k):
         """Dense Hermitian (B_k, Mm_k) of mode k in the interleaved order."""
-        return tuple(sp.coo_matrix(_unband(self._band_sum(operator, k)),
-                                   shape=(self.nt,) * 2).toarray()
-                     for operator in (self._B, self._Mm))
+        return tuple(A.toarray() for A in self._unpacked(k))
 
     def band(self, k, shift):
         """B_k - shift Mm_k in LAPACK lower band storage in the
@@ -499,7 +457,7 @@ class PhiModes(_ModeSweep):
     def _check(self, k, r):
         if r > self._checked[k]:
             lam, U = self.solved[k]
-            _residual_check(*self.pencil(k), lam[:r], U[:, :r])
+            _residual_check(*self._unpacked(k), lam[:r], U[:, :r])
             self._checked[k] = r
 
     def _vectors(self, k, r):
@@ -737,7 +695,7 @@ def dissection_order(A):
     """
     import scipy.sparse.csgraph as csgraph
     n = A.shape[0]
-    R = sp.coo_matrix(_sparse(A))
+    R = sp.coo_matrix(A)
     rows, cols = np.r_[R.row, R.col], np.r_[R.col, R.row]
     G = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     rows = np.repeat(np.arange(n), np.diff(G.indptr))
@@ -889,8 +847,7 @@ def lowest_eigs(ops, count, zero_tol=0.05, vectors=False):
         solved = tuple(sorted(ops.phi_modes.solved))
     elif count > size // 4:
         path = "dense"
-        vals, vecs = sla.eigh(_sparse(ops.B).toarray(),
-                              _sparse(ops.Mm).toarray())
+        vals, vecs = sla.eigh(ops.B.toarray(), ops.Mm.toarray())
         vals, vecs = vals[:count], vecs[:, :count]
     else:
         path = "shift-invert"
@@ -931,8 +888,7 @@ def _shift_invert(ops, sigma, count, clear=None):
     start = np.random.default_rng(0).standard_normal(size)
     while True:
         try:
-            vals, vecs = spla.eigsh(_sparse(ops.B), k=count,
-                                    M=_sparse(ops.Mm), sigma=shift,
+            vals, vecs = spla.eigsh(ops.B, k=count, M=ops.Mm, sigma=shift,
                                     which="LM", v0=start, OPinv=solve)
         except Exception as exc:   # ARPACK breakdowns vary in type
             raise NumericalFailureError(
@@ -1007,8 +963,7 @@ def _mode_signature(modes, shifts):
 def _nodal_signature(ops, shift):
     """_signature of the unreduced K - W - shift Mm in
     ``ops.elimination_order``; the shifted matrix is dropped on return."""
-    return _signature((_sparse(ops.B) - shift * _sparse(ops.Mm)).tocsc(),
-                      ops.elimination_order)
+    return _signature((ops.B - shift * ops.Mm).tocsc(), ops.elimination_order)
 
 
 def _signature(A, order):
@@ -1072,10 +1027,9 @@ def first_eigfunction(ops):
     else:
         report = lowest_eigs(ops, count=1, vectors=True)
         lam1, rho = report.lambda1, report.vectors[:, 0]
-    mnorm = float(np.sqrt(rho @ (ops.Mm @ rho)))
-    rho = rho / mnorm
-    mean = float(np.ones(ops.size) @ (ops.Mm @ rho))
-    if mean < 0:
+    m_rho = ops.Mm @ rho   # one product for the norm and the mean
+    rho = rho / np.sqrt(rho @ m_rho)
+    if m_rho.sum() < 0:
         rho = -rho
     if rho.min() < -_SIGN_TOL * np.abs(rho).max():
         lam1, lam2 = (lowest_eigs(ops, count=2).eigenvalues

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 
-from mhs import fem, rotational
+from mhs import fem, rotational, spectral
 from mhs.geometry import clifford, sample_grid
 
 
@@ -37,7 +37,7 @@ def kron_set(mesh):
     (``_fourier_diff``).  A reference for ``fem.assemble_spectral``, which
     forms no 2-D operator and splits the line over Bloch phases; the
     chart is sampled and the line read from the whole lattice as there.
-    Its phi-mode split is sliced from the whole B."""
+    Its phi-mode split is that of its chart lines (``chart_set``)."""
     nt, nphi = mesh.grid_shape
     family = mesh.source_family
     lt, lp = family.periods
@@ -53,7 +53,22 @@ def kron_set(mesh):
     K = (sps.kron(Kt, eye) + sps.kron(sps.diags(w / g22), Kp)).tocsr()
     Mm, W = (sps.kron(sps.diags(c), eye, format="csr") for c in (w, w * q))
     return fem.OperatorSet(K=K, Mm=Mm, W=W, n=mesh.surface_dim,
-                           q_max=float(q.max()), grid_shape=(nt, nphi))
+                           q_max=float(q.max()))
+
+
+def chart_set(ops, nphi):
+    """ops, whose sparse K, Mm and W are block-circulant in phi on a grid
+    of nphi columns, stated as the chart lines of their block rows 0, so
+    that it splits over phi-modes as an assembled P1 chart set does."""
+    K, Mm, W = (spectral.ChartLine(A.tocsr()[::nphi], nphi)
+                for A in (ops.K, ops.Mm, ops.W))
+    return dataclasses.replace(ops, K=K, Mm=Mm, W=W)
+
+
+def whole_scatter(mesh):
+    """The P1 set of a chart mesh scattered whole into sparse matrices:
+    the unreduced pencil, which takes the nodal path."""
+    return fem.assemble(dataclasses.replace(mesh, grid_shape=None))
 
 
 @pytest.fixture(scope="session")
@@ -74,9 +89,14 @@ def clifford_ops(clifford_meshes):
 
 
 @pytest.fixture(scope="session")
-def clifford_op_44(clifford_family):
+def clifford_mesh_44(clifford_family):
     """The first rung of the Clifford benchmark ladder."""
-    return fem.assemble(fem.mesh_torus(clifford_family, 44, 44))
+    return fem.mesh_torus(clifford_family, 44, 44)
+
+
+@pytest.fixture(scope="session")
+def clifford_op_44(clifford_mesh_44):
+    return fem.assemble(clifford_mesh_44)
 
 
 @pytest.fixture(scope="session")

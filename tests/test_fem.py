@@ -3,13 +3,12 @@
 import dataclasses
 import json
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import _fourier_diff
+from conftest import _fourier_diff, chart_set, whole_scatter
 from mhs import fem, rotational, spectral
 from mhs.errors import (DegenerateElementError, InvalidParameterError,
                         MeshFormatError)
@@ -131,7 +130,7 @@ def test_assembly_matches_einsum_reference(name, clifford_family,
             "otsuki64x16": lambda: mesh_torus(
                 rotational.build_surface(otsuki_profile), 64, 16)}[name]()
     refs = _einsum_operators(mesh)
-    whole = assemble(dataclasses.replace(mesh, grid_shape=None))
+    whole = whole_scatter(mesh)
     ops = assemble(mesh)
     nphi = 1 if mesh.grid_shape is None else mesh.grid_shape[1]
     for got, ref in zip((whole.K, whole.Mm, whole.W, ops.K, ops.Mm, ops.W),
@@ -155,64 +154,64 @@ def test_orientation_consistency(clifford_mesh, sphere_mesh):
 
 def test_operator_invariants(clifford_op, clifford_mesh):
     ops = clifford_op
-    # the lift of a chart line is symmetric bit for bit, as the whole
-    # scatter is, and differs from it only by the rounding of the element
-    # matrices from one phi-column to the next
-    whole = assemble(dataclasses.replace(clifford_mesh, grid_shape=None))
-    for A, line in zip((whole.K, whole.Mm, whole.W), (ops.K, ops.Mm, ops.W)):
+    # the whole scatter is symmetric bit for bit; the chart lines apply
+    # it by their block rows (test_chart_line_products_match_the_whole_scatter)
+    whole = whole_scatter(clifford_mesh)
+    for A in (whole.K, whole.Mm, whole.W):
         assert abs(A - A.T).max() == 0.0
-        assert abs(line.matrix - line.matrix.T).max() == 0.0
-        assert abs(line.matrix - A).max() <= 1e-14 * abs(A).max()
     # constants in the stiffness kernel
     assert np.abs(ops.K @ np.ones(ops.size)).max() < 1e-12
     # partition of unity
     ones = np.ones(ops.size)
     assert abs(ones @ (ops.Mm @ ones) - clifford_mesh.area) < 1e-12
     # constant potential: W is an exact multiple of the mass matrix
-    assert abs((ops.W - 4.0 * ops.Mm).matrix).max() < 1e-12
+    assert abs((ops.W - 4.0 * ops.Mm).row).max() < 1e-12
     # |A|^2-weighted mass is positive semidefinite: its lowest eigenvalue
     # exceeds -1e-10 exactly when a shift by 1e-10 makes it definite
     import scipy.linalg as sla
-    WA = (ops.W - 2 * ops.Mm).matrix.toarray()
+    WA = (whole.W - 2 * whole.Mm).toarray()
     sla.cholesky(WA + 1e-10 * np.eye(ops.size))
 
 
-def _lift_reference(row, nphi):
-    """The lift of a block row as the whole V x V scatter of its shifts,
-    averaged with its transpose by a sparse sum."""
-    R = row.tocoo()
-    l, s = np.divmod(R.col, nphi)
-    j = np.arange(nphi)[:, None]
-    size = row.shape[1]
-    L = sp.csr_matrix((np.tile(R.data, nphi),
-                       ((R.row * nphi + j).ravel(),
-                        (l * nphi + (s + j) % nphi).ravel())),
-                      shape=(size, size))
-    return ((L + L.T) * 0.5).tocsr()
-
-
-def test_lift_has_the_bits_of_the_averaged_scatter(
-        otsuki_profile, otsuki_op, clifford_op, otsuki_op_spectral):
-    coarse = assemble(mesh_torus(rotational.build_surface(otsuki_profile),
-                                 64, 16))
-    lines = [getattr(ops, name) for ops in (otsuki_op, coarse, clifford_op)
+def test_chart_line_products_match_the_whole_scatter(
+        otsuki_mesh, otsuki_op, clifford_mesh, clifford_op, otsuki_mesh_odd,
+        otsuki_op_spectral, otsuki_op_kron):
+    # a chart line applied by its block row, 1-D and 2-D, against the
+    # whole scatter's products to 1e-14 of scale, and the same count of
+    # stored entries: block row 0 of Otsuki's K holds 1e-18 roundoff
+    # where the whole scatter sums to exact zeros in some other
+    # phi-columns, and the line counts those entries in every column
+    coarse = mesh_torus(otsuki_mesh.source_family, 64, 16)
+    pairs = [(getattr(ops, name), getattr(whole_scatter(mesh), name))
+             for mesh, ops in ((otsuki_mesh, otsuki_op),
+                               (coarse, assemble(coarse)),
+                               (clifford_mesh, clifford_op))
              for name in ("K", "Mm", "W", "B", "SA")]
-    lines += [otsuki_op_spectral.Mm, otsuki_op_spectral.W]
-    for line in lines:
-        got = spectral._lift(line.row, line.nphi)
-        want = _lift_reference(line.row, line.nphi)
-        for part in ("data", "indices", "indptr"):
-            a, b = getattr(got, part), getattr(want, part)
-            assert a.dtype == b.dtype and np.array_equal(a, b), part
+    pairs += [(otsuki_op_spectral.Mm, otsuki_op_kron.Mm),
+              (otsuki_op_spectral.W, otsuki_op_kron.W)]
+    rng = np.random.default_rng(7)
+    for line, A in pairs:
+        X = rng.standard_normal((A.shape[0], 9))
+        for x in (X, X[:, 0]):
+            Y = A @ x
+            assert (line @ x).shape == Y.shape
+            assert np.abs(line @ x - Y).max() <= 1e-14 * np.abs(Y).max()
+        tiny = np.abs(line.row.data) <= 1e-15 * np.abs(line.row.data).max()
+        assert A.nnz <= line.nnz <= A.nnz + line.nphi * tiny.sum()
+        assert line.nnz == A.nnz or tiny.any()
+        # no V x V matrix is formed to combine a line with a matrix
+        for combine in (lambda: line + A, lambda: line - A,
+                        lambda: A + line, lambda: A - line):
+            with pytest.raises(TypeError):
+                combine()
 
 
 def test_operator_set_caches_pencil_parts(clifford_op):
     ops = clifford_op
     assert ops.B is ops.B and ops.SA is ops.SA
-    # chart lines combine by their rows, and a lift is of the combined row
+    # chart lines combine by their rows
     assert abs(ops.B.row - (ops.K.row - ops.W.row)).max() == 0.0
     assert abs(ops.SA.row - (ops.W.row - ops.n * ops.Mm.row)).max() == 0.0
-    assert abs(ops.B.matrix - (ops.K - ops.W).matrix).max() == 0.0
 
 
 def test_assembly_deterministic(clifford_family):
@@ -255,7 +254,7 @@ def test_mesh_json_round_trip(clifford_family, tmp_path):
     dots = np.abs(np.einsum("tqi,tqi->tq", clone.quad_nu, mesh.quad_nu))
     assert dots.min() > 0.99
     ops_clone = assemble(clone)
-    ops = assemble(mesh)
+    ops = whole_scatter(mesh)
     assert abs(ops_clone.K - ops.K).max() < 1e-12
     # file round trip
     path = tmp_path / "mesh.json"
@@ -356,13 +355,13 @@ def test_spectral_operator_invariants(clifford_mesh_odd,
         for k in range(line.count):
             B, Mm = line.pencil(r, k)
             assert np.array_equal(B, B.conj().T) and np.array_equal(Mm, Mm.T)
-    for A in (ops.Mm.matrix, ops.W.matrix):
-        assert abs(A - sp.diags(A.diagonal())).max() == 0.0
+    for A in (ops.Mm.row.tocoo(), ops.W.row.tocoo()):
+        assert np.array_equal(A.col, A.row * ops.nphi)
     ones = np.ones(ops.size)
     assert np.abs(ops.K @ ones).max() < 1e-12
     # the trapezoidal rule integrates the constant area element exactly
     assert abs(ones @ (ops.Mm @ ones) - 2 * np.pi ** 2) < 1e-12
-    assert abs((ops.W - 4.0 * ops.Mm).matrix).max() < 1e-12
+    assert abs((ops.W - 4.0 * ops.Mm).row).max() < 1e-12
 
 
 @pytest.mark.parametrize("name", ["clifford_op_spectral",
@@ -380,46 +379,38 @@ def test_spectral_set_is_its_kronecker_line(name, request):
             assert (got @ x).shape == Y.shape
             assert np.abs(got @ x - Y).max() <= 1e-13 * np.abs(Y).max()
     for got, want in ((ops.Mm, ref.Mm), (ops.W, ref.W)):
-        assert got.shape == want.shape and abs(got - want).max() == 0.0
+        assert got.shape == want.shape
+        assert abs(got.row - want[::ops.nphi]).max() == 0.0
 
 
 def test_spectral_set_forms_no_2d_operator():
     # Otsuki (3,5) 425 x 25: assembly and the Morse index stay within
     # 64 MB of traced allocations, where the 2-D Kronecker K alone holds
-    # nt^2 nphi = 4.5M entries, and the phi-shift check of a P1 set
-    # never runs
+    # nt^2 nphi = 4.5M entries
     family = rotational.build_surface(rotational.find_otsuki(3, 5))
     mesh = mesh_torus(family, 425, 25)
-    with mock.patch.object(spectral, "_shift_invariant",
-                           side_effect=AssertionError("shift check ran")):
-        tracemalloc.start()
-        try:
-            index, report = morse_index(fem.assemble_spectral(mesh))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        index, report = morse_index(fem.assemble_spectral(mesh))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert (index, report.nullity) == (20, 5)
     assert peak <= 64 * 2 ** 20
 
 
 def test_p1_chart_set_forms_no_2d_operator(clifford_family, otsuki_mesh):
     # on the Clifford ladder and P1 Otsuki 256x64 the Morse index reads
-    # only block rows 0: no lift to a V x V matrix and no shift check,
-    # and every eigenvalue, mode, index and nullity equals, bit for bit,
-    # that of the split of the set scattered whole
+    # only block rows 0, and every eigenvalue, mode, index and nullity
+    # equals, bit for bit, that of the chart lines of the block rows 0 of
+    # the set scattered whole, which alone does not split
     meshes = [mesh_torus(clifford_family, n, n) for n in (44, 64, 96, 128)]
     for mesh in meshes + [otsuki_mesh]:
-        # scattered whole without the grid, then split with it restored
-        whole = assemble(dataclasses.replace(mesh, grid_shape=None))
-        assert not isinstance(whole.K, spectral.ChartLine)
-        ref_index, ref = morse_index(
-            dataclasses.replace(whole, grid_shape=mesh.grid_shape))
-        with mock.patch.object(spectral, "_shift_invariant",
-                               side_effect=AssertionError("shift check")), \
-                mock.patch.object(spectral, "_lift",
-                                  side_effect=AssertionError("lift")):
-            ops = assemble(mesh)
-            index, report = morse_index(ops)
+        whole = whole_scatter(mesh)
+        assert whole.phi_modes is None
+        ref_index, ref = morse_index(chart_set(whole, mesh.grid_shape[1]))
+        ops = assemble(mesh)
+        index, report = morse_index(ops)
         assert all(isinstance(A, spectral.ChartLine)
                    for A in (ops.K, ops.Mm, ops.W, ops.B, ops.SA))
         assert (index, report.nullity) == (ref_index, ref.nullity)
@@ -444,11 +435,11 @@ def test_p1_chart_set_refuses_stale_or_bent_splits(clifford_meshes,
     assert bent_report.path == "shift-invert"
     assert (bent_index, bent_report.nullity) == (index, report.nullity)
     # W replaced on a chart-line set: twice W as a chart line splits the
-    # new pencil, as the whole scatter with twice its W does, bit for bit
+    # new pencil, as the chart lines of the whole scatter with twice its W
+    # do, bit for bit
     doubled = dataclasses.replace(ops, W=2.0 * ops.W)
-    whole = assemble(dataclasses.replace(mesh, grid_shape=None))
-    formed = dataclasses.replace(whole, W=2.0 * whole.W,
-                                 grid_shape=mesh.grid_shape)
+    whole = whole_scatter(mesh)
+    formed = chart_set(dataclasses.replace(whole, W=2.0 * whole.W), 32)
     got, want = (lowest_eigs(s, 12).eigenvalues for s in (doubled, formed))
     assert doubled.phi_modes is not None and got.tobytes() == want.tobytes()
     assert got[0] < report.eigenvalues[0] - 1.0

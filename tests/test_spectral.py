@@ -11,6 +11,7 @@ import scipy.sparse as sps
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
+from conftest import chart_set, whole_scatter
 from mhs import fem, rotational, spectral
 from mhs.closedform import clifford_jacobi, equator_jacobi
 from mhs.errors import (InvalidParameterError, MultiplicityWarningError,
@@ -60,12 +61,11 @@ def test_inertia_matches_eigensolver(clifford_op):
     assert inertia_below(clifford_op, -1e6) == 0
 
 
-def test_inertia_dense_and_sparse_agree(clifford_ops):
-    # with the phi-mode split withheld, the sparse signature of the 1024
-    # unknowns of Clifford 32^2 against a dense solve of the whole pencil
-    ops = dataclasses.replace(clifford_ops[32], grid_shape=None)
-    exact = sla.eigh(ops.B.matrix.toarray(), ops.Mm.matrix.toarray(),
-                     eigvals_only=True)
+def test_inertia_dense_and_sparse_agree(clifford_meshes):
+    # on the whole scatter, which does not split, the sparse signature of
+    # the 1024 unknowns of Clifford 32^2 against a dense solve
+    ops = whole_scatter(clifford_meshes[32])
+    exact = sla.eigh(ops.B.toarray(), ops.Mm.toarray(), eigvals_only=True)
     assert (exact < -0.05).sum() == 5   # the Clifford index
     for sigma in (-3.0, -0.05, 0.05, 4.5):
         assert inertia_below(ops, sigma) == int((exact < sigma).sum())
@@ -103,12 +103,27 @@ def test_dissection_order_keeps_the_factor_sparse(sphere_op):
     assert fill(order) <= 0.85 * 194_702
 
 
+def _block_inverse_iteration(ops, count, sigma, block=32, steps=30):
+    """The lowest count eigenvalues of (B, Mm) by block inverse iteration
+    at sigma below the spectrum, a Rayleigh-Ritz step after each solve
+    (Rutishauser, Numer. Math. 16, 1970), from a seeded block.  A block
+    method holds every member of a cluster inside the block; on ico4 the
+    16th value, in the 7-fold cluster near 10, converges as (13/31)^2 a
+    step against the 33rd, in the cluster near 28."""
+    lu = spla.splu((ops.B - sigma * ops.Mm).tocsc())
+    X = np.random.default_rng(1).standard_normal((ops.size, block))
+    for _ in range(steps):
+        X = lu.solve(ops.Mm @ X)
+        vals, Y = sla.eigh(X.T @ (ops.B @ X), X.T @ (ops.Mm @ X))
+        X = X @ Y
+    return vals[:count]
+
+
 def test_nodal_path_matches_independent_references(sphere_op, clifford_op):
-    # a dense reference: an unseeded ARPACK one, sharing nothing with the
-    # path under test but Lanczos, sometimes dropped a member of the
-    # 4-fold cluster at 10.0614
-    ref = sla.eigh(sphere_op.B.toarray(), sphere_op.Mm.toarray(),
-                   eigvals_only=True, subset_by_index=[0, 15])
+    # a reference by a block method, not Lanczos: an unseeded ARPACK one
+    # sometimes dropped a member of the 4-fold cluster at 10.0614, and a
+    # dense solve of the 2562 unknowns takes 2 s
+    ref = _block_inverse_iteration(sphere_op, 16, -sphere_op.q_max - 1.0)
     report = lowest_eigs(sphere_op, 16)
     assert report.path == "shift-invert"
     assert np.abs(report.eigenvalues - ref).max() < 1e-10
@@ -363,16 +378,30 @@ def test_lambda1_ordering_across_families(clifford_op, sphere_op, otsuki_op):
 
 # --------------------------------------------------- phi-Fourier modes
 
-def _unreduced(ops):
-    """The same pencil without its chart grid: no phi-mode split."""
-    return dataclasses.replace(ops, grid_shape=None)
+_MESHES = {"otsuki_op_coarse": "otsuki_mesh_coarse",
+           "otsuki_op": "otsuki_mesh", "clifford_op": "clifford_mesh",
+           "clifford_op_44": "clifford_mesh_44"}
 
 
 def _formed(name, request):
-    """The operator set of fixture name with its matrices formed whole: a
-    spectral set's 2-D Kronecker reference (``conftest.kron_set``), any
-    other set itself."""
+    """The unreduced pencil of fixture name, its matrices formed whole: a
+    spectral set's 2-D Kronecker reference (``conftest.kron_set``), a P1
+    chart set's whole scatter (``conftest.whole_scatter``), any other set
+    itself."""
+    if name in _MESHES:
+        return whole_scatter(request.getfixturevalue(_MESHES[name]))
     return request.getfixturevalue(name.replace("_spectral", "_kron"))
+
+
+def _split(name, request):
+    """The operator set of fixture name, a 2-D Kronecker set stated as the
+    chart lines of its block rows 0 (``conftest.chart_set``), so that
+    every set splits."""
+    ops = request.getfixturevalue(name)
+    if not name.endswith("_kron"):
+        return ops
+    mesh = request.getfixturevalue(name.replace("_op_kron", "_mesh_odd"))
+    return chart_set(ops, mesh.grid_shape[1])
 
 
 def _sign_fixed(ops, x):
@@ -384,15 +413,22 @@ def _sign_fixed(ops, x):
                                   "otsuki_op_spectral", "clifford_op"])
 def test_phi_modes_agree_with_unreduced_path(name, request):
     ops = request.getfixturevalue(name)
-    full = _unreduced(_formed(name, request))
+    full = _formed(name, request)
     if name.endswith("_spectral"):
-        # the 2-D Kronecker set: dense K, diagonal Mm, one dense solve of
-        # Mm^-1/2 B Mm^-1/2
-        s = 1.0 / np.sqrt(full.Mm.diagonal())
-        vals, Y = sla.eigh(s[:, None] * full.B.toarray() * s,
-                           subset_by_index=[0, 23])
+        # the 2-D Kronecker set: the union of dense solves of its mode
+        # pencils (``_mode_reference``), complex modes twice; the ground
+        # state lies in mode 0, x(i, j) = u(i) / sqrt(nphi)
+        modes = ops.phi_modes
+        spectra = _mode_spectra(full, modes)
+        vals = np.sort(np.concatenate(
+            [np.repeat(lam, modes.multiplicity(k))
+             for k, lam in enumerate(spectra)]))[:24]
         assert vals[-1] > 0.05   # the window clears every counted shift
-        vecs, count_below = s[:, None] * Y, lambda x: int((vals < x).sum())
+        assert vals[0] == spectra[0][0]
+        u = sla.eigh(*_mode_reference(full, modes, 0),
+                     subset_by_index=[0, 0])[1]
+        vecs = np.repeat(u, modes.nphi, axis=0) / np.sqrt(modes.nphi)
+        count_below = partial(_count_below, modes, spectra)
     else:
         plain = lowest_eigs(full, 24, vectors=True)
         assert plain.path == "shift-invert" and not plain.window_saturated
@@ -411,21 +447,23 @@ def test_phi_modes_agree_with_unreduced_path(name, request):
     assert np.abs(rho - _sign_fixed(full, vecs[:, 0])).max() < 1e-10
 
 
-def test_phi_modes_carry_the_whole_spectrum(clifford_ops, otsuki_profile,
+def test_phi_modes_carry_the_whole_spectrum(clifford_meshes, clifford_ops,
+                                           otsuki_profile,
                                            clifford_op_spectral,
                                            clifford_op_kron):
     # every mode, the Nyquist one of an even side included, against a
     # dense solve of the whole pencil, formed as 2-D Kronecker products
     # for the spectral set
     family = rotational.build_surface(otsuki_profile)
-    small_otsuki = fem.assemble(fem.mesh_torus(family, 40, 16))
-    for ops, whole in ((clifford_ops[16], clifford_ops[16]),
-                       (small_otsuki, small_otsuki),
+    small_otsuki = fem.mesh_torus(family, 40, 16)
+    for ops, whole in ((clifford_ops[16], whole_scatter(clifford_meshes[16])),
+                       (fem.assemble(small_otsuki),
+                        whole_scatter(small_otsuki)),
                        (clifford_op_spectral, clifford_op_kron)):
         reduced = lowest_eigs(ops, ops.size)
-        plain = lowest_eigs(_unreduced(whole), ops.size)
+        plain = lowest_eigs(whole, ops.size)
         assert (reduced.path, plain.path) == ("phi-modes", "dense")
-        nphi = ops.grid_shape[1]
+        nphi = ops.phi_modes.nphi
         assert set(reduced.modes) == set(range(nphi // 2 + 1))
         err = np.abs(reduced.eigenvalues - plain.eigenvalues)
         assert np.all(err <= 1e-10 * np.maximum(np.abs(plain.eigenvalues), 1))
@@ -468,8 +506,7 @@ def test_phi_mode_path_taken_on_chart_sets(clifford_op, clifford_op_spectral,
         assert report.to_dict()["modes"] == report.modes.tolist()
 
 
-def test_phi_mode_path_refused_off_chart(sphere_op, clifford_meshes,
-                                         clifford_ops):
+def test_phi_mode_path_refused_off_chart(sphere_op, clifford_meshes):
     assert sphere_op.phi_modes is None
     assert lowest_eigs(sphere_op, 4).path == "shift-invert"
     imported = fem.assemble(fem.mesh_from_json(
@@ -479,16 +516,6 @@ def test_phi_mode_path_refused_off_chart(sphere_op, clifford_meshes,
     assert report.solved_modes is None
     doc = report.to_dict()
     assert doc["modes"] is None and doc["solved_modes"] is None
-    # one potential entry off by 1e-6 breaks the phi-shift invariance:
-    # the split must be refused, and the answer must not change
-    ops = clifford_ops[32]
-    W = ops.W.matrix.tolil()
-    W[37, 37] += 1e-6
-    bent = dataclasses.replace(ops, W=W.tocsr())
-    assert bent.phi_modes is None
-    index, report = morse_index(bent)
-    assert report.path == "shift-invert"
-    assert index == morse_index(_unreduced(ops))[0] == 5
 
 
 def _periodic(n, diag, offsets):
@@ -502,7 +529,8 @@ def _periodic(n, diag, offsets):
 
 
 def _synthetic_ops():
-    """B = T (x) I + I (x) P and Mm = Mt (x) Mphi on a 6 x 8 grid."""
+    """B = T (x) I + I (x) P and Mm = Mt (x) Mphi on a 6 x 8 grid, formed
+    whole; ``conftest.chart_set(ops, 8)`` splits it."""
     nt, nphi = 6, 8
     T = _periodic(nt, 0.6, [(1, -0.3)])
     P = _periodic(nphi, 0.7, [(1, 0.25), (2, -1.0)])
@@ -511,7 +539,7 @@ def _synthetic_ops():
     B = (sps.kron(T, sps.eye(nphi)) + sps.kron(sps.eye(nt), P)).tocsr()
     Mm = sps.kron(Mt, Mphi).tocsr()
     return fem.OperatorSet(K=B, Mm=Mm, W=sps.csr_matrix(B.shape), n=2,
-                           q_max=10.0, grid_shape=(nt, nphi))
+                           q_max=10.0)
 
 
 def test_phi_mode_sweep_finds_a_lowest_mode_past_certified_ones():
@@ -519,10 +547,9 @@ def test_phi_mode_sweep_finds_a_lowest_mode_past_certified_ones():
     # symbol 0.7 + cos(theta) / 2 - 2 cos(2 theta) over modes k = 0..4:
     # -0.8, 1.05, 2.7, 0.35 and -1.8, so the lowest eigenvalue lies in
     # the Nyquist mode k = 4, past modes that Cholesky certifies
-    ops = _synthetic_ops()
-    nphi = ops.grid_shape[1]
-    B, Mm = ops.B, ops.Mm
-    exact = sla.eigh(B.toarray(), Mm.toarray(), eigvals_only=True)
+    whole, nphi = _synthetic_ops(), 8
+    ops = chart_set(whole, nphi)
+    exact = sla.eigh(whole.B.toarray(), whole.Mm.toarray(), eigvals_only=True)
     assert np.abs(exact).min() > 0.1   # no count sits on a tolerance
     for count in (1, 3, 12):
         fresh = dataclasses.replace(ops)   # empty mode caches
@@ -534,7 +561,7 @@ def test_phi_mode_sweep_finds_a_lowest_mode_past_certified_ones():
     for sigma in (-3.0, -0.05, 0.05, 1.0, 4.5):
         assert inertia_below(ops, sigma) == int((exact < sigma).sum())
     index, report = morse_index(ops)
-    plain_index, plain = morse_index(_unreduced(ops))
+    plain_index, plain = morse_index(whole)
     assert plain.path == "dense"
     assert (index, report.nullity) == (plain_index, plain.nullity) == (
         (exact < -0.05).sum(), (np.abs(exact) <= 0.05).sum())
@@ -602,10 +629,11 @@ def test_phi_mode_cutoff_agrees_with_every_mode_solved(name, request):
                       >= max(report.eigenvalues[-1], window.eigenvalues[-1]))
 
 
-def _mode_reference(ops, k):
-    """Dense (B_k, Mm_k) of mode k projected from the whole pencil:
-    U^H A U with U = I (x) e^(2 pi i j k / nphi) / sqrt(nphi)."""
-    nt, nphi = ops.grid_shape
+def _mode_reference(ops, modes, k):
+    """Dense (B_k, Mm_k) of mode k of the split modes projected from the
+    whole pencil ops: U^H A U with U = I (x) e^(2 pi i j k / nphi)
+    / sqrt(nphi)."""
+    nt, nphi = modes.nt, modes.nphi
     f = np.exp(2j * np.pi * np.arange(nphi) * k / nphi) / np.sqrt(nphi)
     if (2 * k) % nphi == 0:
         f = f.real
@@ -613,11 +641,11 @@ def _mode_reference(ops, k):
     return [(U.conj().T @ (A @ U)).toarray() for A in (ops.B, ops.Mm)]
 
 
-def _mode_spectra(ops):
-    """Dense eigh spectrum of every mode pencil, projected from the whole
-    pencil (``_mode_reference``)."""
-    return [sla.eigh(*_mode_reference(ops, k), eigvals_only=True)
-            for k in range(ops.phi_modes.count)]
+def _mode_spectra(ops, modes):
+    """Dense eigh spectrum of every mode pencil of the split modes,
+    projected from the whole pencil ops (``_mode_reference``)."""
+    return [sla.eigh(*_mode_reference(ops, modes, k), eigvals_only=True)
+            for k in range(modes.count)]
 
 
 def _count_below(modes, spectra, shift):
@@ -631,7 +659,7 @@ def test_mode_signature_cholesky_fast_path(request):
     for name in ("otsuki_op_coarse", "clifford_op"):
         ops = request.getfixturevalue(name)
         modes = ops.phi_modes
-        spectra = _mode_spectra(_formed(name, request))
+        spectra = _mode_spectra(_formed(name, request), modes)
         fallbacks = 0
         for sigma in shifts:
             with mock.patch.object(spectral, "_signature",
@@ -695,7 +723,7 @@ def test_line_signature_counts_every_phase(name, request):
     # the mode pencils of the 2-D Kronecker set
     ops = request.getfixturevalue(name)
     line = ops.phi_modes
-    spectra = _mode_spectra(_formed(name, request))
+    spectra = _mode_spectra(_formed(name, request), line)
     shifts = np.r_[-3.0, -0.05, 0.05, 4.5,
                    np.random.default_rng(11).uniform(-8.0, 6.0, 10)]
     for sigma in shifts:
@@ -717,7 +745,7 @@ def test_line_signature_counts_every_phase(name, request):
     assert retry.call_count > 1 and count == 1
 
 
-def test_signature_flags_pivot_growth(otsuki_op_coarse):
+def test_signature_flags_pivot_growth(otsuki_op_coarse, request):
     # near an eigenvalue mu of the leading half block of the mode-1 band,
     # 0.03 from every eigenvalue of the mode, the unpivoted elimination
     # in band order meets a pivot near zero and the later pivots grow by
@@ -728,7 +756,7 @@ def test_signature_flags_pivot_growth(otsuki_op_coarse):
     modes = ops.phi_modes
     m = modes.nt // 2
     Bk, Mk = modes.pencil(k)
-    spectra = _mode_spectra(ops)
+    spectra = _mode_spectra(_formed("otsuki_op_coarse", request), modes)
     lead = sla.eigh(Bk[:m, :m], Mk[:m, :m], eigvals_only=True)
     mu = lead[lead > spectra[k][0]][0]
     assert np.abs(spectra[k] - mu).min() > 0.03
@@ -763,17 +791,18 @@ def test_probe_vector_is_read_only(sphere_op):
                                   "otsuki_op_kron", "synthetic"])
 def test_banded_certificate_brackets_every_mode(name, request):
     # the 2-D Kronecker spectral set splits into dense mode blocks
-    ops = _synthetic_ops() if name == "synthetic" else (
-        request.getfixturevalue(name))
+    ops = (chart_set(_synthetic_ops(), 8) if name == "synthetic"
+           else _split(name, request))
     modes = ops.phi_modes
-    nt = ops.grid_shape[0]
+    nt = modes.nt
     assert modes.kd == (nt - 1 if name.endswith("_kron") else 2)
     # the interleaved order 0, nt-1, 1, nt-2, ...
     i = np.arange(nt)
     order = np.argsort(np.minimum(2 * i, 2 * (nt - 1 - i) + 1))
-    whole = ops if name == "synthetic" else _formed(name, request)
+    whole = (_synthetic_ops() if name == "synthetic"
+             else _formed(name, request))
     for k in range(modes.count):
-        Bk, Mk = _mode_reference(whole, k)
+        Bk, Mk = _mode_reference(whole, modes, k)
         mu = sla.eigh(Bk, Mk, eigvals_only=True, subset_by_index=[0, 0])[0]
         gap = 1e-6 * max(abs(mu), 1.0)
         assert modes.positive(k, mu - gap)
@@ -795,7 +824,7 @@ def test_closed_form_agrees_with_every_mode_pencil(name, request):
     # columns are Mm_k-orthonormal eigenvectors, and its symbol
     # certificate brackets the lowest value of each mode as the banded
     # Cholesky one does
-    ops = dataclasses.replace(request.getfixturevalue(name))
+    ops = dataclasses.replace(_split(name, request))
     modes = ops.phi_modes
     assert modes.symbols is not None
     whole = _formed(name, request)
@@ -807,7 +836,7 @@ def test_closed_form_agrees_with_every_mode_pencil(name, request):
                       <= 1e-12 * np.maximum(np.abs(exact), 1.0)), k
         assert np.abs(U.conj().T @ Mk @ U - np.eye(modes.nt)).max() < 1e-10
         assert np.abs(Bk @ U - (Mk @ U) * lam).max() < 1e-10
-        mu = sla.eigh(*_mode_reference(whole, k), eigvals_only=True,
+        mu = sla.eigh(*_mode_reference(whole, modes, k), eigvals_only=True,
                       subset_by_index=[0, 0])[0]
         gap = 1e-6 * max(abs(mu), 1.0)
         assert modes._excludes(k, mu - gap)
@@ -835,7 +864,7 @@ def test_closed_form_morse_index_matches_the_band_path(name, request,
     # no dense eigensolve, the counts still read from band pivots, and
     # the answer of the dense solves of the band path
     ops = (fem.assemble(fem.mesh_torus(clifford_family, 128, 128))
-           if name == "clifford_128" else request.getfixturevalue(name))
+           if name == "clifford_128" else _split(name, request))
     closed = dataclasses.replace(ops)
     with mock.patch.object(sla, "eigh", wraps=sla.eigh) as eigh, \
             mock.patch.object(spectral, "_signature",
@@ -851,11 +880,11 @@ def test_closed_form_morse_index_matches_the_band_path(name, request,
 
 
 def test_closed_form_refused_where_theta_invariance_fails(
-        clifford_op_44, otsuki_op_coarse, otsuki_op, otsuki_op_kron):
+        clifford_op_44, otsuki_op_coarse, otsuki_op, request):
     # the diagonal entry of node row 5 of W bent by 1e-9 relative, past
     # _SHIFT_TOL of the largest entry of B: no closed form, and the dense
     # solves of the band path, bit for bit
-    nt, nphi = clifford_op_44.grid_shape
+    nt, nphi = 44, 44
     row = clifford_op_44.W.row.tolil()
     row[5, 5 * nphi] *= 1 + 1e-9
     bent = dataclasses.replace(clifford_op_44,
@@ -872,9 +901,9 @@ def test_closed_form_refused_where_theta_invariance_fails(
     assert report.eigenvalues.tobytes() == band.eigenvalues.tobytes()
     # Otsuki varies in t: the check, one sort of every row at once, stops
     # at node row 1, and no set is put in closed form
-    for ops in (otsuki_op_coarse, otsuki_op, otsuki_op_kron):
-        nt, nphi = ops.grid_shape
-        row = spectral._block_row(ops.B, nphi)
+    for ops in (otsuki_op_coarse, otsuki_op,
+                _split("otsuki_op_kron", request)):
+        row, nt, nphi = ops.B.row, ops.B.row.shape[0], ops.B.nphi
         with mock.patch.object(np, "argsort", wraps=np.argsort) as sort:
             assert spectral._first_unshifted_row(row, nt, nphi) == 1
         assert sort.call_count == 1
@@ -906,13 +935,13 @@ def test_first_unshifted_row_matches_a_row_by_row_scan(
     # the one-pass check returns the index of a plain scan on the block
     # rows of B and Mm, also where a row is bent or has another width
     clifford_128 = fem.assemble(fem.mesh_torus(clifford_family, 128, 128))
-    nt, nphi = clifford_op_44.grid_shape
+    nt, nphi = 44, 44
     bent = clifford_op_44.W.row.tolil()
     bent[7, 7 * nphi] *= 1 + 1e-9
     wider = clifford_op_44.Mm.row.tolil()
     wider[9, 3] = 1e-3
-    rows = [(ops.grid_shape, A.row) for ops in (clifford_op_44, clifford_128,
-                                                otsuki_op)
+    rows = [((A.row.shape[0], A.nphi), A.row)
+            for ops in (clifford_op_44, clifford_128, otsuki_op)
             for A in (ops.B, ops.Mm)]
     rows += [((nt, nphi), bent.tocsr()), ((nt, nphi), wider.tocsr())]
     found = [spectral._first_unshifted_row(row, *shape)
@@ -1019,7 +1048,7 @@ def test_phi_mode_count_checks_are_two_sided(name, at, flip, message,
     assert (ops.phi_modes.symbols is not None) == (name == "clifford_op_44")
 
 
-def test_signature_counts_complex_hermitian(otsuki_op_coarse):
+def test_signature_counts_complex_hermitian(otsuki_op_coarse, request):
     # a known inertia, 7 negative and 13 positive eigenvalues, in a
     # random elimination order
     rng = np.random.default_rng(5)
@@ -1038,7 +1067,8 @@ def test_signature_counts_complex_hermitian(otsuki_op_coarse):
     k, sigma = 1, -1.0
     A = sps.csc_matrix(spectral._unband(modes.band(k, sigma)))
     assert np.abs(A.data.imag).max() > 0
-    expected = int((sla.eigh(*_mode_reference(otsuki_op_coarse, k),
+    whole = _formed("otsuki_op_coarse", request)
+    expected = int((sla.eigh(*_mode_reference(whole, modes, k),
                              eigvals_only=True) < sigma).sum())
     assert expected > 0
     assert spectral._signature(A, np.arange(modes.nt))[0] == expected
