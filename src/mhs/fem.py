@@ -11,12 +11,13 @@ W integrates (n + |A|^2) against the nodal basis.
 ``assemble`` builds piecewise-linear (P1) elements on any mesh, stated
 by the block row 0 of phi-column 0 where its elements are invariant in
 phi (``OperatorSet``).  ``assemble_spectral`` builds the Fourier
-pseudo-spectral set of a torus mesh as four coefficient arrays on its
-line phi = 0 (``spectral.TwistedLine``).  Both act on the same nodal
-vectors (vertex values).
+pseudo-spectral set of a rotational torus from its profile, with no
+mesh, as four coefficient arrays on its line phi = 0
+(``spectral.TwistedLine``).  Both act on vertex values of a chart grid.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -26,7 +27,8 @@ import scipy.sparse as sp
 
 from .errors import (DegenerateElementError, GenerationFailedError,
                      InvalidParameterError, MeshFormatError)
-from .geometry import GeometryFamily, sample_grid
+from .geometry import GeometryFamily
+from .rotational import build_surface
 from .spectral import (_SHIFT_TOL, ChartLine, PhiModes, TwistedLine,
                        _Pencil, dissection_order)
 
@@ -38,7 +40,7 @@ _PHI = np.array([[0.5, 0.5, 0.0],
 # phi_a(q) phi_b(q), flattened over (a, b)
 _PHI_PHI = (_PHI[:, :, None] * _PHI[:, None, :]).reshape(3, 9)
 _AREA_TOL = 1e-14
-_MINIMALITY_TOL = 1e-10        # mesh_torus's max |trace A| at the vertices
+_MINIMALITY_TOL = 1e-10        # max |trace A| at the vertices or line nodes
 # ico7 has 163,842 vertices; each further level quadruples the mesh
 _MAX_SUBDIVISIONS = 7
 
@@ -379,50 +381,44 @@ def assemble(mesh):
                        q_max=float((n + mesh.quad_asq).max()))
 
 
-def assemble_spectral(mesh):
-    """Fourier pseudo-spectral stiffness, mass and potential mass.
+def assemble_spectral(profile, nt, nphi):
+    """Fourier pseudo-spectral stiffness, mass and potential mass of the
+    torus of a closed profile (``rotational.ProfileCurve``).
 
-    The nodes are the vertices of a ``mesh_torus`` grid with both sides
-    odd.  The chart must be orthogonal (g_12 = 0) with g_11, g_22 and
-    q = n + |A|^2 invariant in phi, as on every torus the package builds,
-    so the set is one line of constant phi (``spectral.TwistedLine``):
-    with Fourier derivatives D_t, D_phi and weights w = dt dphi sqrt(g),
+    The nodes are an nt x nphi grid of its chart, both sides odd.  A
+    surface of revolution has an orthogonal chart with g_11, g_22 and
+    q = n + |A|^2 invariant in phi, so the set is one line of constant
+    phi (``spectral.TwistedLine``), sampled in one pass at its nt nodes
+    (L_theta i / nt, 0) and checked there to be minimal: with Fourier
+    derivatives D_t, D_phi and weights w = dt dphi sqrt(g),
     K = D_t^T diag(w / g_11) D_t (x) I + diag(w / g_22) (x) D_phi^T D_phi,
     Mm = diag(w) (x) I and W = diag(w q) (x) I.  They meet
     Delta l_v = -n l_v and Delta f_v = -|A|^2 f_v at the nodes to spectral
-    accuracy rather than O(h^2).  An even side leaves the Nyquist mode in
-    the kernel of D, and an even count of Bloch phases a phase with no
-    frequency window symmetric about zero.
+    accuracy rather than O(h^2).  The coefficients repeat once per radial
+    period, nt / q nodes, so the line holds gcd(nt, q) Bloch phases, an
+    odd count.  An even side would leave the Nyquist mode in the kernel
+    of D.
     """
-    if mesh.grid_shape is None or mesh.source_family is None:
-        raise InvalidParameterError(
-            f"{mesh.name} has no structured chart grid; spectral "
-            "assembly needs a mesh_torus mesh")
-    nt, nphi = mesh.grid_shape
+    if nt < 8 or nphi < 8:
+        raise InvalidParameterError("torus resolutions must be >= 8")
     if nt % 2 == 0 or nphi % 2 == 0:
         raise InvalidParameterError(
             f"spectral assembly needs odd grid sides, got {nt}x{nphi}")
-    family = mesh.source_family
+    family = build_surface(profile)
     lt, lp = family.periods
-    u = sample_grid(family, mesh.grid_shape)
-    _, T, _, _, asq, _ = family.sample(u)
-    g11, g22, g12 = np.einsum("vai,vbi->abv", T, T)[[0, 1, 0], [0, 1, 1]]
-    if np.abs(g12).max() > 1e-10 * np.sqrt(g11 * g22).max():
-        raise InvalidParameterError(
-            f"{mesh.name}: chart is not orthogonal "
-            f"(max |g_12| = {np.abs(g12).max():.3e})")
-    n = mesh.surface_dim
-    coeffs = np.stack([g11, g22, n + asq]).reshape(3, nt, nphi)
-    drift = np.abs(coeffs - coeffs[..., :1]).max(axis=(1, 2))
-    if (drift > 1e-10 * np.abs(coeffs).max(axis=(1, 2))).any():
-        raise InvalidParameterError(
-            f"{mesh.name}: chart coefficients vary in phi "
-            f"(max change of g_11, g_22, q: {drift.max():.3e})")
-    g11, g22, q = coeffs[..., 0]
+    _, T, _, A, asq, _ = family.sample(
+        np.stack([lt * np.arange(nt) / nt, np.zeros(nt)], axis=-1))
+    trace = np.abs(A[:, 0, 0] + A[:, 1, 1]).max()
+    if trace > _MINIMALITY_TOL:
+        raise GenerationFailedError(
+            f"minimality self-check failed: max |trace A| = {trace:.3e}")
+    g11, g22 = np.einsum("vai,vbi->abv", T, T)[[0, 1], [0, 1]]
+    q = 2 + asq    # n + |A|^2 on a surface in S^3
     w = (lt / nt) * (lp / nphi) * np.sqrt(g11 * g22)
     return TwistedLine(line=np.stack([w, w / g11, w / g22, w * q]),
-                       lengths=(lt, lp), n=n, q_max=float(q.max()),
-                       grid_shape=mesh.grid_shape)
+                       lengths=(lt, lp), n=2, q_max=float(q.max()),
+                       grid_shape=(nt, nphi),
+                       phases=math.gcd(nt, profile.q))
 
 
 def mesh_to_json(mesh):

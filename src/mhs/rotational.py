@@ -341,7 +341,8 @@ def build_surface(profile):
     profile chart once per call and returns every field from it: the
     fields of theta alone once per distinct theta, and per point only
     their products with cos(phi) and sin(phi).  ``fem.mesh_torus`` checks
-    on its vertex lattice that it is minimal.
+    on its vertex lattice, and ``fem.assemble_spectral`` on the nodes of
+    its line, that it is minimal.
     """
 
     def sample(u):

@@ -477,17 +477,6 @@ class PhiModes(_ModeSweep):
         return X.reshape(self.nt * self.nphi, -1)
 
 
-def _period(line):
-    """The smallest divisor m of the length nt of the rows of line under
-    which every row repeats, to _SHIFT_TOL of its largest entry."""
-    nt = line.shape[1]
-    scale = _SHIFT_TOL * np.abs(line).max(axis=1)
-    for m in (m for m in range(1, nt + 1) if nt % m == 0):
-        periods = line.reshape(len(line), -1, m)
-        if np.all(np.abs(periods - periods[:, :1]).max(axis=(1, 2)) <= scale):
-            return m
-
-
 @dataclass(frozen=True)
 class TwistedLine(_ModeSweep, _Pencil):
     """The Fourier pseudo-spectral set of a chart line, split over
@@ -495,8 +484,9 @@ class TwistedLine(_ModeSweep, _Pencil):
 
     ``line`` holds w, w / g_11, w / g_22 and w q at the nt nodes of the
     line phi = 0 of an (nt, nphi) grid of chart lengths (L_theta, L_phi),
-    w = dt dphi sqrt(g).  They repeat every m nodes (``_period``), so by
-    Floquet-Bloch theory mode k splits into P = nt / m problems
+    w = dt dphi sqrt(g).  They repeat every m = nt / P nodes, P the
+    ``phases`` (gcd(nt, q) on a (p, q) profile), so by Floquet-Bloch
+    theory mode k splits into P problems
     u(x + m nodes) = e^(2 pi i r / P) u(x), |r| <= (P-1)/2: the m x m
     Hermitian pencils (r, k) = (D_r^H diag(w / g_11) D_r
     + kappa_k^2 diag(w / g_22) - diag(w q), diag(w)), with D_r the
@@ -519,12 +509,12 @@ class TwistedLine(_ModeSweep, _Pencil):
     n: int
     q_max: float
     grid_shape: tuple  # (nt, nphi)
+    phases: int        # P, odd and dividing nt
 
     nt = property(lambda self: self.grid_shape[0])
     nphi = property(lambda self: self.grid_shape[1])
     phi_modes = property(lambda self: self)
-    m = functools.cached_property(lambda self: _period(self.line))
-    phases = property(lambda self: self.nt // self.m)
+    m = property(lambda self: self.nt // self.phases)
 
     @functools.cached_property
     def _stiffness(self):
@@ -826,10 +816,11 @@ def lowest_eigs(ops, count, zero_tol=0.05, vectors=False):
     On a chart grid the values come from the modes of its split
     (``phi_modes``) that no certificate excludes: the banded pencils of
     a P1 set (``PhiModes``), certified by banded Cholesky or in closed
-    form, or the Bloch phase pencils of a spectral line of measured
-    period (``TwistedLine``), certified where kappa_k^2 / g_22 - q exceeds
-    tau at every node.  Otherwise a request for over a quarter of the
-    spectrum takes a dense solve, and any other shift-invert Lanczos
+    form, or the Bloch phase pencils of a spectral line (``TwistedLine``),
+    certified where kappa_k^2 / g_22 - q exceeds tau at every node or
+    each shifted phase pencil has a Cholesky factor.  Otherwise a
+    request for over a quarter of the spectrum takes a dense solve, and
+    any other shift-invert Lanczos
     (``_shift_invert``) with the shift -q_max - 1 below the spectrum: the
     pencil is bounded below by -q_max, so the factor there must have no
     negative pivot.

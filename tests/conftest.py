@@ -29,22 +29,20 @@ def _fourier_diff(N, length):
     return (np.pi / length) * D
 
 
-def kron_set(mesh):
-    """The spectral set of mesh with K, Mm and W formed whole, as 2-D
-    Kronecker products of the 1-D operators of its chart line phi = 0:
-    K = Kt (x) I + diag(w / g_22) (x) Kphi, Mm = diag(w) (x) I and
-    W = diag(w q) (x) I, with the Fourier derivatives of the whole line
-    (``_fourier_diff``).  A reference for ``fem.assemble_spectral``, which
-    forms no 2-D operator and splits the line over Bloch phases; the
-    chart is sampled and the line read from the whole lattice as there.
-    Its phi-mode split is that of its chart lines (``chart_set``)."""
-    nt, nphi = mesh.grid_shape
-    family = mesh.source_family
+def kron_set(family, nt, nphi):
+    """The spectral set of the nt x nphi grid of a rotational family with
+    K, Mm and W formed whole, as 2-D Kronecker products of the 1-D
+    operators of its chart line phi = 0: K = Kt (x) I
+    + diag(w / g_22) (x) Kphi, Mm = diag(w) (x) I and W = diag(w q) (x) I,
+    with the Fourier derivatives of the whole line (``_fourier_diff``).
+    A reference for ``fem.assemble_spectral``, which forms no 2-D
+    operator and splits the line over Bloch phases; here the whole
+    lattice is sampled and the line read from its column phi = 0.  Its
+    phi-mode split is that of its chart lines (``chart_set``)."""
     lt, lp = family.periods
     _, T, _, _, asq, _ = family.sample(sample_grid(family, (nt, nphi)))
     g11, g22 = np.einsum("vai,vbi->abv", T, T)[[0, 1], [0, 1]]
-    g11, g22, q = np.stack([g11, g22, mesh.surface_dim + asq]).reshape(
-        3, nt, nphi)[..., 0]
+    g11, g22, q = np.stack([g11, g22, 2 + asq]).reshape(3, nt, nphi)[..., 0]
     w = (lt / nt) * (lp / nphi) * np.sqrt(g11 * g22)
     Dt, Dp = _fourier_diff(nt, lt), _fourier_diff(nphi, lp)
     Kt, Kp = ((A + A.T) * 0.5 for A in (Dt.T @ ((w / g11)[:, None] * Dt),
@@ -52,8 +50,7 @@ def kron_set(mesh):
     eye = sps.identity(nphi)
     K = (sps.kron(Kt, eye) + sps.kron(sps.diags(w / g22), Kp)).tocsr()
     Mm, W = (sps.kron(sps.diags(c), eye, format="csr") for c in (w, w * q))
-    return fem.OperatorSet(K=K, Mm=Mm, W=W, n=mesh.surface_dim,
-                           q_max=float(q.max()))
+    return fem.OperatorSet(K=K, Mm=Mm, W=W, n=2, q_max=float(q.max()))
 
 
 def chart_set(ops, nphi):
@@ -111,19 +108,31 @@ def clifford_op(clifford_ops):
 
 @pytest.fixture(scope="session")
 def clifford_mesh_odd(clifford_family):
-    """Odd-sided grid for the Fourier pseudo-spectral operator set."""
+    """The grid of clifford_op_spectral as a mesh of the Clifford chart,
+    for the trial span of the spectral set."""
     return fem.mesh_torus(clifford_family, 33, 33)
 
 
 @pytest.fixture(scope="session")
-def clifford_op_spectral(clifford_mesh_odd):
-    return fem.assemble_spectral(clifford_mesh_odd)
+def clifford_profile():
+    """The Clifford torus as the constant profile: at the circular energy
+    h = 0, so alpha = pi/4 and v = theta, the chart of
+    ``geometry.clifford`` up to the sign of the normal."""
+    return rotational.ProfileCurve(clairaut=rotational.CIRCULAR_ENERGY,
+                                   p=1, q=1, series=np.ones(1))
 
 
 @pytest.fixture(scope="session")
-def clifford_op_kron(clifford_mesh_odd):
+def clifford_op_spectral(clifford_profile):
+    """The spectral set of the Clifford profile on a 33 x 33 grid: one
+    Bloch phase."""
+    return fem.assemble_spectral(clifford_profile, 33, 33)
+
+
+@pytest.fixture(scope="session")
+def clifford_op_kron(clifford_profile):
     """clifford_op_spectral with its K, Mm and W formed (``kron_set``)."""
-    return kron_set(clifford_mesh_odd)
+    return kron_set(rotational.build_surface(clifford_profile), 33, 33)
 
 
 @pytest.fixture(scope="session")
@@ -155,21 +164,23 @@ def otsuki_mesh(otsuki_profile):
 
 @pytest.fixture(scope="session")
 def otsuki_mesh_odd(otsuki_profile):
-    """Odd-sided grid for the spectral set; long in t, where the profile
-    varies, and short in the rotation angle phi."""
+    """The grid of otsuki_op_spectral as a mesh, for the trial span of
+    the spectral set."""
     family = rotational.build_surface(otsuki_profile)
     return fem.mesh_torus(family, 255, 17)
 
 
 @pytest.fixture(scope="session")
-def otsuki_op_spectral(otsuki_mesh_odd):
-    return fem.assemble_spectral(otsuki_mesh_odd)
+def otsuki_op_spectral(otsuki_profile):
+    """The spectral set of Otsuki (2, 3) on an odd grid, long in t, where
+    the profile varies, and short in the rotation angle phi."""
+    return fem.assemble_spectral(otsuki_profile, 255, 17)
 
 
 @pytest.fixture(scope="session")
-def otsuki_op_kron(otsuki_mesh_odd):
+def otsuki_op_kron(otsuki_profile):
     """otsuki_op_spectral with its K, Mm and W formed (``kron_set``)."""
-    return kron_set(otsuki_mesh_odd)
+    return kron_set(rotational.build_surface(otsuki_profile), 255, 17)
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,12 +11,12 @@ import scipy.sparse as sp
 
 from conftest import _fourier_diff, chart_set, whole_scatter
 from mhs import fem, rotational, spectral
-from mhs.errors import (DegenerateElementError, InvalidParameterError,
-                        MeshFormatError)
+from mhs.errors import (DegenerateElementError, GenerationFailedError,
+                        InvalidParameterError, MeshFormatError)
 from mhs.fem import (assemble, mesh_from_json, mesh_sphere, mesh_to_json,
                      mesh_torus)
 from mhs.closedform import clifford_jacobi
-from mhs.geometry import FIELDS, GeometryFamily, clifford
+from mhs.geometry import FIELDS, GeometryFamily, clifford, sample_grid
 from mhs.spectral import lowest_eigs, morse_index
 
 
@@ -40,9 +41,11 @@ def test_torus_mesh_constant_asq(clifford_mesh):
     assert np.abs(clifford_mesh.quad_asq - 2.0).max() < 1e-12
 
 
-def test_torus_resolution_guard(clifford_family=None):
+def test_torus_resolution_guard(clifford_profile):
     with pytest.raises(InvalidParameterError):
         mesh_torus(clifford(2, 1), 4, 64)
+    with pytest.raises(InvalidParameterError, match=">= 8"):
+        fem.assemble_spectral(clifford_profile, 7, 33)
 
 
 def test_sphere_mesh_invariants(sphere_mesh):
@@ -167,14 +170,17 @@ def test_operator_invariants(clifford_op, clifford_mesh):
     # constant potential: W is an exact multiple of the mass matrix
     assert abs((ops.W - 4.0 * ops.Mm).row).max() < 1e-12
     # |A|^2-weighted mass is positive semidefinite: its lowest eigenvalue
-    # exceeds -1e-10 exactly when a shift by 1e-10 makes it definite
-    import scipy.linalg as sla
-    WA = (whole.W - 2 * whole.Mm).toarray()
-    sla.cholesky(WA + 1e-10 * np.eye(ops.size))
+    # exceeds -1e-10 exactly when a shift by 1e-10 makes it definite.
+    # W - 2 Mm is block-circulant in phi, so that holds exactly when it
+    # holds for every phi-mode, each a banded Cholesky factorization
+    nt, nphi = clifford_mesh.grid_shape
+    modes = spectral.PhiModes(nt, nphi, (ops.W - 2 * ops.Mm).row,
+                              sp.identity(ops.size, format="csr")[::nphi])
+    assert all(modes.positive(k, -1e-10) for k in range(modes.count))
 
 
 def test_chart_line_products_match_the_whole_scatter(
-        otsuki_mesh, otsuki_op, clifford_mesh, clifford_op, otsuki_mesh_odd,
+        otsuki_mesh, otsuki_op, clifford_mesh, clifford_op,
         otsuki_op_spectral, otsuki_op_kron):
     # a chart line applied by its block row, 1-D and 2-D, against the
     # whole scatter's products to 1e-14 of scale, and the same count of
@@ -294,56 +300,23 @@ def test_otsuki_mesh_matches_source(otsuki_mesh):
         < 1e-3 * m.quad_measure.sum()
 
 
-def test_spectral_rejects_even_grid(clifford_mesh):
+def test_spectral_rejects_even_grid(clifford_profile):
     # an even side leaves the Nyquist mode in the kernel of D
-    assert clifford_mesh.grid_shape == (64, 64)
-    with pytest.raises(InvalidParameterError, match="odd"):
-        fem.assemble_spectral(clifford_mesh)
+    for grid in ((64, 64), (33, 16)):
+        with pytest.raises(InvalidParameterError, match="odd"):
+            fem.assemble_spectral(clifford_profile, *grid)
 
 
-def test_spectral_rejects_mesh_without_chart(sphere_mesh):
-    with pytest.raises(InvalidParameterError, match="chart"):
-        fem.assemble_spectral(sphere_mesh)
-    imported = mesh_from_json(mesh_to_json(mesh_sphere(1)))
-    with pytest.raises(InvalidParameterError, match="chart"):
-        fem.assemble_spectral(imported)
+def test_spectral_checks_minimality_on_its_line(otsuki_profile):
+    # dv/dtheta scaled by 1.001 is no longer the profile of a minimal
+    # surface: max |trace A| on the 255 nodes of the line is 5e-3
+    bent = dataclasses.replace(otsuki_profile,
+                               series=1.001 * otsuki_profile.series)
+    with pytest.raises(GenerationFailedError, match="minimality"):
+        fem.assemble_spectral(bent, 255, 17)
 
 
-def test_spectral_rejects_oblique_chart(clifford_mesh_odd):
-    family = clifford_mesh_odd.source_family
-
-    def sheared(u):
-        X, T, *rest = family.sample(u)
-        return (X, np.stack([T[..., 0, :], T[..., 1, :] + 0.5 * T[..., 0, :]],
-                            axis=-2), *rest)
-
-    oblique = dataclasses.replace(
-        clifford_mesh_odd,
-        source_family=GeometryFamily(family.name, family.periods, sheared))
-    with pytest.raises(InvalidParameterError, match="orthogonal"):
-        fem.assemble_spectral(oblique)
-
-
-def test_spectral_rejects_phi_varying_chart(clifford_mesh_odd):
-    # a phi-tangent scaled by 1 + 0.1 cos(phi) makes g_22 vary in phi,
-    # so the operators are no Kronecker products of one chart line
-    family = clifford_mesh_odd.source_family
-
-    def scaled(u):
-        X, T, *rest = family.sample(u)
-        s = 1.0 + 0.1 * np.cos(np.asarray(u)[..., 1])
-        return (X, np.stack([T[..., 0, :], s[..., None] * T[..., 1, :]],
-                            axis=-2), *rest)
-
-    varying = dataclasses.replace(
-        clifford_mesh_odd,
-        source_family=GeometryFamily(family.name, family.periods, scaled))
-    with pytest.raises(InvalidParameterError, match="phi"):
-        fem.assemble_spectral(varying)
-
-
-def test_spectral_operator_invariants(clifford_mesh_odd,
-                                      clifford_op_spectral):
+def test_spectral_operator_invariants(clifford_op_spectral):
     ops = clifford_op_spectral
     # K is applied through the FFT of the line's split, so its matrix,
     # read off the identity, is symmetric to roundoff; each phase pencil
@@ -387,11 +360,10 @@ def test_spectral_set_forms_no_2d_operator():
     # Otsuki (3,5) 425 x 25: assembly and the Morse index stay within
     # 64 MB of traced allocations, where the 2-D Kronecker K alone holds
     # nt^2 nphi = 4.5M entries
-    family = rotational.build_surface(rotational.find_otsuki(3, 5))
-    mesh = mesh_torus(family, 425, 25)
+    profile = rotational.find_otsuki(3, 5)
     tracemalloc.start()
     try:
-        index, report = morse_index(fem.assemble_spectral(mesh))
+        index, report = morse_index(fem.assemble_spectral(profile, 425, 25))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -445,7 +417,7 @@ def test_p1_chart_set_refuses_stale_or_bent_splits(clifford_meshes,
     assert got[0] < report.eigenvalues[0] - 1.0
 
 
-def test_spectral_clifford_landmarks(clifford_mesh_odd,
+def test_spectral_clifford_landmarks(clifford_profile,
                                      clifford_op_spectral):
     ops = clifford_op_spectral
     table = clifford_jacobi(2, 1)[0]
@@ -456,33 +428,30 @@ def test_spectral_clifford_landmarks(clifford_mesh_odd,
     # Green identities K l_v = n Mm l_v and K f_v = SA f_v at the nodes,
     # where SA = W - n Mm is the |A|^2-weighted mass
     SA = ops.W - ops.n * ops.Mm
+    family = rotational.build_surface(clifford_profile)
+    X, _, nu = family.sample(sample_grid(family, ops.grid_shape))[:3]
     for v in np.eye(4):
-        lv = clifford_mesh_odd.vertices @ v
-        fv = clifford_mesh_odd.vertex_nu @ v
+        lv, fv = X @ v, nu @ v
         for x, rhs in ((lv, ops.n * (ops.Mm @ lv)), (fv, SA @ fv)):
             res = np.abs(ops.K @ x - rhs).max() / np.abs(rhs).max()
             assert res <= 1e-10
 
 
-def _stretched_clifford(fam):
-    """The Clifford chart under t -> t/2: g_11 != g_22."""
-    half = np.array([0.5, 1.0])
-
-    def sample(u):
-        X, T, nu, A, asq, sqrtg = fam.sample(np.asarray(u) * half)
-        return X, T * half[:, None], nu, A, asq, 0.5 * sqrtg
-
-    return GeometryFamily(fam.name, (4 * np.pi, 2 * np.pi), sample)
+def _stretched_clifford():
+    """The Clifford profile with theta halved, the chart t -> t/2:
+    dv/dtheta = 1/2 over q = 2 periods, and g_11 != g_22."""
+    return rotational.ProfileCurve(clairaut=rotational.CIRCULAR_ENERGY,
+                                   p=1, q=2, series=np.array([0.5]))
 
 
-def test_spectral_independent_of_chart_scale(clifford_family):
+def test_spectral_independent_of_chart_scale():
     # t -> t/2 on a 33x17 grid: g_11 != g_22 and the two sides and
-    # periods differ, yet the mesh has the area and the spectral set the
-    # spectrum of the same torus
-    mesh = mesh_torus(_stretched_clifford(clifford_family), 33, 17)
+    # periods differ, yet the spectral set has the area and the spectrum
+    # of the same torus
+    ops = fem.assemble_spectral(_stretched_clifford(), 33, 17)
     area = 2 * np.pi ** 2
-    assert abs(mesh.quad_measure.sum() - area) <= 1e-12 * area
-    ops = fem.assemble_spectral(mesh)
+    ones = np.ones(ops.size)
+    assert abs(ones @ (ops.Mm @ ones) - area) <= 1e-12 * area
     table = clifford_jacobi(2, 1)[0]
     exact = np.concatenate([[float(v)] * m for v, m in table.entries])
     report = lowest_eigs(ops, count=len(exact))
@@ -504,19 +473,20 @@ def _counting(family):
                                         ("otsuki", (63, 17))])
 def test_one_sample_pass_per_point_set(name, grid, request):
     # mesh_torus samples the vertex lattice and the quadrature points,
-    # assemble_spectral one chart lattice, each in a single pass; the
-    # quadrature points are the distinct edge midpoints, nt (nphi + 1)
-    # on theta-edges, (nt + 1) nphi on phi-edges and nt nphi diagonals
-    if name == "otsuki":
-        family = request.getfixturevalue("otsuki_mesh_odd").source_family
-    else:
-        family = request.getfixturevalue("clifford_family")
-    counting, calls = _counting(family)
+    # each in a single pass; the quadrature points are the distinct edge
+    # midpoints, nt (nphi + 1) on theta-edges, (nt + 1) nphi on
+    # phi-edges and nt nphi diagonals.  assemble_spectral samples the nt
+    # nodes of its line in one pass and builds no mesh
+    profile = request.getfixturevalue(f"{name}_profile")
+    counting, calls = _counting(rotational.build_surface(profile))
     nt, nphi = grid
-    mesh = mesh_torus(counting, nt, nphi)
+    mesh_torus(counting, nt, nphi)
     assert calls == [(nt * nphi, 2), (3 * nt * nphi + nt + nphi, 2)]
-    fem.assemble_spectral(mesh)
-    assert calls[2:] == [(nt * nphi, 2)]
+    del calls[:]
+    with mock.patch.object(fem, "build_surface", return_value=counting), \
+            mock.patch.object(fem, "mesh_torus") as meshing:
+        fem.assemble_spectral(profile, nt, nphi)
+    assert calls == [(nt, 2)] and not meshing.called
 
 
 @pytest.mark.parametrize("name, grid", [("clifford", (33, 17)),
@@ -529,7 +499,8 @@ def test_quadrature_points_sampled_once_match_per_triangle(name, grid,
     # per-triangle reference: barycentric midpoints of the unwrapped
     # corner parameters, sampled three to a triangle
     if name == "otsuki":
-        family = request.getfixturevalue("otsuki_mesh_odd").source_family
+        family = rotational.build_surface(
+            request.getfixturevalue("otsuki_profile"))
     else:
         family = request.getfixturevalue("clifford_family")
     nt, nphi = grid
@@ -577,12 +548,12 @@ def test_spectral_mode_pencil_is_one_chart_line(name, request):
     # phase pencils: V_r^H (B, Mm) V_s is pencil (r, k) for s = r and
     # vanishes otherwise
     if name == "otsuki":
+        profile = request.getfixturevalue("otsuki_profile")
         ops = request.getfixturevalue("otsuki_op_spectral")
-        family = request.getfixturevalue("otsuki_mesh_odd").source_family
     else:
-        family = _stretched_clifford(request.getfixturevalue(
-            "clifford_family"))
-        ops = fem.assemble_spectral(mesh_torus(family, 33, 17))
+        profile = _stretched_clifford()
+        ops = fem.assemble_spectral(profile, 33, 17)
+    family = rotational.build_surface(profile)
     nt, nphi = ops.grid_shape
     lt, lp = family.periods
     u = np.stack([lt * np.arange(nt) / nt, np.zeros(nt)], axis=-1)
@@ -594,7 +565,7 @@ def test_spectral_mode_pencil_is_one_chart_line(name, request):
     Kt = D.T @ ((w / g11)[:, None] * D)
     line = ops.phi_modes
     m, P = line.m, line.phases
-    assert (m, P) == ((85, 3) if name == "otsuki" else (1, 33))
+    assert (m, P) == ((85, 3) if name == "otsuki" else (33, 1))
     phases = np.arange(P) - P // 2
     b = np.arange(nt) // m
     V = [np.exp(2j * np.pi * r * b / P)[:, None]

@@ -275,36 +275,47 @@ def test_otsuki_index(otsuki_op):
     assert inertia_below(otsuki_op, -0.05) == idx
 
 
-@pytest.mark.parametrize("p, q, nt, nphi, assembler, index, ground", [
-    (3, 5, 425, 17, fem.assemble_spectral, 20, None),
-    (3, 5, 425, 25, fem.assemble_spectral, 20, None),
-    (7, 10, 255, 17, fem.assemble_spectral, 46, None),
-    (7, 10, 425, 17, fem.assemble_spectral, 46, None),
-    (5, 9, 576, 64, fem.assemble, 36, "numerically multiple"),
-    (5, 9, 855, 17, fem.assemble_spectral, 36, "not resolved as simple"),
-    (5, 9, 1089, 17, fem.assemble_spectral, 36, "positive"),
-    (6, 11, 495, 17, fem.assemble_spectral, 44, None),
-    (6, 11, 1045, 17, fem.assemble_spectral, 44, None),
+@pytest.mark.parametrize("p, q, nt, nphi, method, index, ground", [
+    (3, 5, 425, 17, "spectral", 20, None),
+    (3, 5, 425, 25, "spectral", 20, None),
+    (7, 10, 255, 17, "spectral", 46, None),
+    (7, 10, 425, 17, "spectral", 46, None),
+    (5, 9, 576, 64, "p1", 36, "numerically multiple"),
+    (5, 9, 855, 17, "spectral", 36, "not resolved as simple"),
+    (5, 9, 1089, 17, "spectral", 36, "positive"),
+    (6, 11, 495, 17, "spectral", 44, None),
+    (6, 11, 1045, 17, "spectral", 44, None),
 ], ids=["3-5-spectral-425x17", "3-5-spectral-425x25",
         "7-10-spectral-255x17", "7-10-spectral-425x17", "5-9-p1-576x64",
         "5-9-spectral-855x17", "5-9-spectral-1089x17",
         "6-11-spectral-495x17", "6-11-spectral-1045x17"])
-def test_otsuki_index_census(p, q, nt, nphi, assembler, index, ground):
+def test_otsuki_index_census(p, q, nt, nphi, method, index, ground):
     # index and nullity of further Otsuki tori, each at two resolutions
     # or on the independent P1 discretization; the nullity is 5 for the
     # Killing fields, 6 - 1, and every index exceeds Urbano's bound.
     # (6, 11) has the value nearest the zero window, 0.81 zero_tol above
     # it.  A spectral line solves modes 0 and 1 alone, its bound
     # certifying every other mode above the window
-    family = rotational.build_surface(rotational.find_otsuki(p, q))
-    ops = assembler(fem.mesh_torus(family, nt, nphi))
+    profile = rotational.find_otsuki(p, q)
+    if method == "spectral":
+        ops = fem.assemble_spectral(profile, nt, nphi)
+    else:
+        ops = fem.assemble(fem.mesh_torus(rotational.build_surface(profile),
+                                          nt, nphi))
     got, report = morse_index(ops)
     assert (got, report.nullity) == (index, 5)
     assert got > URBANO_MIN_INDEX
-    if assembler is fem.assemble_spectral:
+    if method == "spectral":
         modes = ops.phi_modes
         assert report.solved_modes == (0, 1)
         assert np.all(modes.certified[2:] >= report.eigenvalues[-1])
+        # the Bloch cell: the line repeats once per radial period, so it
+        # has P = gcd(nt, q) phases, the odd part of q on every row here,
+        # and repeats every m = nt / P nodes to roundoff
+        assert modes.phases == q // (q & -q)
+        cells = modes.line.reshape(4, modes.phases, modes.m)
+        assert np.all(np.abs(cells - cells[:, :1]).max(axis=(1, 2))
+                      <= 1e-12 * np.abs(modes.line).max(axis=1))
     if ground == "positive":
         # the periodic ground state, phase 0 of mode 0 of the line (m =
         # 121), is positive to roundoff
@@ -400,8 +411,8 @@ def _split(name, request):
     ops = request.getfixturevalue(name)
     if not name.endswith("_kron"):
         return ops
-    mesh = request.getfixturevalue(name.replace("_op_kron", "_mesh_odd"))
-    return chart_set(ops, mesh.grid_shape[1])
+    return chart_set(ops, request.getfixturevalue(
+        name.replace("_kron", "_spectral")).nphi)
 
 
 def _sign_fixed(ops, x):
@@ -479,18 +490,25 @@ def test_phi_mode_vectors_are_mm_orthonormal_eigenvectors(otsuki_op):
 
 
 @pytest.mark.parametrize("name", ["otsuki_op_spectral",
-                                  "clifford_op_spectral"])
+                                  "clifford_op_spectral",
+                                  "clifford_three_cells"])
 def test_line_vectors_are_mm_orthonormal_eigenvectors(name, request):
     # nodal vectors of a line, formed from its phase pencils' vectors by
     # the inverse FFT: the real and imaginary parts of the Bloch waves of
     # modes 1 and 2, and in mode 0 the real phase 0 and the real and
-    # imaginary parts of phase r for the pair r, -r
-    ops = dataclasses.replace(request.getfixturevalue(name))
+    # imaginary parts of phase r for the pair r, -r.  The Clifford
+    # profile is one Bloch cell on any odd grid; run over three periods
+    # of theta (q = 3), its line on 33 nodes holds three
+    if name == "clifford_three_cells":
+        ops = fem.assemble_spectral(rotational.ProfileCurve(
+            rotational.CIRCULAR_ENERGY, 1, 3, np.array([1 / 3])), 33, 33)
+    else:
+        ops = dataclasses.replace(request.getfixturevalue(name))
     report = lowest_eigs(ops, 40, vectors=True)
     X = report.vectors
     assert set(report.modes) >= {0, 1, 2}
     phases = ops.solved[0][1][:(report.modes == 0).sum()]
-    assert (phases == 0).any() and (phases != 0).any()
+    assert (phases == 0).any() and (phases != 0).any() == (ops.phases > 1)
     assert np.abs(X.T @ (ops.Mm @ X) - np.eye(40)).max() < 1e-10
     R = ops.B @ X - (ops.Mm @ X) * report.eigenvalues
     assert np.abs(R).max() < 1e-10
@@ -700,8 +718,7 @@ def test_line_cutoff_falls_back_to_phase_cholesky(p, q, nt):
     # the pointwise bound of mode 1 fails just above lambda1, and a
     # Cholesky factorization of each shifted phase pencil certifies it
     # there instead: the lowest value needs mode 0 alone
-    family = rotational.build_surface(rotational.find_otsuki(p, q))
-    ops = fem.assemble_spectral(fem.mesh_torus(family, nt, 17))
+    ops = fem.assemble_spectral(rotational.find_otsuki(p, q), nt, 17)
     report = lowest_eigs(ops, 1)
     assert report.solved_modes == (0,)
     tau = report.eigenvalues[0]
@@ -1084,3 +1101,16 @@ def test_spectral_otsuki_exact_landmarks(otsuki_op_spectral):
     for value, expected in ((-2.0, [0, 0, 1, 1]), (0.0, [0, 1, 1, 1, 1])):
         near = np.abs(vals - value) < 1e-11
         assert sorted(modes[near]) == expected
+
+
+def test_spectral_otsuki_single_bloch_phase(otsuki_profile,
+                                            otsuki_op_spectral):
+    # nt = 257 is prime to q = 3: the line is one Bloch cell, P = 1, and
+    # one dense pencil per mode gives the index, the nullity and lambda1
+    # of the three-phase line 255 x 17
+    ops = fem.assemble_spectral(otsuki_profile, 257, 17)
+    assert (ops.phases, ops.m) == (1, 257)
+    index, report = morse_index(ops)
+    assert (index, report.nullity) == (12, 5)
+    ref = lowest_eigs(otsuki_op_spectral, 1).lambda1
+    assert abs(report.lambda1 - ref) <= 1e-9
