@@ -10,10 +10,9 @@ from .fem import (OperatorSet, SurfaceMesh, assemble, load_mesh,
                   save_mesh)
 from .geometry import GeometryFamily, check_minimality, clifford
 from .paperlab import (ChainRecord, FormReport, IdentityReport,
-                       TheoremReport, TrialSpan, chain_sweep, choose_v0,
-                       conjecture_probe, gauss_identities, lemma_check,
-                       pencil_inertia, ratio_report, theorem_check,
-                       trial_span)
+                       TheoremReport, TrialForms, chain_sweep,
+                       conjecture_probe, lemma_check, pencil_inertia,
+                       theorem_check, trial_forms)
 from .rotational import (ProfileCurve, build_surface, find_otsuki,
                          rotation_number, rotation_window)
 from .spectral import (EigenReport, first_eigfunction, inertia_below,
@@ -33,7 +32,6 @@ __all__ = [
     "SpectrumTable", "sphere_spectrum", "clifford_jacobi", "equator_jacobi",
     "harmonic_dim",
     "FormReport", "IdentityReport", "TheoremReport", "ChainRecord",
-    "TrialSpan", "gauss_identities", "ratio_report", "pencil_inertia",
-    "trial_span", "lemma_check", "choose_v0", "theorem_check",
-    "conjecture_probe", "chain_sweep",
+    "TrialForms", "trial_forms", "pencil_inertia", "lemma_check",
+    "theorem_check", "conjecture_probe", "chain_sweep",
 ]

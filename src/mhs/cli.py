@@ -70,11 +70,15 @@ def _build_mesh(args):
 
 
 def _check_sweep(args):
-    """Reject draws below one or a negative seed before any mesh is built."""
+    """Reject draws below one, a negative seed or a delta1 outside (0, 1)
+    before any mesh is built."""
     if args.draws < 1:
         raise InvalidParameterError(f"draws must be >= 1, got {args.draws}")
     if args.seed < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {args.seed}")
+    delta1 = getattr(args, "delta1", None)   # chain draws its own
+    if delta1 is not None and not 0.0 < delta1 < 1.0:
+        raise InvalidParameterError("delta1 must lie in (0, 1)")
 
 
 def _emit(args, config, report, csv_rows=None):
@@ -144,25 +148,25 @@ def cmd_paper_check(args):
     _check_sweep(args)
     mesh = _build_mesh(args)
     ops = fem.assemble(mesh)
-    span = paperlab.trial_span(mesh, ops)
-    rank, verdict, _ = paperlab.lemma_check(span)
-    theorem = paperlab.theorem_check(span, args.delta1)
-    records, _ = paperlab.chain_sweep(span, draws=args.draws, seed=args.seed)
+    forms = paperlab.trial_forms(mesh, ops, spectral.first_eigfunction(ops))
+    index, _ = spectral.morse_index(ops)
+    rank, verdict, _, full = paperlab.lemma_check(forms)
+    theorem = paperlab.theorem_check(forms, args.delta1, index)
+    records, _ = paperlab.chain_sweep(forms, draws=args.draws, seed=args.seed)
     worst_id = max(r.residual_identity / r.scale for r in records)
-    conjecture, flag = paperlab.conjecture_probe(mesh, ops)
-    identities = paperlab.gauss_identities(mesh)
+    conjecture, flag = paperlab.conjecture_probe(forms)
     report = {
         "lemma": {"rank": rank, "verdict": verdict,
-                  "expected_full_rank": 2 * mesh.surface_dim + 5},
+                  "expected_full_rank": full},
         "theorem": theorem.to_dict(),
         "chain": {"draws": args.draws, "seed": args.seed,
-                  "lambda1": span.lam1,
+                  "lambda1": forms.lam1,
                   "max_identity_residual": worst_id,
                   "records": [r.to_dict() for r in records[:5]]},
         "conjecture": {**conjecture.to_dict(),
                        "negative_subspace_reaches_n_plus_4": flag},
-        "identities": identities.to_dict(),
-        "ratio": paperlab.ratio_report(mesh),
+        "identities": forms.identities.to_dict(),
+        "ratio": forms.ratio,
         "mesh": {"name": mesh.name, "vertices": mesh.num_vertices,
                  "area": mesh.area},
     }
@@ -174,8 +178,9 @@ def cmd_chain(args):
     _check_sweep(args)
     mesh = _build_mesh(args)
     ops = fem.assemble(mesh)
-    records, params = paperlab.chain_sweep(paperlab.trial_span(mesh, ops),
-                                           draws=args.draws, seed=args.seed)
+    forms = paperlab.trial_forms(mesh, ops, spectral.first_eigfunction(ops))
+    records, params = paperlab.chain_sweep(forms, draws=args.draws,
+                                           seed=args.seed)
     report = {"draws": [dict(p, **r.to_dict())
                         for p, r in zip(params, records)],
               "max_identity_residual": max(
@@ -187,7 +192,8 @@ def cmd_chain(args):
 def cmd_conjecture(args):
     mesh = _build_mesh(args)
     ops = fem.assemble(mesh)
-    report, flag = paperlab.conjecture_probe(mesh, ops, args.rank_tol)
+    report, flag = paperlab.conjecture_probe(
+        paperlab.trial_forms(mesh, ops, None), args.rank_tol)
     doc = {**report.to_dict(),
            "negative_subspace_reaches_n_plus_4": flag}
     _emit(args, _config_dict(args), doc)

@@ -10,20 +10,21 @@ direction v0, and verifies the completed-square decomposition of the
 form on the (n+4)-dimensional trial space term by term.
 
 Every trial space of the paper lies in the coordinate span
-{rho, f_e.., l_e..}.  ``trial_span`` solves for the ground state rho and
-forms the span's Gram matrices for the mass, the stability form and the
-|A|^2-weighted mass once; each check is small dense algebra on them.
-Only the conjecture probe has another head, the constant 1.
+{rho, 1, f_e.., l_e..}.  The checks read one ``TrialForms`` value and
+nothing else: the span's Gram matrices for the mass, the stability form
+and the |A|^2-weighted mass, lambda1, the two normal moments behind v0,
+|M|, int |A|^2, sup |A|^2, n and the identity residuals.  So each check
+is small dense algebra, and no check reads a mesh, an operator set, a
+nodal vector or a quadrature point.  ``trial_forms`` produces the value
+from a mesh and its operator set.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
 
-from . import spectral
 from .errors import InvalidParameterError
 
 _DEFAULT_RANK_TOL = 1e-8
@@ -101,22 +102,45 @@ class TheoremReport:
 
 
 @dataclass(frozen=True)
-class TrialSpan:
-    """Ground state (lam1, rho) and the Mm-, B- and SA-Gram forms of the
-    coordinate span {rho, f_e.., l_e..} of one mesh and operator set.
-    The normal moments of the mesh behind every choice of v0
-    (``_normal_moments``) are formed on first use and kept."""
+class TrialForms:
+    """What the paper's checks read of one surface of dimension n.
 
-    mesh: object
-    ops: object
-    lam1: float
-    rho: np.ndarray
+    ``grams`` are the symmetric Mm-, B- and SA-Gram matrices of the
+    coordinate span named by ``labels``, {rho, 1, f_e.., l_e..}, where
+    rho and lam1 are the ground state and its level; forms without a
+    ground state have no rho column and lam1 None.  ``moments`` are
+    Q_A = int |A|^2 nu nu^T and Q_1 = int nu nu^T, from which v0 is
+    chosen for any delta2, and ``identities`` the residuals of the
+    coordinate-function integrals with the area |M|.
+    """
+
+    n: int
     labels: tuple
-    forms: tuple
+    grams: tuple          # (G, B, SA) over labels
+    lam1: Optional[float]
+    moments: tuple        # (Q_A, Q_1)
+    identities: IdentityReport
+    asq_integral: float   # int |A|^2
+    asq_max: float        # sup |A|^2 at the quadrature points
 
-    @cached_property
-    def moments(self):
-        return _normal_moments(self.mesh)
+    @property
+    def ratio(self):
+        """int |A|^2 divided by n |M|.
+
+        For n = 2 it equals 1 - 2 pi chi / |M| (Gauss equation and
+        Gauss-Bonnet): 1 on every minimal torus, 0 on the equator.
+        """
+        return self.asq_integral / (self.n * self.identities.area)
+
+    def block(self, head):
+        """Labels and (G, B, SA) of the span {head, f_e.., l_e..}."""
+        first = self.labels.index("f_e1")
+        if head not in self.labels[:first]:
+            raise InvalidParameterError(f"the trial forms have no {head} "
+                                        "column")
+        idx = [self.labels.index(head), *range(first, len(self.labels))]
+        return (tuple(self.labels[i] for i in idx),
+                *(F[np.ix_(idx, idx)] for F in self.grams))
 
 
 @dataclass(frozen=True)
@@ -148,42 +172,6 @@ class ChainRecord:
 
 
 # ----------------------------------------------------------------------
-# quadrature helpers
-# ----------------------------------------------------------------------
-
-def gauss_identities(mesh):
-    """Residuals of int l_v = 0, int |A|^2 f_v = 0 and the pair identity
-    int (|A|^2 - n) l_w f_v = 0 over all ambient basis directions.
-
-    Sums quad_measure against the quadrature-point fields: exact chart
-    samples on a mesh with a source family ("analytic"), flat data
-    otherwise ("discrete").
-    """
-    w, x, nu, asq = (mesh.quad_measure, mesh.quad_points, mesh.quad_nu,
-                     mesh.quad_asq)
-    n = mesh.surface_dim
-    int_l = np.einsum("tq,tqa->a", w, x)
-    int_sf = np.einsum("tq,tq,tqa->a", w, asq, nu)
-    pair = np.einsum("tq,tq,tqa,tqb->ab", w, asq - n, x, nu)
-    return IdentityReport(
-        int_l=float(np.abs(int_l).max()),
-        int_asq_f=float(np.abs(int_sf).max()),
-        pair=float(np.abs(pair).max()),
-        area=float(w.sum()),
-        mode="discrete" if mesh.source_family is None else "analytic")
-
-
-def ratio_report(mesh):
-    """int |A|^2 divided by n |M| in the curved measure.
-
-    For n = 2 it equals 1 - 2 pi chi / |M| (Gauss equation and
-    Gauss-Bonnet): 1 on every minimal torus, 0 on the equator.
-    """
-    w = mesh.quad_measure
-    return float((w * mesh.quad_asq).sum() / (mesh.surface_dim * w.sum()))
-
-
-# ----------------------------------------------------------------------
 # trial-space machinery
 # ----------------------------------------------------------------------
 
@@ -208,62 +196,68 @@ def pencil_inertia(B, G, rank_tol=_DEFAULT_RANK_TOL):
     return len(vals), int((vals < 0.0).sum())
 
 
-def _coordinate_span(mesh, head, head_label):
-    """Nodal columns and labels of {head, f_e1.., l_e1..}."""
-    dim = mesh.vertices.shape[1]
-    X = np.column_stack([head, mesh.vertex_nu, mesh.vertices])
-    labels = ((head_label,)
-              + tuple(f"f_e{a + 1}" for a in range(dim))
-              + tuple(f"l_e{a + 1}" for a in range(dim)))
-    return X, labels
-
-
 def _span_forms(ops, X):
     """X^T Mm X, X^T B X and X^T SA X, each symmetrized."""
     forms = [X.T @ (A @ X) for A in (ops.Mm, ops.B, ops.SA)]
     return [0.5 * (F + F.T) for F in forms]
 
 
-def trial_span(mesh, ops):
-    """The TrialSpan every check reads: one eigensolve, one set of forms."""
-    lam1, rho = spectral.first_eigfunction(ops)
-    X, labels = _coordinate_span(mesh, rho, "rho")
-    return TrialSpan(mesh=mesh, ops=ops, lam1=lam1, rho=rho, labels=labels,
-                     forms=tuple(_span_forms(ops, X)))
+def trial_forms(mesh, ops, ground):
+    """The TrialForms of a mesh and its operator set.
+
+    ground is (lam1, rho) from ``spectral.first_eigfunction(ops)``, or
+    None for forms without the rho column, which only the conjecture
+    probe reads.  One product of the operators with the nodal columns
+    {rho, 1, f_e.., l_e..} gives the Grams.  One pass over the
+    quadrature points, weighted by quad_measure (the curved area element
+    of a chart, the flat weights on a mesh without one), gives the rest;
+    its sums go through BLAS, whose blocked sums are more accurate than
+    one long einsum accumulation.  The identity mode is "analytic" on a
+    mesh with a source family (exact chart samples), "discrete"
+    otherwise.  Raises unless ||nu|^2 - 1| <= 1e-10 at every point,
+    which bounds trace Q - int (|A|^2 - n delta2) =
+    int (|A|^2 - n delta2)(|nu|^2 - 1) to 1e-10 relative for any delta2.
+    """
+    n = mesh.surface_dim
+    w, asq = mesh.quad_measure, mesh.quad_asq
+    x, nu = (a.reshape(-1, a.shape[-1]) for a in (mesh.quad_points,
+                                                   mesh.quad_nu))
+    if np.abs(np.einsum("pa,pa->p", nu, nu) - 1.0).max() > 1e-10:
+        raise InvalidParameterError("quadrature normals are not unit")
+    pair = ((w * (asq - n)).reshape(-1, 1) * x).T @ nu
+    w_nu = w.reshape(-1, 1) * nu
+    asq_nu = asq.reshape(-1, 1) * w_nu
+    identities = IdentityReport(
+        int_l=float(np.abs(w.reshape(-1) @ x).max()),
+        int_asq_f=float(np.abs(asq.reshape(-1) @ w_nu).max()),
+        pair=float(np.abs(pair).max()), area=float(w.sum()),
+        mode="discrete" if mesh.source_family is None else "analytic")
+    heads = {"one": np.ones(mesh.num_vertices)}
+    if ground is not None:
+        heads = {"rho": ground[1], **heads}
+    X = np.column_stack([*heads.values(), mesh.vertex_nu, mesh.vertices])
+    dim = mesh.vertices.shape[1]
+    labels = (*heads, *(f"f_e{a + 1}" for a in range(dim)),
+              *(f"l_e{a + 1}" for a in range(dim)))
+    return TrialForms(
+        n=n, labels=labels, grams=tuple(_span_forms(ops, X)),
+        lam1=None if ground is None else float(ground[0]),
+        moments=(asq_nu.T @ nu, w_nu.T @ nu), identities=identities,
+        asq_integral=float((w * asq).sum()), asq_max=float(asq.max()))
 
 
-def lemma_check(span):
+def lemma_check(forms):
     """Gram rank of the (2n+5)-function trial set {rho, f's, l's}.
 
     Full rank certifies the surface is neither totally geodesic nor a
     product torus (those collapse the f's onto constants or the l's).
-    Returns (rank, verdict, FormReport).
+    Returns (rank, verdict, FormReport, the full rank 2n+5).
     """
-    G, B, _ = span.forms
-    report = FormReport(span.labels, G, B, *pencil_inertia(B, G))
-    full = 2 * span.mesh.surface_dim + 5
+    labels, G, B, _ = forms.block("rho")
+    report = FormReport(labels, G, B, *pencil_inertia(B, G))
+    full = 2 * forms.n + 5
     verdict = "full_rank" if report.rank == full else "collapsed"
-    return report.rank, verdict, report
-
-
-def _normal_moments(mesh):
-    """The 4x4 moments Q_A = int |A|^2 nu nu^T and Q_1 = int nu nu^T.
-
-    Integrated against quad_measure, the curved area element of a chart
-    (the flat weights on a mesh without one).  The form minimized by
-    v0 is linear in delta2: Q(delta2) = Q_A - n delta2 Q_1.  The
-    products go through BLAS, whose blocked sums are more accurate than
-    one long einsum accumulation.  Raises unless ||nu|^2 - 1| <= 1e-10
-    at every point, which bounds trace Q - int (|A|^2 - n delta2) =
-    int (|A|^2 - n delta2)(|nu|^2 - 1) to 1e-10 relative for any delta2.
-    """
-    nu = mesh.quad_nu.reshape(-1, mesh.quad_nu.shape[-1])
-    if np.abs(np.einsum("pa,pa->p", nu, nu) - 1.0).max() > 1e-10:
-        raise InvalidParameterError("quadrature normals are not unit")
-    w_nu = mesh.quad_measure.reshape(-1, 1) * nu
-    Q_A = (mesh.quad_asq.reshape(-1, 1) * w_nu).T @ nu
-    Q_1 = w_nu.T @ nu
-    return Q_A, Q_1
+    return report.rank, verdict, report, full
 
 
 def _lowest_direction(Q):
@@ -291,8 +285,16 @@ def _lowest_direction(Q):
 
 
 def _v0_from_moments(moments, n, delta2):
-    """choose_v0 on precomputed _normal_moments of an n-surface, for an
-    array of delta2: (v0 rows, v0^T Q v0 for each)."""
+    """Distinguished directions minimizing int (|A|^2 - n delta2) f_v^2
+    on an n-surface, one per entry of the array delta2.
+
+    Forms the quadratic form Q(delta2) = Q_A - n delta2 Q_1 over the
+    ambient basis from the normal moments (Q_A, Q_1) and returns, for
+    each delta2, a unit vector of its lowest eigenspace (canonical when
+    that space is degenerate, ``_lowest_direction``) and v0^T Q v0.
+    The averaging identity trace Q = int (|A|^2 - n delta2) holds to
+    1e-10 relative, by the unit-normal check of ``trial_forms``.
+    """
     delta2 = np.asarray(delta2, dtype=float)
     if not np.all((0.0 < delta2) & (delta2 < 1.0)):
         raise InvalidParameterError("delta2 must lie in (0, 1)")
@@ -303,24 +305,10 @@ def _v0_from_moments(moments, n, delta2):
     return v0, np.einsum("pa,pab,pb->p", v0, Q, v0)
 
 
-def choose_v0(mesh, delta2):
-    """Distinguished direction minimizing int (|A|^2 - n delta2) f_v^2.
-
-    Builds the quadratic form Q over the ambient basis from the two
-    normal moments and returns a unit vector of its lowest eigenspace
-    (canonical when that space is degenerate) together with v0^T Q v0.
-    The averaging identity trace Q = int (|A|^2 - n delta2) holds to
-    1e-10 relative, by the unit-normal check of _normal_moments.
-    """
-    v0, value = _v0_from_moments(_normal_moments(mesh), mesh.surface_dim,
-                                 [delta2])
-    return v0[0], float(value[0])
-
-
 def _gamma0_form(G, B, v0):
     """FormReport on {rho, l_e1.., f_v0} and its largest pencil eigenvalue.
 
-    G and B are the span forms with head rho.  Since f_v0 is
+    G and B are the Grams of {rho, f_e.., l_e..}.  Since f_v0 is
     sum_a v0_a f_ea, the trial space is the image of a coefficient map C
     and its forms are C^T G C and C^T B C.  The eigenvalue is None when
     the trial space is numerically null.
@@ -338,31 +326,30 @@ def _gamma0_form(G, B, v0):
     return report, (float(vals[-1]) if len(vals) else None)
 
 
-def theorem_check(span, delta1):
+def theorem_check(forms, delta1, index):
     """Hypothesis flags and the sign of the form on {rho, l's, f_v0}.
 
-    delta1 lies in (0, 1) and delta2 is 1 - delta1.  Verdict precedence:
-    a totally geodesic surface is excluded, failed hypotheses are
-    reported as such, and otherwise the verdict is the sign of the
-    largest pencil eigenvalue of (B, G) on the trial space.  The report
-    always carries the Rayleigh-Ritz cross-check neg_inertia <= spectral
-    Morse index, and the interval of delta1 at which both hypotheses
-    hold, [sup |A|^2 / (2n), 1 - ratio] clipped to [0, 1] (None when
-    empty, that is when no split of the form works).
+    delta1 lies in (0, 1) and delta2 is 1 - delta1; index is the
+    spectral Morse index of the surface, which the caller computes.
+    Verdict precedence: a totally geodesic surface is excluded, failed
+    hypotheses are reported as such, and otherwise the verdict is the
+    sign of the largest pencil eigenvalue of (B, G) on the trial space.
+    The report always carries the Rayleigh-Ritz cross-check
+    neg_inertia <= index, and the interval of delta1 at which both
+    hypotheses hold, [sup |A|^2 / (2n), 1 - ratio] clipped to [0, 1]
+    (None when empty, that is when no split of the form works).
     """
     if not (0.0 < delta1 < 1.0):
         raise InvalidParameterError("delta1 must lie in (0, 1)")
-    mesh = span.mesh
+    n, asq_max, ratio = forms.n, forms.asq_max, forms.ratio
     delta2 = 1.0 - delta1
-    asq_max = float(mesh.quad_asq.max())
-    ratio = ratio_report(mesh)
     hyp_integral = ratio <= delta2
-    hyp_pointwise = asq_max <= 2.0 * mesh.surface_dim * delta1
-    lo = max(asq_max / (2.0 * mesh.surface_dim), 0.0)
+    hyp_pointwise = asq_max <= 2.0 * n * delta1
+    lo = max(asq_max / (2.0 * n), 0.0)
     hi = min(1.0 - ratio, 1.0)
     geodesic = asq_max < 1e-12
-    v0 = _v0_from_moments(span.moments, mesh.surface_dim, [delta2])[0][0]
-    G, B, _ = span.forms
+    v0 = _v0_from_moments(forms.moments, n, [delta2])[0][0]
+    _, G, B, _ = forms.block("rho")
     report, gamma0_max = _gamma0_form(G, B, v0)
     if geodesic:
         verdict = VERDICT_GEODESIC
@@ -372,7 +359,6 @@ def theorem_check(span, delta1):
         verdict = VERDICT_NEGATIVE
     else:
         verdict = VERDICT_NOT_NEGATIVE
-    index, _ = spectral.morse_index(span.ops)
     return TheoremReport(
         delta1=float(delta1), delta2=float(delta2),
         hyp_integral=hyp_integral, hyp_pointwise=hyp_pointwise,
@@ -382,7 +368,7 @@ def theorem_check(span, delta1):
         delta1_interval=(lo, hi) if lo <= hi else None)
 
 
-def conjecture_probe(mesh, ops, rank_tol=_DEFAULT_RANK_TOL):
+def conjecture_probe(forms, rank_tol=_DEFAULT_RANK_TOL):
     """Form report on {1, f's, l's} plus the (n+4)-dimensional flag.
 
     By Sylvester's law the negative inertia equals the largest dimension
@@ -390,22 +376,22 @@ def conjecture_probe(mesh, ops, rank_tol=_DEFAULT_RANK_TOL):
     the flag records whether such a subspace of dimension n+4 exists in
     this discretization.
     """
-    X, labels = _coordinate_span(mesh, np.ones(mesh.num_vertices), "one")
-    G, B, _ = _span_forms(ops, X)
+    labels, G, B, _ = forms.block("one")
     report = FormReport(labels, G, B, *pencil_inertia(B, G, rank_tol))
-    return report, report.neg_inertia >= mesh.surface_dim + 4
+    return report, report.neg_inertia >= forms.n + 4
 
 
-def _chain_records(forms, n, lam1, a, b, w, delta1, v0):
-    """The chain lines for f = a rho + l_w + b f_v0 on the span forms,
-    one ChainRecord per row of a, b, w, delta1 and v0.
+def _chain_records(grams, n, lam1, a, b, w, delta1, v0):
+    """The chain lines for f = a rho + l_w + b f_v0 on the Grams
+    (G, B, SA) of {rho, f_e.., l_e..}, one ChainRecord per row of a, b,
+    w, delta1 and v0.
 
     L0 is the direct value, L0e its integral expansion, L1 substitutes
     lambda1 <= -2n, and the completed square L2 equals L1 exactly.
     Every integral is u^T F v on span coefficient vectors, stacked over
     the draws.
     """
-    G, B, SA = forms
+    G, B, SA = grams
     delta2 = 1.0 - delta1
     draws, d = v0.shape
     rho = np.zeros((draws, 2 * d + 1))
@@ -446,22 +432,22 @@ def _chain_records(forms, n, lam1, a, b, w, delta1, v0):
                                        scale)))]
 
 
-def chain_sweep(span, draws=100, seed=0):
+def chain_sweep(forms, draws=100, seed=0):
     """Seeded random draws of (a, b, w, delta1) for the chain estimate.
 
     Returns the list of ChainRecords together with the draw parameters;
     a, b and the entries of w are standard normal, delta1 is uniform on
     (0.05, 0.95), from a seed >= 0.  The draws are taken in order, then
     evaluated in one pass: every v0 from one stacked eigensolve of the
-    span's normal moments, every chain line from stacked forms on the
-    span, so no draw touches a quadrature point or a nodal vector.
+    normal moments, every chain line from stacked quadratic forms on the
+    Grams.
     """
     if draws < 1:
         raise InvalidParameterError(f"draws must be >= 1, got {draws}")
     if seed < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    dim = span.mesh.vertices.shape[1]
+    dim = len(forms.moments[1])
     params = []
     for _ in range(draws):
         a = float(rng.standard_normal())
@@ -472,7 +458,7 @@ def chain_sweep(span, draws=100, seed=0):
     a, b, delta1 = (np.array([p[key] for p in params])
                     for key in ("a", "b", "delta1"))
     w = np.array([p["w"] for p in params])
-    n = span.ops.n
-    v0, _ = _v0_from_moments(span.moments, n, 1.0 - delta1)
-    records = _chain_records(span.forms, n, span.lam1, a, b, w, delta1, v0)
+    v0, _ = _v0_from_moments(forms.moments, forms.n, 1.0 - delta1)
+    records = _chain_records(forms.block("rho")[1:], forms.n, forms.lam1,
+                             a, b, w, delta1, v0)
     return records, params

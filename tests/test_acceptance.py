@@ -11,9 +11,13 @@ import numpy as np
 from mhs import paperlab
 from mhs.closedform import clifford_jacobi, equator_jacobi
 from mhs.geometry import check_minimality
-from mhs.paperlab import (chain_sweep, conjecture_probe, gauss_identities,
-                          lemma_check, theorem_check, trial_span)
-from mhs.spectral import lowest_eigs, morse_index
+from mhs.paperlab import (chain_sweep, conjecture_probe, lemma_check,
+                          theorem_check, trial_forms)
+from mhs.spectral import first_eigfunction, lowest_eigs, morse_index
+
+
+def _forms(mesh, ops):
+    return trial_forms(mesh, ops, first_eigfunction(ops))
 
 
 def _verdict(num, ok, text):
@@ -77,19 +81,24 @@ def test_criterion_4_eigenvalue_convergence(clifford_ops):
                     f"monotone={mono}")
 
 
-def test_criterion_5_identity_suite(clifford_mesh, otsuki_mesh,
-                                    otsuki_mesh_coarse):
+def test_criterion_5_identity_suite(clifford_mesh, clifford_op, otsuki_mesh,
+                                    otsuki_op, otsuki_mesh_coarse,
+                                    otsuki_op_coarse):
     ok = True
     details = []
+    identities = {mesh.name: trial_forms(mesh, ops, None).identities
+                  for mesh, ops in ((clifford_mesh, clifford_op),
+                                    (otsuki_mesh_coarse, otsuki_op_coarse),
+                                    (otsuki_mesh, otsuki_op))}
     for mesh in (clifford_mesh, otsuki_mesh_coarse, otsuki_mesh):
-        r = gauss_identities(mesh)
+        r = identities[mesh.name]
         tol = 1e-4 * r.area
         good = r.int_l <= tol and r.int_asq_f <= tol and r.pair <= tol
         ok &= good
         details.append(f"{mesh.name}: max residual "
                        f"{max(r.int_l, r.int_asq_f, r.pair):.2e}")
-    coarse = gauss_identities(otsuki_mesh_coarse)
-    fine = gauss_identities(otsuki_mesh)
+    coarse = identities[otsuki_mesh_coarse.name]
+    fine = identities[otsuki_mesh.name]
     floor = 1e-13 * fine.area
     for name in ("int_l", "int_asq_f", "pair"):
         ok &= getattr(fine, name) <= max(getattr(coarse, name) / 3.0, floor)
@@ -98,9 +107,9 @@ def test_criterion_5_identity_suite(clifford_mesh, otsuki_mesh,
 
 def test_criterion_6_lemma_ranks(otsuki_mesh, otsuki_op, clifford_mesh,
                                  clifford_op, sphere_mesh, sphere_op):
-    r_o = lemma_check(trial_span(otsuki_mesh, otsuki_op))[0]
-    r_c = lemma_check(trial_span(clifford_mesh, clifford_op))[0]
-    r_s = lemma_check(trial_span(sphere_mesh, sphere_op))[0]
+    r_o = lemma_check(_forms(otsuki_mesh, otsuki_op))[0]
+    r_c = lemma_check(_forms(clifford_mesh, clifford_op))[0]
+    r_s = lemma_check(_forms(sphere_mesh, sphere_op))[0]
     ok = (r_o, r_c, r_s) == (9, 5, 4)
     _verdict(6, ok, f"trial-space ranks: rotational={r_o} (expect 9), "
                     f"product={r_c} (expect 5), geodesic={r_s} (expect 4)")
@@ -122,7 +131,7 @@ def test_criterion_7_chain_identity_and_ordering(
             ("P1", otsuki_mesh, otsuki_op, False),
             ("spectral", clifford_mesh_odd, clifford_op_spectral, True),
             ("spectral", otsuki_mesh_odd, otsuki_op_spectral, True)):
-        records, _ = chain_sweep(trial_span(mesh, ops), draws=100, seed=0)
+        records, _ = chain_sweep(_forms(mesh, ops), draws=100, seed=0)
         worst_id = max(r.residual_identity / r.scale for r in records)
         ok &= worst_id <= 1e-10
         lam1 = records[0].lambda1
@@ -147,12 +156,12 @@ def test_criterion_8_rayleigh_ritz_consistency(
     for mesh, ops in ((clifford_mesh, clifford_op),
                       (sphere_mesh, sphere_op),
                       (otsuki_mesh, otsuki_op)):
-        span = trial_span(mesh, ops)
-        theorem = theorem_check(span, 0.5)
+        forms = _forms(mesh, ops)
+        theorem = theorem_check(forms, 0.5, morse_index(ops)[0])
         index = theorem.spectral_index
-        negs = [lemma_check(span)[2].neg_inertia,
+        negs = [lemma_check(forms)[2].neg_inertia,
                 theorem.neg_inertia_gamma0,
-                conjecture_probe(mesh, ops)[0].neg_inertia]
+                conjecture_probe(forms)[0].neg_inertia]
         ok &= all(neg <= index for neg in negs)
         details.append(f"{mesh.name}: inertia {negs} <= index {index}")
     _verdict(8, ok, "; ".join(details))
@@ -164,7 +173,7 @@ def test_criterion_9_otsuki_generation(otsuki_profile, otsuki_mesh,
     family = otsuki_mesh.source_family
     trace = check_minimality(family, per_dim=(128, 32))
     index = morse_index(otsuki_op)[0]
-    rank = lemma_check(trial_span(otsuki_mesh, otsuki_op))[0]
+    rank = lemma_check(_forms(otsuki_mesh, otsuki_op))[0]
     ok = (closure <= 1e-12 and trace <= 1e-10 and index >= 6 and rank == 9)
     _verdict(9, ok, f"rotational (2,3): closure={closure:.1e}, "
                     f"max|trace A|={trace:.1e}, index={index}, rank={rank}")
@@ -174,13 +183,16 @@ def test_criterion_10_theorem_behavior(clifford_mesh, clifford_op,
                                        sphere_mesh, sphere_op,
                                        synthetic_mesh, synthetic_op):
     ok = True
-    clifford_span = trial_span(clifford_mesh, clifford_op)
+    clifford_forms = _forms(clifford_mesh, clifford_op)
+    clifford_index = morse_index(clifford_op)[0]
     for delta1 in (0.3, 0.5, 0.9):
-        rep = theorem_check(clifford_span, delta1)
+        rep = theorem_check(clifford_forms, delta1, clifford_index)
         ok &= rep.verdict == paperlab.VERDICT_HYP_FAIL
-    rep_s = theorem_check(trial_span(sphere_mesh, sphere_op), 0.5)
+    rep_s = theorem_check(_forms(sphere_mesh, sphere_op), 0.5,
+                          morse_index(sphere_op)[0])
     ok &= rep_s.verdict == paperlab.VERDICT_GEODESIC
-    rep_y = theorem_check(trial_span(synthetic_mesh, synthetic_op), 0.5)
+    rep_y = theorem_check(_forms(synthetic_mesh, synthetic_op), 0.5,
+                          morse_index(synthetic_op)[0])
     ok &= rep_y.verdict == paperlab.VERDICT_NEGATIVE
     ok &= rep_y.rr_consistent
     ok &= rep_y.neg_inertia_gamma0 <= rep_y.spectral_index

@@ -134,6 +134,33 @@ def test_draws_below_one_is_an_error_line(capsys, monkeypatch, argv):
     assert err == f"error: {bound[argv[-2]]}, got {argv[-1]}\n"
 
 
+@pytest.mark.parametrize("delta1", ["1.5", "0", "1", "-0.25", "nan"])
+def test_delta1_outside_unit_interval_is_an_error_line(capsys, delta1):
+    # delta1 is checked before any mesh is built or ground state solved
+    with mock.patch.object(cli.fem, "mesh_torus") as mesh_torus:
+        assert main(["paper-check", "--family", "otsuki", "--res", "16",
+                     "--delta1", delta1]) == 1
+    assert mesh_torus.call_count == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: delta1 must lie in (0, 1)\n"
+
+
+def test_conjecture_solves_no_eigenproblem(capsys):
+    # the probe's span {1, f's, l's} needs no ground state
+    with mock.patch.object(spectral, "first_eigfunction",
+                           wraps=spectral.first_eigfunction) as ground, \
+            mock.patch.object(spectral, "lowest_eigs",
+                              wraps=spectral.lowest_eigs) as lowest, \
+            mock.patch.object(spectral.spla, "eigsh",
+                              wraps=spectral.spla.eigsh) as lanczos:
+        code, doc = run_json(capsys, ["conjecture", "--family", "otsuki",
+                                      "--res", "16"])
+    assert code == 0 and doc["report"]["rank"] == 9
+    assert (ground.call_count, lowest.call_count,
+            lanczos.call_count) == (0, 0, 0)
+
+
 @pytest.mark.parametrize("flag", ["--nt", "--nphi"])
 def test_zero_resolution_override_is_an_error_line(capsys, flag):
     # an override of 0 is not "unset": mesh_torus's guard reports it
@@ -296,17 +323,21 @@ def test_reports_reproducible(tmp_path, capsys):
 
 def test_paper_check_one_span_reproducible(capsys):
     # ico4's ground state comes from Lanczos.  Each run solves for it once
-    # and forms two span Grams: the trial span and the probe's head-1 span
+    # and makes one TrialForms: one product for the Grams of the ten
+    # columns {rho, 1, f's, l's} and one quadrature pass
     argv = ["paper-check", "--family", "equator", "--res", "4"]
     with mock.patch.object(paperlab, "_span_forms",
                            wraps=paperlab._span_forms) as forms, \
+            mock.patch.object(paperlab, "trial_forms",
+                              wraps=paperlab.trial_forms) as produce, \
             mock.patch.object(spectral, "first_eigfunction",
                               wraps=spectral.first_eigfunction) as ground, \
             mock.patch.object(spectral.spla, "eigsh",
                               wraps=spectral.spla.eigsh) as lanczos:
         (_, doc1), (_, doc2) = run_json(capsys, argv), run_json(capsys, argv)
-    assert (forms.call_count, ground.call_count) == (4, 2)
-    # per run: the ground state and the probe's Morse index window
+    assert (forms.call_count, produce.call_count) == (2, 2)
+    assert ground.call_count == 2
+    # per run: the ground state and the Morse index window
     assert lanczos.call_count == 4
     del doc1["timestamp"], doc2["timestamp"]
     assert doc1 == doc2

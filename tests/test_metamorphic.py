@@ -8,8 +8,8 @@ from mhs.errors import MeshFormatError
 from mhs.fem import (assemble, mesh_from_json, mesh_sphere, mesh_to_json,
                      mesh_torus)
 from mhs.geometry import clifford
-from mhs.paperlab import chain_sweep, trial_span
-from mhs.spectral import lowest_eigs
+from mhs.paperlab import chain_sweep, trial_forms
+from mhs.spectral import first_eigfunction, lowest_eigs
 
 
 def _exported(name):
@@ -54,9 +54,10 @@ def test_one_reversed_triangle_is_refused(name):
 
 @pytest.mark.parametrize("name", ["sphere", "synthetic"])
 def test_chain_identity_holds_for_every_seed(name, request):
-    span = trial_span(request.getfixturevalue(f"{name}_mesh"),
-                      request.getfixturevalue(f"{name}_op"))
+    ops = request.getfixturevalue(f"{name}_op")
+    forms = trial_forms(request.getfixturevalue(f"{name}_mesh"), ops,
+                        first_eigfunction(ops))
     for seed in range(1, 6):
-        records, _ = chain_sweep(span, draws=20, seed=seed)
+        records, _ = chain_sweep(forms, draws=20, seed=seed)
         for r in records:
             assert abs(r.L1 - r.L2) <= 1e-10 * r.scale
