@@ -11,8 +11,8 @@ from .fem import (OperatorSet, SurfaceMesh, assemble, load_mesh,
 from .geometry import GeometryFamily, check_minimality, clifford
 from .paperlab import (ChainRecord, FormReport, IdentityReport,
                        TheoremReport, TrialForms, chain_sweep,
-                       conjecture_probe, lemma_check, pencil_inertia,
-                       theorem_check, trial_forms)
+                       conjecture_probe, lemma_check, line_forms,
+                       pencil_inertia, theorem_check, trial_forms)
 from .rotational import (ProfileCurve, build_surface, find_otsuki,
                          rotation_number, rotation_window)
 from .spectral import (EigenReport, first_eigfunction, inertia_below,
@@ -32,6 +32,6 @@ __all__ = [
     "SpectrumTable", "sphere_spectrum", "clifford_jacobi", "equator_jacobi",
     "harmonic_dim",
     "FormReport", "IdentityReport", "TheoremReport", "ChainRecord",
-    "TrialForms", "trial_forms", "pencil_inertia", "lemma_check",
-    "theorem_check", "conjecture_probe", "chain_sweep",
+    "TrialForms", "trial_forms", "line_forms", "pencil_inertia",
+    "lemma_check", "theorem_check", "conjecture_probe", "chain_sweep",
 ]

@@ -60,6 +60,14 @@ def _merge(pairs):
     return tuple(sorted(table.items()))
 
 
+def _cutoff(cutoff, n):
+    """cutoff, 2n + 1 by default; one <= 0 would cut the counted values."""
+    if cutoff is not None and not 0 < cutoff < math.inf:
+        raise InvalidParameterError(
+            f"cutoff must be finite and > 0, got {cutoff}")
+    return 2 * n + 1 if cutoff is None else cutoff
+
+
 def clifford_jacobi(n, k, cutoff=None):
     """Stability spectrum of the minimal S^k(r) x S^{n-k}(s) product.
 
@@ -72,9 +80,7 @@ def clifford_jacobi(n, k, cutoff=None):
         raise InvalidParameterError("n must be >= 2")
     if not (1 <= k <= n - 1):
         raise InvalidParameterError("k must satisfy 1 <= k <= n-1")
-    if cutoff is None:
-        cutoff = 2 * n + 1
-    cutoff = Fraction(cutoff)
+    cutoff = Fraction(_cutoff(cutoff, n))
     inv_r2 = Fraction(n, k)
     inv_s2 = Fraction(n, n - k)
     pairs = []
@@ -106,8 +112,7 @@ def equator_jacobi(n, cutoff=None):
     """
     if n < 2:
         raise InvalidParameterError("n must be >= 2")
-    if cutoff is None:
-        cutoff = 2 * n + 1
+    cutoff = _cutoff(cutoff, n)
     pairs = []
     j = 0
     while j * (j + n - 1) - n < cutoff:

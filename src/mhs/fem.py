@@ -13,7 +13,7 @@ by the block row 0 of phi-column 0 where its elements are invariant in
 phi (``OperatorSet``).  ``assemble_spectral`` builds the Fourier
 pseudo-spectral set of a rotational torus from its profile, with no
 mesh, as four coefficient arrays on its line phi = 0
-(``spectral.TwistedLine``).  Both act on vertex values of a chart grid.
+(``spectral.TwistedLine``), whose states are cell vectors of its pencils.
 """
 
 import json
@@ -30,7 +30,7 @@ from .errors import (DegenerateElementError, GenerationFailedError,
 from .geometry import GeometryFamily
 from .rotational import build_surface
 from .spectral import (_SHIFT_TOL, ChartLine, PhiModes, TwistedLine,
-                       _Pencil, dissection_order)
+                       dissection_order)
 
 # barycentric coordinates of the three edge midpoints
 _PHI = np.array([[0.5, 0.5, 0.0],
@@ -94,7 +94,7 @@ class SurfaceMesh:
 
 
 @dataclass(frozen=True)
-class OperatorSet(_Pencil):
+class OperatorSet:
     """Assembled matrices of the weak stability form.
 
     K is the stiffness, Mm the mass, W the (n + |A|^2)-weighted mass;
@@ -103,7 +103,7 @@ class OperatorSet(_Pencil):
     (``spectral.ChartLine``), which are applied by their block rows and
     never formed as V x V matrices; B = K - W and SA = W - n Mm of chart
     lines are chart lines.  A set of chart lines splits over phi-modes,
-    and a sparse set takes the nodal path.  The split and the
+    and a sparse set takes the nodal path.  B, SA, the split and the
     elimination order are built on first use and kept.
     """
 
@@ -112,6 +112,10 @@ class OperatorSet(_Pencil):
     W: sp.csr_matrix | ChartLine
     n: int
     q_max: float   # max of n + |A|^2 over quadrature points
+
+    B = cached_property(lambda self: self.K - self.W)
+    SA = cached_property(lambda self: self.W - self.n * self.Mm)
+    size = property(lambda self: self.K.shape[0])
 
     @cached_property
     def phi_modes(self):
@@ -389,15 +393,16 @@ def assemble_spectral(profile, nt, nphi):
     surface of revolution has an orthogonal chart with g_11, g_22 and
     q = n + |A|^2 invariant in phi, so the set is one line of constant
     phi (``spectral.TwistedLine``), sampled in one pass at its nt nodes
-    (L_theta i / nt, 0) and checked there to be minimal: with Fourier
-    derivatives D_t, D_phi and weights w = dt dphi sqrt(g),
-    K = D_t^T diag(w / g_11) D_t (x) I + diag(w / g_22) (x) D_phi^T D_phi,
-    Mm = diag(w) (x) I and W = diag(w q) (x) I.  They meet
-    Delta l_v = -n l_v and Delta f_v = -|A|^2 f_v at the nodes to spectral
-    accuracy rather than O(h^2).  The coefficients repeat once per radial
-    period, nt / q nodes, so the line holds gcd(nt, q) Bloch phases, an
-    odd count.  An even side would leave the Nyquist mode in the kernel
-    of D.
+    (L_theta i / nt, 0), checked there to be minimal and kept with its x
+    and nu.  With Fourier derivatives D_t, D_phi and w = dt dphi sqrt(g)
+    its pencil is that of K = D_t^T diag(w / g_11) D_t (x) I
+    + diag(w / g_22) (x) D_phi^T D_phi, Mm = diag(w) (x) I and
+    W = diag(w q) (x) I, none of them formed, which meet
+    Delta l_v = -n l_v and Delta f_v = -|A|^2 f_v at the nodes to
+    spectral accuracy rather than O(h^2).  The coefficients repeat once
+    per radial period, nt / q nodes, so the line holds gcd(nt, q) Bloch
+    phases, an odd count.  An even side would leave the Nyquist mode in
+    the kernel of D.
     """
     if nt < 8 or nphi < 8:
         raise InvalidParameterError("torus resolutions must be >= 8")
@@ -406,19 +411,18 @@ def assemble_spectral(profile, nt, nphi):
             f"spectral assembly needs odd grid sides, got {nt}x{nphi}")
     family = build_surface(profile)
     lt, lp = family.periods
-    _, T, _, A, asq, _ = family.sample(
+    X, T, nu, A, asq, _ = family.sample(
         np.stack([lt * np.arange(nt) / nt, np.zeros(nt)], axis=-1))
     trace = np.abs(A[:, 0, 0] + A[:, 1, 1]).max()
     if trace > _MINIMALITY_TOL:
         raise GenerationFailedError(
             f"minimality self-check failed: max |trace A| = {trace:.3e}")
     g11, g22 = np.einsum("vai,vbi->abv", T, T)[[0, 1], [0, 1]]
-    q = 2 + asq    # n + |A|^2 on a surface in S^3
     w = (lt / nt) * (lp / nphi) * np.sqrt(g11 * g22)
-    return TwistedLine(line=np.stack([w, w / g11, w / g22, w * q]),
-                       lengths=(lt, lp), n=2, q_max=float(q.max()),
-                       grid_shape=(nt, nphi),
-                       phases=math.gcd(nt, profile.q))
+    # q = n + |A|^2 on a surface in S^3
+    return TwistedLine(line=np.stack([w, w / g11, w / g22, w * (2 + asq)]),
+                       lengths=(lt, lp), n=2, grid_shape=(nt, nphi),
+                       phases=math.gcd(nt, profile.q), frame=np.stack([X, nu]))
 
 
 def mesh_to_json(mesh):

@@ -15,8 +15,9 @@ nothing else: the span's Gram matrices for the mass, the stability form
 and the |A|^2-weighted mass, lambda1, the two normal moments behind v0,
 |M|, int |A|^2, sup |A|^2, n and the identity residuals.  So each check
 is small dense algebra, and no check reads a mesh, an operator set, a
-nodal vector or a quadrature point.  ``trial_forms`` produces the value
-from a mesh and its operator set.
+nodal vector or a quadrature point.  Two producers make the value:
+``trial_forms`` from a mesh and its operator set, and ``line_forms``
+from a spectral line's phase pencils and node sums, with no mesh.
 """
 
 from dataclasses import dataclass
@@ -192,6 +193,9 @@ def _pencil_eigs(B, G, rank_tol=_DEFAULT_RANK_TOL):
 
 def pencil_inertia(B, G, rank_tol=_DEFAULT_RANK_TOL):
     """(rank, negative inertia) of the form B on the span with Gram G."""
+    if not 0.0 < rank_tol < 1.0:
+        raise InvalidParameterError(
+            f"rank_tol must lie in (0, 1), got {rank_tol}")
     vals = _pencil_eigs(B, G, rank_tol)
     return len(vals), int((vals < 0.0).sum())
 
@@ -202,26 +206,15 @@ def _span_forms(ops, X):
     return [0.5 * (F + F.T) for F in forms]
 
 
-def trial_forms(mesh, ops, ground):
-    """The TrialForms of a mesh and its operator set.
-
-    ground is (lam1, rho) from ``spectral.first_eigfunction(ops)``, or
-    None for forms without the rho column, which only the conjecture
-    probe reads.  One product of the operators with the nodal columns
-    {rho, 1, f_e.., l_e..} gives the Grams.  One pass over the
-    quadrature points, weighted by quad_measure (the curved area element
-    of a chart, the flat weights on a mesh without one), gives the rest;
-    its sums go through BLAS, whose blocked sums are more accurate than
-    one long einsum accumulation.  The identity mode is "analytic" on a
-    mesh with a source family (exact chart samples), "discrete"
-    otherwise.  Raises unless ||nu|^2 - 1| <= 1e-10 at every point,
-    which bounds trace Q - int (|A|^2 - n delta2) =
+def _point_sums(n, w, asq, x, nu, mode):
+    """The moments, identities, int |A|^2 and sup |A|^2 of TrialForms, as
+    keywords, from one pass over points with weights w.  Its sums go
+    through BLAS, whose blocked sums are more accurate than one long
+    einsum accumulation.  Raises unless ||nu|^2 - 1| <= 1e-10 at every
+    point, which bounds trace Q - int (|A|^2 - n delta2) =
     int (|A|^2 - n delta2)(|nu|^2 - 1) to 1e-10 relative for any delta2.
     """
-    n = mesh.surface_dim
-    w, asq = mesh.quad_measure, mesh.quad_asq
-    x, nu = (a.reshape(-1, a.shape[-1]) for a in (mesh.quad_points,
-                                                   mesh.quad_nu))
+    x, nu = (a.reshape(-1, a.shape[-1]) for a in (x, nu))
     if np.abs(np.einsum("pa,pa->p", nu, nu) - 1.0).max() > 1e-10:
         raise InvalidParameterError("quadrature normals are not unit")
     pair = ((w * (asq - n)).reshape(-1, 1) * x).T @ nu
@@ -230,20 +223,87 @@ def trial_forms(mesh, ops, ground):
     identities = IdentityReport(
         int_l=float(np.abs(w.reshape(-1) @ x).max()),
         int_asq_f=float(np.abs(asq.reshape(-1) @ w_nu).max()),
-        pair=float(np.abs(pair).max()), area=float(w.sum()),
-        mode="discrete" if mesh.source_family is None else "analytic")
-    heads = {"one": np.ones(mesh.num_vertices)}
-    if ground is not None:
-        heads = {"rho": ground[1], **heads}
+        pair=float(np.abs(pair).max()), area=float(w.sum()), mode=mode)
+    return dict(moments=(asq_nu.T @ nu, w_nu.T @ nu), identities=identities,
+                asq_integral=float((w * asq).sum()), asq_max=float(asq.max()))
+
+
+def trial_forms(mesh, ops, ground):
+    """The TrialForms of a mesh and its operator set.
+
+    ground is (lam1, rho) from ``spectral.first_eigfunction(ops)``, or
+    None for forms without the rho column, which only the conjecture
+    probe reads.  One product of the operators with the nodal columns
+    {rho, 1, f_e.., l_e..} gives the Grams.  One pass over the
+    quadrature points (``_point_sums``), weighted by quad_measure (the
+    curved area element of a chart, the flat weights on a mesh without
+    one), gives the rest.  The identity mode is "analytic" on a mesh
+    with a source family (exact chart samples), "discrete" otherwise.
+    """
+    sums = _point_sums(mesh.surface_dim, mesh.quad_measure, mesh.quad_asq,
+                       mesh.quad_points, mesh.quad_nu, "discrete"
+                       if mesh.source_family is None else "analytic")
+    heads = {} if ground is None else {"rho": ground[1]}
+    heads["one"] = np.ones(mesh.num_vertices)
     X = np.column_stack([*heads.values(), mesh.vertex_nu, mesh.vertices])
     dim = mesh.vertices.shape[1]
     labels = (*heads, *(f"f_e{a + 1}" for a in range(dim)),
               *(f"l_e{a + 1}" for a in range(dim)))
     return TrialForms(
-        n=n, labels=labels, grams=tuple(_span_forms(ops, X)),
+        n=mesh.surface_dim, labels=labels, grams=tuple(_span_forms(ops, X)),
+        lam1=None if ground is None else float(ground[0]), **sums)
+
+
+def line_forms(line, ground):
+    """The TrialForms of a spectral line (``spectral.TwistedLine``), from
+    the phase pencils its index reads, with no mesh.
+
+    ground is (lam1, rho) from ``spectral.first_eigfunction(line)``, or
+    None.  Each column is a Bloch wave Re(c(a) e^(2 pi i (r b / P
+    + k j / nphi))) at lattice node (b m + a, j), c on cell 0: rho and 1
+    in pencil (r, k) = (0, 0); l_e1, l_e2, f_e1 and f_e2, cos(alpha)
+    e^(iv) times functions of theta, as c_0 + i c_1 and c_1 - i c_0 in
+    (p, 0), e^(iv) turning by p / P over a cell; the rest as c and -i c
+    in (0, 1).  Waves meet only where their (r, k) are equal or opposite,
+    in (P nphi / 2) Re(c^H F d) and Re(c^T F d), F the pencil's Mm, B or
+    SA.  The sums are one pass (``_point_sums``) over the nt nodes at
+    phi = 0, 2 pi / 3 and 4 pi / 3, exact as on the lattice: their
+    integrands are trigonometric polynomials of degree <= 2 in phi.
+    """
+    n, P, m, nphi = line.n, line.phases, line.m, line.nphi
+    X, nu = line.frame
+    w, wA = line.line[0], line.line[3] - n * line.line[0]   # w |A|^2
+    z = X[:, 0] + 1j * X[:, 1]
+    p = round(P * np.angle(z[m % line.nt] / z[0]) / (2 * np.pi)) % P
+    heads = {} if ground is None else {"rho": ground[1]}
+    heads["one"] = np.ones(m)
+    cols = [(c, (0, 0)) for c in heads.values()]
+    for F in (nu, X):
+        g, a = F[:m, 0] + 1j * F[:m, 1], F[:m, 2]
+        cols += [(g, (p, 0)), (-1j * g, (p, 0)),
+                 (a, (0, 1)), (-1j * a, (0, 1))]
+    C, keys = np.column_stack([c for c, _ in cols]), [k for _, k in cols]
+    grams = np.zeros((3, len(cols), len(cols)))
+    for r, k in set(keys):
+        S = [i for i, key in enumerate(keys) if key == (r, k)]
+        T = [i for i, key in enumerate(keys) if key == (-r % P, -k % nphi)]
+        B, Mm = line.pencil(r if 2 * r < P else r - P, k)
+        for F, A in zip(grams, (Mm, B, np.diag(wA[:m]))):
+            F[np.ix_(S, S)] += (C[:, S].conj().T @ A @ C[:, S]).real
+            F[np.ix_(T, S)] += (C[:, T].T @ A @ C[:, S]).real
+    # the turns of the (e_3, e_4)-plane that carry phi = 0 to each angle
+    angle = 2 * np.pi * np.arange(3) / 3
+    c, s = np.cos(angle), np.sin(angle)
+    turns = np.tile(np.eye(4), (3, 1, 1))
+    turns[:, 2:, 2:] = np.moveaxis([[c, -s], [s, c]], -1, 0)
+    x, nu = (np.concatenate(y @ turns.transpose(0, 2, 1)) for y in (X, nu))
+    return TrialForms(
+        n=n, labels=(*heads, *(f"{f}_e{a + 1}" for f in "fl"
+                               for a in range(4))),
+        grams=tuple(grams * (P * nphi / 2)),
         lam1=None if ground is None else float(ground[0]),
-        moments=(asq_nu.T @ nu, w_nu.T @ nu), identities=identities,
-        asq_integral=float((w * asq).sum()), asq_max=float(asq.max()))
+        **_point_sums(n, np.tile(w * (nphi / 3), 3), np.tile(wA / w, 3), x,
+                      nu, "analytic"))
 
 
 def lemma_check(forms):

@@ -17,7 +17,8 @@ instead, swept, merged and counted by one set of routines
 pencils of a P1 set (``PhiModes``) or the Bloch phase pencils of a
 spectral line (``TwistedLine``).  There ``morse_index`` counts at both
 ends of the zero window in one sweep and then solves exactly the
-counted window, so its nullity is certified too.
+counted window, so its nullity is certified too.  A line forms no
+nodal operator or vector: its states are cell vectors of its pencils.
 """
 
 import functools
@@ -222,33 +223,16 @@ def _theta_symbols(nt, nphi, B_row, Mm_row):
     return tuple(symbols) if symbols[1].min() > 0 else None
 
 
-class _Pencil:
-    """B = K - W and the |A|^2-weighted mass SA = W - n Mm of an operator
-    set, built on first use and kept."""
-
-    @functools.cached_property
-    def B(self):
-        return self.K - self.W
-
-    @functools.cached_property
-    def SA(self):
-        return self.W - self.n * self.Mm
-
-    @property
-    def size(self):
-        return self.K.shape[0]
-
-
 class _ModeSweep:
     """The sweep over the phi-modes k = 0 .. nphi // 2 of either split of
     a chart-grid pencil.  Modes k and -k are conjugate, so a mode
     0 < k < nphi/2 holds each value of the real pencil twice.  A split
     states per mode k the certificate ``positive(k, shift, floor)`` that
     B_k - shift Mm_k is positive definite clear of roundoff at floor, the
-    solve ``_solve(k)``, ascending values first, the real nodal vectors
-    ``_vectors(k, r)`` of its leading r pairs and, unless the solve
-    checked them, their residual check ``_check(k, r)``, and the weighted
-    shifted matrices whose signatures count it (``shifted``).
+    solve ``_solve(k)``, ascending values first, and the weighted shifted
+    matrices whose signatures count it (``shifted``).  A split with nodal
+    vectors also states the real vectors ``_vectors(k, r)`` of the
+    leading r pairs of mode k and their residual check ``_check(k, r)``.
     """
 
     # mode k -> its solve, and the largest tau at which each mode was
@@ -478,7 +462,7 @@ class PhiModes(_ModeSweep):
 
 
 @dataclass(frozen=True)
-class TwistedLine(_ModeSweep, _Pencil):
+class TwistedLine(_ModeSweep):
     """The Fourier pseudo-spectral set of a chart line, split over
     phi-modes and Bloch phases.
 
@@ -499,20 +483,20 @@ class TwistedLine(_ModeSweep, _Pencil):
     mode k has nothing below sigma where kappa_k^2 w / g_22 - w q
     - sigma w > 0 at every node (``positive``); where that fails, a
     Cholesky factorization of each phase pencil may still exclude sigma
-    (``_excludes``).  Mm and W are diagonal
-    chart lines; K and the nodal vectors go through the FFT over the
-    phase axis b and phi axis j of node (b m + a, j).
+    (``_excludes``).  No nodal operator or vector is formed: ``frame``,
+    x and nu at the nodes, feeds ``paperlab.line_forms``.
     """
 
     line: np.ndarray   # (4, nt)
     lengths: tuple     # (L_theta, L_phi) of the chart
     n: int
-    q_max: float
     grid_shape: tuple  # (nt, nphi)
     phases: int        # P, odd and dividing nt
+    frame: np.ndarray  # (2, nt, 4): x and nu at the nodes
 
     nt = property(lambda self: self.grid_shape[0])
     nphi = property(lambda self: self.grid_shape[1])
+    size = property(lambda self: self.nt * self.nphi)
     phi_modes = property(lambda self: self)
     m = property(lambda self: self.nt // self.phases)
 
@@ -580,16 +564,12 @@ class TwistedLine(_ModeSweep, _Pencil):
         return True
 
     def _solve(self, k):
-        """(ascending values, their signed phases, their columns, and the
-        ascending values and diag(w)-orthonormal vectors of each phase
-        r >= 0) of mode k, each value of r > 0 listed for r and -r."""
+        """(ascending values, and the ascending values and
+        diag(w)-orthonormal vectors of each phase r >= 0) of mode k, the
+        values of r > 0 twice, for r and -r."""
         pairs = [self._phase(r, k) for r in range(self.phases // 2 + 1)]
-        R = len(pairs) - 1
-        signed = np.r_[0, np.arange(1, R + 1).repeat(2) * np.tile([1, -1], R)]
-        lam = np.concatenate([pairs[abs(p)][0] for p in signed])
-        order = np.argsort(lam, kind="stable")
-        return (lam[order], signed.repeat(self.m)[order],
-                np.tile(np.arange(self.m), len(signed))[order], pairs)
+        return np.sort(np.concatenate(
+            [pairs[0][0]] + 2 * [lam for lam, _ in pairs[1:]])), pairs
 
     def _phase(self, r, k):
         """(ascending values, diag(w)-orthonormal vectors) of pencil
@@ -598,67 +578,6 @@ class TwistedLine(_ModeSweep, _Pencil):
         lam, U = sla.eigh(B, Mm)
         _residual_check(B, Mm, lam, U)
         return lam, U
-
-    def _vectors(self, k, r):
-        """Real nodal vectors of the leading r values of mode k: for each
-        value's vector u and phase p, c = 1 and -i in turn in a complex
-        mode; in mode 0 phase 0 is real, and p = r, -r are c = 1, -i of
-        phase r (``_nodal``)."""
-        _, phase, col, pairs = self.solved[k]
-        phase, col = phase[:r], col[:r]
-        if self.multiplicity(k) == 2:
-            p, c, col = phase.repeat(2), np.tile([1, -1j], r), col.repeat(2)
-        else:
-            p, c = np.abs(phase), np.where(phase < 0, -1j, 1)
-        U = np.stack([pairs[abs(q)][1][:, j] for q, j in zip(p, col)], axis=1)
-        return self._nodal(k, p, c * np.where(p < 0, U.conj(), U))
-
-    def _nodal(self, k, p, cU):
-        """Re z normalized in Mm for each column cU and phase p, with
-        z = cU(a) e^(2 pi i (p b / P + k j / nphi)) at node (b m + a, j):
-        the coefficients cU / 2 at (p, k) and their conjugates at
-        (-p, -k), transformed back."""
-        P, nphi, cols = self.phases, self.nphi, np.arange(len(p))
-        Y = np.zeros((P, self.m, nphi, len(p)), dtype=complex)
-        Y[p % P, :, k, cols] = 0.5 * cU.T
-        Y[-p % P, :, -k % nphi, cols] += 0.5 * cU.conj().T
-        real = (p == 0) & (k == 0)
-        return (np.fft.ifft2(Y, axes=(0, 2)).real.reshape(-1, len(p))
-                * np.sqrt(np.where(real, 1.0, 2.0) * P * nphi))
-
-    def ground(self):
-        """(the two lowest values of pencil (0, 0), the nodal vector of
-        the lowest).  The periodic problem carries the ground state, and a
-        cluster of ground values, one per phase, leaves it unmixed."""
-        lam, U = self._phase(0, 0)
-        return lam[:2], self._nodal(0, np.zeros(1, int), U[:, :1])[:, 0]
-
-    def stiffness(self, X):
-        """K X for nodal X, phase pencil by phase pencil between the FFT
-        over the phase and phi axes and its inverse."""
-        P, m, nphi = self.phases, self.m, self.nphi
-        Y = np.fft.fft2(X.reshape(P, m, nphi, -1), axes=(0, 2))
-        k = np.minimum(np.arange(nphi), nphi - np.arange(nphi))
-        Z = ((2 * np.pi * k / self.lengths[1]) ** 2)[:, None] * Y
-        Z *= self.line[2, :m, None, None]
-        for f in range(P):
-            K = self._stiffness[min(f, P - f)]
-            Z[f] += ((K.conj() if 2 * f > P else K)
-                     @ Y[f].reshape(m, -1)).reshape(Y[f].shape)
-        return np.fft.ifft2(Z, axes=(0, 2)).real.reshape(X.shape)
-
-    @functools.cached_property
-    def K(self):
-        size = self.nt * self.nphi
-        return spla.LinearOperator((size, size), matvec=self.stiffness,
-                                   matmat=self.stiffness, dtype=float)
-
-    Mm = functools.cached_property(lambda self: self._chart_diagonal(0))
-    W = functools.cached_property(lambda self: self._chart_diagonal(3))
-
-    def _chart_diagonal(self, i):
-        return ChartLine(sp.kron(sp.diags(self.line[i]), np.eye(1, self.nphi),
-                                 format="csr"), self.nphi)
 
 
 def _runs(keys):
@@ -828,6 +747,11 @@ def lowest_eigs(ops, count, zero_tol=0.05, vectors=False):
     size = ops.size
     if count < 1:
         raise InvalidParameterError("count must be >= 1")
+    if not 0.0 < zero_tol < np.inf:
+        raise InvalidParameterError(
+            f"zero_tol must be finite and > 0, got {zero_tol}")
+    if vectors and isinstance(ops, TwistedLine):
+        raise InvalidParameterError("a twisted line has no nodal vectors")
     if count > size:
         raise InvalidParameterError(
             f"count {count} exceeds system size {size}")
@@ -1000,31 +924,34 @@ def _probe(n):   # shared between calls, so read-only
 
 
 def first_eigfunction(ops):
-    """Ground state of the pencil: (lambda1, nodal vector).
+    """Ground state of the pencil: (lambda1, rho).
 
-    The vector is normalized to unit Mm-norm with its global sign fixed
-    so that the Mm-weighted mean is positive; a twisted line reads it
-    from the periodic problem (``TwistedLine.ground``).  A sign change
-    across nodes, a value below -_SIGN_TOL max |rho| rather than a
-    roundoff zero, raises ``MultiplicityWarningError``: the ground level
-    is numerically multiple if the second eigenvalue, of the same pencil
-    on a twisted line, lies within ``_MULTIPLE_GAP`` of the first, and
-    otherwise it was not resolved as simple at this resolution.
+    rho has unit Mm-norm and a positive Mm-weighted mean.  On a twisted
+    line it is the cell vector, on cell 0, of the periodic problem,
+    pencil (0, 0), which a cluster of ground values, one per phase,
+    leaves unmixed; else the nodal vector.  A sign change, a value below
+    -_SIGN_TOL max |rho| rather than a roundoff zero, raises
+    ``MultiplicityWarningError``: the ground level is numerically
+    multiple if the second eigenvalue, of the same pencil on a twisted
+    line, lies within ``_MULTIPLE_GAP`` of the first, and otherwise it
+    was not resolved as simple at this resolution.
     """
     lowest = None
     if isinstance(ops, TwistedLine):
-        lowest, rho = ops.ground()
-        lam1 = float(lowest[0])
+        lowest, U = ops._phase(0, 0)
+        lam1, rho = float(lowest[0]), U[:, 0] / np.sqrt(ops.phases * ops.nphi)
+        mean = ops.line[0, :ops.m] @ rho
     else:
         report = lowest_eigs(ops, count=1, vectors=True)
         lam1, rho = report.lambda1, report.vectors[:, 0]
-    m_rho = ops.Mm @ rho   # one product for the norm and the mean
-    rho = rho / np.sqrt(rho @ m_rho)
-    if m_rho.sum() < 0:
+        m_rho = ops.Mm @ rho   # one product for the norm and the mean
+        rho = rho / np.sqrt(rho @ m_rho)
+        mean = m_rho.sum()
+    if mean < 0:
         rho = -rho
     if rho.min() < -_SIGN_TOL * np.abs(rho).max():
         lam1, lam2 = (lowest_eigs(ops, count=2).eigenvalues
-                      if lowest is None else lowest)
+                      if lowest is None else lowest[:2])
         if lam2 - lam1 <= _MULTIPLE_GAP * max(abs(lam1), 1.0):
             raise MultiplicityWarningError(
                 f"computed ground state changes sign; the ground level "
@@ -1052,6 +979,9 @@ def morse_index(ops, zero_tol=0.05):
     lowest max(_MORSE_WINDOW, c+ + 1) values.  Its index must equal c-
     and its nullity c+ - c-, so the nullity has two paths too.
     """
+    if not 0.0 < zero_tol < np.inf:
+        raise InvalidParameterError(
+            f"zero_tol must be finite and > 0, got {zero_tol}")
     count = min(_MORSE_WINDOW, ops.size)
     nullity = None   # c+ - c-, counted on the phi-mode path
     if ops.phi_modes is not None:

@@ -107,13 +107,6 @@ def clifford_op(clifford_ops):
 
 
 @pytest.fixture(scope="session")
-def clifford_mesh_odd(clifford_family):
-    """The grid of clifford_op_spectral as a mesh of the Clifford chart,
-    for the trial span of the spectral set."""
-    return fem.mesh_torus(clifford_family, 33, 33)
-
-
-@pytest.fixture(scope="session")
 def clifford_profile():
     """The Clifford torus as the constant profile: at the circular energy
     h = 0, so alpha = pi/4 and v = theta, the chart of
@@ -160,14 +153,6 @@ def otsuki_mesh_coarse(otsuki_profile):
 def otsuki_mesh(otsuki_profile):
     family = rotational.build_surface(otsuki_profile)
     return fem.mesh_torus(family, 256, 64)
-
-
-@pytest.fixture(scope="session")
-def otsuki_mesh_odd(otsuki_profile):
-    """The grid of otsuki_op_spectral as a mesh, for the trial span of
-    the spectral set."""
-    family = rotational.build_surface(otsuki_profile)
-    return fem.mesh_torus(family, 255, 17)
 
 
 @pytest.fixture(scope="session")

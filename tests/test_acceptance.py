@@ -12,7 +12,7 @@ from mhs import paperlab
 from mhs.closedform import clifford_jacobi, equator_jacobi
 from mhs.geometry import check_minimality
 from mhs.paperlab import (chain_sweep, conjecture_probe, lemma_check,
-                          theorem_check, trial_forms)
+                          line_forms, theorem_check, trial_forms)
 from mhs.spectral import first_eigfunction, lowest_eigs, morse_index
 
 
@@ -117,26 +117,29 @@ def test_criterion_6_lemma_ranks(otsuki_mesh, otsuki_op, clifford_mesh,
 
 def test_criterion_7_chain_identity_and_ordering(
         clifford_mesh, clifford_op, sphere_mesh, sphere_op,
-        otsuki_mesh, otsuki_op, clifford_mesh_odd, clifford_op_spectral,
-        otsuki_mesh_odd, otsuki_op_spectral):
+        otsuki_mesh, otsuki_op, clifford_op_spectral, otsuki_op_spectral):
     # The ordering L0 <= L1 substitutes Delta l_v = -n l_v,
     # Delta f_v = -|A|^2 f_v and lambda1 <= -2n.  P1 elements meet the
     # first two only to O(h^2), so the ordering is asserted on the
-    # spectral operator sets; the P1 margins are printed beside them.
+    # spectral lines, whose forms need no mesh; the P1 margins are
+    # printed beside them.
     ok = True
     details = []
-    for method, mesh, ops, asserted in (
-            ("P1", clifford_mesh, clifford_op, False),
-            ("P1", sphere_mesh, sphere_op, True),
-            ("P1", otsuki_mesh, otsuki_op, False),
-            ("spectral", clifford_mesh_odd, clifford_op_spectral, True),
-            ("spectral", otsuki_mesh_odd, otsuki_op_spectral, True)):
-        records, _ = chain_sweep(_forms(mesh, ops), draws=100, seed=0)
+    cases = [("P1 " + mesh.name, _forms(mesh, ops), asserted)
+             for mesh, ops, asserted in ((clifford_mesh, clifford_op, False),
+                                         (sphere_mesh, sphere_op, True),
+                                         (otsuki_mesh, otsuki_op, False))]
+    cases += [(f"spectral {name} line {'x'.join(map(str, ops.grid_shape))}",
+               line_forms(ops, first_eigfunction(ops)), True)
+              for name, ops in (("clifford", clifford_op_spectral),
+                                ("otsuki(2,3)", otsuki_op_spectral))]
+    for label, forms, asserted in cases:
+        records, _ = chain_sweep(forms, draws=100, seed=0)
         worst_id = max(r.residual_identity / r.scale for r in records)
         ok &= worst_id <= 1e-10
         lam1 = records[0].lambda1
-        head = f"{method} {mesh.name}: identity {worst_id:.1e}"
-        if lam1 <= -2 * ops.n + 0.05:
+        head = f"{label}: identity {worst_id:.1e}"
+        if lam1 <= -2 * forms.n + 0.05:
             margin = min((r.L1 - r.L0) / r.scale for r in records)
             if asserted:
                 ok &= margin >= -1e-6

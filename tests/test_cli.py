@@ -146,6 +146,42 @@ def test_delta1_outside_unit_interval_is_an_error_line(capsys, delta1):
     assert captured.err == "error: delta1 must lie in (0, 1)\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--family", "clifford", "--res", "16", "--zero-tol", "-1"],
+     "zero_tol must be finite and > 0, got -1.0"),
+    (["spectrum", "--family", "clifford", "--res", "16", "--zero-tol", "nan"],
+     "zero_tol must be finite and > 0, got nan"),
+    (["mesh-import", "-i", "{mesh}", "--zero-tol", "0"],
+     "zero_tol must be finite and > 0, got 0.0"),
+    (["mesh-import", "-i", "{mesh}", "--zero-tol", "inf"],
+     "zero_tol must be finite and > 0, got inf"),
+    (["conjecture", "--family", "clifford", "--res", "16", "--rank-tol",
+      "-1"], "rank_tol must lie in (0, 1), got -1.0"),
+    (["conjecture", "--family", "clifford", "--res", "16", "--rank-tol",
+      "nan"], "rank_tol must lie in (0, 1), got nan"),
+    (["oracle", "clifford", "--n", "2", "--cutoff", "0"],
+     "cutoff must be finite and > 0, got 0.0"),
+    (["oracle", "equator", "--n", "2", "--cutoff", "-5"],
+     "cutoff must be finite and > 0, got -5.0"),
+    (["oracle", "clifford", "--n", "2", "--cutoff", "nan"],
+     "cutoff must be finite and > 0, got nan"),
+], ids=["spectrum-zero-tol-negative", "spectrum-zero-tol-nan",
+        "mesh-import-zero-tol-zero", "mesh-import-zero-tol-inf",
+        "conjecture-rank-tol-negative", "conjecture-rank-tol-nan",
+        "oracle-clifford-cutoff-zero", "oracle-equator-cutoff-negative",
+        "oracle-clifford-cutoff-nan"])
+def test_bad_tolerance_is_an_error_line(tmp_path, capsys, argv, message):
+    # a tolerance or cutoff that would miscount silently, or die in a
+    # traceback, is an error line: --zero-tol -1 read the Clifford index
+    # 9 for 5, --rank-tol -1 raised in scipy, --cutoff 0 read nullity 0
+    mesh = tmp_path / "ico1.json"
+    mesh.write_text(json.dumps(mesh_to_json(mesh_sphere(1))))
+    assert main([a.format(mesh=mesh) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_conjecture_solves_no_eigenproblem(capsys):
     # the probe's span {1, f's, l's} needs no ground state
     with mock.patch.object(spectral, "first_eigfunction",

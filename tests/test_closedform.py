@@ -1,5 +1,7 @@
 """Exact spectral tables for spheres, products and equators."""
 
+import math
+
 import pytest
 
 from mhs.closedform import (SpectrumTable, clifford_jacobi, equator_jacobi,
@@ -110,3 +112,15 @@ def test_parameter_validation():
         equator_jacobi(1)
     with pytest.raises(InvalidParameterError):
         sphere_spectrum(0, 3)
+
+
+@pytest.mark.parametrize("cutoff", [0, -5, math.nan, math.inf])
+def test_cutoff_validated(cutoff):
+    # a cutoff at or below 0 drops the values the counts read: 0 gave
+    # the Clifford nullity 0 (true 4), -5 the equator index 0 (true 1)
+    for table in (lambda: clifford_jacobi(2, 1, cutoff),
+                  lambda: equator_jacobi(2, cutoff)):
+        with pytest.raises(InvalidParameterError, match="cutoff"):
+            table()
+    assert clifford_jacobi(2, 1, 0.5)[1:] == (5, 4)
+    assert equator_jacobi(2, 0.5)[1:] == (1, 3)

@@ -16,7 +16,7 @@ from mhs.errors import (DegenerateElementError, GenerationFailedError,
 from mhs.fem import (assemble, mesh_from_json, mesh_sphere, mesh_to_json,
                      mesh_torus)
 from mhs.closedform import clifford_jacobi
-from mhs.geometry import FIELDS, GeometryFamily, clifford, sample_grid
+from mhs.geometry import FIELDS, GeometryFamily, clifford
 from mhs.spectral import lowest_eigs, morse_index
 
 
@@ -180,10 +180,10 @@ def test_operator_invariants(clifford_op, clifford_mesh):
 
 
 def test_chart_line_products_match_the_whole_scatter(
-        otsuki_mesh, otsuki_op, clifford_mesh, clifford_op,
-        otsuki_op_spectral, otsuki_op_kron):
-    # a chart line applied by its block row, 1-D and 2-D, against the
-    # whole scatter's products to 1e-14 of scale, and the same count of
+        otsuki_mesh, otsuki_op, clifford_mesh, clifford_op, otsuki_op_kron):
+    # a chart line applied by its block row, P1 and the diagonal Mm and W
+    # of a Kronecker set, against the whole scatter's or the Kronecker
+    # products to 1e-14 of scale, and the same count of
     # stored entries: block row 0 of Otsuki's K holds 1e-18 roundoff
     # where the whole scatter sums to exact zeros in some other
     # phi-columns, and the line counts those entries in every column
@@ -193,8 +193,8 @@ def test_chart_line_products_match_the_whole_scatter(
                                (coarse, assemble(coarse)),
                                (clifford_mesh, clifford_op))
              for name in ("K", "Mm", "W", "B", "SA")]
-    pairs += [(otsuki_op_spectral.Mm, otsuki_op_kron.Mm),
-              (otsuki_op_spectral.W, otsuki_op_kron.W)]
+    diagonal = chart_set(otsuki_op_kron, 17)
+    pairs += [(diagonal.Mm, otsuki_op_kron.Mm), (diagonal.W, otsuki_op_kron.W)]
     rng = np.random.default_rng(7)
     for line, A in pairs:
         X = rng.standard_normal((A.shape[0], 9))
@@ -318,42 +318,60 @@ def test_spectral_checks_minimality_on_its_line(otsuki_profile):
 
 def test_spectral_operator_invariants(clifford_op_spectral):
     ops = clifford_op_spectral
-    # K is applied through the FFT of the line's split, so its matrix,
-    # read off the identity, is symmetric to roundoff; each phase pencil
-    # it is made of is Hermitian bit for bit.  Mm and W are diagonal
-    K = ops.K @ np.eye(ops.size)
-    assert abs(K - K.T).max() <= 1e-15 * abs(K).max()
-    line = ops.phi_modes
+    # a line is its pencils: it holds no nodal operator
+    assert not any(hasattr(ops, a) for a in ("K", "Mm", "W", "B", "SA"))
+    # each phase pencil is Hermitian bit for bit, with the diagonal mass
+    # diag(w) of the cell; W is diag(w q) with q = 4 on the Clifford torus
+    line, m = ops.phi_modes, ops.m
+    w, wq = ops.line[[0, 3], :m]
     for r in range(-(line.phases // 2), line.phases // 2 + 1):
         for k in range(line.count):
             B, Mm = line.pencil(r, k)
-            assert np.array_equal(B, B.conj().T) and np.array_equal(Mm, Mm.T)
-    for A in (ops.Mm.row.tocoo(), ops.W.row.tocoo()):
-        assert np.array_equal(A.col, A.row * ops.nphi)
-    ones = np.ones(ops.size)
-    assert np.abs(ops.K @ ones).max() < 1e-12
+            assert np.array_equal(B, B.conj().T)
+            assert np.array_equal(Mm, np.diag(w))
+    # constants lie in the kernel of the stiffness, so of K - W in
+    # pencil (0, 0) they see -diag(w q) alone
+    B = line.pencil(0, 0)[0]
+    assert np.abs(B @ np.ones(m) + wq).max() < 1e-12
     # the trapezoidal rule integrates the constant area element exactly
-    assert abs(ones @ (ops.Mm @ ones) - 2 * np.pi ** 2) < 1e-12
-    assert abs((ops.W - 4.0 * ops.Mm).row).max() < 1e-12
+    assert abs(ops.nphi * ops.line[0].sum() - 2 * np.pi ** 2) < 1e-12
+    assert np.abs(ops.line[3] - 4.0 * ops.line[0]).max() < 1e-12
+
+
+def _bloch_waves(m, P):
+    """V_r[b m + a, a] = e^(2 pi i r b / P) / sqrt(P) of the P phases
+    r = -(P-1)/2 .. (P-1)/2 of a line of P cells of m nodes, in order."""
+    phases = np.arange(P) - P // 2
+    b = np.arange(m * P) // m
+    return phases, [np.exp(2j * np.pi * r * b / P)[:, None]
+                    * np.eye(m)[np.arange(m * P) % m] / np.sqrt(P)
+                    for r in phases]
 
 
 @pytest.mark.parametrize("name", ["clifford_op_spectral",
                                   "otsuki_op_spectral"])
 def test_spectral_set_is_its_kronecker_line(name, request):
-    # against the 2-D Kronecker set of the same line (conftest.kron_set):
-    # K, B and SA on random blocks to 1e-13, the diagonal Mm and W bit
-    # for bit
+    # the 2-D Kronecker set of the same line (conftest.kron_set), formed
+    # whole, is the line's phase pencils: with U_k = I (x) the phi-mode
+    # e^(2 pi i j k / nphi) / sqrt(nphi) and the Bloch waves V_r,
+    # V_r^H U_k^H (B, Mm) U_k V_s is pencil (r, k) for s = r and vanishes
+    # otherwise, to 1e-13 of the largest entry
     ops = request.getfixturevalue(name)
     ref = request.getfixturevalue(name.replace("_spectral", "_kron"))
-    X = np.random.default_rng(3).standard_normal((ops.size, 5))
-    for got, want in ((ops.K, ref.K), (ops.B, ref.B), (ops.SA, ref.SA)):
-        for x in (X, X[:, 0]):
-            Y = want @ x
-            assert (got @ x).shape == Y.shape
-            assert np.abs(got @ x - Y).max() <= 1e-13 * np.abs(Y).max()
-    for got, want in ((ops.Mm, ref.Mm), (ops.W, ref.W)):
-        assert got.shape == want.shape
-        assert abs(got.row - want[::ops.nphi]).max() == 0.0
+    nt, nphi = ops.grid_shape
+    phases, V = _bloch_waves(ops.m, ops.phases)
+    for k in range(nphi // 2 + 1):
+        f = np.exp(2j * np.pi * np.arange(nphi) * k / nphi) / np.sqrt(nphi)
+        U = sp.kron(sp.identity(nt), f[:, None]).tocsc()
+        for i, A in enumerate((ref.B, ref.Mm)):
+            mode = (U.conj().T @ (A @ U)).toarray()
+            scale = np.abs(mode).max()
+            for r, Vr in zip(phases, V):
+                got = ops.pencil(r, k)[i]
+                for s, Vs in zip(phases, V):
+                    want = Vr.conj().T @ mode @ Vs
+                    assert np.abs((got if s == r else 0.0) - want).max() \
+                        <= 1e-13 * scale
 
 
 def test_spectral_set_forms_no_2d_operator():
@@ -417,8 +435,7 @@ def test_p1_chart_set_refuses_stale_or_bent_splits(clifford_meshes,
     assert got[0] < report.eigenvalues[0] - 1.0
 
 
-def test_spectral_clifford_landmarks(clifford_profile,
-                                     clifford_op_spectral):
+def test_spectral_clifford_landmarks(clifford_op_spectral):
     ops = clifford_op_spectral
     table = clifford_jacobi(2, 1)[0]
     exact = np.concatenate([[float(v)] * m for v, m in table.entries])
@@ -426,14 +443,14 @@ def test_spectral_clifford_landmarks(clifford_profile,
     assert np.abs(report.eigenvalues - exact).max() <= 1e-10
     assert morse_index(ops)[0] == 5
     # Green identities K l_v = n Mm l_v and K f_v = SA f_v at the nodes,
-    # where SA = W - n Mm is the |A|^2-weighted mass
-    SA = ops.W - ops.n * ops.Mm
-    family = rotational.build_surface(clifford_profile)
-    X, _, nu = family.sample(sample_grid(family, ops.grid_shape))[:3]
-    for v in np.eye(4):
-        lv, fv = X @ v, nu @ v
-        for x, rhs in ((lv, ops.n * (ops.Mm @ lv)), (fv, SA @ fv)):
-            res = np.abs(ops.K @ x - rhs).max() / np.abs(rhs).max()
+    # where SA = W - n Mm is the |A|^2-weighted mass, in the pencils of
+    # the coordinates on the line's one cell: x_1 + i x_2 in (0, 0) and
+    # x_3 in (0, 1), and the same parts of nu
+    w, wq = ops.line[[0, 3]]
+    for y, rhs in ((ops.frame[0], ops.n * w), (ops.frame[1], wq - ops.n * w)):
+        for c, k in ((y[:, 0] + 1j * y[:, 1], 0), (y[:, 2], 1)):
+            K = ops.pencil(0, k)[0] + np.diag(wq)
+            res = np.abs(K @ c - rhs * c).max() / np.abs(rhs * c).max()
             assert res <= 1e-10
 
 
@@ -450,8 +467,7 @@ def test_spectral_independent_of_chart_scale():
     # of the same torus
     ops = fem.assemble_spectral(_stretched_clifford(), 33, 17)
     area = 2 * np.pi ** 2
-    ones = np.ones(ops.size)
-    assert abs(ones @ (ops.Mm @ ones) - area) <= 1e-12 * area
+    assert abs(ops.nphi * ops.line[0].sum() - area) <= 1e-12 * area
     table = clifford_jacobi(2, 1)[0]
     exact = np.concatenate([[float(v)] * m for v, m in table.entries])
     report = lowest_eigs(ops, count=len(exact))
@@ -566,10 +582,7 @@ def test_spectral_mode_pencil_is_one_chart_line(name, request):
     line = ops.phi_modes
     m, P = line.m, line.phases
     assert (m, P) == ((85, 3) if name == "otsuki" else (33, 1))
-    phases = np.arange(P) - P // 2
-    b = np.arange(nt) // m
-    V = [np.exp(2j * np.pi * r * b / P)[:, None]
-         * np.eye(m)[np.arange(nt) % m] / np.sqrt(P) for r in phases]
+    phases, V = _bloch_waves(m, P)
     for k in range(nphi // 2 + 1):
         kappa = 2 * np.pi * k / lp
         Bref = Kt + np.diag(kappa ** 2 * w / g22 - w * q)

@@ -2,15 +2,17 @@
 
 import dataclasses
 import inspect
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from conftest import kron_set
 from mhs import fem, paperlab, rotational, spectral
 from mhs.errors import InvalidParameterError
 from mhs.fem import OperatorSet, SurfaceMesh, mesh_sphere
-from mhs.geometry import FIELDS
+from mhs.geometry import FIELDS, sample_grid
 from mhs.paperlab import (VERDICT_GEODESIC, VERDICT_HYP_FAIL,
                           VERDICT_NEGATIVE, TrialForms, chain_sweep,
                           conjecture_probe, lemma_check, pencil_inertia,
@@ -51,9 +53,8 @@ def _normal_moments(mesh):
 
 
 @pytest.mark.parametrize("mesh_name, ops_name", [
-    ("otsuki_mesh", "otsuki_op"), ("sphere_mesh", "sphere_op"),
-    ("otsuki_mesh_odd", "otsuki_op_spectral")],
-    ids=["p1-otsuki-256x64", "ico4", "spectral-otsuki-255x17"])
+    ("otsuki_mesh", "otsuki_op"), ("sphere_mesh", "sphere_op")],
+    ids=["p1-otsuki-256x64", "ico4"])
 def test_gram_blocks_match_separate_spans(mesh_name, ops_name, request):
     # one product over the ten columns {rho, 1, f's, l's} gives both
     # nine-column spans bit for bit, and one quadrature pass the moments
@@ -87,6 +88,71 @@ def test_gram_blocks_match_separate_spans(mesh_name, ops_name, request):
         assert abs(got - np.abs(sums).max()) <= tol, name
     assert forms.identities.area == w.sum() and forms.asq_max == asq.max()
     assert forms.ratio == (w * asq).sum() / (n * w.sum())
+
+
+def _lattice(line, profile):
+    """x, nu and |A|^2 of the surface of profile on the whole nt x nphi
+    grid of line, x and nu named as a mesh holds them at its vertices."""
+    family = rotational.build_surface(profile)
+    X, _, nu, _, asq, _ = family.sample(sample_grid(family, line.grid_shape))
+    return SimpleNamespace(vertices=X, vertex_nu=nu, asq=asq)
+
+
+def _lattice_rho(line, rho):
+    """A line's ground state, a cell vector, on the nodes of its lattice."""
+    return np.tile(np.repeat(rho, line.nphi), line.phases)
+
+
+@pytest.mark.parametrize("name", ["otsuki_op_spectral", "otsuki_7_10",
+                                  "clifford_op_spectral"],
+                         ids=["otsuki-2-3-255x17", "otsuki-7-10-255x17",
+                              "clifford-33x33"])
+def test_line_forms_match_the_lattice_span(name, request):
+    # line_forms reads the phase pencils and node sums of a line, and no
+    # mesh.  Against the ten lattice columns {rho, 1, nu, x} on the
+    # Kronecker set of the same grid (conftest.kron_set), rho repeated
+    # over the cells and phi, and the sums of the sampled lattice
+    if name == "otsuki_7_10":
+        profile = rotational.find_otsuki(7, 10)
+        line = fem.assemble_spectral(profile, 255, 17)
+        ref = kron_set(rotational.build_surface(profile), 255, 17)
+    else:
+        profile = request.getfixturevalue(
+            name.replace("_op_spectral", "_profile"))
+        line = request.getfixturevalue(name)
+        ref = request.getfixturevalue(name.replace("_spectral", "_kron"))
+    assert line.phases == {"otsuki_7_10": 5, "otsuki_op_spectral": 3}.get(
+        name, 1)
+    lam1, rho = spectral.first_eigfunction(line)
+    forms = paperlab.line_forms(line, (lam1, rho))
+    lattice = _lattice(line, profile)
+    X = np.column_stack([_lattice_rho(line, rho), np.ones(line.size),
+                         lattice.vertex_nu, lattice.vertices])
+    for got, want in zip(forms.grams, paperlab._span_forms(ref, X)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    G = forms.grams[0]
+    assert abs(G[0, 0] - 1.0) <= 1e-12 and G[0, 1] > 0.0
+    no_ground = paperlab.line_forms(line, None)
+    assert no_ground.labels == forms.labels[1:] and no_ground.lam1 is None
+    for got, want in zip(no_ground.grams, forms.block("one")[1:]):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    # the lattice sums, with the weights w of Mm = diag(w) (x) I
+    w, asq, nu = ref.Mm.diagonal(), lattice.asq, lattice.vertex_nu
+    wa = w * asq
+    for got, want in zip(forms.moments, ((wa[:, None] * nu).T @ nu,
+                                         (w[:, None] * nu).T @ nu)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert abs(forms.identities.area - w.sum()) <= 1e-12 * w.sum()
+    assert abs(forms.asq_integral - wa.sum()) <= 1e-12 * wa.sum()
+    assert abs(forms.ratio - 1.0) <= 1e-12
+    assert forms.asq_max == pytest.approx(asq.max(), rel=1e-12)
+    sums = {"int_l": w @ lattice.vertices, "int_asq_f": wa @ nu,
+            "pair": ((w * (asq - 2))[:, None] * lattice.vertices).T @ nu}
+    for key, want in sums.items():
+        got = getattr(forms.identities, key)
+        assert abs(got - np.abs(want).max()) <= 1e-13 * (w * (asq + 2)).sum()
+    assert forms.lam1 == lam1 and forms.identities.mode == "analytic"
+    assert lemma_check(forms)[0] == (5 if name.startswith("clifford") else 9)
 
 
 def test_trial_forms_hold_no_mesh_ops_or_nodal_arrays(otsuki_mesh,
@@ -211,6 +277,11 @@ def test_pencil_inertia_toy():
     B = np.array([[-1.0, -1.0], [-1.0, -1.0]])
     rank, neg = pencil_inertia(B, G)
     assert (rank, neg) == (1, 1)
+    # a rank_tol outside (0, 1) keeps G's null directions (scipy raised
+    # on -1) or none at all (NaN read rank 0)
+    for rank_tol in (-1.0, 0.0, 1.0, np.nan):
+        with pytest.raises(InvalidParameterError, match="rank_tol"):
+            pencil_inertia(B, G, rank_tol)
 
 
 def test_no_optional_ground_state_or_v0():
@@ -464,12 +535,20 @@ def _direct_chain(mesh, ops, rho, lam1, a, b, w, delta1, v0):
 
 
 def test_chain_sweep_matches_direct_sparse_forms(
-        otsuki_mesh, otsuki_op, sphere_mesh, sphere_op,
-        clifford_mesh_odd, clifford_op_spectral):
-    for mesh, ops in ((otsuki_mesh, otsuki_op), (sphere_mesh, sphere_op),
-                      (clifford_mesh_odd, clifford_op_spectral)):
+        otsuki_mesh, otsuki_op, sphere_mesh, sphere_op, clifford_profile,
+        clifford_op_spectral, clifford_op_kron):
+    cases = []
+    for mesh, ops in ((otsuki_mesh, otsuki_op), (sphere_mesh, sphere_op)):
         lam1, rho = spectral.first_eigfunction(ops)
-        forms = trial_forms(mesh, ops, (lam1, rho))
+        cases.append((trial_forms(mesh, ops, (lam1, rho)), mesh, ops, rho))
+    # a line's forms, against products on its Kronecker set
+    line = clifford_op_spectral
+    ground = spectral.first_eigfunction(line)
+    cases.append((paperlab.line_forms(line, ground),
+                  _lattice(line, clifford_profile), clifford_op_kron,
+                  _lattice_rho(line, ground[1])))
+    for forms, mesh, ops, rho in cases:
+        lam1 = forms.lam1
         records, params = chain_sweep(forms, draws=20, seed=0)
         for rec, p in zip(records, params):
             ref = _direct_chain(mesh, ops, rho, lam1, p["a"], p["b"],

@@ -31,6 +31,12 @@ REPORTS = {
     "spectrum_equator_res3.json": ["spectrum", "--family", "equator",
                                    "--res", "3"],
     "family_otsuki_2_3.json": ["family", "otsuki", "--p", "2", "--q", "3"],
+    "chain_otsuki_res16.json": ["chain", "--family", "otsuki", "--res", "16",
+                                "--draws", "5", "--seed", "1"],
+    "conjecture_otsuki_res16.json": ["conjecture", "--family", "otsuki",
+                                     "--res", "16"],
+    "oracle_clifford_3_1.json": ["oracle", "clifford", "--n", "3", "--k",
+                                 "1"],
 }
 
 

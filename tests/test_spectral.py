@@ -48,11 +48,19 @@ def test_window_saturation_flag(otsuki_op_coarse, clifford_op):
     assert not report.window_saturated
 
 
-def test_counts_validated(clifford_op):
+def test_counts_validated(clifford_op, clifford_op_spectral):
     with pytest.raises(InvalidParameterError):
         lowest_eigs(clifford_op, count=0)
     with pytest.raises(InvalidParameterError):
         lowest_eigs(clifford_op, count=clifford_op.size + 1)
+    # an empty, inverted or NaN zero window miscounts: -1 read index 9
+    # for 5 on Clifford 16^2, and NaN index 0 and nullity 0
+    for ops in (clifford_op, clifford_op_spectral):
+        for zero_tol in (0.0, -1.0, np.nan, np.inf):
+            for solve in (partial(lowest_eigs, ops, 4), partial(morse_index,
+                                                                ops)):
+                with pytest.raises(InvalidParameterError, match="zero_tol"):
+                    solve(zero_tol=zero_tol)
 
 
 def test_inertia_matches_eigensolver(clifford_op):
@@ -455,7 +463,10 @@ def test_phi_modes_agree_with_unreduced_path(name, request):
         assert inertia_below(ops, sigma) == count_below(sigma)
     lam1, rho = first_eigfunction(ops)
     assert abs(lam1 - vals[0]) < 1e-10
-    assert np.abs(rho - _sign_fixed(full, vecs[:, 0])).max() < 1e-10
+    want = _sign_fixed(full, vecs[:, 0])
+    if name.endswith("_spectral"):   # a line's cell vector: nodes (a, 0)
+        want = want[:ops.m * ops.nphi:ops.nphi]
+    assert np.abs(rho - want).max() < 1e-10
 
 
 def test_phi_modes_carry_the_whole_spectrum(clifford_meshes, clifford_ops,
@@ -493,25 +504,30 @@ def test_phi_mode_vectors_are_mm_orthonormal_eigenvectors(otsuki_op):
                                   "clifford_op_spectral",
                                   "clifford_three_cells"])
 def test_line_vectors_are_mm_orthonormal_eigenvectors(name, request):
-    # nodal vectors of a line, formed from its phase pencils' vectors by
-    # the inverse FFT: the real and imaginary parts of the Bloch waves of
-    # modes 1 and 2, and in mode 0 the real phase 0 and the real and
-    # imaginary parts of phase r for the pair r, -r.  The Clifford
-    # profile is one Bloch cell on any odd grid; run over three periods
-    # of theta (q = 3), its line on 33 nodes holds three
+    # a line forms no nodal vector: its states are the cell vectors of
+    # its phase pencils (r, k), r >= 0, each diag(w)-orthonormal and an
+    # eigenvector of its pencil; behind the lowest 40 values they span
+    # modes 0, 1 and 2, and in mode 0 phase 0 and, on more than one
+    # cell, another phase.  The Clifford profile is one Bloch cell on any
+    # odd grid; run over three periods of theta (q = 3), its line on 33
+    # nodes holds three
     if name == "clifford_three_cells":
         ops = fem.assemble_spectral(rotational.ProfileCurve(
             rotational.CIRCULAR_ENERGY, 1, 3, np.array([1 / 3])), 33, 33)
     else:
         ops = dataclasses.replace(request.getfixturevalue(name))
-    report = lowest_eigs(ops, 40, vectors=True)
-    X = report.vectors
+    with pytest.raises(InvalidParameterError, match="no nodal vectors"):
+        lowest_eigs(ops, 40, vectors=True)
+    report = lowest_eigs(ops, 40)
     assert set(report.modes) >= {0, 1, 2}
-    phases = ops.solved[0][1][:(report.modes == 0).sum()]
-    assert (phases == 0).any() and (phases != 0).any() == (ops.phases > 1)
-    assert np.abs(X.T @ (ops.Mm @ X) - np.eye(40)).max() < 1e-10
-    R = ops.B @ X - (ops.Mm @ X) * report.eigenvalues
-    assert np.abs(R).max() < 1e-10
+    top = report.eigenvalues[report.modes == 0].max()
+    low = [lam[0] <= top for lam, _ in ops.solved[0][1]]
+    assert low[0] and any(low[1:]) == (ops.phases > 1)
+    for k in set(report.modes):
+        for r, (lam, U) in enumerate(ops.solved[k][1]):
+            B, Mm = ops.pencil(r, k)
+            assert np.abs(U.conj().T @ Mm @ U - np.eye(ops.m)).max() < 1e-10
+            assert np.abs(B @ U - (Mm @ U) * lam).max() < 1e-10
 
 
 def test_phi_mode_path_taken_on_chart_sets(clifford_op, clifford_op_spectral,
