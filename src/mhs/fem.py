@@ -385,32 +385,33 @@ def assemble(mesh):
                        q_max=float((n + mesh.quad_asq).max()))
 
 
-def assemble_spectral(profile, nt, nphi):
+def assemble_spectral(profile, nt):
     """Fourier pseudo-spectral stiffness, mass and potential mass of the
     torus of a closed profile (``rotational.ProfileCurve``).
 
-    The nodes are an nt x nphi grid of its chart, both sides odd.  A
-    surface of revolution has an orthogonal chart with g_11, g_22 and
-    q = n + |A|^2 invariant in phi, so the set is one line of constant
-    phi (``spectral.TwistedLine``), sampled in one pass at its nt nodes
-    (L_theta i / nt, 0), checked there to be minimal and kept with its x
-    and nu.  With Fourier derivatives D_t, D_phi and w = dt dphi sqrt(g)
-    its pencil is that of K = D_t^T diag(w / g_11) D_t (x) I
-    + diag(w / g_22) (x) D_phi^T D_phi, Mm = diag(w) (x) I and
-    W = diag(w q) (x) I, none of them formed, which meet
+    The nodes are nt, odd, along theta.  A surface of revolution has an
+    orthogonal chart with g_11, g_22 and q = n + |A|^2 invariant in phi,
+    so the set is one line of constant phi (``spectral.TwistedLine``),
+    sampled in one pass at its nt nodes (L_theta i / nt, 0), checked
+    there to be minimal and kept with its x and nu.  With the Fourier
+    derivative D_t and w = dt 2 pi sqrt(g), each phi-mode e^(i k phi)
+    has the pencil K_k = D_t^T diag(w / g_11) D_t + k^2 diag(w / g_22),
+    Mm = diag(w) and W = diag(w q), none of them formed, which meet
     Delta l_v = -n l_v and Delta f_v = -|A|^2 f_v at the nodes to
-    spectral accuracy rather than O(h^2).  The coefficients repeat once
-    per radial period, nt / q nodes, so the line holds gcd(nt, q) Bloch
-    phases, an odd count.  An even side would leave the Nyquist mode in
-    the kernel of D.
+    spectral accuracy rather than O(h^2).  Every mode k is exact in phi,
+    so the line has no phi-grid and its sweep runs over k until a
+    pointwise bound clears the rest.  The coefficients repeat once per
+    radial period, nt / q nodes, so the line holds gcd(nt, q) Bloch
+    phases, an odd count.  An even nt would leave the Nyquist mode in the
+    kernel of D_t.
     """
-    if nt < 8 or nphi < 8:
+    if nt < 8:
         raise InvalidParameterError("torus resolutions must be >= 8")
-    if nt % 2 == 0 or nphi % 2 == 0:
+    if nt % 2 == 0:
         raise InvalidParameterError(
-            f"spectral assembly needs odd grid sides, got {nt}x{nphi}")
+            f"spectral assembly needs an odd line, got {nt} nodes")
     family = build_surface(profile)
-    lt, lp = family.periods
+    lt = family.periods[0]
     X, T, nu, A, asq, _ = family.sample(
         np.stack([lt * np.arange(nt) / nt, np.zeros(nt)], axis=-1))
     trace = np.abs(A[:, 0, 0] + A[:, 1, 1]).max()
@@ -418,11 +419,11 @@ def assemble_spectral(profile, nt, nphi):
         raise GenerationFailedError(
             f"minimality self-check failed: max |trace A| = {trace:.3e}")
     g11, g22 = np.einsum("vai,vbi->abv", T, T)[[0, 1], [0, 1]]
-    w = (lt / nt) * (lp / nphi) * np.sqrt(g11 * g22)
+    w = (lt / nt) * (2 * np.pi) * np.sqrt(g11 * g22)
     # q = n + |A|^2 on a surface in S^3
     return TwistedLine(line=np.stack([w, w / g11, w / g22, w * (2 + asq)]),
-                       lengths=(lt, lp), n=2, grid_shape=(nt, nphi),
-                       phases=math.gcd(nt, profile.q), frame=np.stack([X, nu]))
+                       period=lt, n=2, phases=math.gcd(nt, profile.q),
+                       frame=np.stack([X, nu]))
 
 
 def mesh_to_json(mesh):

@@ -259,18 +259,19 @@ def line_forms(line, ground):
     the phase pencils its index reads, with no mesh.
 
     ground is (lam1, rho) from ``spectral.first_eigfunction(line)``, or
-    None.  Each column is a Bloch wave Re(c(a) e^(2 pi i (r b / P
-    + k j / nphi))) at lattice node (b m + a, j), c on cell 0: rho and 1
-    in pencil (r, k) = (0, 0); l_e1, l_e2, f_e1 and f_e2, cos(alpha)
+    None.  Each column is a Bloch wave Re(c(a) e^(2 pi i r b / P + i k
+    phi)) at node b m + a of the line turned to phi, c on cell 0: rho and
+    1 in pencil (r, k) = (0, 0); l_e1, l_e2, f_e1 and f_e2, cos(alpha)
     e^(iv) times functions of theta, as c_0 + i c_1 and c_1 - i c_0 in
     (p, 0), e^(iv) turning by p / P over a cell; the rest as c and -i c
     in (0, 1).  Waves meet only where their (r, k) are equal or opposite,
-    in (P nphi / 2) Re(c^H F d) and Re(c^T F d), F the pencil's Mm, B or
-    SA.  The sums are one pass (``_point_sums``) over the nt nodes at
-    phi = 0, 2 pi / 3 and 4 pi / 3, exact as on the lattice: their
-    integrands are trigonometric polynomials of degree <= 2 in phi.
+    in (P / 2) Re(c^H F d) and Re(c^T F d), F the pencil's Mm, B or SA,
+    whose weight w carries the 2 pi of phi.  The sums are one pass
+    (``_point_sums``) over the nt nodes at phi = 0, 2 pi / 3 and
+    4 pi / 3, each with weight w / 3, exact in phi: their integrands are
+    trigonometric polynomials of degree <= 2 in phi.
     """
-    n, P, m, nphi = line.n, line.phases, line.m, line.nphi
+    n, P, m = line.n, line.phases, line.m
     X, nu = line.frame
     w, wA = line.line[0], line.line[3] - n * line.line[0]   # w |A|^2
     z = X[:, 0] + 1j * X[:, 1]
@@ -286,7 +287,7 @@ def line_forms(line, ground):
     grams = np.zeros((3, len(cols), len(cols)))
     for r, k in set(keys):
         S = [i for i, key in enumerate(keys) if key == (r, k)]
-        T = [i for i, key in enumerate(keys) if key == (-r % P, -k % nphi)]
+        T = [i for i, key in enumerate(keys) if key == (-r % P, -k)]
         B, Mm = line.pencil(r if 2 * r < P else r - P, k)
         for F, A in zip(grams, (Mm, B, np.diag(wA[:m]))):
             F[np.ix_(S, S)] += (C[:, S].conj().T @ A @ C[:, S]).real
@@ -300,10 +301,10 @@ def line_forms(line, ground):
     return TrialForms(
         n=n, labels=(*heads, *(f"{f}_e{a + 1}" for f in "fl"
                                for a in range(4))),
-        grams=tuple(grams * (P * nphi / 2)),
+        grams=tuple(grams * (P / 2)),
         lam1=None if ground is None else float(ground[0]),
-        **_point_sums(n, np.tile(w * (nphi / 3), 3), np.tile(wA / w, 3), x,
-                      nu, "analytic"))
+        **_point_sums(n, np.tile(w / 3, 3), np.tile(wA / w, 3), x, nu,
+                      "analytic"))
 
 
 def lemma_check(forms):

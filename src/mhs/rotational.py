@@ -174,7 +174,8 @@ def rotation_number(energy):
 
 @lru_cache(maxsize=None)
 def rotation_window():
-    """Scan the energy window; returns (energies, rotation numbers).
+    """Scan the energy window; returns (energies, rotation numbers),
+    cached and read-only.
 
     The usable window is determined at runtime from this scan, never
     hardcoded.  Raises if the scan is not strictly monotone.
@@ -183,6 +184,8 @@ def rotation_window():
     rots = np.array([rotation_number(c) for c in energies])
     if not np.all(np.diff(rots) > 0):
         raise IntegrationFailureError("rotation number scan is not monotone")
+    for a in (energies, rots):   # shared between calls, so read-only
+        a.flags.writeable = False
     return energies, rots
 
 

@@ -15,13 +15,16 @@ formed, and both paths run on small pencils per phi-Fourier mode
 instead, swept, merged and counted by one set of routines
 (``_ModeSweep``, ``_mode_signature``) for either split: the banded mode
 pencils of a P1 set (``PhiModes``) or the Bloch phase pencils of a
-spectral line (``TwistedLine``).  There ``morse_index`` counts at both
-ends of the zero window in one sweep and then solves exactly the
-counted window, so its nullity is certified too.  A line forms no
-nodal operator or vector: its states are cell vectors of its pencils.
+spectral line (``TwistedLine``), which has no phi-grid: its sweep ends
+at the first mode whose pointwise bound clears the shift.  There
+``morse_index`` counts at both ends of the zero window in one sweep and
+then solves exactly the counted window, so its nullity is certified
+too.  A line forms no nodal operator or vector: its states are cell
+vectors of its pencils.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,6 +65,7 @@ class EigenReport:
     vectors: Optional[np.ndarray] = None   # columns, Mm-orthonormal
     # phi-modes the operator set has solved by a dense eigensolve or in
     # closed form, sorted; every other mode was excluded by a certificate
+    # or, past the end of the sweep, by its stop rule
     solved_modes: Optional[tuple] = None
 
     def to_dict(self):
@@ -224,30 +228,28 @@ def _theta_symbols(nt, nphi, B_row, Mm_row):
 
 
 class _ModeSweep:
-    """The sweep over the phi-modes k = 0 .. nphi // 2 of either split of
-    a chart-grid pencil.  Modes k and -k are conjugate, so a mode
-    0 < k < nphi/2 holds each value of the real pencil twice.  A split
-    states per mode k the certificate ``positive(k, shift, floor)`` that
-    B_k - shift Mm_k is positive definite clear of roundoff at floor, the
-    solve ``_solve(k)``, ascending values first, and the weighted shifted
-    matrices whose signatures count it (``shifted``).  A split with nodal
-    vectors also states the real vectors ``_vectors(k, r)`` of the
-    leading r pairs of mode k and their residual check ``_check(k, r)``.
+    """The sweep over the phi-modes k = 0, 1, ... of either split of a
+    chart pencil, until its stop rule ``_ends(k, shift, floor)`` says
+    that no mode from k on has a value below shift, at the floor of the
+    certificate it stands in for (0 in a solve, 1e-12 in a count).
+    Modes k and -k are
+    conjugate, so a mode k > 0 holds each value of the real pencil twice
+    (``multiplicity``).  A split states per mode k the certificate
+    ``positive(k, shift, floor)`` that B_k - shift Mm_k is positive
+    definite clear of roundoff at floor, the solve ``_solve(k)``,
+    ascending values first, and the weighted shifted matrices whose
+    signatures count it (``shifted``).  A split with nodal vectors also
+    states the real vectors ``_vectors(k, r)`` of the leading r pairs of
+    mode k and their residual check ``_check(k, r)``.
     """
 
-    # mode k -> its solve, and the largest tau at which each mode was
+    # mode k -> its solve, and mode k -> the largest tau at which it was
     # certified above tau + gap
     solved = functools.cached_property(lambda self: {})
-    certified = functools.cached_property(
-        lambda self: np.full(self.count, -np.inf))
-
-    @property
-    def count(self):
-        """Number of distinct modes k = 0 .. nphi // 2."""
-        return self.nphi // 2 + 1
+    certified = functools.cached_property(lambda self: {})
 
     def multiplicity(self, k):
-        return 1 if (2 * k) % self.nphi == 0 else 2
+        return 2 if k else 1
 
     def _check(self, k, r):
         """A split that checks each solve whole needs no further check."""
@@ -283,21 +285,25 @@ class _ModeSweep:
         """(eigenvalues, modes, nodal vectors or None) of the lowest count.
 
         tau is the count-th smallest value of the modes solved so far
-        (infinite while they have fewer).  One sweep in order of k, with
-        no monotonicity in k assumed, passes over a mode certified at tau
-        or above, certifies one that ``_excludes`` puts above tau + gap
-        (a relative _CERTIFY_GAP, so that a tie with tau is not left out
-        on rounding), and solves any other, recomputing tau.  The
-        eigenpairs of each mode behind the answer pass the residual check.
+        (infinite while they have fewer), and top is tau + gap, a
+        relative _CERTIFY_GAP above it, so that a tie with tau is not
+        left out on rounding.  One sweep in order of k ends where
+        ``_ends`` puts every further mode above top.  Before that, with
+        no monotonicity in k assumed, it passes over a mode certified at
+        tau or above, certifies one that ``_excludes`` puts above top,
+        and solves any other, recomputing tau.  The eigenpairs of each
+        mode behind the answer pass the residual check.
         """
         vals = self._merged()[0]
-        for k in range(self.count):
+        for k in itertools.count():
             # solving a mode can only lower tau, so one pass suffices
             tau = vals[count - 1] if len(vals) >= count else np.inf
-            if k in self.solved or self.certified[k] >= tau:
+            top = tau + _CERTIFY_GAP * max(abs(tau), 1.0)
+            if self._ends(k, top, 0.0):
+                break
+            if k in self.solved or self.certified.get(k, -np.inf) >= tau:
                 continue
-            if tau < np.inf and self._excludes(
-                    k, tau + _CERTIFY_GAP * max(abs(tau), 1.0)):
+            if tau < np.inf and self._excludes(k, top):
                 self.certified[k] = tau
                 continue
             self.solved[k] = self._solve(k)
@@ -363,6 +369,18 @@ class PhiModes(_ModeSweep):
                             shape=shape)
         odd.eliminate_zeros()
         return offsets, even, odd
+
+    @property
+    def count(self):
+        """Number of distinct modes k = 0 .. nphi // 2."""
+        return self.nphi // 2 + 1
+
+    def multiplicity(self, k):
+        return 1 if (2 * k) % self.nphi == 0 else 2
+
+    def _ends(self, k, shift, floor):
+        """Past the last mode: P1 modes have no order in k."""
+        return k == self.count
 
     def _band_sum(self, operator, k):
         offsets, even, odd = operator
@@ -467,36 +485,35 @@ class TwistedLine(_ModeSweep):
     phi-modes and Bloch phases.
 
     ``line`` holds w, w / g_11, w / g_22 and w q at the nt nodes of the
-    line phi = 0 of an (nt, nphi) grid of chart lengths (L_theta, L_phi),
-    w = dt dphi sqrt(g).  They repeat every m = nt / P nodes, P the
+    line phi = 0 of a chart of period L_theta in theta and 2 pi in phi,
+    w = dt 2 pi sqrt(g).  They repeat every m = nt / P nodes, P the
     ``phases`` (gcd(nt, q) on a (p, q) profile), so by Floquet-Bloch
     theory mode k splits into P problems
     u(x + m nodes) = e^(2 pi i r / P) u(x), |r| <= (P-1)/2: the m x m
     Hermitian pencils (r, k) = (D_r^H diag(w / g_11) D_r
-    + kappa_k^2 diag(w / g_22) - diag(w q), diag(w)), with D_r the
-    Fourier derivative on the frequencies j + r / P, |j| <= (m-1)/2, and
-    kappa_k = 2 pi k / L_phi.  With nt odd, so P odd, the frequencies
-    j P + r are those of the whole line, so the phase spectra make up the
-    2-D mode pencil; phase P/2 of an even P would have no window
-    symmetric about zero.  Phase -r is the conjugate of r: only r >= 0 is
-    formed, and r > 0 counts twice.  As D_r^H diag(w / g_11) D_r >= 0,
-    mode k has nothing below sigma where kappa_k^2 w / g_22 - w q
-    - sigma w > 0 at every node (``positive``); where that fails, a
-    Cholesky factorization of each phase pencil may still exclude sigma
-    (``_excludes``).  No nodal operator or vector is formed: ``frame``,
+    + k^2 diag(w / g_22) - diag(w q), diag(w)), with D_r the Fourier
+    derivative on the frequencies j + r / P, |j| <= (m-1)/2.  With nt
+    odd, so P odd, the frequencies j P + r are those of the whole line,
+    so the phase spectra make up the 2-D mode pencil; phase P/2 of an
+    even P would have no window symmetric about zero.  Phase -r is the
+    conjugate of r: only r >= 0 is formed, and r > 0 counts twice.  As
+    D_r^H diag(w / g_11) D_r >= 0, mode k has nothing below sigma where
+    k^2 w / g_22 - w q - sigma w > 0 at every node (``positive``); where
+    that fails, a Cholesky factorization of each phase pencil may still
+    exclude sigma (``_excludes``).  The line has no phi-grid, so its
+    size is infinite: its sweep runs over k >= 0 until that bound clears
+    the shift (``_ends``).  No nodal operator or vector is formed: ``frame``,
     x and nu at the nodes, feeds ``paperlab.line_forms``.
     """
 
     line: np.ndarray   # (4, nt)
-    lengths: tuple     # (L_theta, L_phi) of the chart
+    period: float      # L_theta
     n: int
-    grid_shape: tuple  # (nt, nphi)
     phases: int        # P, odd and dividing nt
     frame: np.ndarray  # (2, nt, 4): x and nu at the nodes
 
-    nt = property(lambda self: self.grid_shape[0])
-    nphi = property(lambda self: self.grid_shape[1])
-    size = property(lambda self: self.nt * self.nphi)
+    nt = property(lambda self: self.line.shape[1])
+    size = np.inf
     phi_modes = property(lambda self: self)
     m = property(lambda self: self.nt // self.phases)
 
@@ -506,7 +523,7 @@ class TwistedLine(_ModeSweep):
         D_r[a, b] = (pi P / L_theta)(-1)^d csc(pi d / m) e^(2 pi i r d / nt)
         at d = a - b != 0 and 2 pi i r / L_theta at d = 0 (Trefethen,
         Spectral Methods in MATLAB, ch. 3, twisted)."""
-        m, lt = self.m, self.lengths[0]
+        m, lt = self.m, self.period
         d = np.arange(m)[:, None] - np.arange(m)
         D = ((np.pi * self.phases / lt) * (-1.0) ** d
              / np.where(d, np.sin(np.pi * d / m), np.inf))
@@ -519,9 +536,9 @@ class TwistedLine(_ModeSweep):
         return stiffness
 
     def _diagonal(self, k):
-        """kappa_k^2 w / g_22 - w q on one period."""
+        """k^2 w / g_22 - w q on one period."""
         _, _, a22, wq = self.line[:, :self.m]
-        return (2 * np.pi * k / self.lengths[1]) ** 2 * a22 - wq
+        return k ** 2 * a22 - wq
 
     def pencil(self, r, k):
         """Dense Hermitian (B, Mm) of phase r and mode k."""
@@ -530,10 +547,15 @@ class TwistedLine(_ModeSweep):
                 np.diag(self.line[0, :self.m]))
 
     def positive(self, k, shift, floor=0.0):
-        """Whether kappa_k^2 w / g_22 - w q - shift w exceeds floor times
+        """Whether k^2 w / g_22 - w q - shift w exceeds floor times
         max(|entry|, 1) at every node."""
         d = self._diagonal(k) - shift * self.line[0, :self.m]
         return bool(d.min() > floor * max(np.abs(d).max(), 1.0))
+
+    def _ends(self, k, shift, floor):
+        """Whether the bound of ``positive``, growing with k, clears a
+        finite shift at mode k, and so at every later one."""
+        return shift < np.inf and self.positive(k, shift, floor)
 
     def _shifted_phases(self, k, shift):
         """Dense pencils (r, k) shifted, B - shift Mm, of the phases
@@ -736,8 +758,9 @@ def lowest_eigs(ops, count, zero_tol=0.05, vectors=False):
     (``phi_modes``) that no certificate excludes: the banded pencils of
     a P1 set (``PhiModes``), certified by banded Cholesky or in closed
     form, or the Bloch phase pencils of a spectral line (``TwistedLine``),
-    certified where kappa_k^2 / g_22 - q exceeds tau at every node or
-    each shifted phase pencil has a Cholesky factor.  Otherwise a
+    certified where k^2 / g_22 - q exceeds tau at every node or each
+    shifted phase pencil has a Cholesky factor; a line has every mode k,
+    so its size is infinite and any finite count is served.  Otherwise a
     request for over a quarter of the spectrum takes a dense solve, and
     any other shift-invert Lanczos
     (``_shift_invert``) with the shift -q_max - 1 below the spectrum: the
@@ -745,8 +768,9 @@ def lowest_eigs(ops, count, zero_tol=0.05, vectors=False):
     negative pivot.
     """
     size = ops.size
-    if count < 1:
-        raise InvalidParameterError("count must be >= 1")
+    if not 1 <= count < np.inf:
+        raise InvalidParameterError(f"count must be finite and >= 1, "
+                                    f"got {count}")
     if not 0.0 < zero_tol < np.inf:
         raise InvalidParameterError(
             f"zero_tol must be finite and > 0, got {zero_tol}")
@@ -857,13 +881,16 @@ def _retrying(signature, sigma):
 def _mode_signature(modes, shifts):
     """Sum of the mode pencils' signatures at a shift, with
     multiplicity, or a tuple of them for an array of shifts; None if a
-    count is unreliable.  One sweep serves every shift: a mode certified
-    positive at the largest, clear of roundoff (``positive``), adds no
+    count is unreliable.  One sweep over k serves every shift, and ends
+    where the stop rule (``_ends``) clears the largest at 1e-12: a mode
+    certified positive there, clear of roundoff (``positive``), adds no
     negatives, and any other the weighted signatures of its shifted
     matrices (``shifted``), each in its own order.
     """
     totals, top = [0] * np.size(shifts), np.max(shifts)
-    for k in range(modes.count):
+    for k in itertools.count():
+        if modes._ends(k, top, 1e-12):
+            break
         if modes.positive(k, top, 1e-12):
             continue
         for i, shift in enumerate(np.ravel(shifts)):
@@ -929,7 +956,8 @@ def first_eigfunction(ops):
     rho has unit Mm-norm and a positive Mm-weighted mean.  On a twisted
     line it is the cell vector, on cell 0, of the periodic problem,
     pencil (0, 0), which a cluster of ground values, one per phase,
-    leaves unmixed; else the nodal vector.  A sign change, a value below
+    leaves unmixed, scaled by 1 / sqrt(P) to unit norm over the P cells
+    of the line; else the nodal vector.  A sign change, a value below
     -_SIGN_TOL max |rho| rather than a roundoff zero, raises
     ``MultiplicityWarningError``: the ground level is numerically
     multiple if the second eigenvalue, of the same pencil on a twisted
@@ -939,7 +967,7 @@ def first_eigfunction(ops):
     lowest = None
     if isinstance(ops, TwistedLine):
         lowest, U = ops._phase(0, 0)
-        lam1, rho = float(lowest[0]), U[:, 0] / np.sqrt(ops.phases * ops.nphi)
+        lam1, rho = float(lowest[0]), U[:, 0] / np.sqrt(ops.phases)
         mean = ops.line[0, :ops.m] @ rho
     else:
         report = lowest_eigs(ops, count=1, vectors=True)

@@ -38,7 +38,9 @@ def kron_set(family, nt, nphi):
     A reference for ``fem.assemble_spectral``, which forms no 2-D
     operator and splits the line over Bloch phases; here the whole
     lattice is sampled and the line read from its column phi = 0.  Its
-    phi-mode split is that of its chart lines (``chart_set``)."""
+    phi-mode split is that of its chart lines (``chart_set``).  It is
+    the only spectral set with an nphi: its modes k <= nphi // 2 are
+    those of the line, which has every k."""
     lt, lp = family.periods
     _, T, _, _, asq, _ = family.sample(sample_grid(family, (nt, nphi)))
     g11, g22 = np.einsum("vai,vbi->abv", T, T)[[0, 1], [0, 1]]
@@ -117,14 +119,15 @@ def clifford_profile():
 
 @pytest.fixture(scope="session")
 def clifford_op_spectral(clifford_profile):
-    """The spectral set of the Clifford profile on a 33 x 33 grid: one
-    Bloch phase."""
-    return fem.assemble_spectral(clifford_profile, 33, 33)
+    """The spectral set of the Clifford profile on a line of 33 nodes:
+    one Bloch phase."""
+    return fem.assemble_spectral(clifford_profile, 33)
 
 
 @pytest.fixture(scope="session")
 def clifford_op_kron(clifford_profile):
-    """clifford_op_spectral with its K, Mm and W formed (``kron_set``)."""
+    """clifford_op_spectral on a 33 x 33 grid with its K, Mm and W
+    formed (``kron_set``)."""
     return kron_set(rotational.build_surface(clifford_profile), 33, 33)
 
 
@@ -157,14 +160,14 @@ def otsuki_mesh(otsuki_profile):
 
 @pytest.fixture(scope="session")
 def otsuki_op_spectral(otsuki_profile):
-    """The spectral set of Otsuki (2, 3) on an odd grid, long in t, where
-    the profile varies, and short in the rotation angle phi."""
-    return fem.assemble_spectral(otsuki_profile, 255, 17)
+    """The spectral set of Otsuki (2, 3) on a line of 255 nodes."""
+    return fem.assemble_spectral(otsuki_profile, 255)
 
 
 @pytest.fixture(scope="session")
 def otsuki_op_kron(otsuki_profile):
-    """otsuki_op_spectral with its K, Mm and W formed (``kron_set``)."""
+    """otsuki_op_spectral on a 255 x 17 grid, short in the rotation
+    angle phi, with its K, Mm and W formed (``kron_set``)."""
     return kron_set(rotational.build_surface(otsuki_profile), 255, 17)
 
 

@@ -129,7 +129,7 @@ def test_criterion_7_chain_identity_and_ordering(
              for mesh, ops, asserted in ((clifford_mesh, clifford_op, False),
                                          (sphere_mesh, sphere_op, True),
                                          (otsuki_mesh, otsuki_op, False))]
-    cases += [(f"spectral {name} line {'x'.join(map(str, ops.grid_shape))}",
+    cases += [(f"spectral {name} line {ops.nt}",
                line_forms(ops, first_eigfunction(ops)), True)
               for name, ops in (("clifford", clifford_op_spectral),
                                 ("otsuki(2,3)", otsuki_op_spectral))]

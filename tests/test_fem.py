@@ -45,7 +45,7 @@ def test_torus_resolution_guard(clifford_profile):
     with pytest.raises(InvalidParameterError):
         mesh_torus(clifford(2, 1), 4, 64)
     with pytest.raises(InvalidParameterError, match=">= 8"):
-        fem.assemble_spectral(clifford_profile, 7, 33)
+        fem.assemble_spectral(clifford_profile, 7)
 
 
 def test_sphere_mesh_invariants(sphere_mesh):
@@ -301,10 +301,10 @@ def test_otsuki_mesh_matches_source(otsuki_mesh):
 
 
 def test_spectral_rejects_even_grid(clifford_profile):
-    # an even side leaves the Nyquist mode in the kernel of D
-    for grid in ((64, 64), (33, 16)):
+    # an even line leaves the Nyquist mode in the kernel of D
+    for nt in (64, 34):
         with pytest.raises(InvalidParameterError, match="odd"):
-            fem.assemble_spectral(clifford_profile, *grid)
+            fem.assemble_spectral(clifford_profile, nt)
 
 
 def test_spectral_checks_minimality_on_its_line(otsuki_profile):
@@ -313,19 +313,20 @@ def test_spectral_checks_minimality_on_its_line(otsuki_profile):
     bent = dataclasses.replace(otsuki_profile,
                                series=1.001 * otsuki_profile.series)
     with pytest.raises(GenerationFailedError, match="minimality"):
-        fem.assemble_spectral(bent, 255, 17)
+        fem.assemble_spectral(bent, 255)
 
 
 def test_spectral_operator_invariants(clifford_op_spectral):
     ops = clifford_op_spectral
     # a line is its pencils: it holds no nodal operator
     assert not any(hasattr(ops, a) for a in ("K", "Mm", "W", "B", "SA"))
-    # each phase pencil is Hermitian bit for bit, with the diagonal mass
-    # diag(w) of the cell; W is diag(w q) with q = 4 on the Clifford torus
+    # each phase pencil of modes k <= 16 is Hermitian bit for bit, with
+    # the diagonal mass diag(w) of the cell; W is diag(w q) with q = 4 on
+    # the Clifford torus
     line, m = ops.phi_modes, ops.m
     w, wq = ops.line[[0, 3], :m]
     for r in range(-(line.phases // 2), line.phases // 2 + 1):
-        for k in range(line.count):
+        for k in range(17):
             B, Mm = line.pencil(r, k)
             assert np.array_equal(B, B.conj().T)
             assert np.array_equal(Mm, np.diag(w))
@@ -333,8 +334,9 @@ def test_spectral_operator_invariants(clifford_op_spectral):
     # pencil (0, 0) they see -diag(w q) alone
     B = line.pencil(0, 0)[0]
     assert np.abs(B @ np.ones(m) + wq).max() < 1e-12
-    # the trapezoidal rule integrates the constant area element exactly
-    assert abs(ops.nphi * ops.line[0].sum() - 2 * np.pi ** 2) < 1e-12
+    # the trapezoidal rule integrates the constant area element exactly,
+    # and w carries the 2 pi of phi
+    assert abs(ops.line[0].sum() - 2 * np.pi ** 2) < 1e-12
     assert np.abs(ops.line[3] - 4.0 * ops.line[0]).max() < 1e-12
 
 
@@ -351,20 +353,23 @@ def _bloch_waves(m, P):
 @pytest.mark.parametrize("name", ["clifford_op_spectral",
                                   "otsuki_op_spectral"])
 def test_spectral_set_is_its_kronecker_line(name, request):
-    # the 2-D Kronecker set of the same line (conftest.kron_set), formed
-    # whole, is the line's phase pencils: with U_k = I (x) the phi-mode
+    # the 2-D Kronecker set of the same line on an nt x nphi grid
+    # (conftest.kron_set), formed whole, is the line's phase pencils of
+    # its modes k <= nphi // 2: with U_k = I (x) the phi-mode
     # e^(2 pi i j k / nphi) / sqrt(nphi) and the Bloch waves V_r,
-    # V_r^H U_k^H (B, Mm) U_k V_s is pencil (r, k) for s = r and vanishes
-    # otherwise, to 1e-13 of the largest entry
+    # nphi V_r^H U_k^H (B, Mm) U_k V_s is pencil (r, k) for s = r and
+    # vanishes otherwise, to 1e-13 of the largest entry; the factor nphi
+    # is the grid's dphi = 2 pi / nphi, which the line's weight w holds
+    # as 2 pi
     ops = request.getfixturevalue(name)
     ref = request.getfixturevalue(name.replace("_spectral", "_kron"))
-    nt, nphi = ops.grid_shape
+    nt, nphi = ops.nt, ref.size // ops.nt
     phases, V = _bloch_waves(ops.m, ops.phases)
     for k in range(nphi // 2 + 1):
         f = np.exp(2j * np.pi * np.arange(nphi) * k / nphi) / np.sqrt(nphi)
         U = sp.kron(sp.identity(nt), f[:, None]).tocsc()
         for i, A in enumerate((ref.B, ref.Mm)):
-            mode = (U.conj().T @ (A @ U)).toarray()
+            mode = nphi * (U.conj().T @ (A @ U)).toarray()
             scale = np.abs(mode).max()
             for r, Vr in zip(phases, V):
                 got = ops.pencil(r, k)[i]
@@ -375,13 +380,13 @@ def test_spectral_set_is_its_kronecker_line(name, request):
 
 
 def test_spectral_set_forms_no_2d_operator():
-    # Otsuki (3,5) 425 x 25: assembly and the Morse index stay within
-    # 64 MB of traced allocations, where the 2-D Kronecker K alone holds
-    # nt^2 nphi = 4.5M entries
+    # Otsuki (3,5) on 425 nodes: assembly and the Morse index stay within
+    # 64 MB of traced allocations, where the 2-D Kronecker K of a 425 x 25
+    # grid alone holds nt^2 nphi = 4.5M entries
     profile = rotational.find_otsuki(3, 5)
     tracemalloc.start()
     try:
-        index, report = morse_index(fem.assemble_spectral(profile, 425, 25))
+        index, report = morse_index(fem.assemble_spectral(profile, 425))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -462,12 +467,12 @@ def _stretched_clifford():
 
 
 def test_spectral_independent_of_chart_scale():
-    # t -> t/2 on a 33x17 grid: g_11 != g_22 and the two sides and
-    # periods differ, yet the spectral set has the area and the spectrum
-    # of the same torus
-    ops = fem.assemble_spectral(_stretched_clifford(), 33, 17)
+    # t -> t/2 on a line of 33 nodes: g_11 != g_22 and the two periods
+    # differ, yet the spectral set has the area and the spectrum of the
+    # same torus
+    ops = fem.assemble_spectral(_stretched_clifford(), 33)
     area = 2 * np.pi ** 2
-    assert abs(ops.nphi * ops.line[0].sum() - area) <= 1e-12 * area
+    assert abs(ops.line[0].sum() - area) <= 1e-12 * area
     table = clifford_jacobi(2, 1)[0]
     exact = np.concatenate([[float(v)] * m for v, m in table.entries])
     report = lowest_eigs(ops, count=len(exact))
@@ -501,7 +506,7 @@ def test_one_sample_pass_per_point_set(name, grid, request):
     del calls[:]
     with mock.patch.object(fem, "build_surface", return_value=counting), \
             mock.patch.object(fem, "mesh_torus") as meshing:
-        fem.assemble_spectral(profile, nt, nphi)
+        fem.assemble_spectral(profile, nt)
     assert calls == [(nt, 2)] and not meshing.called
 
 
@@ -557,9 +562,9 @@ def test_mesh_ignores_swapped_views(clifford_family, otsuki_mesh_coarse):
 @pytest.mark.parametrize("name", ["otsuki", "stretched_clifford"])
 def test_spectral_mode_pencil_is_one_chart_line(name, request):
     # mode k of a spectral set is the real 1-D pencil
-    # (Kt + kappa_k^2 diag(w / g_22) - diag(w q), diag(w)) of the line
-    # phi = 0, with Kt = D^T diag(w / g_11) D and kappa_k = 2 pi k / L_phi;
-    # the Bloch waves V_r of the P phases of the line's period m,
+    # (Kt + k^2 diag(w / g_22) - diag(w q), diag(w)) of the line phi = 0,
+    # with Kt = D^T diag(w / g_11) D and w = dt 2 pi sqrt(g), here for
+    # k <= 8; the Bloch waves V_r of the P phases of the line's period m,
     # V_r[b m + a, a] = e^(2 pi i r b / P) / sqrt(P), split it into the
     # phase pencils: V_r^H (B, Mm) V_s is pencil (r, k) for s = r and
     # vanishes otherwise
@@ -568,14 +573,13 @@ def test_spectral_mode_pencil_is_one_chart_line(name, request):
         ops = request.getfixturevalue("otsuki_op_spectral")
     else:
         profile = _stretched_clifford()
-        ops = fem.assemble_spectral(profile, 33, 17)
+        ops = fem.assemble_spectral(profile, 33)
     family = rotational.build_surface(profile)
-    nt, nphi = ops.grid_shape
-    lt, lp = family.periods
+    nt, lt = ops.nt, ops.period
     u = np.stack([lt * np.arange(nt) / nt, np.zeros(nt)], axis=-1)
     T = family.tangents(u)
     g11, g22 = (np.einsum("vi,vi->v", T[:, a], T[:, a]) for a in (0, 1))
-    w = (lt / nt) * (lp / nphi) * np.sqrt(g11 * g22)
+    w = (lt / nt) * (2 * np.pi) * np.sqrt(g11 * g22)
     q = ops.n + family.asq(u)
     D = _fourier_diff(nt, lt)
     Kt = D.T @ ((w / g11)[:, None] * D)
@@ -583,9 +587,8 @@ def test_spectral_mode_pencil_is_one_chart_line(name, request):
     m, P = line.m, line.phases
     assert (m, P) == ((85, 3) if name == "otsuki" else (33, 1))
     phases, V = _bloch_waves(m, P)
-    for k in range(nphi // 2 + 1):
-        kappa = 2 * np.pi * k / lp
-        Bref = Kt + np.diag(kappa ** 2 * w / g22 - w * q)
+    for k in range(9):
+        Bref = Kt + np.diag(k ** 2 * w / g22 - w * q)
         for ref in (Bref, np.diag(w)):
             scale = np.abs(ref).max()
             for r, Vr in zip(phases, V):

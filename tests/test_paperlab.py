@@ -90,17 +90,18 @@ def test_gram_blocks_match_separate_spans(mesh_name, ops_name, request):
     assert forms.ratio == (w * asq).sum() / (n * w.sum())
 
 
-def _lattice(line, profile):
+def _lattice(line, profile, nphi):
     """x, nu and |A|^2 of the surface of profile on the whole nt x nphi
     grid of line, x and nu named as a mesh holds them at its vertices."""
     family = rotational.build_surface(profile)
-    X, _, nu, _, asq, _ = family.sample(sample_grid(family, line.grid_shape))
+    X, _, nu, _, asq, _ = family.sample(sample_grid(family, (line.nt, nphi)))
     return SimpleNamespace(vertices=X, vertex_nu=nu, asq=asq)
 
 
-def _lattice_rho(line, rho):
-    """A line's ground state, a cell vector, on the nodes of its lattice."""
-    return np.tile(np.repeat(rho, line.nphi), line.phases)
+def _lattice_rho(line, rho, nphi):
+    """A line's ground state, a cell vector, on the nodes of its nt x nphi
+    lattice."""
+    return np.tile(np.repeat(rho, nphi), line.phases)
 
 
 @pytest.mark.parametrize("name", ["otsuki_op_spectral", "otsuki_7_10",
@@ -114,7 +115,7 @@ def test_line_forms_match_the_lattice_span(name, request):
     # over the cells and phi, and the sums of the sampled lattice
     if name == "otsuki_7_10":
         profile = rotational.find_otsuki(7, 10)
-        line = fem.assemble_spectral(profile, 255, 17)
+        line = fem.assemble_spectral(profile, 255)
         ref = kron_set(rotational.build_surface(profile), 255, 17)
     else:
         profile = request.getfixturevalue(
@@ -125,8 +126,9 @@ def test_line_forms_match_the_lattice_span(name, request):
         name, 1)
     lam1, rho = spectral.first_eigfunction(line)
     forms = paperlab.line_forms(line, (lam1, rho))
-    lattice = _lattice(line, profile)
-    X = np.column_stack([_lattice_rho(line, rho), np.ones(line.size),
+    nphi = ref.size // line.nt
+    lattice = _lattice(line, profile, nphi)
+    X = np.column_stack([_lattice_rho(line, rho, nphi), np.ones(ref.size),
                          lattice.vertex_nu, lattice.vertices])
     for got, want in zip(forms.grams, paperlab._span_forms(ref, X)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -545,8 +547,8 @@ def test_chain_sweep_matches_direct_sparse_forms(
     line = clifford_op_spectral
     ground = spectral.first_eigfunction(line)
     cases.append((paperlab.line_forms(line, ground),
-                  _lattice(line, clifford_profile), clifford_op_kron,
-                  _lattice_rho(line, ground[1])))
+                  _lattice(line, clifford_profile, 33), clifford_op_kron,
+                  _lattice_rho(line, ground[1], 33)))
     for forms, mesh, ops, rho in cases:
         lam1 = forms.lam1
         records, params = chain_sweep(forms, draws=20, seed=0)

@@ -91,6 +91,15 @@ def test_rotation_number_monotone_scan():
     assert rots[0] > 0.5 and rots[-1] < np.sqrt(2) / 2
 
 
+def test_rotation_window_is_read_only():
+    # the scan is cached and shared by every find_otsuki in the process:
+    # a write to either array raises, and the window stays whole
+    for a in rotation_window():
+        with pytest.raises(ValueError, match="read-only"):
+            a[:] = 0.9
+    assert find_otsuki(2, 3).q == 3
+
+
 def test_quadrature_matches_ode_oracle():
     energies = np.concatenate([rotation_window()[0], [1e-4, 1e-3, 5e-3]])
     for c in energies:

@@ -1,6 +1,7 @@
 """Eigenvalue solves and inertia counting for the stability pencil."""
 
 import dataclasses
+import itertools
 from functools import partial
 from unittest import mock
 
@@ -53,6 +54,10 @@ def test_counts_validated(clifford_op, clifford_op_spectral):
         lowest_eigs(clifford_op, count=0)
     with pytest.raises(InvalidParameterError):
         lowest_eigs(clifford_op, count=clifford_op.size + 1)
+    # a line has every phi-mode, so an infinite size, but a count must be
+    # finite
+    with pytest.raises(InvalidParameterError, match="finite"):
+        lowest_eigs(clifford_op_spectral, count=clifford_op_spectral.size)
     # an empty, inverted or NaN zero window miscounts: -1 read index 9
     # for 5 on Clifford 16^2, and NaN index 0 and nullity 0
     for ops in (clifford_op, clifford_op_spectral):
@@ -283,40 +288,45 @@ def test_otsuki_index(otsuki_op):
     assert inertia_below(otsuki_op, -0.05) == idx
 
 
-@pytest.mark.parametrize("p, q, nt, nphi, method, index, ground", [
-    (3, 5, 425, 17, "spectral", 20, None),
-    (3, 5, 425, 25, "spectral", 20, None),
-    (7, 10, 255, 17, "spectral", 46, None),
-    (7, 10, 425, 17, "spectral", 46, None),
-    (5, 9, 576, 64, "p1", 36, "numerically multiple"),
-    (5, 9, 855, 17, "spectral", 36, "not resolved as simple"),
-    (5, 9, 1089, 17, "spectral", 36, "positive"),
-    (6, 11, 495, 17, "spectral", 44, None),
-    (6, 11, 1045, 17, "spectral", 44, None),
-], ids=["3-5-spectral-425x17", "3-5-spectral-425x25",
-        "7-10-spectral-255x17", "7-10-spectral-425x17", "5-9-p1-576x64",
-        "5-9-spectral-855x17", "5-9-spectral-1089x17",
-        "6-11-spectral-495x17", "6-11-spectral-1045x17"])
-def test_otsuki_index_census(p, q, nt, nphi, method, index, ground):
+# the ids of the spectral rows carry the phi side of 17 that a line had
+# before its modes ran to the pointwise bound; the line itself has none
+@pytest.mark.parametrize("p, q, grid, method, index, ground", [
+    (3, 5, 425, "spectral", 20, None),
+    (7, 10, 255, "spectral", 46, None),
+    (7, 10, 425, "spectral", 46, None),
+    (5, 9, (576, 64), "p1", 36, "numerically multiple"),
+    (5, 9, 855, "spectral", 36, "not resolved as simple"),
+    (5, 9, 1089, "spectral", 36, "positive"),
+    (6, 11, 495, "spectral", 44, None),
+    (6, 11, 1045, "spectral", 44, None),
+], ids=["3-5-spectral-425x17", "7-10-spectral-255x17",
+        "7-10-spectral-425x17", "5-9-p1-576x64", "5-9-spectral-855x17",
+        "5-9-spectral-1089x17", "6-11-spectral-495x17",
+        "6-11-spectral-1045x17"])
+def test_otsuki_index_census(p, q, grid, method, index, ground):
     # index and nullity of further Otsuki tori, each at two resolutions
     # or on the independent P1 discretization; the nullity is 5 for the
     # Killing fields, 6 - 1, and every index exceeds Urbano's bound.
     # (6, 11) has the value nearest the zero window, 0.81 zero_tol above
-    # it.  A spectral line solves modes 0 and 1 alone, its bound
-    # certifying every other mode above the window
+    # it.  A spectral line solves modes 0 and 1 alone and its sweep ends
+    # at mode 2, whose bound clears the window top, and so every later
+    # mode's; no mode needs a certificate of its own
     profile = rotational.find_otsuki(p, q)
     if method == "spectral":
-        ops = fem.assemble_spectral(profile, nt, nphi)
+        ops = fem.assemble_spectral(profile, grid)
     else:
         ops = fem.assemble(fem.mesh_torus(rotational.build_surface(profile),
-                                          nt, nphi))
+                                          *grid))
     got, report = morse_index(ops)
     assert (got, report.nullity) == (index, 5)
     assert got > URBANO_MIN_INDEX
     if method == "spectral":
         modes = ops.phi_modes
         assert report.solved_modes == (0, 1)
-        assert np.all(modes.certified[2:] >= report.eigenvalues[-1])
+        tau = report.eigenvalues[-1]
+        top = tau + spectral._CERTIFY_GAP * max(abs(tau), 1.0)
+        assert modes.positive(2, top) and not modes.positive(1, top)
+        assert not modes.certified
         # the Bloch cell: the line repeats once per radial period, so it
         # has P = gcd(nt, q) phases, the odd part of q on every row here,
         # and repeats every m = nt / P nodes to roundoff
@@ -419,8 +429,8 @@ def _split(name, request):
     ops = request.getfixturevalue(name)
     if not name.endswith("_kron"):
         return ops
-    return chart_set(ops, request.getfixturevalue(
-        name.replace("_kron", "_spectral")).nphi)
+    return chart_set(ops, ops.size // request.getfixturevalue(
+        name.replace("_kron", "_spectral")).nt)
 
 
 def _sign_fixed(ops, x):
@@ -437,7 +447,7 @@ def test_phi_modes_agree_with_unreduced_path(name, request):
         # the 2-D Kronecker set: the union of dense solves of its mode
         # pencils (``_mode_reference``), complex modes twice; the ground
         # state lies in mode 0, x(i, j) = u(i) / sqrt(nphi)
-        modes = ops.phi_modes
+        modes, nphi = ops.phi_modes, full.size // ops.nt
         spectra = _mode_spectra(full, modes)
         vals = np.sort(np.concatenate(
             [np.repeat(lam, modes.multiplicity(k))
@@ -446,7 +456,7 @@ def test_phi_modes_agree_with_unreduced_path(name, request):
         assert vals[0] == spectra[0][0]
         u = sla.eigh(*_mode_reference(full, modes, 0),
                      subset_by_index=[0, 0])[1]
-        vecs = np.repeat(u, modes.nphi, axis=0) / np.sqrt(modes.nphi)
+        vecs = np.repeat(u, nphi, axis=0) / np.sqrt(nphi)
         count_below = partial(_count_below, modes, spectra)
     else:
         plain = lowest_eigs(full, 24, vectors=True)
@@ -465,7 +475,7 @@ def test_phi_modes_agree_with_unreduced_path(name, request):
     assert abs(lam1 - vals[0]) < 1e-10
     want = _sign_fixed(full, vecs[:, 0])
     if name.endswith("_spectral"):   # a line's cell vector: nodes (a, 0)
-        want = want[:ops.m * ops.nphi:ops.nphi]
+        want = want[:ops.m * nphi:nphi]
     assert np.abs(rho - want).max() < 1e-10
 
 
@@ -474,21 +484,26 @@ def test_phi_modes_carry_the_whole_spectrum(clifford_meshes, clifford_ops,
                                            clifford_op_spectral,
                                            clifford_op_kron):
     # every mode, the Nyquist one of an even side included, against a
-    # dense solve of the whole pencil, formed as 2-D Kronecker products
-    # for the spectral set
+    # dense solve of the whole pencil.  A spectral line has every mode k;
+    # against its 33 x 33 Kronecker set, formed whole, its modes
+    # k <= 16 hold every value below those of mode 17, the even integers
+    # 2 (a^2 + k^2) - 4 up to 572 on the Clifford torus
     family = rotational.build_surface(otsuki_profile)
     small_otsuki = fem.mesh_torus(family, 40, 16)
-    for ops, whole in ((clifford_ops[16], whole_scatter(clifford_meshes[16])),
-                       (fem.assemble(small_otsuki),
-                        whole_scatter(small_otsuki)),
-                       (clifford_op_spectral, clifford_op_kron)):
-        reduced = lowest_eigs(ops, ops.size)
-        plain = lowest_eigs(whole, ops.size)
+    line = dataclasses.replace(clifford_op_spectral)
+    for ops, whole, nphi, top in (
+            (clifford_ops[16], whole_scatter(clifford_meshes[16]), 16, np.inf),
+            (fem.assemble(small_otsuki), whole_scatter(small_otsuki), 16,
+             np.inf),
+            (line, clifford_op_kron, 33,
+             sla.eigh(*line.pencil(0, 17), eigvals_only=True)[0] - 1.0)):
+        plain = lowest_eigs(whole, whole.size)
+        vals = plain.eigenvalues[plain.eigenvalues < top]
+        reduced = lowest_eigs(ops, len(vals))
         assert (reduced.path, plain.path) == ("phi-modes", "dense")
-        nphi = ops.phi_modes.nphi
         assert set(reduced.modes) == set(range(nphi // 2 + 1))
-        err = np.abs(reduced.eigenvalues - plain.eigenvalues)
-        assert np.all(err <= 1e-10 * np.maximum(np.abs(plain.eigenvalues), 1))
+        err = np.abs(reduced.eigenvalues - vals)
+        assert np.all(err <= 1e-10 * np.maximum(np.abs(vals), 1))
 
 
 def test_phi_mode_vectors_are_mm_orthonormal_eigenvectors(otsuki_op):
@@ -513,7 +528,7 @@ def test_line_vectors_are_mm_orthonormal_eigenvectors(name, request):
     # nodes holds three
     if name == "clifford_three_cells":
         ops = fem.assemble_spectral(rotational.ProfileCurve(
-            rotational.CIRCULAR_ENERGY, 1, 3, np.array([1 / 3])), 33, 33)
+            rotational.CIRCULAR_ENERGY, 1, 3, np.array([1 / 3])), 33)
     else:
         ops = dataclasses.replace(request.getfixturevalue(name))
     with pytest.raises(InvalidParameterError, match="no nodal vectors"):
@@ -625,10 +640,14 @@ def test_phi_mode_ties_are_listed_by_mode():
                                   "otsuki_op_spectral"])
 def test_phi_mode_cutoff_agrees_with_every_mode_solved(name, request):
     ops = request.getfixturevalue(name)
-    # fresh copies: the mode caches of the session fixture stay out
+    line = isinstance(ops, spectral.TwistedLine)
+    # fresh copies: the mode caches of the session fixture stay out.  A
+    # line has no size; asked for as many values as its 255 x 17
+    # Kronecker set holds, it solves every mode up to the end of its sweep
     every = dataclasses.replace(ops)
-    full = lowest_eigs(every, ops.size)
-    assert len(every.phi_modes.solved) == every.phi_modes.count
+    full = lowest_eigs(every, 255 * 17 if line else ops.size)
+    solved = sorted(every.phi_modes.solved)
+    assert solved == list(range(len(solved) if line else ops.phi_modes.count))
     # on Clifford 64^2 the tenth value, 4.032, is shared by modes 0 and 2
     # (the square grid is symmetric under t <-> phi): a certificate taken
     # exactly at tau would pass or fail on rounding
@@ -646,7 +665,7 @@ def test_phi_mode_cutoff_agrees_with_every_mode_solved(name, request):
         per_mode = getattr(modes, "phases", 1) // 2 + 1
         assert eigh.call_count == (0 if closed
                                    else per_mode * len(modes.solved))
-        assert len(modes.solved) < modes.count
+        assert len(modes.solved) < len(every.phi_modes.solved)
         for rep in (report, window):
             size = len(rep.eigenvalues)
             assert np.abs(rep.eigenvalues
@@ -655,19 +674,23 @@ def test_phi_mode_cutoff_agrees_with_every_mode_solved(name, request):
         assert (index, window.nullity) == (
             (full.eigenvalues < -0.05).sum(),
             (np.abs(full.eigenvalues) <= 0.05).sum())
-        # every mode left unsolved carries a certificate at or above the
-        # largest value returned
-        unsolved = sorted(set(range(modes.count)) - set(modes.solved))
-        assert unsolved
-        assert np.all(modes.certified[unsolved]
-                      >= max(report.eigenvalues[-1], window.eigenvalues[-1]))
+        # every mode left unsolved before the end of the sweep carries a
+        # certificate at or above the largest value returned; a line's
+        # sweep ends at the first mode whose bound clears that value, with
+        # no mode before it left unsolved
+        tau = max(report.eigenvalues[-1], window.eigenvalues[-1])
+        end = (next(k for k in itertools.count() if modes.positive(k, tau))
+               if line else modes.count)
+        unsolved = sorted(set(range(end)) - set(modes.solved))
+        assert not unsolved if line else unsolved
+        assert all(modes.certified[k] >= tau for k in unsolved)
 
 
 def _mode_reference(ops, modes, k):
     """Dense (B_k, Mm_k) of mode k of the split modes projected from the
-    whole pencil ops: U^H A U with U = I (x) e^(2 pi i j k / nphi)
-    / sqrt(nphi)."""
-    nt, nphi = modes.nt, modes.nphi
+    whole pencil ops on an nt x nphi grid: U^H A U with
+    U = I (x) e^(2 pi i j k / nphi) / sqrt(nphi)."""
+    nt, nphi = modes.nt, ops.size // modes.nt
     f = np.exp(2j * np.pi * np.arange(nphi) * k / nphi) / np.sqrt(nphi)
     if (2 * k) % nphi == 0:
         f = f.real
@@ -676,10 +699,11 @@ def _mode_reference(ops, modes, k):
 
 
 def _mode_spectra(ops, modes):
-    """Dense eigh spectrum of every mode pencil of the split modes,
-    projected from the whole pencil ops (``_mode_reference``)."""
+    """Dense eigh spectrum of every mode pencil k <= nphi // 2 of the
+    split modes, projected from the whole pencil ops on an nt x nphi grid
+    (``_mode_reference``)."""
     return [sla.eigh(*_mode_reference(ops, modes, k), eigvals_only=True)
-            for k in range(modes.count)]
+            for k in range(ops.size // modes.nt // 2 + 1)]
 
 
 def _count_below(modes, spectra, shift):
@@ -734,13 +758,17 @@ def test_line_cutoff_falls_back_to_phase_cholesky(p, q, nt):
     # the pointwise bound of mode 1 fails just above lambda1, and a
     # Cholesky factorization of each shifted phase pencil certifies it
     # there instead: the lowest value needs mode 0 alone
-    ops = fem.assemble_spectral(rotational.find_otsuki(p, q), nt, 17)
+    ops = fem.assemble_spectral(rotational.find_otsuki(p, q), nt)
     report = lowest_eigs(ops, 1)
     assert report.solved_modes == (0,)
     tau = report.eigenvalues[0]
     shift = tau + spectral._CERTIFY_GAP * max(abs(tau), 1.0)
     assert not ops.positive(1, shift) and ops._excludes(1, shift)
-    assert np.all(ops.certified[1:] >= tau)
+    # mode 1 is certified, and the sweep ends at the first mode whose
+    # bound clears the shift
+    end = next(k for k in itertools.count() if ops.positive(k, shift))
+    assert end > 1 and set(ops.certified) == set(range(1, end))
+    assert all(ops.certified[k] >= tau for k in ops.certified)
     # below an eigenvalue of the mode no factorization passes
     lam = sla.eigh(*ops.pencil(0, 1), eigvals_only=True)[0]
     assert not ops._excludes(1, lam + 1e-6 * max(abs(lam), 1.0))
@@ -750,10 +778,10 @@ def test_line_cutoff_falls_back_to_phase_cholesky(p, q, nt):
                                   "clifford_op_spectral"])
 def test_line_signature_counts_every_phase(name, request):
     # a spectral line counts by the pivot signatures of its shifted phase
-    # pencils, phase r > 0 for -r too; a mode whose pointwise bound
-    # kappa_k^2 / g_22 - q clears the shift is passed over, and no mode it
-    # passes over has a value below the shift.  Against dense solves of
-    # the mode pencils of the 2-D Kronecker set
+    # pencils, phase r > 0 for -r too; its sweep ends at the first mode
+    # whose pointwise bound k^2 / g_22 - q clears the shift, and no mode
+    # from there on has a value below the shift.  Against dense solves of
+    # the mode pencils k <= nphi // 2 of the 2-D Kronecker set
     ops = request.getfixturevalue(name)
     line = ops.phi_modes
     spectra = _mode_spectra(_formed(name, request), line)
@@ -764,10 +792,11 @@ def test_line_signature_counts_every_phase(name, request):
                                wraps=spectral._signature) as sig:
             count = spectral._mode_signature(line, sigma)
         assert count == _count_below(line, spectra, sigma), sigma
-        cleared = [line.positive(k, sigma, 1e-12) for k in range(line.count)]
-        assert sig.call_count == (line.phases // 2 + 1) * cleared.count(False)
-        assert all(spectra[k][0] > sigma
-                   for k in range(line.count) if cleared[k])
+        end = next(k for k in itertools.count()
+                   if line.positive(k, sigma, 1e-12))
+        assert end < len(spectra)
+        assert sig.call_count == (line.phases // 2 + 1) * end
+        assert all(spectra[k][0] > sigma for k in range(end, len(spectra)))
     # on the ground value of phase 0, where the shifted pencil is singular
     # to rounding, there is no count, and the jitter retry takes over
     lam = sla.eigh(*line.pencil(0, 0), eigvals_only=True)[0]
@@ -1108,7 +1137,7 @@ def test_signature_counts_complex_hermitian(otsuki_op_coarse, request):
 
 
 def test_spectral_otsuki_exact_landmarks(otsuki_op_spectral):
-    # Otsuki (2, 3) on the spectral set 255 x 17: -n = -2 has
+    # Otsuki (2, 3) on the spectral line of 255 nodes: -n = -2 has
     # multiplicity 4, the rank of span{f_v}, and 0 has multiplicity 5,
     # 6 - 1 for the Killing fields; index 12
     index, report = morse_index(otsuki_op_spectral)
@@ -1123,10 +1152,71 @@ def test_spectral_otsuki_single_bloch_phase(otsuki_profile,
                                             otsuki_op_spectral):
     # nt = 257 is prime to q = 3: the line is one Bloch cell, P = 1, and
     # one dense pencil per mode gives the index, the nullity and lambda1
-    # of the three-phase line 255 x 17
-    ops = fem.assemble_spectral(otsuki_profile, 257, 17)
+    # of the three-phase line of 255 nodes
+    ops = fem.assemble_spectral(otsuki_profile, 257)
     assert (ops.phases, ops.m) == (1, 257)
     index, report = morse_index(ops)
     assert (index, report.nullity) == (12, 5)
     ref = lowest_eigs(otsuki_op_spectral, 1).lambda1
     assert abs(report.lambda1 - ref) <= 1e-9
+
+
+def test_line_matches_the_clifford_spectrum_past_any_phi_grid(
+        clifford_op_spectral):
+    # the Clifford line on 33 nodes resolves the theta-modes |a| <= 16 and
+    # has every phi-mode b: its values are 2 (a^2 + b^2) - 4, and 1200 of
+    # them, more than a 33 x 33 grid holds, reach mode 20
+    line = dataclasses.replace(clifford_op_spectral)
+    a, b = np.meshgrid(np.arange(-16, 17), np.arange(-40, 41))
+    exact = np.sort(2.0 * (a ** 2 + b ** 2) - 4.0, axis=None)
+    report = lowest_eigs(line, 1200)
+    assert max(report.modes) >= 20
+    err = np.abs(report.eigenvalues - exact[:1200])
+    assert np.all(err <= 1e-10 * np.maximum(np.abs(exact[:1200]), 1.0))
+    for sigma, count in ((-3.0, 1), (0.05, 9), (40.5, 69), (150.5, 241),
+                         (400.5, 641)):
+        assert count == int((exact < sigma).sum())
+        assert inertia_below(line, sigma) == count
+
+
+def _mode_calls(method):
+    """A patch of the TwistedLine method (k, ...) that logs the mode k of
+    each call, and the log."""
+    calls, plain = [], getattr(spectral.TwistedLine, method)
+
+    def logged(self, k, *args):
+        calls.append(k)
+        return plain(self, k, *args)
+    return mock.patch.object(spectral.TwistedLine, method, logged), calls
+
+
+@pytest.mark.parametrize("p, q, nt", [(2, 3, 255), (5, 9, 855)])
+def test_line_sweep_stop_hides_nothing(p, q, nt):
+    # morse_index looks at no mode past 2, where the pointwise bound
+    # clears the window top tau; the dense spectra of every phase pencil
+    # of modes 2 .. 7 lie above tau all the same
+    line = fem.assemble_spectral(rotational.find_otsuki(p, q), nt)
+    patch, calls = _mode_calls("positive")
+    with patch:
+        _, report = morse_index(line)
+    assert max(calls) == 2 and report.solved_modes == (0, 1)
+    tau = report.eigenvalues[-1]
+    for k in range(2, 8):
+        for r in range(line.phases // 2 + 1):
+            assert sla.eigh(*line.pencil(r, k), eigvals_only=True)[0] > tau
+    # at a shift just below the bound's edge sigma* in mode 2, the bound
+    # clears it plainly but not above its 1e-12 floor, so a count still
+    # takes the pivot signatures of mode 2, against dense solves
+    w, d = line.line[0, :line.m], line._diagonal(2)
+    edge = int(np.argmin(d / w))
+    level = 1e-12 * max(np.abs(d - d[edge] / w[edge] * w).max(), 1.0)
+    sigma = d[edge] / w[edge] - 0.5 * level / w[edge]
+    assert line.positive(2, sigma) and not line.positive(2, sigma, 1e-12)
+    patch, shifted = _mode_calls("shifted")
+    with patch:
+        count = spectral._mode_signature(line, sigma)
+    assert 2 in shifted
+    assert count == sum(
+        line.multiplicity(k) * (2 if r else 1) * int((sla.eigh(
+            *line.pencil(r, k), eigvals_only=True) < sigma).sum())
+        for k in range(8) for r in range(line.phases // 2 + 1))
