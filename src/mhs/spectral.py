@@ -4,11 +4,13 @@ Every index rests on two independent paths: eigenpairs that pass a
 residual check against the unfactored pencil, and Sylvester's law on
 the pivot signs of an unpivoted symmetric factorization
 (``_signature``), so a count never rests on the values it checks.  On
-the unreduced pencil ``morse_index`` factors K - W + zero_tol Mm once,
-in a nested-dissection order (``dissection_order``), for both: its
-pivots count, and its solve drives shift-invert Lanczos
-(``_shift_invert``).  Only a request for over a quarter of the spectrum
-takes a dense solve.  On a set of chart lines, operators
+the unreduced pencil ``morse_index`` factors K - W - zero_tol Mm, whose
+pivots count c+, the eigenvalues up to zero_tol, and drops that factor
+before it factors K - W + zero_tol Mm, both in a nested-dissection
+order (``dissection_order``): the second one's pivots count c-, and its
+solve drives shift-invert Lanczos (``_shift_invert``) for the lowest
+c+ + 1 values.  Only a window of over a quarter of the spectrum takes a
+dense solve.  On a set of chart lines, operators
 block-circulant in phi that are stated and applied by their block rows
 0 (``ChartLine``; every torus the package builds), no V x V matrix is
 formed, and both paths run on small pencils per phi-Fourier mode
@@ -17,8 +19,9 @@ instead, swept, merged and counted by one set of routines
 pencils of a P1 set (``PhiModes``) or the Bloch phase pencils of a
 spectral line (``TwistedLine``), which has no phi-grid: its sweep ends
 at the first mode whose pointwise bound clears the shift.  There
-``morse_index`` counts at both ends of the zero window in one sweep and
-then solves exactly the counted window, so its nullity is certified
+``morse_index`` counts c- and c+ in one sweep and then solves the
+lowest max(_MORSE_WINDOW, c+ + 1) values.  On either path the index
+must equal c- and the nullity c+ - c-, so the nullity is certified
 too.  A line forms no nodal operator or vector: its states are cell
 vectors of its pencils.
 """
@@ -39,7 +42,7 @@ from .errors import (InvalidParameterError, MultiplicityWarningError,
 _RESIDUAL_TOL = 1e-8
 _SHIFT_RETRIES = 6
 _SHIFT_TOL = 1e-12   # phi-shift invariance, relative to max |entry|
-_MORSE_WINDOW = 16   # first eigenvalue window of morse_index
+_MORSE_WINDOW = 16   # least window of morse_index on a phi-mode split
 _DISSECTION_LEAF = 16   # largest part that dissection_order leaves whole
 _CERTIFY_GAP = 1e-9     # relative margin of a mode certificate above tau
 _MULTIPLE_GAP = 1e-8    # lambda2 - lambda1 of a numerically multiple
@@ -786,12 +789,17 @@ def lowest_eigs(ops, count, zero_tol=0.05, vectors=False):
         solved = tuple(sorted(ops.phi_modes.solved))
     elif count > size // 4:
         path = "dense"
-        vals, vecs = sla.eigh(ops.B.toarray(), ops.Mm.toarray())
-        vals, vecs = vals[:count], vecs[:, :count]
+        vals, vecs = _dense_eigs(ops, count)
     else:
         path = "shift-invert"
         _, vals, vecs = _shift_invert(ops, -ops.q_max - 1.0, count)
     return _report(ops, vals, vecs, zero_tol, path, vectors, modes, solved)
+
+
+def _dense_eigs(ops, count):
+    """The lowest count eigenpairs of the pencil by one dense solve."""
+    vals, vecs = sla.eigh(ops.B.toarray(), ops.Mm.toarray())
+    return vals[:count], vecs[:, :count]
 
 
 def _shift_invert(ops, sigma, count, clear=None):
@@ -805,12 +813,15 @@ def _shift_invert(ops, sigma, count, clear=None):
     its solve is the Lanczos operator, whose window holds the eigenvalues
     nearest the shift.  With clear None the shift must lie below the
     spectrum (c = 0), and the window of count values is the lowest.
-    Otherwise the window doubles from count until it holds exactly c
+    Otherwise the window doubles from count (``morse_index`` asks for
+    one more value than it counts up to clear) until it holds exactly c
     values below the shift and its top exceeds clear, so that it is the
-    lowest; more than c values below the shift raise at once, and a
-    window that would pass a quarter of the spectrum is left to the
-    dense solve (values None).  The start vector is seeded, so repeated
-    runs agree bitwise.
+    lowest: the values nearest the shift miss the lowest only where
+    these lie farther below the shift than the window's top lies above
+    it.  More than c values below the shift raise at once, and a window
+    that would pass a quarter of the spectrum is left to the dense solve
+    (values None).  The start vector is seeded, so repeated runs agree
+    bitwise.
 
     Returns (c, ascending values, vectors).
     """
@@ -995,50 +1006,47 @@ def morse_index(ops, zero_tol=0.05):
     """Morse index: (eigenvalues below -zero_tol, report of a window of
     the lowest eigenvalues that ends above zero_tol).
 
-    Two independent counts must agree.  The window's eigenpairs pass the
-    residual check; the other count is Sylvester's law on the pivots of
-    a factorization at -zero_tol.  On the unreduced pencil one
-    factorization serves both: its solve drives shift-invert Lanczos at
-    -zero_tol, whose window grows until it holds exactly the counted
-    values below the shift (``_shift_invert``), or past a quarter of the
-    spectrum is a dense solve.  On a split one sweep over the modes
-    counts c- below -zero_tol and c+ below +zero_tol (``_mode_signature``,
-    as in spectrum slicing), and one ``lowest_eigs`` call solves the
-    lowest max(_MORSE_WINDOW, c+ + 1) values.  Its index must equal c-
-    and its nullity c+ - c-, so the nullity has two paths too.
+    Two independent paths must agree on both counts, as in spectrum
+    slicing: Sylvester's law on the pivots of factorizations at both
+    ends of the zero window counts c- below -zero_tol and c+ up to
+    +zero_tol, and the window's eigenpairs pass the residual check.  The
+    window's index must equal c- and its nullity c+ - c-.  On the
+    unreduced pencil the factor at +zero_tol is dropped once counted;
+    the one at -zero_tol counts c- and drives shift-invert Lanczos for
+    the lowest c+ + 1 values (``_shift_invert``), and a window of over a
+    quarter of the spectrum is one dense solve instead.  On a split one
+    sweep over the modes counts both (``_mode_signature``), and one
+    ``lowest_eigs`` call solves the lowest max(_MORSE_WINDOW, c+ + 1)
+    values.
     """
     if not 0.0 < zero_tol < np.inf:
         raise InvalidParameterError(
             f"zero_tol must be finite and > 0, got {zero_tol}")
-    count = min(_MORSE_WINDOW, ops.size)
-    nullity = None   # c+ - c-, counted on the phi-mode path
     if ops.phi_modes is not None:
         (below, upto), _ = _retrying(
             functools.partial(_mode_signature, ops.phi_modes),
             np.array([-zero_tol, zero_tol]))
-        nullity = upto - below
-        report = lowest_eigs(ops, min(max(count, upto + 1), ops.size),
+        report = lowest_eigs(ops, min(max(_MORSE_WINDOW, upto + 1), ops.size),
                              zero_tol)
     else:
-        below = report = None
-        if count <= ops.size // 4:
-            below, vals, vecs = _shift_invert(ops, -zero_tol, count,
-                                              zero_tol)
-            if vals is None:   # the dense solve takes the larger windows
-                count = ops.size // 4 + 1
-            else:
-                report = _report(ops, vals, vecs, zero_tol, "shift-invert")
-        while report is None or report.window_saturated:
-            report = lowest_eigs(ops, count=count, zero_tol=zero_tol)
-            count = min(2 * count, ops.size)
-        if below is None:
-            below = inertia_below(ops, -zero_tol)
+        # c+ first, its factor dropped before the next one is built
+        (upto, _), _ = _retrying(functools.partial(_nodal_signature, ops),
+                                 zero_tol)
+        count = min(upto + 1, ops.size)
+        if count > ops.size // 4:
+            below, vals = inertia_below(ops, -zero_tol), None
+        else:
+            below, vals, vecs = _shift_invert(ops, -zero_tol, count, zero_tol)
+        if vals is None:   # the dense solve takes the larger windows
+            report = _report(ops, *_dense_eigs(ops, count), zero_tol, "dense")
+        else:
+            report = _report(ops, vals, vecs, zero_tol, "shift-invert")
     if below != report.index:
         raise NumericalFailureError(
             f"index mismatch: eigensolver {report.index}, "
             f"factorization {below}")
-    if nullity is not None and nullity != report.nullity:
+    if upto - below != report.nullity:
         raise NumericalFailureError(
             f"nullity mismatch: eigensolver {report.nullity}, "
-            f"factorization {nullity}")
+            f"factorization {upto - below}")
     return report.index, report

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import weakref
 from functools import partial
 from unittest import mock
 
@@ -159,6 +160,7 @@ def test_imported_otsuki_mesh_takes_the_nodal_path(otsuki_profile):
     exact = sla.eigh(ops.B.toarray(), ops.Mm.toarray(), eigvals_only=True)
     index, report = morse_index(ops)
     assert (index, report.path) == (12, "shift-invert")
+    assert report.nullity == int((np.abs(exact) <= 0.05).sum())
     size = len(report.eigenvalues)
     assert np.all(np.abs(report.eigenvalues - exact[:size])
                   <= 1e-11 * np.maximum(np.abs(exact[:size]), 1))
@@ -180,18 +182,67 @@ def _counted(name):
 
 
 @pytest.mark.parametrize("level", [3, 4])
-def test_nodal_morse_index_factors_once(level):
-    # one factorization at -zero_tol gives the count and drives Lanczos;
-    # the window of 16 (index 1, nullity 3, then the 5 and 7 values of
-    # degrees 2 and 3) is the lowest 16, which the equator report keeps
+def test_nodal_morse_index_counts_both_ends(level):
+    # c+ at +zero_tol first, its factor dropped before the factor at
+    # -zero_tol that counts c- and drives Lanczos; the window is the
+    # counted c+ + 1 = 5 values (index 1, nullity 3, then the first of
+    # degree 2), the lowest 5
     ops = fem.assemble(fem.mesh_sphere(level))
-    with _counted("_ordered_factor") as factor, _counted("eigsh") as eigsh:
+    factor, solves, dropped = spectral._ordered_factor, [], []
+
+    def recording(A, order):
+        dropped.append(all(ref() is None for ref in solves))
+        pivots, solve = factor(A, order)
+        solves.append(weakref.ref(solve))
+        return pivots, solve
+    with mock.patch.object(spectral, "_ordered_factor", recording), \
+            _counted("_nodal_signature") as signature, \
+            _counted("eigsh") as eigsh:
         index, report = morse_index(ops)
-    assert (factor.call_count, eigsh.call_count) == (1, 1)
+    assert [c.args[1] for c in signature.call_args_list] == [0.05, -0.05]
+    assert dropped == [True, True]
+    assert eigsh.call_count == 1 and eigsh.call_args.kwargs["k"] == 5
     assert (index, report.nullity, report.path) == (1, 3, "shift-invert")
-    reference = lowest_eigs(ops, 16).eigenvalues
-    assert len(report.eigenvalues) == 16
+    assert report.eigenvalues[-1] > report.zero_tol
+    reference = lowest_eigs(ops, 16).eigenvalues[:5]
+    assert len(report.eigenvalues) == 5
     assert np.abs(report.eigenvalues - reference).max() < 1e-10
+
+
+def test_nodal_nullity_is_certified():
+    # an eigensolver that drops one value of the zero window still finds
+    # the one value below -zero_tol and a window top above zero_tol; only
+    # the count c+ - c- of the factorizations catches it
+    ops = fem.assemble(fem.mesh_sphere(3))
+    eigsh = spla.eigsh
+
+    def dropping(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        keep = np.arange(len(vals)) != np.flatnonzero(np.abs(vals) <= 0.05)[0]
+        return vals[keep], vecs[:, keep]
+    with mock.patch.object(spla, "eigsh", dropping):
+        with pytest.raises(NumericalFailureError,
+                           match="nullity mismatch: eigensolver 2, "
+                                 "factorization 3"):
+            morse_index(ops)
+
+
+@pytest.mark.parametrize("level, zero_tol, path", [
+    (1, 0.05, "shift-invert"),   # c+ + 1 = 2 values, doubled to 4
+    (1, 6.0, "shift-invert"),    # c+ + 1 = 10, a quarter of 42
+    (1, 15.0, "dense"),          # c+ + 1 = 17
+    (2, 0.05, "shift-invert"),
+])
+def test_small_sphere_counts_match_dense(level, zero_tol, path):
+    # where the counted window comes close to a quarter of the spectrum,
+    # the index and nullity are those of the whole pencil
+    ops = fem.assemble(fem.mesh_sphere(level))
+    exact = sla.eigh(ops.B.toarray(), ops.Mm.toarray(), eigvals_only=True)
+    index, report = morse_index(ops, zero_tol)
+    assert (index, report.nullity, report.path) == (
+        (exact < -zero_tol).sum(), (np.abs(exact) <= zero_tol).sum(), path)
+    size = len(report.eigenvalues)
+    assert np.abs(report.eigenvalues - exact[:size]).max() < 1e-10
 
 
 @pytest.mark.parametrize("flip, found, counted", [
