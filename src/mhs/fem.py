@@ -159,6 +159,15 @@ def _check_orientation(triangles, num_vertices):
                               "(repeated directed edge)")
 
 
+def _check_minimal(A):
+    """Raise unless the second fundamental forms A, one 2 x 2 matrix per
+    sample, are trace-free to _MINIMALITY_TOL."""
+    trace = np.abs(A[:, 0, 0] + A[:, 1, 1]).max()
+    if trace > _MINIMALITY_TOL:
+        raise GenerationFailedError(
+            f"minimality self-check failed: max |trace A| = {trace:.3e}")
+
+
 def mesh_torus(family, nt, nphi):
     """Structured periodic mesh of a torus chart.
 
@@ -179,10 +188,7 @@ def mesh_torus(family, nt, nphi):
     ii, jj = I.ravel(), J.ravel()
     vparams = np.stack([ii * dt, jj * dp], axis=-1)
     vertices, _, vertex_nu, A, vertex_asq, _ = family.sample(vparams)
-    trace = np.abs(A[:, 0, 0] + A[:, 1, 1]).max()
-    if trace > _MINIMALITY_TOL:
-        raise GenerationFailedError(
-            f"minimality self-check failed: max |trace A| = {trace:.3e}")
+    _check_minimal(A)
 
     def vid(i, j):
         return (i % nt) * nphi + (j % nphi)
@@ -414,10 +420,7 @@ def assemble_spectral(profile, nt):
     lt = family.periods[0]
     X, T, nu, A, asq, _ = family.sample(
         np.stack([lt * np.arange(nt) / nt, np.zeros(nt)], axis=-1))
-    trace = np.abs(A[:, 0, 0] + A[:, 1, 1]).max()
-    if trace > _MINIMALITY_TOL:
-        raise GenerationFailedError(
-            f"minimality self-check failed: max |trace A| = {trace:.3e}")
+    _check_minimal(A)
     g11, g22 = np.einsum("vai,vbi->abv", T, T)[[0, 1], [0, 1]]
     w = (lt / nt) * (2 * np.pi) * np.sqrt(g11 * g22)
     # q = n + |A|^2 on a surface in S^3

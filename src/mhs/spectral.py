@@ -8,22 +8,24 @@ the unreduced pencil ``morse_index`` factors K - W - zero_tol Mm, whose
 pivots count c+, the eigenvalues up to zero_tol, and drops that factor
 before it factors K - W + zero_tol Mm, both in a nested-dissection
 order (``dissection_order``): the second one's pivots count c-, and its
-solve drives shift-invert Lanczos (``_shift_invert``) for the lowest
-c+ + 1 values.  Only a window of over a quarter of the spectrum takes a
-dense solve.  On a set of chart lines, operators
-block-circulant in phi that are stated and applied by their block rows
-0 (``ChartLine``; every torus the package builds), no V x V matrix is
-formed, and both paths run on small pencils per phi-Fourier mode
-instead, swept, merged and counted by one set of routines
-(``_ModeSweep``, ``_mode_signature``) for either split: the banded mode
-pencils of a P1 set (``PhiModes``) or the Bloch phase pencils of a
-spectral line (``TwistedLine``), which has no phi-grid: its sweep ends
-at the first mode whose pointwise bound clears the shift.  There
-``morse_index`` counts c- and c+ in one sweep and then solves the
+solve drives one window of shift-invert Lanczos (``_shift_invert``) of
+the c+ + 1 values nearest -zero_tol.  Where that window is not the
+lowest, one window of c+ + 1 values is solved from below the spectrum
+instead (``_nodal_lowest``), which also serves ``lowest_eigs``; only a
+window of over a quarter of the spectrum takes a dense solve.  On a set
+of chart lines, operators block-circulant in phi that are stated and
+applied by their block rows 0 (``ChartLine``; every torus the package
+builds), no V x V matrix is formed, and both paths run on small pencils
+per phi-Fourier mode instead, swept, merged and counted by one set of
+routines (``_ModeSweep``, ``_mode_signature``) for either split: the
+banded mode pencils of a P1 set (``PhiModes``) or the Bloch phase
+pencils of a spectral line (``TwistedLine``), which has no phi-grid: its
+sweep ends at the first mode whose pointwise bound clears the shift.
+There ``morse_index`` counts c- and c+ in one sweep and then solves the
 lowest max(_MORSE_WINDOW, c+ + 1) values.  On either path the index
-must equal c- and the nullity c+ - c-, so the nullity is certified
-too.  A line forms no nodal operator or vector: its states are cell
-vectors of its pencils.
+must equal c- and the nullity c+ - c-, so the nullity is certified too.
+A line forms no nodal operator or vector: its states are cell vectors
+of its pencils.
 """
 
 import functools
@@ -763,12 +765,8 @@ def lowest_eigs(ops, count, zero_tol=0.05, vectors=False):
     form, or the Bloch phase pencils of a spectral line (``TwistedLine``),
     certified where k^2 / g_22 - q exceeds tau at every node or each
     shifted phase pencil has a Cholesky factor; a line has every mode k,
-    so its size is infinite and any finite count is served.  Otherwise a
-    request for over a quarter of the spectrum takes a dense solve, and
-    any other shift-invert Lanczos
-    (``_shift_invert``) with the shift -q_max - 1 below the spectrum: the
-    pencil is bounded below by -q_max, so the factor there must have no
-    negative pivot.
+    so its size is infinite and any finite count is served.  Otherwise
+    they come from below the spectrum (``_nodal_lowest``).
     """
     size = ops.size
     if not 1 <= count < np.inf:
@@ -787,22 +785,30 @@ def lowest_eigs(ops, count, zero_tol=0.05, vectors=False):
         path = "phi-modes"
         vals, modes, vecs = ops.phi_modes.lowest(count, vectors)
         solved = tuple(sorted(ops.phi_modes.solved))
-    elif count > size // 4:
-        path = "dense"
-        vals, vecs = _dense_eigs(ops, count)
     else:
-        path = "shift-invert"
-        _, vals, vecs = _shift_invert(ops, -ops.q_max - 1.0, count)
+        path, vals, vecs = _nodal_lowest(ops, count)
     return _report(ops, vals, vecs, zero_tol, path, vectors, modes, solved)
 
 
-def _dense_eigs(ops, count):
-    """The lowest count eigenpairs of the pencil by one dense solve."""
-    vals, vecs = sla.eigh(ops.B.toarray(), ops.Mm.toarray())
-    return vals[:count], vecs[:, :count]
+def _nodal_lowest(ops, count):
+    """(path, values, vectors) of the lowest count pairs of the unreduced
+    pencil: one window of shift-invert Lanczos (``_shift_invert``) at
+    -q_max - 1, or one dense solve past a quarter of the spectrum.  The
+    pencil is bounded below by -q_max, so the factor at that shift must
+    have no negative pivot."""
+    sigma = -ops.q_max - 1.0
+    c, vals, vecs = _shift_invert(ops, sigma, count)
+    if c:
+        raise NumericalFailureError(
+            f"shift-invert matrix at sigma = {sigma:.6g} is not "
+            "positive definite; q_max understates the potential")
+    if vals is None:
+        vals, vecs = sla.eigh(ops.B.toarray(), ops.Mm.toarray())
+        return "dense", vals[:count], vecs[:, :count]
+    return "shift-invert", vals, vecs
 
 
-def _shift_invert(ops, sigma, count, clear=None):
+def _shift_invert(ops, sigma, count):
     """Shift-invert Lanczos on one factorization of K - W - sigma Mm.
 
     The unpivoted factor in ``ops.elimination_order`` does two jobs, as
@@ -810,50 +816,36 @@ def _shift_invert(ops, sigma, count, clear=None):
     Lewis & Simon, SIAM J. Matrix Anal. Appl. 15, 1994): its pivot
     signs give c, the number of eigenvalues below the shift
     (``_signature``, jittered and retried as in ``inertia_below``), and
-    its solve is the Lanczos operator, whose window holds the eigenvalues
-    nearest the shift.  With clear None the shift must lie below the
-    spectrum (c = 0), and the window of count values is the lowest.
-    Otherwise the window doubles from count (``morse_index`` asks for
-    one more value than it counts up to clear) until it holds exactly c
-    values below the shift and its top exceeds clear, so that it is the
-    lowest: the values nearest the shift miss the lowest only where
-    these lie farther below the shift than the window's top lies above
-    it.  More than c values below the shift raise at once, and a window
-    that would pass a quarter of the spectrum is left to the dense solve
-    (values None).  The start vector is seeded, so repeated runs agree
-    bitwise.
+    its solve is the Lanczos operator of one window of the count values
+    nearest the shift.  More than c of them below the shift raise at
+    once.  A window of over a quarter of the spectrum is left to a dense
+    solve (values None).  The start vector is seeded, so repeated runs
+    agree bitwise.
 
     Returns (c, ascending values, vectors).
     """
     (c, solve), shift = _retrying(functools.partial(_nodal_signature, ops),
                                   sigma)
-    if clear is None and c:
-        raise NumericalFailureError(
-            f"shift-invert matrix at sigma = {sigma:.6g} is not "
-            "positive definite; q_max understates the potential")
     size = ops.size
+    if count > size // 4:
+        return c, None, None
     solve = spla.LinearOperator((size, size), matvec=solve, dtype=float)
     # random, not ones or the Mm diagonal: a start vector invariant
     # under the mesh's symmetries misses the other modes
     start = np.random.default_rng(0).standard_normal(size)
-    while True:
-        try:
-            vals, vecs = spla.eigsh(ops.B, k=count, M=ops.Mm, sigma=shift,
-                                    which="LM", v0=start, OPinv=solve)
-        except Exception as exc:   # ARPACK breakdowns vary in type
-            raise NumericalFailureError(
-                f"shift-invert eigensolve failed: {exc}") from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        found = int((vals < shift).sum())
-        if found > c:
-            raise NumericalFailureError(
-                f"index mismatch: eigensolver {found}, factorization {c}")
-        if clear is None or (found == c and vals[-1] > clear):
-            return c, vals, vecs
-        count *= 2
-        if count > size // 4:
-            return c, None, None
+    try:
+        vals, vecs = spla.eigsh(ops.B, k=count, M=ops.Mm, sigma=shift,
+                                which="LM", v0=start, OPinv=solve)
+    except Exception as exc:   # ARPACK breakdowns vary in type
+        raise NumericalFailureError(
+            f"shift-invert eigensolve failed: {exc}") from exc
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
+    found = int((vals < shift).sum())
+    if found > c:
+        raise NumericalFailureError(
+            f"index mismatch: eigensolver {found}, factorization {c}")
+    return c, vals, vecs
 
 
 def inertia_below(ops, sigma):
@@ -1012,12 +1004,16 @@ def morse_index(ops, zero_tol=0.05):
     +zero_tol, and the window's eigenpairs pass the residual check.  The
     window's index must equal c- and its nullity c+ - c-.  On the
     unreduced pencil the factor at +zero_tol is dropped once counted;
-    the one at -zero_tol counts c- and drives shift-invert Lanczos for
-    the lowest c+ + 1 values (``_shift_invert``), and a window of over a
-    quarter of the spectrum is one dense solve instead.  On a split one
-    sweep over the modes counts both (``_mode_signature``), and one
-    ``lowest_eigs`` call solves the lowest max(_MORSE_WINDOW, c+ + 1)
-    values.
+    the one at -zero_tol counts c- and drives one window of shift-invert
+    Lanczos of the c+ + 1 values nearest the shift (``_shift_invert``).
+    Those are the lowest where the window holds all c- values below
+    -zero_tol and ends above zero_tol: the values nearest the shift miss
+    the lowest only where these lie farther below it than the window's
+    top lies above it.  Otherwise, or past a quarter of the spectrum,
+    that window is dropped and the lowest c+ + 1 values are solved once
+    from below (``_nodal_lowest``).  On a split one sweep over the modes
+    counts both (``_mode_signature``), and one ``lowest_eigs`` call
+    solves the lowest max(_MORSE_WINDOW, c+ + 1) values.
     """
     if not 0.0 < zero_tol < np.inf:
         raise InvalidParameterError(
@@ -1033,14 +1029,12 @@ def morse_index(ops, zero_tol=0.05):
         (upto, _), _ = _retrying(functools.partial(_nodal_signature, ops),
                                  zero_tol)
         count = min(upto + 1, ops.size)
-        if count > ops.size // 4:
-            below, vals = inertia_below(ops, -zero_tol), None
-        else:
-            below, vals, vecs = _shift_invert(ops, -zero_tol, count, zero_tol)
-        if vals is None:   # the dense solve takes the larger windows
-            report = _report(ops, *_dense_eigs(ops, count), zero_tol, "dense")
-        else:
-            report = _report(ops, vals, vecs, zero_tol, "shift-invert")
+        below, vals, vecs = _shift_invert(ops, -zero_tol, count)
+        path = "shift-invert"
+        if (vals is None or (vals < -zero_tol).sum() < below
+                or vals[-1] <= zero_tol):
+            path, vals, vecs = _nodal_lowest(ops, count)
+        report = _report(ops, vals, vecs, zero_tol, path)
     if below != report.index:
         raise NumericalFailureError(
             f"index mismatch: eigensolver {report.index}, "

@@ -209,6 +209,47 @@ def test_nodal_morse_index_counts_both_ends(level):
     assert np.abs(report.eigenvalues - reference).max() < 1e-10
 
 
+@pytest.mark.parametrize("nt, nphi, window", [(64, 16, 14), (128, 32, 16)])
+def test_short_nodal_window_is_solved_once_from_below(otsuki_profile, nt,
+                                                      nphi, window):
+    # on an imported Otsuki (2,3) mesh lambda1 near -7.3 lies farther
+    # below -zero_tol than the counted window's top lies above it, so the
+    # c+ + 1 values nearest -zero_tol come back short of c-; that window
+    # and its factor are dropped, and one window of c+ + 1 values is
+    # solved from below the spectrum
+    family = rotational.build_surface(otsuki_profile)
+    ops = fem.assemble(fem.mesh_from_json(fem.mesh_to_json(
+        fem.mesh_torus(family, nt, nphi))))
+    factor, solves, dropped = spectral._ordered_factor, [], []
+    eigsh, windows = spla.eigsh, []
+
+    def recording(A, order):
+        dropped.append(all(ref() is None for ref in solves))
+        pivots, solve = factor(A, order)
+        solves.append(weakref.ref(solve))
+        return pivots, solve
+
+    def windowed(*args, **kwargs):
+        # (k, sigma) only: a mock's call record would keep the operator,
+        # and with it the factor, alive
+        windows.append((kwargs["k"], kwargs["sigma"]))
+        return eigsh(*args, **kwargs)
+    with mock.patch.object(spectral, "_ordered_factor", recording), \
+            mock.patch.object(spla, "eigsh", windowed):
+        index, report = morse_index(ops)
+    assert windows == [(window, -0.05), (window, -ops.q_max - 1.0)]
+    # the factor at -zero_tol is dropped before the one below the spectrum
+    assert dropped == [True, True, True]
+    assert (index, report.path) == (12, "shift-invert")
+    if ops.size == 1024:
+        exact = sla.eigh(ops.B.toarray(), ops.Mm.toarray(),
+                         eigvals_only=True)
+        nullity = int((np.abs(exact) <= 0.05).sum())
+    else:
+        nullity = inertia_below(ops, 0.05) - inertia_below(ops, -0.05)
+    assert report.nullity == nullity
+
+
 def test_nodal_nullity_is_certified():
     # an eigensolver that drops one value of the zero window still finds
     # the one value below -zero_tol and a window top above zero_tol; only
@@ -228,7 +269,9 @@ def test_nodal_nullity_is_certified():
 
 
 @pytest.mark.parametrize("level, zero_tol, path", [
-    (1, 0.05, "shift-invert"),   # c+ + 1 = 2 values, doubled to 4
+    # c+ + 1 = 2 values: the two nearest -zero_tol miss the value
+    # below it, so the window is solved from below
+    (1, 0.05, "shift-invert"),
     (1, 6.0, "shift-invert"),    # c+ + 1 = 10, a quarter of 42
     (1, 15.0, "dense"),          # c+ + 1 = 17
     (2, 0.05, "shift-invert"),
@@ -245,13 +288,20 @@ def test_small_sphere_counts_match_dense(level, zero_tol, path):
     assert np.abs(report.eigenvalues - exact[:size]).max() < 1e-10
 
 
-@pytest.mark.parametrize("flip, found, counted", [
-    (lambda d: np.flatnonzero(d > 0)[0], 1, 2),    # one count too many
-    (lambda d: np.flatnonzero(d < 0)[0], 1, 0),    # one count too few
+@pytest.mark.parametrize("flip, message", [
+    # one count too many: the window at -zero_tol holds one value below
+    # it, short of c- = 2, so the window is solved from below, where the
+    # flipped pivot counts 1 under the spectrum
+    (lambda d: np.flatnonzero(d > 0)[0],
+     "shift-invert matrix at sigma = .* is not positive definite"),
+    # one count too few
+    (lambda d: np.flatnonzero(d < 0)[0],
+     "index mismatch: eigensolver 1, factorization 0"),
 ], ids=["overcount", "undercount"])
-def test_nodal_index_check_is_two_sided(flip, found, counted):
-    # one pivot's sign flipped, its solve left alone: Lanczos still finds
-    # the one value below -zero_tol, and the counts must not be reconciled
+def test_nodal_index_check_is_two_sided(flip, message):
+    # one pivot's sign flipped in every factor, its solve left alone:
+    # Lanczos still finds the one value below -zero_tol, and the counts
+    # must not be reconciled
     ops = fem.assemble(fem.mesh_sphere(3))
     factor = spectral._ordered_factor
 
@@ -261,9 +311,7 @@ def test_nodal_index_check_is_two_sided(flip, found, counted):
         d[flip(d.real)] *= -1
         return d, solve
     with mock.patch.object(spectral, "_ordered_factor", flipped):
-        with pytest.raises(NumericalFailureError,
-                           match=f"index mismatch: eigensolver {found}, "
-                                 f"factorization {counted}"):
+        with pytest.raises(NumericalFailureError, match=message):
             morse_index(ops)
 
 
@@ -662,7 +710,9 @@ def test_phi_mode_sweep_finds_a_lowest_mode_past_certified_ones():
         assert inertia_below(ops, sigma) == int((exact < sigma).sum())
     index, report = morse_index(ops)
     plain_index, plain = morse_index(whole)
-    assert plain.path == "dense"
+    # the window nearest -zero_tol misses the Nyquist values, so the
+    # counted window of the whole set is solved once from below
+    assert plain.path == "shift-invert"
     assert (index, report.nullity) == (plain_index, plain.nullity) == (
         (exact < -0.05).sum(), (np.abs(exact) <= 0.05).sum())
 
